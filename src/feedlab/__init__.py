@@ -58,7 +58,6 @@ from .regression import (
 )
 from .sim import (
     GenerativeParams,
-    MatrixPool,
     PolicyOutcome,
     PoolPosts,
     SimConfig,

@@ -17,11 +17,3 @@ def t_sf_two_sided(t: np.ndarray | float, df: float) -> np.ndarray | float:
 
 def normal_sf_two_sided(z: np.ndarray | float) -> np.ndarray | float:
     return 2.0 * special.ndtr(-np.abs(z))
-
-
-def sample_sd(x: np.ndarray) -> float:
-    """Sample standard deviation with the n-1 denominator."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise ValueError("sample SD needs at least 2 observations")
-    return float(np.std(x, ddof=1))

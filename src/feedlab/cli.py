@@ -52,6 +52,7 @@ from .regression import (
 )
 from .sim import (
     POLICIES,
+    SimConfig,
     load_sim_config,
     parameter_recovery,
     run_policy_experiment,
@@ -78,6 +79,13 @@ def _rules_from_args(args: argparse.Namespace) -> ExclusionRules:
         edge_trim=args.rules_edge_trim,
         min_adjusted_dwell=args.rules_min_dwell,
     )
+
+
+def _sim_config_from_args(args: argparse.Namespace) -> SimConfig:
+    config = load_sim_config(args.config)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    return config
 
 
 def _report_row_errors(label: str, errors) -> None:
@@ -199,9 +207,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
-    config = load_sim_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _sim_config_from_args(args)
     dataset, pool, _ = simulate_session(config)
     _write_resolved_config(out, args)
     save_posts(out / "posts.csv", list(dataset.posts))
@@ -226,9 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
-    config = load_sim_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _sim_config_from_args(args)
     policies = args.policies.split(",")
     unknown = [p for p in policies if p not in POLICIES]
     if unknown:
@@ -261,9 +265,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_recover(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
-    config = load_sim_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _sim_config_from_args(args)
     rules = _rules_from_args(args)
     report = parameter_recovery(
         config, rules, replications=args.replications, threads=args.threads
@@ -291,8 +293,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"error: no fit_*.json under {path}", file=sys.stderr)
         return EXIT_INPUT
     for target in targets:
-        if target.name == "recovery_report.json" or target.suffix != ".json":
-            continue
         fit = load_fit(target)
         print(f"== {target.name} ==")
         print(render_fit_table(fit))

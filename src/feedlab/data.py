@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -95,9 +95,6 @@ class Post:
                 if not math.isfinite(value):
                     raise ValueError(f"post {self.post_id!r} feature {name!r} is not finite")
 
-    def with_features(self, features: dict[str, float]) -> "Post":
-        return replace(self, features=dict(features))
-
 
 @dataclass(frozen=True)
 class RatingRecord:
@@ -162,21 +159,12 @@ class FeatureMatrix:
     def n_posts(self) -> int:
         return len(self.post_ids)
 
-    def column(self, feature: str) -> np.ndarray:
-        return self.values[:, self.feature_names.index(feature)]
-
-    def row(self, post_id: str) -> np.ndarray:
-        return self.values[self.post_ids.index(post_id)]
-
 
 @dataclass(frozen=True)
 class Dataset:
     posts: tuple[Post, ...]
     impressions: tuple[ImpressionRecord, ...]
     provenance: dict = field(default_factory=dict)
-
-    def post_index(self) -> dict[str, Post]:
-        return {p.post_id: p for p in self.posts}
 
 
 # ---------------------------------------------------------------------------

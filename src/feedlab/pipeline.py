@@ -9,15 +9,18 @@ attentional component in four ordered steps:
 2. fit a hierarchical Gaussian model of raw dwell on action count with a
    random intercept and random slope per participant; the shrunken
    per-participant slope estimates each participant's seconds-per-action
-   motor cost;
+   motor cost. When action counts are constant the slope is unidentifiable:
+   its mean and variance are pinned at 0 and the same EM fits the random
+   intercept alone;
 3. subtract ``slope * action_count`` from raw dwell (floored at 0);
 4. drop impressions whose adjusted dwell falls below ``min_adjusted_dwell``
    (boundary value kept).
 
 The mixed model is fit by deterministic EM to convergence (relative
-log-likelihood change < 1e-8, at most 500 iterations); per-participant
-coefficients are empirical-Bayes posterior means given the estimated
-variance components. Identical inputs produce bit-identical fits.
+log-likelihood change < 1e-8, at most 500 iterations, with a warning if the
+cap is reached first); per-participant coefficients are empirical-Bayes
+posterior means given the estimated variance components. Identical inputs
+produce bit-identical fits.
 """
 
 from __future__ import annotations
@@ -227,22 +230,26 @@ def fit_movement_model(impressions: Sequence[ImpressionRecord]) -> MovementModel
     random intercepts and slopes, by EM on the marginal Gaussian likelihood.
 
     If action counts never vary (e.g. nobody engaged), the slope is
-    unidentifiable: it is pinned to 0 for the population and every
-    participant, a warning is emitted, and only the random intercept is fit.
+    unidentifiable: a warning is emitted and the slope mean and variance are
+    pinned at exactly 0, so every participant's slope is 0 and the same EM
+    fits only the random intercept. A warning is also emitted if the EM
+    stops at ``EM_MAX_ITER`` without meeting the convergence tolerance.
     """
     if not impressions:
         raise ValueError("fit_movement_model needs at least one impression")
     pids, n_i, sum_a, sum_a2, sum_y, sum_y2, sum_ay, y, a = _grouped_stats(impressions)
-    if float(np.var(a)) == 0.0:
+    slope_pinned = float(np.var(a)) == 0.0
+    if slope_pinned:
         warnings.warn(
             "action counts are constant across all impressions; movement slope "
             "is unidentifiable and has been set to 0"
         )
-        return _fit_intercept_only(pids, n_i, sum_y, sum_y2)
 
     mu, sigma2 = _pooled_ols(n_i, sum_a, sum_a2, sum_y, sum_ay, sum_y2)
-    tau2 = np.array([max(0.1 * sigma2, 1e-6), max(0.1 * sigma2, 1e-6)])
+    tau0 = max(0.1 * sigma2, 1e-6)
+    tau2 = np.array([tau0, 0.0 if slope_pinned else tau0])
     N = float(n_i.sum())
+    sxx = np.array([[n_i.sum(), sum_a.sum()], [sum_a.sum(), sum_a2.sum()]])
 
     def e_step(mu, tau2, sigma2):
         """Posterior means/covariances of participant deviations + marginal LL."""
@@ -278,23 +285,30 @@ def fit_movement_model(impressions: Sequence[ImpressionRecord]) -> MovementModel
 
     ll_prev = -np.inf
     iterations = 0
+    converged = False
     for iterations in range(1, EM_MAX_ITER + 1):
         m1, m2, s11, s12, s22, ll = e_step(mu, tau2, sigma2)
         if abs(ll - ll_prev) < EM_LL_RTOL * max(1.0, abs(ll_prev)):
+            converged = True
             break
         ll_prev = ll
 
-        # M-step: fixed effects, then variance components at the new mu
-        rhs1 = float(np.sum(sum_y - (n_i * m1 + sum_a * m2)))
-        rhs2 = float(np.sum(sum_ay - (sum_a * m1 + sum_a2 * m2)))
-        sxx = np.array([[n_i.sum(), sum_a.sum()], [sum_a.sum(), sum_a2.sum()]])
-        mu = np.linalg.solve(sxx, np.array([rhs1, rhs2]))
+        # M-step: random-effect variances, fixed effects, then the residual
+        # variance at the new mu. With the slope pinned, m2 == 0 and S_xx is
+        # singular: the intercept is the mean residual, the slope stays 0.
         tau2 = np.array(
             [
                 max(float(np.mean(m1 * m1 + s11)), _VAR_FLOOR),
                 max(float(np.mean(m2 * m2 + s22)), _VAR_FLOOR),
             ]
         )
+        rhs1 = float(np.sum(sum_y - (n_i * m1 + sum_a * m2)))
+        rhs2 = float(np.sum(sum_ay - (sum_a * m1 + sum_a2 * m2)))
+        if slope_pinned:
+            tau2[1] = 0.0
+            mu = np.array([rhs1 / N, 0.0])
+        else:
+            mu = np.linalg.solve(sxx, np.array([rhs1, rhs2]))
         b1 = mu[0] + m1
         b2 = mu[1] + m2
         resid = (
@@ -306,6 +320,11 @@ def fit_movement_model(impressions: Sequence[ImpressionRecord]) -> MovementModel
         )
         trace = s11 * n_i + 2 * s12 * sum_a + s22 * sum_a2
         sigma2 = max(float(np.sum(resid + trace)) / N, _VAR_FLOOR)
+    if not converged:
+        warnings.warn(
+            f"movement-time EM stopped at EM_MAX_ITER={EM_MAX_ITER} iterations "
+            "without converging; the fit may be unreliable"
+        )
 
     # posterior means consistent with the final parameter values
     m1, m2, s11, s12, s22, ll = e_step(mu, tau2, sigma2)
@@ -322,74 +341,6 @@ def fit_movement_model(impressions: Sequence[ImpressionRecord]) -> MovementModel
         log_likelihood=ll,
         iterations=iterations,
     )
-
-
-def _fit_intercept_only(pids, n_i, sum_y, sum_y2) -> MovementModel:
-    """Random-intercept EM for the slope-degenerate case."""
-    N = float(n_i.sum())
-    mu = float(sum_y.sum() / N)
-    sigma2 = max(float(sum_y2.sum() / N - mu * mu), _VAR_FLOOR)
-    tau2 = max(0.1 * sigma2, 1e-6)
-
-    def e_step(mu, tau2, sigma2):
-        det = 1.0 + tau2 * n_i / sigma2
-        s11 = tau2 / det
-        q1 = sum_y - mu * n_i
-        m1 = (s11 * q1) / sigma2
-        s_rr = sum_y2 - 2 * mu * sum_y + mu * mu * n_i
-        quad = (s_rr - q1 * m1) / sigma2
-        ll = -0.5 * float(
-            N * math.log(2 * math.pi)
-            + np.sum(n_i * math.log(sigma2) + np.log(det) + quad)
-        )
-        return m1, s11, ll
-
-    ll_prev = -np.inf
-    iterations = 0
-    for iterations in range(1, EM_MAX_ITER + 1):
-        m1, s11, ll = e_step(mu, tau2, sigma2)
-        if abs(ll - ll_prev) < EM_LL_RTOL * max(1.0, abs(ll_prev)):
-            break
-        ll_prev = ll
-        mu = float(np.sum(sum_y - n_i * m1) / N)
-        tau2 = max(float(np.mean(m1 * m1 + s11)), _VAR_FLOOR)
-        b = mu + m1
-        resid = sum_y2 - 2 * b * sum_y + b * b * n_i
-        sigma2 = max(float(np.sum(resid + s11 * n_i)) / N, _VAR_FLOOR)
-
-    m1, s11, ll = e_step(mu, tau2, sigma2)
-    participants = {pid: (float(mu + m1[i]), 0.0) for i, pid in enumerate(pids)}
-    return MovementModel(
-        mu_alpha=mu,
-        mu_beta=0.0,
-        tau_alpha=math.sqrt(tau2),
-        tau_beta=0.0,
-        sigma_eps=math.sqrt(sigma2),
-        participants=participants,
-        log_likelihood=ll,
-        iterations=iterations,
-    )
-
-
-def no_pooling_slopes(impressions: Sequence[ImpressionRecord]) -> dict[str, float]:
-    """Per-participant least-squares slopes, fit independently (no shrinkage).
-
-    Participants whose action counts never vary have no defined slope and are
-    omitted. Used as a comparison baseline for the hierarchical fit.
-    """
-    by_pid: dict[str, list[ImpressionRecord]] = {}
-    for imp in impressions:
-        by_pid.setdefault(imp.participant_id, []).append(imp)
-    slopes: dict[str, float] = {}
-    for pid in sorted(by_pid):
-        rows = by_pid[pid]
-        a = np.array([r.action_count for r in rows], dtype=float)
-        y = np.array([r.dwell_raw for r in rows], dtype=float)
-        sxx = float(((a - a.mean()) ** 2).sum())
-        if sxx == 0:
-            continue
-        slopes[pid] = float(((a - a.mean()) * (y - y.mean())).sum() / sxx)
-    return slopes
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +360,6 @@ def run_pipeline(
     """Stage-1 exclusions -> movement fit -> adjustment -> floor."""
     rules = rules or ExclusionRules()
     impressions = list(data.impressions) if isinstance(data, Dataset) else list(data)
-    if not impressions:
-        empty_model = MovementModel(0.0, 0.0, 0.0, 0.0, 0.0, {})
-        audit = PipelineAudit(
-            0,
-            {"over_max_dwell": 0, "edge_positions": 0, "below_min_adjusted": 0},
-            0,
-        )
-        return PipelineResult((), empty_model, audit)
     stage1, audit1 = apply_exclusions_stage1(impressions, rules)
     if not stage1:
         model = MovementModel(0.0, 0.0, 0.0, 0.0, 0.0, {})

@@ -33,7 +33,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -287,46 +287,11 @@ class SyntheticPool:
 
 
 @dataclass(frozen=True)
-class MatrixPool:
-    """Pool backed by real rated posts; scores come from its own component fit."""
-
-    matrix: FeatureMatrix
-    posts: tuple[Post, ...] | None = None
-
-    @property
-    def size(self) -> int:
-        return self.matrix.n_posts
-
-    def realize(self, rng: np.random.Generator) -> PoolPosts:
-        fit = fit_feature_pca(self.matrix)
-        scores = project(fit, self.matrix)
-        cred = np.array([sc.pc_scores[0] for sc in scores])
-        sens = np.array([sc.pc_scores[1] for sc in scores])
-        if self.posts is not None:
-            posts = self.posts
-        else:
-            posts = tuple(
-                Post(
-                    post_id=pid,
-                    headline="",
-                    source="",
-                    category="true_news",
-                    features={
-                        f: float(self.matrix.values[i, j])
-                        for j, f in enumerate(self.matrix.feature_names)
-                    },
-                )
-                for i, pid in enumerate(self.matrix.post_ids)
-            )
-        return PoolPosts(posts, self.matrix, cred, sens)
-
-
-@dataclass(frozen=True)
 class SimConfig:
     participants: int
     feed_length: int = 120
     news_per_feed: int = 90
-    pool: SyntheticPool | MatrixPool = field(default_factory=SyntheticPool)
+    pool: SyntheticPool = field(default_factory=SyntheticPool)
     params: GenerativeParams = field(default_factory=GenerativeParams)
     seed: int = 0
 
@@ -511,6 +476,23 @@ def rank_feed(
 
 
 # ---------------------------------------------------------------------------
+# Replications
+
+
+def _map_replications(work: Callable, seed: int, replications: int, threads: int) -> list:
+    """Run ``work`` once per replication on its own SeedSequence substream.
+
+    Results come back in replication-index order whatever ``threads`` is, so
+    a run is bit-identical at any thread count.
+    """
+    seqs = np.random.SeedSequence(seed).spawn(replications)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            return list(executor.map(work, seqs))
+    return [work(sq) for sq in seqs]
+
+
+# ---------------------------------------------------------------------------
 # Policy experiments
 
 
@@ -575,13 +557,8 @@ def run_policy_experiment(
     and aggregate ecosystem metrics across seeded replications."""
     if replications < 1:
         raise ValueError("need at least one replication")
-    seqs = np.random.SeedSequence(config.seed).spawn(replications)
     work = lambda sq: _replication_metrics(config, policies, k, sq)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_:
-            per_rep = list(pool_.map(work, seqs))
-    else:
-        per_rep = [work(sq) for sq in seqs]
+    per_rep = _map_replications(work, config.seed, replications, threads)
 
     outcomes = []
     for policy in policies:
@@ -765,13 +742,8 @@ def parameter_recovery(
     rules = rules or ExclusionRules()
     stage1_spec = stage1_spec or stage1_recovery_spec()
     stage2_spec = stage2_spec or engagement_model_spec()
-    seqs = np.random.SeedSequence(config.seed).spawn(replications)
     work = lambda sq: _recover_once(config, rules, stage2_spec, stage1_spec, sq)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_:
-            reps = list(pool_.map(work, seqs))
-    else:
-        reps = [work(sq) for sq in seqs]
+    reps = _map_replications(work, config.seed, replications, threads)
 
     all_terms = [("stage1", t) for t in _STAGE1_TARGETS] + [
         ("stage2", t) for t in _STAGE2_TARGETS
@@ -830,10 +802,8 @@ def parameter_recovery(
 # Config persistence
 
 
-def _pool_to_dict(pool: SyntheticPool | MatrixPool) -> dict:
-    if isinstance(pool, SyntheticPool):
-        return {"kind": "synthetic", **asdict(pool)}
-    raise ValueError("only synthetic pools can be serialized to sim_config.json")
+def _pool_to_dict(pool: SyntheticPool) -> dict:
+    return {"kind": "synthetic", **asdict(pool)}
 
 
 def _pool_from_dict(d: dict) -> SyntheticPool:

@@ -272,6 +272,15 @@ class TestExperimentAndRecover:
         report = json.loads((out / "recovery_report.json").read_text())
         assert "summary" in report and "stage2_dwell_bias_adjusted" in report["summary"]
 
+    def test_report_rejects_non_fit_file(self, tmp_path, sim_config_path, capsys):
+        out = tmp_path / "rec"
+        run(["recover", "--config", sim_config_path, "--output-dir", out, "--replications", 2])
+        capsys.readouterr()
+        assert run(["report", "--input", out / "recovery_report.json"]) == 2
+        captured = capsys.readouterr()
+        assert "not a regression fit file" in captured.err
+        assert captured.out == ""
+
     def test_report_renders_fits(self, tmp_path, analysis_dirs, capsys):
         _, clean_out, pca_out = analysis_dirs
         out = tmp_path / "fit_report"

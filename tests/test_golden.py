@@ -1,0 +1,89 @@
+"""Golden digests of the README command-line walkthrough.
+
+Runs walkthrough steps 1-7 through ``feedlab.cli.main`` at a small size and
+pins the SHA-256 of every output file except ``resolved_config.json`` (which
+records paths). A refactor that claims to preserve behaviour must leave
+these digests unchanged; a change that alters outputs on purpose updates
+them and says why.
+"""
+
+import hashlib
+import json
+
+from feedlab.cli import main
+
+SIM_CONFIG = {
+    "participants": 40,
+    "feed_length": 120,
+    "news_per_feed": 90,
+    "pool": {"kind": "synthetic"},
+    "params": {},
+    "seed": 42,
+}
+
+GOLDEN = {
+    "clean/audit.json": "7b70a5d0c427964078568740bd9cb971d7dba7975a9c63b921a8eeb002a00134",
+    "clean/cleaned.csv": "679b5d63a7792d8c44cd1b619c83bdd37e88040acfc37a1b43c9b43d465d5189",
+    "clean/movement_model.json": "e969231848be043aadddee06a49e8cd7aef985aba223c0a24235c88254e9c1d5",
+    "exp/policy_outcomes.csv": "612ad9a705ee17c321741190ef3a65e42339087be8713250ee8eac45b845d955",
+    "fit/fit_dwell.json": "edaa914bc227d5ad782269cd815b885b8488eb1dc509c690fc233cb277034d15",
+    "fit/fit_dwell.txt": "6a8a16eb9998a9634463602dc3180846356b4e37c1913230bc4543f149a75fbb",
+    "fit/fit_engage.json": "249850b1c558e3235b1724304eb4ba7a4a8148066da9c7dc2897b96950717e29",
+    "fit/fit_engage.txt": "f4270e6995e6d8c600a5e950f666cf00739be055c9f334331b7e372ec892d00c",
+    "pca/correlations.csv": "139f008616aa23690f21a9821e61279eb702bcebf402fff233f5b549855a3ac6",
+    "pca/pca_fit.json": "878e2f4b5256bfbbe33fb11bde1f534234adcc3352f591a4bf43d525aaab4167",
+    "pca/scores.csv": "4dad81efb8146b8b6a5f77a886c0ae122b17060bc51bbde6890d505ae342e0a5",
+    "pca/top_posts.txt": "723f056b3f4a7f94004bb5b64c669cae86aa598230222dbc5ca01ecff51d9fa9",
+    "rec/recovery_report.json": "4f691d715ed37af6c6b790225c92e90976449ba6d4d7ce33e9c0bbfe629e3b5b",
+    "sim/dataset.json": "187c18185a455dad950eb395cbc6e77470e5d1586943863add68e29a02962646",
+    "sim/impressions.csv": "b383b3d34f7ea8a1685a42162382a16235031b5bd51f0436ddc443dc2533d65b",
+    "sim/posts.csv": "71ae841ec32ea38a1a4242488e050fed41dbc91a212db51730b1c7f2adc9ab7e",
+    "sim/ratings.csv": "b81582d5813cb0ec398fe71d459fbad7c121b6cb677020c933ad1459c43ee302",
+}
+
+
+def run_walkthrough(root):
+    config = root / "sim_config.json"
+    config.write_text(json.dumps(SIM_CONFIG))
+    out = root / "out"
+    steps = [
+        ["simulate", "--config", config, "--output-dir", out / "sim"],
+        [
+            "preprocess", "--input", out / "sim" / "impressions.csv",
+            "--output-dir", out / "clean",
+            "--rules.max-dwell", 30, "--rules.edge-trim", 3, "--rules.min-dwell", 0.15,
+        ],
+        [
+            "pca", "--input", out / "sim" / "ratings.csv",
+            "--impressions", out / "clean" / "cleaned.csv",
+            "--posts", out / "sim" / "posts.csv", "--output-dir", out / "pca",
+        ],
+        [
+            "fit", "--input", out / "clean" / "cleaned.csv",
+            "--scores", out / "pca" / "scores.csv", "--model", "dwell",
+            "--output-dir", out / "fit",
+        ],
+        [
+            "fit", "--input", out / "clean" / "cleaned.csv",
+            "--scores", out / "pca" / "scores.csv", "--model", "engage",
+            "--output-dir", out / "fit",
+        ],
+        [
+            "experiment", "--config", config, "--output-dir", out / "exp",
+            "--policies", "dwell_opt,engage_opt,random,chronological",
+            "-k", 20, "--replications", 20,
+        ],
+        ["recover", "--config", config, "--output-dir", out / "rec", "--replications", 2],
+        ["report", "--input", out / "fit"],
+    ]
+    for step in steps:
+        assert main([str(a) for a in step]) == 0, step
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "resolved_config.json"
+    }
+
+
+def test_walkthrough_outputs_match_golden_digests(tmp_path):
+    assert run_walkthrough(tmp_path) == GOLDEN

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from feedlab import pipeline
 from feedlab.data import ImpressionRecord
 from feedlab.pipeline import (
     ExclusionRules,
@@ -13,7 +14,6 @@ from feedlab.pipeline import (
     apply_floor,
     fit_movement_model,
     load_movement_model,
-    no_pooling_slopes,
     run_pipeline,
     save_movement_model,
 )
@@ -131,6 +131,32 @@ class TestMovementModel:
         assert model.mu_beta == 0.0
         assert model.tau_beta == 0.0
         assert all(b == 0.0 for _, b in model.participants.values())
+
+    def test_constant_nonzero_actions_pin_slope(self):
+        # every impression has one action: the slope is unidentifiable, and
+        # on balanced data the random-intercept ML mean is the grand mean
+        rng = np.random.default_rng(12)
+        dwells = 3.0 + rng.standard_normal((8, 15)) + rng.standard_normal((8, 1))
+        imps = [
+            imp
+            for i, row in enumerate(dwells)
+            for imp in full_feed(f"p{i}", list(row), [1] * len(row))
+        ]
+        with pytest.warns(UserWarning, match="unidentifiable"):
+            model = fit_movement_model(imps)
+        assert model.mu_beta == 0.0
+        assert model.tau_beta == 0.0
+        assert all(b == 0.0 for _, b in model.participants.values())
+        assert model.mu_alpha == pytest.approx(dwells.mean(), rel=1e-12)
+        assert model.tau_alpha > 0.0
+
+    def test_iteration_cap_warns(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        imps, _ = simulate_hierarchical_dwell(rng, n_participants=30, n_per=40)
+        monkeypatch.setattr(pipeline, "EM_MAX_ITER", 2)
+        with pytest.warns(UserWarning, match="EM_MAX_ITER=2"):
+            model = fit_movement_model(imps)
+        assert model.iterations == 2
 
     def test_recovery_and_shrinkage_beats_no_pooling(self):
         rng = np.random.default_rng(314)

@@ -330,6 +330,12 @@ class TestParameterRecovery:
             fit_raw.term("dwell").estimate, abs=1e-6
         )
 
+    def test_threaded_matches_serial(self):
+        cfg = SimConfig(participants=60, seed=2024)
+        serial = parameter_recovery(cfg, ExclusionRules(), replications=3, threads=1)
+        threaded = parameter_recovery(cfg, ExclusionRules(), replications=3, threads=2)
+        assert threaded.to_dict() == serial.to_dict()
+
     def test_report_serializable(self):
         cfg = SimConfig(participants=120, seed=5150)
         report = parameter_recovery(cfg, ExclusionRules(), replications=2)
