@@ -16,6 +16,7 @@ from .data import (
     FEATURE_NAMES,
     FeatureMatrix,
     ImpressionRecord,
+    Impressions,
     Post,
     RatingRecord,
     aggregate_ratings,
@@ -66,7 +67,6 @@ from .sim import (
     rank_feed,
     run_policy_experiment,
     simulate_dataset,
-    simulate_impression,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,28 @@
 
 from __future__ import annotations
 
+import ctypes
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 from scipy import special
+
+
+@cache
+def one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread; other BLAS builds are left as they are.
+
+    Called by the regression fits. On their tall, narrow matrices threads only cost
+    CPU time, and a threaded ``dot`` splits its sum by thread count, so fits would
+    vary with the host's cores. The setting is process-wide and made once.
+    """
+    here = Path(np.__file__).parent
+    for lib in [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]:
+        blas = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            getattr(blas, name, lambda n: None)(1)
 
 
 def sigmoid(x):

@@ -111,7 +111,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     rules = _rules_from_args(args)
     result = run_pipeline(impressions, rules)
     _write_resolved_config(out, args)
-    save_impressions(out / "cleaned.csv", list(result.impressions))
+    save_impressions(out / "cleaned.csv", result.impressions)
     save_movement_model(out / "movement_model.json", result.model)
     save_audit(out / "audit.json", result.audit)
     print(
@@ -190,7 +190,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     impressions, errors = load_impressions(args.input)
     _report_row_errors("impressions", errors)
-    if not impressions or impressions[0].dwell_adjusted is None:
+    if len(impressions) == 0 or impressions.dwell_adjusted is None:
         print("error: fit needs cleaned impressions (run preprocess first)", file=sys.stderr)
         return EXIT_INPUT
     scores = load_scores(args.scores)
@@ -211,7 +211,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     dataset, pool, _ = simulate_session(config)
     _write_resolved_config(out, args)
     save_posts(out / "posts.csv", list(dataset.posts))
-    save_impressions(out / "impressions.csv", list(dataset.impressions))
+    save_impressions(out / "impressions.csv", dataset.impressions)
     # one synthetic rater per cell so the standard ratings path reproduces
     # the pool's feature matrix exactly
     from .data import RatingRecord, save_dataset

@@ -9,6 +9,12 @@ Interchange formats (all CSV with a header row, LF line endings):
                       cleaned files carry an extra dwell_adjusted column)
     dataset.json     posts + impressions + provenance digests
 
+In memory, impressions are one columnar :class:`Impressions` table (one
+array per field); :class:`ImpressionRecord` is its row type, produced by
+indexing or iterating the table. Every function that takes impressions also
+accepts an iterable of records and converts it once with
+:meth:`Impressions.of`.
+
 Loaders collect malformed rows into an error report instead of aborting;
 semantic checks (referential integrity, position contiguity, dwell sign)
 live in :func:`validate_dataset`.
@@ -20,10 +26,12 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -135,6 +143,94 @@ class ImpressionRecord:
         return self.action_count >= 1
 
 
+@dataclass(frozen=True, eq=False)
+class Impressions:
+    """Columnar impression table: one array per :class:`ImpressionRecord` field.
+
+    ``participant_id`` and ``post_id`` are str arrays; ``dwell_adjusted`` is
+    None until the dwell pipeline sets it. An int index or iteration yields
+    :class:`ImpressionRecord` rows; a slice, boolean mask or index array
+    selects rows as a new table. ``==`` compares rows.
+    """
+
+    participant_id: np.ndarray
+    post_id: np.ndarray
+    position: np.ndarray
+    dwell_raw: np.ndarray
+    shared: np.ndarray
+    liked: np.ndarray
+    dwell_adjusted: np.ndarray | None = None
+
+    def __post_init__(self):
+        if len({len(c) for c in self._columns() if c is not None}) != 1:
+            raise ValueError("impression columns differ in length")
+
+    @classmethod
+    def of(cls, impressions: Iterable[ImpressionRecord]) -> Impressions:
+        """The table itself, or the records converted to one table.
+
+        Records must all carry ``dwell_adjusted`` or all lack it.
+        """
+        if isinstance(impressions, cls):
+            return impressions
+        return cls._from_rows(list(map(_record_values, impressions)))
+
+    @classmethod
+    def _from_rows(cls, rows: list[tuple]) -> Impressions:
+        """Build the columns from one tuple per row, in field order."""
+        columns = list(zip(*rows)) if rows else [()] * 7
+        n_adjusted = sum(v is not None for v in columns[6])
+        if 0 < n_adjusted < len(rows):
+            raise ValueError("mixed adjusted/unadjusted impressions cannot form one table")
+        dtypes = (str, str, np.int64, float, bool, bool, float)
+        if n_adjusted < len(rows):
+            columns[6] = None
+        return cls(*(c if c is None else np.array(c, dtype=t) for c, t in zip(columns, dtypes)))
+
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def _column_lists(self) -> dict[str, list]:
+        """Each column that is set, as a list; equal str cells share one object."""
+        return {
+            f.name: _str_list(c) if c.dtype.kind == "U" else c.tolist()
+            for f, c in zip(fields(self), self._columns())
+            if c is not None
+        }
+
+    @property
+    def action_count(self) -> np.ndarray:
+        return self.shared.astype(np.int64) + self.liked.astype(np.int64)
+
+    def __len__(self) -> int:
+        return len(self.participant_id)
+
+    def __getitem__(self, key):
+        cells = (None if c is None else c[key] for c in self._columns())
+        if isinstance(key, (int, np.integer)):
+            return ImpressionRecord(*(None if v is None else v.item() for v in cells))
+        return Impressions(*cells)
+
+    def __iter__(self):
+        return (ImpressionRecord(*row) for row in zip(*self._column_lists().values()))
+
+    def __eq__(self, other):
+        return isinstance(other, Impressions) and all(
+            a is b if a is None or b is None else np.array_equal(a, b)
+            for a, b in zip(self._columns(), other._columns())
+        )
+
+
+_record_values = operator.attrgetter(*(f.name for f in fields(ImpressionRecord)))
+
+
+def _str_list(column: np.ndarray) -> list[str]:
+    """A str column as a list holding one shared str object per distinct value."""
+    names, codes = np.unique(column, return_inverse=True)
+    names = names.tolist()
+    return [names[i] for i in codes.tolist()]
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Posts x features numeric table with no missing cells."""
@@ -163,7 +259,7 @@ class FeatureMatrix:
 @dataclass(frozen=True)
 class Dataset:
     posts: tuple[Post, ...]
-    impressions: tuple[ImpressionRecord, ...]
+    impressions: Impressions
     provenance: dict = field(default_factory=dict)
 
 
@@ -171,23 +267,24 @@ class Dataset:
 # CSV loading
 
 
-def _open_rows(path: str | Path, expected_header: list[str]) -> list[list[str]]:
+def _open_rows(path: str | Path, *headers: list[str]) -> tuple[list[str], list[list[str]]]:
+    """The header and data rows of a CSV file whose header is one of ``headers``."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] != expected_header:
+    if not rows or rows[0] not in headers:
         raise DataFormatError(
-            f"{path}: expected header {','.join(expected_header)!r}, "
+            f"{path}: expected header {' or '.join(repr(','.join(h)) for h in headers)}, "
             f"got {','.join(rows[0]) if rows else '<empty file>'!r}"
         )
-    return rows[1:]
+    return rows[0], rows[1:]
 
 
 def load_ratings(path: str | Path) -> tuple[list[RatingRecord], list[RowError]]:
     """Parse ratings.csv; malformed rows are reported, not fatal."""
-    rows = _open_rows(path, ["rater_id", "post_id", "feature", "value"])
+    _, rows = _open_rows(path, ["rater_id", "post_id", "feature", "value"])
     records: list[RatingRecord] = []
     errors: list[RowError] = []
     for lineno, row in enumerate(rows, start=2):
@@ -211,7 +308,7 @@ def load_ratings(path: str | Path) -> tuple[list[RatingRecord], list[RowError]]:
 
 
 def load_posts(path: str | Path) -> tuple[list[Post], list[RowError]]:
-    rows = _open_rows(path, ["post_id", "headline", "source", "category"])
+    _, rows = _open_rows(path, ["post_id", "headline", "source", "category"])
     posts: list[Post] = []
     errors: list[RowError] = []
     for lineno, row in enumerate(rows, start=2):
@@ -237,42 +334,33 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected 0/1 boolean, got {raw!r}")
 
 
-def load_impressions(path: str | Path) -> tuple[list[ImpressionRecord], list[RowError]]:
+def load_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
     """Parse impressions.csv (plain or cleaned with dwell_adjusted)."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] not in (_IMPRESSION_HEADER, _IMPRESSION_HEADER + ["dwell_adjusted"]):
-        raise DataFormatError(
-            f"{path}: expected header {','.join(_IMPRESSION_HEADER)!r}"
-            " (optionally + dwell_adjusted),"
-            f" got {','.join(rows[0]) if rows else '<empty file>'!r}"
-        )
-    has_adjusted = len(rows[0]) == 7
-    width = 7 if has_adjusted else 6
-    records: list[ImpressionRecord] = []
+    header, rows = _open_rows(path, _IMPRESSION_HEADER, _IMPRESSION_HEADER + ["dwell_adjusted"])
+    width = len(header)
+    has_adjusted = width == 7
+    parsed: list[tuple] = []
     errors: list[RowError] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != width:
             errors.append(RowError(lineno, f"expected {width} fields, got {len(row)}"))
             continue
         try:
-            records.append(
-                ImpressionRecord(
-                    participant_id=row[0],
-                    post_id=row[1],
-                    position=int(row[2]),
-                    dwell_raw=float(row[3]),
-                    shared=_parse_bool(row[4]),
-                    liked=_parse_bool(row[5]),
-                    dwell_adjusted=float(row[6]) if has_adjusted else None,
-                )
+            values = (
+                row[0], row[1], int(row[2]), float(row[3]),
+                _parse_bool(row[4]), _parse_bool(row[5]),
+                float(row[6]) if has_adjusted else None,
             )
         except ValueError as exc:
             errors.append(RowError(lineno, str(exc)))
-    return records, errors
+            continue
+        dwells = {"dwell_raw": values[3], "dwell_adjusted": values[6]}
+        non_finite = [k for k, v in dwells.items() if v is not None and not math.isfinite(v)]
+        if non_finite:
+            errors.append(RowError(lineno, f"non-finite {' and '.join(non_finite)}"))
+            continue
+        parsed.append(values)
+    return Impressions._from_rows(parsed), errors
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +387,21 @@ def save_posts(path: str | Path, posts: list[Post]) -> None:
             w.writerow([p.post_id, p.headline, p.source, p.category])
 
 
-def save_impressions(path: str | Path, impressions: list[ImpressionRecord]) -> None:
-    """Write impressions.csv; emits dwell_adjusted iff every record carries it."""
-    adjusted = [i.dwell_adjusted is not None for i in impressions]
-    if any(adjusted) and not all(adjusted):
-        raise ValueError("mixed adjusted/unadjusted impressions cannot be saved together")
-    include_adjusted = bool(impressions) and all(adjusted)
+def save_impressions(path: str | Path, impressions: Iterable[ImpressionRecord]) -> None:
+    """Write impressions.csv; emits dwell_adjusted iff the rows carry it."""
+    imps = Impressions.of(impressions)
+    # the table's field names are the file's column names, in file order; an
+    # empty table writes the plain header
+    columns = imps._column_lists() if len(imps) else dict.fromkeys(_IMPRESSION_HEADER, [])
+    dwell_text = f"{{:.{DWELL_DECIMALS}f}}".format
+    for name, fmt in (("dwell_raw", dwell_text), ("shared", int), ("liked", int),
+                      ("dwell_adjusted", dwell_text)):
+        if name in columns:
+            columns[name] = list(map(fmt, columns[name]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = _writer(fh)
-        header = list(_IMPRESSION_HEADER) + (["dwell_adjusted"] if include_adjusted else [])
-        w.writerow(header)
-        for i in impressions:
-            row = [
-                i.participant_id,
-                i.post_id,
-                str(i.position),
-                f"{i.dwell_raw:.{DWELL_DECIMALS}f}",
-                str(int(i.shared)),
-                str(int(i.liked)),
-            ]
-            if include_adjusted:
-                row.append(f"{i.dwell_adjusted:.{DWELL_DECIMALS}f}")
-            w.writerow(row)
+        w.writerow(list(columns))
+        w.writerows(zip(*columns.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -379,70 +460,55 @@ def ratings_per_post_per_feature(records: list[RatingRecord]) -> float:
 
 
 def dataset_violations(
-    posts: list[Post], impressions: list[ImpressionRecord]
+    posts: list[Post], impressions: Iterable[ImpressionRecord]
 ) -> list[Violation]:
+    imps = Impressions.of(impressions)
     violations: list[Violation] = []
+    flag = lambda kind, message: violations.append(Violation(kind, message))
     known = {p.post_id for p in posts}
     seen_posts: set[str] = set()
     for p in posts:
         if p.post_id in seen_posts:
-            violations.append(Violation("duplicate_post", f"duplicate post_id {p.post_id!r}"))
+            flag("duplicate_post", f"duplicate post_id {p.post_id!r}")
         seen_posts.add(p.post_id)
 
-    by_participant: dict[str, list[ImpressionRecord]] = {}
-    for imp in impressions:
-        by_participant.setdefault(imp.participant_id, []).append(imp)
-        if imp.post_id not in known:
-            violations.append(
-                Violation(
-                    "dangling_post",
-                    f"impression references unknown post {imp.post_id!r} "
-                    f"(participant {imp.participant_id!r})",
-                )
-            )
-        if imp.dwell_raw < 0:
-            violations.append(
-                Violation(
-                    "negative_dwell",
-                    f"negative dwell {imp.dwell_raw} for participant "
-                    f"{imp.participant_id!r} position {imp.position}",
-                )
-            )
+    dangling = ~np.isin(imps.post_id, np.array(list(known), dtype=str))
+    for pid, post in zip(imps.participant_id[dangling].tolist(), imps.post_id[dangling].tolist()):
+        flag("dangling_post", f"impression references unknown post {post!r} (participant {pid!r})")
+    negative = imps.dwell_raw < 0
+    for pid, pos, dwell in zip(
+        *(c[negative].tolist() for c in (imps.participant_id, imps.position, imps.dwell_raw))
+    ):
+        flag("negative_dwell", f"negative dwell {dwell} for participant {pid!r} position {pos}")
 
-    for pid in sorted(by_participant):
-        positions = sorted(i.position for i in by_participant[pid])
+    pids, group = np.unique(imps.participant_id, return_inverse=True)
+    order = np.lexsort((imps.position, group))
+    ends = np.cumsum(np.bincount(group, minlength=len(pids)))[:-1]
+    for pid, positions in zip(pids.tolist(), np.split(imps.position[order], ends)):
+        repeated = positions[1:][positions[1:] == positions[:-1]]
         n = len(positions)
-        if len(set(positions)) != n:
-            dupes = sorted({p for p in positions if positions.count(p) > 1})
-            violations.append(
-                Violation(
-                    "duplicate_position",
-                    f"participant {pid!r} has duplicated position(s) {dupes}",
-                )
-            )
-        elif positions != list(range(1, n + 1)):
-            violations.append(
-                Violation(
-                    "position_gap",
-                    f"participant {pid!r} positions are not contiguous 1..{n}",
-                )
-            )
+        if repeated.size:
+            dupes = np.unique(repeated).tolist()
+            flag("duplicate_position", f"participant {pid!r} has duplicated position(s) {dupes}")
+        elif not np.array_equal(positions, np.arange(1, n + 1)):
+            flag("position_gap", f"participant {pid!r} positions are not contiguous 1..{n}")
     return violations
 
 
 def validate_dataset(
     posts: list[Post],
-    impressions: list[ImpressionRecord],
+    impressions: Iterable[ImpressionRecord],
     provenance: dict | None = None,
 ) -> Dataset:
     """Check referential integrity, position contiguity, and dwell sign.
 
     Raises :class:`DatasetValidationError` carrying the full violation list.
     """
-    violations = dataset_violations(posts, impressions)
+    imps = Impressions.of(impressions)
+    violations = dataset_violations(posts, imps)
     if violations:
         raise DatasetValidationError(violations)
-    return Dataset(tuple(posts), tuple(impressions), provenance or {})
+    return Dataset(tuple(posts), imps, provenance or {})
 
 
 # ---------------------------------------------------------------------------
@@ -476,25 +542,12 @@ def _post_to_dict(p: Post) -> dict:
     return d
 
 
-def _impression_to_dict(i: ImpressionRecord) -> dict:
-    d = {
-        "participant_id": i.participant_id,
-        "post_id": i.post_id,
-        "position": i.position,
-        "dwell_raw": i.dwell_raw,
-        "shared": i.shared,
-        "liked": i.liked,
-    }
-    if i.dwell_adjusted is not None:
-        d["dwell_adjusted"] = i.dwell_adjusted
-    return d
-
-
 def save_dataset(path: str | Path, dataset: Dataset) -> None:
+    columns = dataset.impressions._column_lists()
     payload = {
         "provenance": dataset.provenance,
         "posts": [_post_to_dict(p) for p in dataset.posts],
-        "impressions": [_impression_to_dict(i) for i in dataset.impressions],
+        "impressions": [dict(zip(columns, row)) for row in zip(*columns.values())],
     }
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -513,16 +566,13 @@ def load_dataset(path: str | Path) -> Dataset:
         )
         for d in payload["posts"]
     ]
-    impressions = [
-        ImpressionRecord(
-            participant_id=d["participant_id"],
-            post_id=d["post_id"],
-            position=d["position"],
-            dwell_raw=d["dwell_raw"],
-            shared=d["shared"],
-            liked=d["liked"],
-            dwell_adjusted=d.get("dwell_adjusted"),
-        )
-        for d in payload["impressions"]
-    ]
-    return Dataset(tuple(posts), tuple(impressions), payload.get("provenance", {}))
+    impressions = Impressions._from_rows(
+        [
+            (
+                d["participant_id"], d["post_id"], d["position"], d["dwell_raw"],
+                d["shared"], d["liked"], d.get("dwell_adjusted"),
+            )
+            for d in payload["impressions"]
+        ]
+    )
+    return Dataset(tuple(posts), impressions, payload.get("provenance", {}))

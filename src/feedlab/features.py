@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._numeric import t_sf_two_sided
-from .data import ImpressionRecord, FeatureMatrix
+from .data import FeatureMatrix, ImpressionRecord, Impressions
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,6 @@ class PcaFit:
     loadings: np.ndarray
     variance_fraction: np.ndarray
     flipped: tuple[bool, ...]
-
-    @property
-    def n_components(self) -> int:
-        return self.loadings.shape[1]
 
     def cumulative_variance(self) -> np.ndarray:
         return np.cumsum(self.variance_fraction)
@@ -105,17 +101,13 @@ def correlate(x: np.ndarray, y: np.ndarray) -> CorrelationResult:
 
 def mean_dwell_by_post(impressions: Iterable[ImpressionRecord]) -> dict[str, float]:
     """Mean adjusted dwell per post over cleaned impressions."""
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for imp in impressions:
-        if imp.dwell_adjusted is None:
-            raise ValueError(
-                f"impression for post {imp.post_id!r} has no dwell_adjusted; "
-                "run the dwell pipeline first"
-            )
-        sums[imp.post_id] = sums.get(imp.post_id, 0.0) + imp.dwell_adjusted
-        counts[imp.post_id] = counts.get(imp.post_id, 0) + 1
-    return {pid: sums[pid] / counts[pid] for pid in sorted(sums)}
+    imps = Impressions.of(impressions)
+    if imps.dwell_adjusted is None:
+        raise ValueError("impressions have no dwell_adjusted; run the dwell pipeline first")
+    post_ids, group = np.unique(imps.post_id, return_inverse=True)
+    sums = np.bincount(group, weights=imps.dwell_adjusted, minlength=len(post_ids))
+    counts = np.bincount(group, minlength=len(post_ids))
+    return dict(zip(post_ids.tolist(), (sums / counts).tolist()))
 
 
 def fit_pca(

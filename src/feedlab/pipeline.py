@@ -30,11 +30,11 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset, ImpressionRecord
+from .data import Dataset, ImpressionRecord, Impressions
 
 EM_MAX_ITER = 500
 EM_LL_RTOL = 1e-8
@@ -94,88 +94,72 @@ class PipelineOrderError(RuntimeError):
 # Exclusion stages
 
 
-def _feed_lengths(impressions: Sequence[ImpressionRecord]) -> dict[str, int]:
-    # length of the feed as displayed: max position seen for the participant
-    lengths: dict[str, int] = {}
-    for imp in impressions:
-        lengths[imp.participant_id] = max(lengths.get(imp.participant_id, 0), imp.position)
-    return lengths
-
-
 def apply_exclusions_stage1(
-    impressions: Sequence[ImpressionRecord], rules: ExclusionRules
-) -> tuple[list[ImpressionRecord], PipelineAudit]:
+    impressions: Iterable[ImpressionRecord], rules: ExclusionRules
+) -> tuple[Impressions, PipelineAudit]:
     """Drop over-cap raw dwells, then edge positions of each participant's feed."""
-    lengths = _feed_lengths(impressions)
-    short = sorted(
-        pid for pid, n in lengths.items() if n <= 2 * rules.edge_trim
-    )
+    imps = Impressions.of(impressions)
+    # length of the feed as displayed: max position seen for the participant
+    pids, group = np.unique(imps.participant_id, return_inverse=True)
+    lengths = np.zeros(len(pids), dtype=np.int64)
+    np.maximum.at(lengths, group, imps.position)
+    short = pids[lengths <= 2 * rules.edge_trim].tolist()
     if short:
         warnings.warn(
             f"{len(short)} participant(s) have feeds of <= {2 * rules.edge_trim} posts; "
             f"all their impressions fall in the trimmed edges: {', '.join(short[:5])}"
             + ("..." if len(short) > 5 else "")
         )
-    kept: list[ImpressionRecord] = []
-    n_over = 0
-    n_edge = 0
-    for imp in impressions:
-        if imp.dwell_raw > rules.max_dwell:
-            n_over += 1
-            continue
-        if imp.position <= rules.edge_trim or imp.position > lengths[imp.participant_id] - rules.edge_trim:
-            n_edge += 1
-            continue
-        kept.append(imp)
+    over = imps.dwell_raw > rules.max_dwell
+    edge = ~over & (
+        (imps.position <= rules.edge_trim)
+        | (imps.position > lengths[group] - rules.edge_trim)
+    )
+    kept = imps[~over & ~edge]
     audit = PipelineAudit(
-        input_count=len(impressions),
-        removed={"over_max_dwell": n_over, "edge_positions": n_edge},
+        input_count=len(imps),
+        removed={"over_max_dwell": int(over.sum()), "edge_positions": int(edge.sum())},
         retained_count=len(kept),
     )
     return kept, audit
 
 
 def adjust_dwell(
-    impressions: Sequence[ImpressionRecord], model: MovementModel
-) -> list[ImpressionRecord]:
+    impressions: Iterable[ImpressionRecord], model: MovementModel
+) -> Impressions:
     """Subtract the participant's motor cost per action from raw dwell.
 
     Zero-action impressions pass through with dwell_adjusted == dwell_raw
     exactly; negative adjusted values are floored at 0 (the minimum-dwell
     rule removes them next).
     """
-    adjusted: list[ImpressionRecord] = []
-    for imp in impressions:
-        if imp.participant_id not in model.participants:
-            raise PipelineOrderError(
-                f"participant {imp.participant_id!r} missing from movement model; "
-                "adjust_dwell must run on the impressions the model was fit to"
-            )
-        a = imp.action_count
-        if a == 0:
-            value = imp.dwell_raw
-        else:
-            value = max(0.0, imp.dwell_raw - model.slope(imp.participant_id) * a)
-        adjusted.append(replace(imp, dwell_adjusted=value))
-    return adjusted
+    imps = Impressions.of(impressions)
+    pids, group = np.unique(imps.participant_id, return_inverse=True)
+    missing = [pid for pid in pids.tolist() if pid not in model.participants]
+    if missing:
+        raise PipelineOrderError(
+            f"participant {missing[0]!r} missing from movement model; "
+            "adjust_dwell must run on the impressions the model was fit to"
+        )
+    slope = np.array([model.slope(pid) for pid in pids.tolist()], dtype=float)
+    a = imps.action_count
+    y = imps.dwell_raw
+    value = np.where(a == 0, y, np.maximum(0.0, y - slope[group] * a))
+    return replace(imps, dwell_adjusted=value)
 
 
 def apply_floor(
-    impressions: Sequence[ImpressionRecord], rules: ExclusionRules
-) -> tuple[list[ImpressionRecord], PipelineAudit]:
+    impressions: Iterable[ImpressionRecord], rules: ExclusionRules
+) -> tuple[Impressions, PipelineAudit]:
     """Drop impressions with adjusted dwell strictly below the floor."""
-    kept = []
-    removed = 0
-    for imp in impressions:
-        if imp.dwell_adjusted is None:
-            raise PipelineOrderError("apply_floor requires adjusted impressions")
-        if imp.dwell_adjusted < rules.min_adjusted_dwell:
-            removed += 1
-        else:
-            kept.append(imp)
+    imps = Impressions.of(impressions)
+    if imps.dwell_adjusted is None:
+        raise PipelineOrderError("apply_floor requires adjusted impressions")
+    below = imps.dwell_adjusted < rules.min_adjusted_dwell
+    kept = imps[~below]
     audit = PipelineAudit(
-        input_count=len(impressions),
-        removed={"below_min_adjusted": removed},
+        input_count=len(imps),
+        removed={"below_min_adjusted": int(below.sum())},
         retained_count=len(kept),
     )
     return kept, audit
@@ -183,23 +167,6 @@ def apply_floor(
 
 # ---------------------------------------------------------------------------
 # Movement-time model (random-intercept, random-slope EM)
-
-
-def _grouped_stats(impressions: Sequence[ImpressionRecord]):
-    """Per-participant sufficient statistics, ordered by participant id."""
-    pids = sorted({imp.participant_id for imp in impressions})
-    index = {pid: i for i, pid in enumerate(pids)}
-    g = np.fromiter((index[imp.participant_id] for imp in impressions), dtype=int)
-    y = np.fromiter((imp.dwell_raw for imp in impressions), dtype=float)
-    a = np.fromiter((imp.action_count for imp in impressions), dtype=float)
-    m = len(pids)
-    n_i = np.bincount(g, minlength=m).astype(float)
-    sum_a = np.bincount(g, weights=a, minlength=m)
-    sum_a2 = np.bincount(g, weights=a * a, minlength=m)
-    sum_y = np.bincount(g, weights=y, minlength=m)
-    sum_y2 = np.bincount(g, weights=y * y, minlength=m)
-    sum_ay = np.bincount(g, weights=a * y, minlength=m)
-    return pids, n_i, sum_a, sum_a2, sum_y, sum_y2, sum_ay, y, a
 
 
 def _pooled_ols(n, sum_a, sum_a2, sum_y, sum_ay, sum_y2):
@@ -225,7 +192,7 @@ def _pooled_ols(n, sum_a, sum_a2, sum_y, sum_ay, sum_y2):
     return mu, sigma2
 
 
-def fit_movement_model(impressions: Sequence[ImpressionRecord]) -> MovementModel:
+def fit_movement_model(impressions: Iterable[ImpressionRecord]) -> MovementModel:
     """Fit dwell_raw ~ intercept + slope * action_count with participant-level
     random intercepts and slopes, by EM on the marginal Gaussian likelihood.
 
@@ -235,9 +202,17 @@ def fit_movement_model(impressions: Sequence[ImpressionRecord]) -> MovementModel
     fits only the random intercept. A warning is also emitted if the EM
     stops at ``EM_MAX_ITER`` without meeting the convergence tolerance.
     """
-    if not impressions:
+    imps = Impressions.of(impressions)
+    if len(imps) == 0:
         raise ValueError("fit_movement_model needs at least one impression")
-    pids, n_i, sum_a, sum_a2, sum_y, sum_y2, sum_ay, y, a = _grouped_stats(impressions)
+    # per-participant sufficient statistics, ordered by participant id
+    pids, g = np.unique(imps.participant_id, return_inverse=True)
+    y = imps.dwell_raw
+    a = imps.action_count.astype(float)
+    n_i = np.bincount(g, minlength=len(pids)).astype(float)
+    sum_a, sum_a2, sum_y, sum_y2, sum_ay = (
+        np.bincount(g, weights=w, minlength=len(pids)) for w in (a, a * a, y, y * y, a * y)
+    )
     slope_pinned = float(np.var(a)) == 0.0
     if slope_pinned:
         warnings.warn(
@@ -329,7 +304,7 @@ def fit_movement_model(impressions: Sequence[ImpressionRecord]) -> MovementModel
     # posterior means consistent with the final parameter values
     m1, m2, s11, s12, s22, ll = e_step(mu, tau2, sigma2)
     participants = {
-        pid: (float(mu[0] + m1[i]), float(mu[1] + m2[i])) for i, pid in enumerate(pids)
+        pid: (float(mu[0] + m1[i]), float(mu[1] + m2[i])) for i, pid in enumerate(pids.tolist())
     }
     return MovementModel(
         mu_alpha=float(mu[0]),
@@ -349,35 +324,28 @@ def fit_movement_model(impressions: Sequence[ImpressionRecord]) -> MovementModel
 
 @dataclass(frozen=True)
 class PipelineResult:
-    impressions: tuple[ImpressionRecord, ...]
+    impressions: Impressions
     model: MovementModel
     audit: PipelineAudit
 
 
 def run_pipeline(
-    data: Dataset | Sequence[ImpressionRecord], rules: ExclusionRules | None = None
+    data: Dataset | Iterable[ImpressionRecord], rules: ExclusionRules | None = None
 ) -> PipelineResult:
     """Stage-1 exclusions -> movement fit -> adjustment -> floor."""
     rules = rules or ExclusionRules()
-    impressions = list(data.impressions) if isinstance(data, Dataset) else list(data)
+    impressions = Impressions.of(data.impressions if isinstance(data, Dataset) else data)
     stage1, audit1 = apply_exclusions_stage1(impressions, rules)
-    if not stage1:
-        model = MovementModel(0.0, 0.0, 0.0, 0.0, 0.0, {})
-        audit = PipelineAudit(
-            len(impressions),
-            dict(audit1.removed, below_min_adjusted=0),
-            0,
-        )
-        return PipelineResult((), model, audit)
-    model = fit_movement_model(stage1)
-    adjusted = adjust_dwell(stage1, model)
-    cleaned, audit2 = apply_floor(adjusted, rules)
+    # with nothing left to fit, the empty table passes through a zero model
+    empty_model = MovementModel(0.0, 0.0, 0.0, 0.0, 0.0, {})
+    model = fit_movement_model(stage1) if len(stage1) else empty_model
+    cleaned, audit2 = apply_floor(adjust_dwell(stage1, model), rules)
     audit = PipelineAudit(
         input_count=len(impressions),
         removed=dict(audit1.removed, **audit2.removed),
         retained_count=len(cleaned),
     )
-    return PipelineResult(tuple(cleaned), model, audit)
+    return PipelineResult(cleaned, model, audit)
 
 
 # ---------------------------------------------------------------------------

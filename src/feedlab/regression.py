@@ -22,12 +22,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._numeric import normal_sf_two_sided, t_sf_two_sided
-from .data import ImpressionRecord
+from ._numeric import normal_sf_two_sided, one_blas_thread, t_sf_two_sided
+from .data import ImpressionRecord, Impressions
 from .features import PostScore
 
 MAX_CONDITION = 1e10
@@ -98,8 +98,8 @@ class Design:
 
 
 def build_design(
-    impressions: Sequence[ImpressionRecord],
-    scores: Iterable[PostScore] | Mapping[str, PostScore],
+    impressions: Iterable[ImpressionRecord],
+    scores: Iterable[PostScore],
     spec: DesignSpec,
     demean_by_participant: bool = False,
 ) -> Design:
@@ -109,37 +109,33 @@ def build_design(
     non-intercept column (and from a log-dwell response), so estimates use
     within-participant variation only. Off by default.
     """
-    if isinstance(scores, Mapping):
-        score_map = dict(scores)
-    else:
-        score_map = {s.post_id: s for s in scores}
-    missing = sorted({i.post_id for i in impressions if i.post_id not in score_map})
+    imps = Impressions.of(impressions)
+    score_map = {s.post_id: s for s in scores}
+    post_ids, post_row = np.unique(imps.post_id, return_inverse=True)
+    post_ids = post_ids.tolist()
+    missing = [pid for pid in post_ids if pid not in score_map]
     if missing:
         raise ValueError(
             f"{len(missing)} post(s) lack component scores: "
             + ", ".join(missing[:10])
             + ("..." if len(missing) > 10 else "")
         )
-    n = len(impressions)
+    n = len(imps)
     if n == 0:
         raise ValueError("no impressions in analysis sample")
-    dwell_adj = np.empty(n)
-    engaged = np.empty(n)
-    cred = np.empty(n)
-    sens = np.empty(n)
-    for row, imp in enumerate(impressions):
-        if imp.dwell_adjusted is None:
-            raise ValueError("impressions must be pipeline output (dwell_adjusted set)")
-        if imp.dwell_adjusted <= 0:
-            raise ValueError(
-                f"non-positive adjusted dwell {imp.dwell_adjusted} cannot be logged; "
-                "was the floor rule applied?"
-            )
-        dwell_adj[row] = imp.dwell_adjusted
-        engaged[row] = 1.0 if imp.engaged else 0.0
-        s = score_map[imp.post_id]
-        cred[row] = s.pc_scores[0]
-        sens[row] = s.pc_scores[1]
+    if imps.dwell_adjusted is None:
+        raise ValueError("impressions must be pipeline output (dwell_adjusted set)")
+    dwell_adj = imps.dwell_adjusted
+    if np.any(dwell_adj <= 0):
+        raise ValueError(
+            f"non-positive adjusted dwell {dwell_adj.min()} cannot be logged; "
+            "was the floor rule applied?"
+        )
+    engaged = (imps.action_count >= 1).astype(float)
+    # credibility and sensationalism scores, gathered once per distinct post
+    post_scores = np.array([score_map[pid].pc_scores[:2] for pid in post_ids], dtype=float)
+    cred = post_scores[post_row, 0]
+    sens = post_scores[post_row, 1]
 
     log_dwell = np.log(dwell_adj)
     centering: dict = {}
@@ -169,8 +165,9 @@ def build_design(
 
     y = log_dwell if spec.response == "log_dwell" else engaged
     if demean_by_participant:
-        pids = np.array([imp.participant_id for imp in impressions])
-        _, inverse, counts = np.unique(pids, return_inverse=True, return_counts=True)
+        _, inverse, counts = np.unique(
+            imps.participant_id, return_inverse=True, return_counts=True
+        )
         for j in range(1, len(names)):
             means = np.bincount(inverse, weights=X[:, j]) / counts
             X[:, j] = X[:, j] - means[inverse]
@@ -224,6 +221,7 @@ def fit_ols(
     centering: dict | None = None,
 ) -> RegressionFit:
     """Least squares via QR with classical SEs and two-sided t p-values."""
+    one_blas_thread()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, k = X.shape
@@ -239,15 +237,9 @@ def fit_ols(
     cov = sigma2 * (Rinv @ Rinv.T)
     se = np.sqrt(np.diag(cov))
     # a perfect fit has zero residual variance and zero SEs
-    tstat = np.empty(k)
-    pvals = np.empty(k)
-    for j in range(k):
-        if se[j] > 0:
-            tstat[j] = beta[j] / se[j]
-            pvals[j] = t_sf_two_sided(tstat[j], n - k)
-        else:
-            tstat[j] = 0.0 if beta[j] == 0 else math.copysign(math.inf, beta[j])
-            pvals[j] = 1.0 if beta[j] == 0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstat = np.where(se > 0, beta / se, np.where(beta == 0, 0.0, np.copysign(np.inf, beta)))
+    pvals = np.where(se > 0, t_sf_two_sided(tstat, n - k), np.where(beta == 0, 1.0, 0.0))
     tss = float(((y - y.mean()) ** 2).sum())
     terms = tuple(
         TermEstimate(columns[j], float(beta[j]), float(se[j]), float(tstat[j]), float(pvals[j]))
@@ -286,6 +278,7 @@ def fit_logistic(
     normal. Suspected separation (non-convergence or huge coefficients) is
     reported as a warning on the fit, not an exception.
     """
+    one_blas_thread()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if set(np.unique(y)) - {0.0, 1.0}:

@@ -39,10 +39,11 @@ import numpy as np
 
 from ._numeric import sigmoid
 from .data import (
+    CATEGORIES,
     Dataset,
     FeatureMatrix,
     FEATURE_NAMES,
-    ImpressionRecord,
+    Impressions,
     NEWS_CATEGORIES,
     Post,
 )
@@ -56,7 +57,8 @@ from .regression import (
     fit_design,
 )
 
-GH_NODES = 64
+# Gauss-Hermite nodes and weights for expected_engagement, computed once
+_GH_X, _GH_W = np.polynomial.hermite.hermgauss(64)
 
 POLICIES = ("dwell_opt", "engage_opt", "random", "chronological")
 
@@ -175,38 +177,37 @@ def simulate_impressions(
     }
 
 
-def simulate_impression(
-    c: float, s: float, params: GenerativeParams, rng: np.random.Generator
-) -> tuple[float, bool, int, float]:
-    """Single-post draw: (attentional dwell, engaged, action count, observed dwell)."""
-    out = simulate_impressions(np.array([c]), np.array([s]), params, rng)
-    return (
-        float(out["dwell_attention"][0]),
-        bool(out["engaged"][0]),
-        int(out["action_count"][0]),
-        float(out["dwell_observed"][0]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Post pools
 
 
 @dataclass(frozen=True)
 class PoolPosts:
-    """A realized post pool: metadata, features, and true score coordinates."""
+    """A realized post pool: features, categories, and true score coordinates.
 
-    posts: tuple[Post, ...]
+    Row ``i`` of every array is the post ``matrix.post_ids[i]``.
+    """
+
     matrix: FeatureMatrix
+    categories: np.ndarray
     credibility: np.ndarray
     sensationalism: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.posts)
+        return self.matrix.n_posts
 
     def post_ids(self) -> tuple[str, ...]:
-        return tuple(p.post_id for p in self.posts)
+        return self.matrix.post_ids
+
+    def posts(self) -> tuple[Post, ...]:
+        """The pool as post records, features attached."""
+        names = self.matrix.feature_names
+        rows = zip(self.post_ids(), self.categories.tolist(), self.matrix.values.tolist())
+        return tuple(
+            Post(pid, f"Synthetic headline {i + 1}", "synthetic", category, dict(zip(names, row)))
+            for i, (pid, category, row) in enumerate(rows)
+        )
 
 
 # loading directions for the synthetic feature model: the credibility axis
@@ -261,29 +262,13 @@ class SyntheticPool:
             + self.sensationalism_strength * np.outer(sens, _SENS_PATTERN)
             + self.feature_noise_sd * noise
         )
-        categories = (
-            ["true_news"] * self.n_true_news
-            + ["false_news"] * self.n_false_news
-            + ["opinion"] * self.n_opinion
-            + ["mundane"] * self.n_mundane
+        categories = np.repeat(
+            np.array(CATEGORIES),
+            [self.n_true_news, self.n_false_news, self.n_opinion, self.n_mundane],
         )
         width = len(str(n))
-        posts = []
-        ids = []
-        for i, cat in enumerate(categories):
-            pid = f"post_{i + 1:0{width}d}"
-            ids.append(pid)
-            posts.append(
-                Post(
-                    post_id=pid,
-                    headline=f"Synthetic headline {i + 1}",
-                    source="synthetic",
-                    category=cat,
-                    features={f: float(values[i, j]) for j, f in enumerate(FEATURE_NAMES)},
-                )
-            )
-        matrix = FeatureMatrix(tuple(ids), FEATURE_NAMES, values)
-        return PoolPosts(tuple(posts), matrix, cred, sens)
+        ids = tuple(f"post_{i + 1:0{width}d}" for i in range(n))
+        return PoolPosts(FeatureMatrix(ids, FEATURE_NAMES, values), categories, cred, sens)
 
 
 @dataclass(frozen=True)
@@ -319,9 +304,9 @@ def _sample_feed(
     news posts with opinion/mundane posts, then shuffles; otherwise it is a
     uniform sample without replacement.
     """
-    cats = np.array([p.category for p in pool.posts])
-    news_idx = np.flatnonzero(np.isin(cats, NEWS_CATEGORIES))
-    other_idx = np.flatnonzero(~np.isin(cats, NEWS_CATEGORIES))
+    is_news = np.isin(pool.categories, NEWS_CATEGORIES)
+    news_idx = np.flatnonzero(is_news)
+    other_idx = np.flatnonzero(~is_news)
     n_other = config.feed_length - config.news_per_feed
     if len(news_idx) >= config.news_per_feed and len(other_idx) >= n_other:
         chosen = np.concatenate(
@@ -344,34 +329,37 @@ def simulate_session(
     pool_seq, users_seq = seed_seq.spawn(2)
     pool = config.pool.realize(np.random.default_rng(pool_seq))
     params = resolve_marginal(config.params, pool.credibility, pool.sensationalism)
-    ids = pool.post_ids()
-    impressions: list[ImpressionRecord] = []
-    user_seqs = users_seq.spawn(config.participants)
-    width = len(str(max(config.participants, 1)))
-    for u in range(config.participants):
+    n, length = config.participants, config.feed_length
+    feeds = np.empty((n, length), dtype=np.int64)
+    dwell = np.empty((n, length))
+    shared = np.empty((n, length), dtype=bool)
+    liked = np.empty((n, length), dtype=bool)
+    user_seqs = users_seq.spawn(n)
+    for u in range(n):
         rng = np.random.default_rng(user_seqs[u])
-        feed = _sample_feed(pool, config, rng)
+        feeds[u] = _sample_feed(pool, config, rng)
         out = simulate_impressions(
-            pool.credibility[feed], pool.sensationalism[feed], params, rng
+            pool.credibility[feeds[u]], pool.sensationalism[feeds[u]], params, rng
         )
-        pid = f"p_{u + 1:0{width}d}"
-        for pos, j in enumerate(feed, start=1):
-            impressions.append(
-                ImpressionRecord(
-                    participant_id=pid,
-                    post_id=ids[j],
-                    position=pos,
-                    dwell_raw=float(out["dwell_observed"][pos - 1]),
-                    shared=bool(out["shared"][pos - 1]),
-                    liked=bool(out["liked"][pos - 1]),
-                )
-            )
+        dwell[u] = out["dwell_observed"]
+        shared[u] = out["shared"]
+        liked[u] = out["liked"]
+    width = len(str(max(n, 1)))
+    participant_ids = np.array([f"p_{u + 1:0{width}d}" for u in range(n)], dtype=str)
+    impressions = Impressions(
+        participant_id=np.repeat(participant_ids, length),
+        post_id=np.array(pool.post_ids())[feeds.ravel()],
+        position=np.tile(np.arange(1, length + 1), n),
+        dwell_raw=dwell.ravel(),
+        shared=shared.ravel(),
+        liked=liked.ravel(),
+    )
     provenance = {
         "generator": "feedlab.sim.simulate_dataset",
         "seed": config.seed,
         "config_digest": config_digest(config),
     }
-    dataset = Dataset(pool.posts, tuple(impressions), provenance)
+    dataset = Dataset(pool.posts(), impressions, provenance)
     return dataset, pool, params
 
 
@@ -404,7 +392,7 @@ def expected_dwell(params: GenerativeParams, c: np.ndarray, s: np.ndarray) -> np
 
 
 def expected_engagement(
-    params: GenerativeParams, c: np.ndarray, s: np.ndarray, nodes: int = GH_NODES
+    params: GenerativeParams, c: np.ndarray, s: np.ndarray
 ) -> np.ndarray:
     """Engagement probability marginalized over stage-1 dwell noise.
 
@@ -415,7 +403,6 @@ def expected_engagement(
         raise ValueError("params must carry the log-dwell marginal")
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
-    x, w = np.polynomial.hermite.hermgauss(nodes)
     scale = params.logdwell_scale
     mean_log = (
         params.dwell_intercept
@@ -423,23 +410,17 @@ def expected_engagement(
         + params.dwell_sensationalism * s
     )
     slope = params.engage_dwell + params.engage_dwell_sensationalism * s
+    a = (
+        params.engage_intercept
+        + params.engage_credibility * c
+        + params.engage_sensationalism * s
+    )
+    b = np.zeros_like(a)
     if scale > 0:
-        a = (
-            params.engage_intercept
-            + params.engage_credibility * c
-            + params.engage_sensationalism * s
-            + slope * (mean_log - params.logdwell_loc) / scale
-        )
+        a = a + slope * (mean_log - params.logdwell_loc) / scale
         b = slope * params.dwell_noise_sd / scale
-    else:
-        a = (
-            params.engage_intercept
-            + params.engage_credibility * c
-            + params.engage_sensationalism * s
-        )
-        b = np.zeros_like(a)
-    eta = a[:, None] + b[:, None] * (math.sqrt(2.0) * x)[None, :]
-    return (sigmoid(eta) @ w) / math.sqrt(math.pi)
+    eta = a[:, None] + b[:, None] * (math.sqrt(2.0) * _GH_X)[None, :]
+    return (sigmoid(eta) @ _GH_W) / math.sqrt(math.pi)
 
 
 def rank_feed(
@@ -471,8 +452,8 @@ def rank_feed(
         scores = expected_dwell(params, pool.credibility, pool.sensationalism)
     else:
         scores = expected_engagement(params, pool.credibility, pool.sensationalism)
-    order = sorted(range(pool.size), key=lambda j: (-scores[j], ids[j]))
-    return [ids[j] for j in order[:k]]
+    order = np.lexsort((np.array(ids), -scores))
+    return [ids[j] for j in order[:k].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +538,8 @@ def run_policy_experiment(
     and aggregate ecosystem metrics across seeded replications."""
     if replications < 1:
         raise ValueError("need at least one replication")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     work = lambda sq: _replication_metrics(config, policies, k, sq)
     per_rep = _map_replications(work, config.seed, replications, threads)
 
@@ -666,12 +649,7 @@ class RecoveryReport:
     metadata: dict
 
     def to_dict(self) -> dict:
-        return {
-            "generating": self.generating,
-            "replications": self.replications,
-            "summary": self.summary,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 def _recover_once(
@@ -686,8 +664,7 @@ def _recover_once(
     cleaned = run_pipeline(dataset, rules)
     # no-adjustment control: same exclusions, raw dwell carried through
     stage1_kept, _ = apply_exclusions_stage1(dataset.impressions, rules)
-    raw_adjusted = [replace(i, dwell_adjusted=i.dwell_raw) for i in stage1_kept]
-    raw_kept, _ = apply_floor(raw_adjusted, rules)
+    raw_kept, _ = apply_floor(replace(stage1_kept, dwell_adjusted=stage1_kept.dwell_raw), rules)
 
     fit = fit_feature_pca(pool.matrix)
     scores = project(fit, pool.matrix)
@@ -700,7 +677,7 @@ def _recover_once(
         d2 = build_design(impressions, aligned, stage2_spec)
         return fit_design(d1, stage1_spec), fit_design(d2, stage2_spec)
 
-    s1_fit, s2_fit = fits_for(list(cleaned.impressions))
+    s1_fit, s2_fit = fits_for(cleaned.impressions)
     _, s2_raw_fit = fits_for(raw_kept)
 
     def capture(fit_: RegressionFit, targets: dict[str, str]) -> dict:
@@ -739,15 +716,15 @@ def parameter_recovery(
     compares the stage-2 dwell coefficient with and without the motor-time
     adjustment (identical exclusions either way).
     """
+    if replications < 1:
+        raise ValueError("need at least one replication")
     rules = rules or ExclusionRules()
     stage1_spec = stage1_spec or stage1_recovery_spec()
     stage2_spec = stage2_spec or engagement_model_spec()
     work = lambda sq: _recover_once(config, rules, stage2_spec, stage1_spec, sq)
     reps = _map_replications(work, config.seed, replications, threads)
 
-    all_terms = [("stage1", t) for t in _STAGE1_TARGETS] + [
-        ("stage2", t) for t in _STAGE2_TARGETS
-    ]
+    all_terms = [("stage1", t) for t in _STAGE1_TARGETS] + [("stage2", t) for t in _STAGE2_TARGETS]
     summary: dict = {"coefficients": {}}
     for stage, term in all_terms:
         gen = reps[0][stage][term]["generating"]
@@ -760,13 +737,7 @@ def parameter_recovery(
             "sd_estimate": float(ests.std(ddof=1)) if len(reps) > 1 else 0.0,
             "coverage_3se": float(cover),
         }
-    all_within = [
-        all(
-            r[stage][term]["within_3se"]
-            for stage, term in all_terms
-        )
-        for r in reps
-    ]
+    all_within = [all(r[stage][term]["within_3se"] for stage, term in all_terms) for r in reps]
     gen_dwell = reps[0]["stage2"]["dwell"]["generating"]
     adj_ests = np.array([r["stage2"]["dwell"]["estimate"] for r in reps])
     raw_ests = np.array([r["stage2_raw_dwell_estimate"] for r in reps])
@@ -782,20 +753,14 @@ def parameter_recovery(
         "replications": replications,
         "participants": config.participants,
         "feed_length": config.feed_length,
-        "rules": {
-            "max_dwell": rules.max_dwell,
-            "edge_trim": rules.edge_trim,
-            "min_adjusted_dwell": rules.min_adjusted_dwell,
-        },
+        "rules": asdict(rules),
         "causal_structure": (
             "stage-1 dwell feeds stage-2 engagement; the reverse path is "
             "excluded by construction"
         ),
         "raw_comparison": "identical exclusions, motor-time adjustment skipped",
     }
-    return RecoveryReport(
-        generating=generating, replications=reps, summary=summary, metadata=metadata
-    )
+    return RecoveryReport(generating, reps, summary, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -814,9 +779,7 @@ def _pool_from_dict(d: dict) -> SyntheticPool:
 
 
 def config_to_dict(config: SimConfig) -> dict:
-    params = {
-        k: v for k, v in asdict(config.params).items() if v is not None
-    }
+    params = {k: v for k, v in asdict(config.params).items() if v is not None}
     return {
         "participants": config.participants,
         "feed_length": config.feed_length,

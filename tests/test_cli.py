@@ -257,6 +257,14 @@ class TestExperimentAndRecover:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["experiment", "-k", 0], ["recover", "--replications", 0]]
+    )
+    def test_degenerate_sizes_are_input_errors(self, tmp_path, sim_config_path, argv):
+        out = tmp_path / "degenerate"
+        assert run(argv + ["--config", sim_config_path, "--output-dir", out]) == 2
+        assert not out.exists()
+
     def test_recover_outputs(self, tmp_path, sim_config_path):
         out = tmp_path / "rec"
         code = run(

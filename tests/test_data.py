@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from feedlab.data import (
     FEATURE_NAMES,
     FeatureMatrix,
     ImpressionRecord,
+    Impressions,
     Post,
     RatingRecord,
     aggregate_ratings,
@@ -182,6 +184,20 @@ class TestImpressionsIO:
         assert len(records) == 1
         assert [e.line for e in errors] == [2, 3]
 
+    def test_non_finite_dwell_rejected(self, tmp_path):
+        p = write(
+            tmp_path / "i.csv",
+            "participant_id,post_id,position,dwell_raw,shared,liked,dwell_adjusted\n"
+            "p1,post_01,1,nan,0,0,2.0\n"
+            "p1,post_02,2,2.5,0,0,inf\n"
+            "p1,post_03,3,2.5,0,0,2.5\n",
+        )
+        records, errors = load_impressions(p)
+        assert len(records) == 1
+        assert [e.line for e in errors] == [2, 3]
+        assert "dwell_raw" in errors[0].message
+        assert "dwell_adjusted" in errors[1].message
+
     def test_roundtrip_bytes_plain_and_adjusted(self, tmp_path):
         imps = [
             make_impression("p1", "post_01", 1, 2.5, 0),
@@ -213,6 +229,42 @@ class TestImpressionsIO:
         ]
         with pytest.raises(ValueError, match="mixed"):
             save_impressions(tmp_path / "x.csv", imps)
+
+
+class TestImpressionsTable:
+    def test_of_round_trips_records(self):
+        rows = [
+            make_impression("p1", "post_01", 1, 2.5, 0, adjusted=2.5),
+            make_impression("p2", "post_02", 2, 1.9, 2, adjusted=0.7),
+        ]
+        table = Impressions.of(rows)
+        assert Impressions.of(table) is table
+        assert list(table) == rows
+        assert table.action_count.tolist() == [0, 2]
+        plain = Impressions.of([make_impression("p1", "post_01", 1, 2.5, 1)])
+        assert plain.dwell_adjusted is None
+
+    def test_of_rejects_mixed_adjusted(self):
+        rows = [
+            make_impression("p1", "post_01", 1, 2.5, 0, adjusted=2.5),
+            make_impression("p1", "post_02", 2, 2.5, 0),
+        ]
+        with pytest.raises(ValueError, match="mixed"):
+            Impressions.of(rows)
+
+    def test_int_and_mask_indexing_and_equality(self):
+        rows = [make_impression("p1", f"post_{i}", i, float(i), i % 3) for i in range(1, 6)]
+        table = Impressions.of(rows)
+        assert table[0] == rows[0]
+        assert table[-1] == rows[-1]
+        assert isinstance(table[1].position, int) and isinstance(table[1].shared, bool)
+        mask = table.dwell_raw > 2.5
+        assert list(table[mask]) == rows[2:]
+        assert table[np.array([4, 0])] == Impressions.of([rows[4], rows[0]])
+        assert table == Impressions.of(rows)
+        assert table != Impressions.of(rows[:4])
+        assert table != Impressions.of([make_impression("p1", "post_1", 1, 1.0, 2)] + rows[1:])
+        assert table != replace(table, dwell_adjusted=table.dwell_raw)
 
 
 class TestPostsIO:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feedlab import pipeline
-from feedlab.data import ImpressionRecord
+from feedlab.data import ImpressionRecord, Impressions
 from feedlab.pipeline import (
     ExclusionRules,
     MovementModel,
@@ -56,12 +56,12 @@ class TestStage1:
         feed = full_feed("p1", [2.0] * 6)
         with pytest.warns(UserWarning, match="trimmed edges"):
             kept, audit = apply_exclusions_stage1(feed, ExclusionRules())
-        assert kept == []
+        assert len(kept) == 0
         assert audit.retained_count == 0
 
     def test_empty_input(self):
         kept, audit = apply_exclusions_stage1([], ExclusionRules())
-        assert kept == []
+        assert len(kept) == 0
         assert audit.input_count == 0 and audit.retained_count == 0
 
     @given(
@@ -92,6 +92,19 @@ class TestAdjustAndFloor:
         imps = [make_impression("p1", "a", 1, 5.0, 2)]
         out = adjust_dwell(imps, self._model(3.0))
         assert out[0].dwell_adjusted == 0.0
+
+    def test_matches_per_row_reference_exactly(self):
+        imps, _ = simulate_hierarchical_dwell(np.random.default_rng(12), n_participants=20, n_per=40)
+        model = fit_movement_model(imps)
+        out = adjust_dwell(imps, model)
+        for imp, row in zip(imps, out):
+            a = imp.action_count
+            expected = (
+                imp.dwell_raw
+                if a == 0
+                else max(0.0, imp.dwell_raw - model.slope(imp.participant_id) * a)
+            )
+            assert row.dwell_adjusted == expected
 
     def test_unknown_participant_is_hard_error(self):
         imps = [make_impression("p2", "a", 1, 5.0, 1)]
@@ -258,9 +271,16 @@ class TestRunPipeline:
         # stage-1 survivors (single participant, EM fixed point)
         assert by_pos[7].dwell_adjusted == pytest.approx(5.0 - 2 * 1.975, abs=1e-9)
 
+    def test_records_and_table_give_equal_results(self):
+        imps, _ = simulate_hierarchical_dwell(np.random.default_rng(5), n_participants=30, n_per=40)
+        from_records = run_pipeline(imps, ExclusionRules())
+        from_table = run_pipeline(Impressions.of(imps), ExclusionRules())
+        assert from_records == from_table
+        assert len(from_table.impressions) == from_table.audit.retained_count
+
     def test_empty_dataset(self):
         result = run_pipeline([], ExclusionRules())
-        assert result.impressions == ()
+        assert len(result.impressions) == 0
         assert result.audit.input_count == 0
         assert result.model.participants == {}
 

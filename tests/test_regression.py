@@ -1,4 +1,6 @@
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +305,18 @@ class TestFitDesignAndIO:
         assert lines[0].startswith("term")
         assert "estimate" in lines[0]
         assert any("engage:sensationalism" in ln for ln in lines)
+
+
+def test_bundled_openblas_runs_on_one_thread_after_a_fit():
+    # a threaded OpenBLAS dot splits its sum by thread count, so OLS fits
+    # would differ in their last bits between hosts with different core counts
+    X = np.column_stack([np.ones(5), np.arange(5.0)])
+    fit_ols(X, np.array([0.1, 1.2, 1.9, 3.2, 3.9]), ["intercept", "x"])
+    here = Path(np.__file__).parent
+    libs = [*here.parent.glob("numpy.libs/*openblas*"), *here.glob(".dylibs/*openblas*")]
+    getters = [getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+               for lib in libs]
+    getters = [g for g in getters if g is not None]
+    if not getters:
+        pytest.skip("numpy here does not bundle scipy-openblas")
+    assert [g() for g in getters] == [1] * len(getters)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from feedlab.data import dataset_violations, save_impressions
+from feedlab.data import FeatureMatrix, dataset_violations, save_impressions
 from feedlab.pipeline import ExclusionRules, apply_exclusions_stage1, apply_floor, run_pipeline
 from feedlab.regression import build_design, dwell_model_spec, engagement_model_spec, fit_design
 from feedlab.sim import (
@@ -23,7 +23,6 @@ from feedlab.sim import (
     run_policy_experiment,
     save_sim_config,
     simulate_dataset,
-    simulate_impression,
     simulate_impressions,
     simulate_session,
 )
@@ -62,8 +61,8 @@ class TestSimulateImpression:
         params = GenerativeParams(dwell_noise_sd=0.0, motor_mean=0.0, motor_sd=0.0)
         params = resolve_marginal(params, np.zeros(2), np.array([0.0, 1.0]))
         rng = np.random.default_rng(0)
-        d0 = simulate_impression(0.0, 0.0, params, rng)[0]
-        d1 = simulate_impression(0.0, 1.0, params, rng)[0]
+        d0 = simulate_impressions(np.array([0.0]), np.array([0.0]), params, rng)["dwell_attention"][0]
+        d1 = simulate_impressions(np.array([0.0]), np.array([1.0]), params, rng)["dwell_attention"][0]
         assert d1 / d0 == pytest.approx(math.exp(0.038), rel=1e-12)
 
     def test_engage_rate_matches_closed_form(self):
@@ -101,7 +100,7 @@ class TestSimulateDataset:
 
     def test_zero_participants(self):
         ds = simulate_dataset(SimConfig(participants=0, seed=11))
-        assert ds.impressions == ()
+        assert len(ds.impressions) == 0
         assert len(ds.posts) == 276
 
     def test_seed_determinism_byte_identical(self, tmp_path):
@@ -157,7 +156,10 @@ class TestRankFeed:
         pool, _ = resolved_default()
         two = replace(
             pool,
-            posts=pool.posts[:2],
+            matrix=FeatureMatrix(
+                pool.matrix.post_ids[:2], pool.matrix.feature_names, pool.matrix.values[:2]
+            ),
+            categories=pool.categories[:2],
             credibility=np.array([0.0, 0.0]),
             sensationalism=np.array([0.0, 1.0]),
         )
@@ -253,6 +255,10 @@ class TestPolicyExperiment:
         threaded = run_policy_experiment(cfg, k=10, replications=12, threads=4)
         assert serial == threaded
 
+    def test_zero_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be"):
+            run_policy_experiment(SimConfig(participants=1, seed=31), k=0, replications=2)
+
     def test_outcome_metric_accessor(self):
         cfg = SimConfig(participants=1, seed=31)
         (outcome,) = run_policy_experiment(cfg, ["random"], k=5, replications=3)
@@ -335,6 +341,10 @@ class TestParameterRecovery:
         serial = parameter_recovery(cfg, ExclusionRules(), replications=3, threads=1)
         threaded = parameter_recovery(cfg, ExclusionRules(), replications=3, threads=2)
         assert threaded.to_dict() == serial.to_dict()
+
+    def test_zero_replications_rejected(self):
+        with pytest.raises(ValueError, match="replication"):
+            parameter_recovery(SimConfig(participants=20, seed=1), replications=0)
 
     def test_report_serializable(self):
         cfg = SimConfig(participants=120, seed=5150)
