@@ -9,8 +9,6 @@ can be regenerated. Exit codes: 0 success, 1 internal error, 2 bad input.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,13 +18,15 @@ from .data import (
     DataFormatError,
     DatasetValidationError,
     aggregate_ratings,
-    dataset_violations,
+    impression_violations,
     load_impressions,
     load_posts,
     load_ratings,
     save_impressions,
     save_posts,
     save_ratings,
+    write_csv,
+    write_json,
 )
 from .features import (
     attach_mean_dwell,
@@ -68,9 +68,7 @@ def _write_resolved_config(out_dir: Path, args: argparse.Namespace) -> None:
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     resolved["feedlab_version"] = __version__
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True, default=str) + "\n"
-    )
+    write_json(out_dir / "resolved_config.json", resolved)
 
 
 def _rules_from_args(args: argparse.Namespace) -> ExclusionRules:
@@ -99,11 +97,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     impressions, errors = load_impressions(args.input)
     _report_row_errors("impressions", errors)
-    violations = [
-        v
-        for v in dataset_violations([], impressions)
-        if v.kind != "dangling_post"  # no posts table in this subcommand
-    ]
+    violations = impression_violations(impressions)  # no posts table in this subcommand
     if violations:
         for v in violations[:20]:
             print(f"error: {v.message}", file=sys.stderr)
@@ -160,12 +154,7 @@ def cmd_pca(args: argparse.Namespace) -> int:
             for j in range(i + 1, len(names)):
                 res = correlate(matrix.values[:, i], matrix.values[:, j])
                 rows.append([f"{names[i]}~{names[j]}", res.r, res.p, res.n])
-    with open(out / "correlations.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["feature", "r", "p", "n"])
-        for row in rows:
-            w.writerow([row[0], repr(row[1]), repr(row[2]), row[3]])
-
+    write_csv(out / "correlations.csv", ["feature", "r", "p", "n"], rows)
     save_scores(out / "scores.csv", scores)
 
     lines = []
@@ -242,18 +231,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         config, policies, k=args.k, replications=args.replications, threads=args.threads
     )
     _write_resolved_config(out, args)
-    with open(out / "policy_outcomes.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["policy", "metric", "value", "se", "replications"])
-        for o in outcomes:
-            for metric in (
-                "mean_credibility",
-                "mean_sensationalism",
-                "engagement_rate",
-                "mean_dwell_seconds",
-            ):
-                value, se = o.metric(metric)
-                w.writerow([o.policy, metric, repr(value), repr(se), o.replications])
+    metrics = ("mean_credibility", "mean_sensationalism", "engagement_rate", "mean_dwell_seconds")
+    write_csv(
+        out / "policy_outcomes.csv",
+        ["policy", "metric", "value", "se", "replications"],
+        ([o.policy, m, *o.metric(m), o.replications] for o in outcomes for m in metrics),
+    )
     for o in outcomes:
         print(
             f"{o.policy:14s} cred {o.mean_credibility:+.3f}  "
@@ -271,9 +254,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         config, rules, replications=args.replications, threads=args.threads
     )
     _write_resolved_config(out, args)
-    (out / "recovery_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "recovery_report.json", report.to_dict())
     s = report.summary
     print(
         f"all-coefficients-within-3SE fraction: "

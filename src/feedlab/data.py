@@ -1,6 +1,7 @@
-"""Domain types, CSV ingestion, rating aggregation, and dataset persistence.
+"""Domain types, CSV ingestion, rating aggregation, and the artifact formats.
 
-Interchange formats (all CSV with a header row, LF line endings):
+Interchange formats (all CSV with a header row, LF line endings; the column
+names are the record's field names):
 
     ratings.csv      rater_id,post_id,feature,value
     posts.csv        post_id,headline,source,category
@@ -8,6 +9,14 @@ Interchange formats (all CSV with a header row, LF line endings):
                      (booleans as 0/1; dwell in seconds with 6 decimals;
                       cleaned files carry an extra dwell_adjusted column)
     dataset.json     posts + impressions + provenance digests
+
+Every artifact of every module is written by one of two writers and read
+back through one CSV reader: :func:`write_json` writes canonical JSON
+(sorted keys, 2-space indent, trailing newline; a dataclass as its fields,
+a numpy array as a list), :func:`write_csv` writes UTF-8 CSV with LF line
+endings, and ``_open_rows`` reads every CSV file. A ``save_*`` function
+writes its dataclass; the matching ``load_*`` builds it from the file's
+fields (:func:`from_fields` for a JSON object).
 
 In memory, impressions are one columnar :class:`Impressions` table (one
 array per field); :class:`ImpressionRecord` is its row type, produced by
@@ -28,7 +37,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -223,6 +232,11 @@ class Impressions:
 
 _record_values = operator.attrgetter(*(f.name for f in fields(ImpressionRecord)))
 
+# each CSV file's columns are its record's fields, the optional ones left out
+_RATINGS_HEADER = [f.name for f in fields(RatingRecord)]
+_POSTS_HEADER = [f.name for f in fields(Post)][:-1]
+_IMPRESSION_HEADER = [f.name for f in fields(ImpressionRecord)][:-1]
+
 
 def _str_list(column: np.ndarray) -> list[str]:
     """A str column as a list holding one shared str object per distinct value."""
@@ -264,27 +278,71 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV loading
+# Artifact formats: the two writers, the CSV reader and the JSON-object reader
+
+
+def _jsonable(obj):
+    """JSON form of a dataclass (its fields, None ones left out) or a numpy array."""
+    if is_dataclass(obj):
+        return {f.name: v for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` as canonical JSON: sorted keys, 2-space indent, trailing newline."""
+    # the encoder passes every chunk of a hook's result through one more
+    # generator, which costs ~10% on dataset.json; convert the top level here
+    payload = _jsonable(payload) if is_dataclass(payload) else payload
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def from_fields(cls, payload: dict, **decoded):
+    """Build dataclass ``cls`` from a file's JSON object, ``decoded`` replacing the
+    fields that need converting; a missing or unknown field is a :class:`DataFormatError`.
+    """
+    try:
+        return cls(**dict(payload, **decoded))
+    except TypeError as exc:
+        raise DataFormatError(f"not a {cls.__name__}: {exc}") from None
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+    """Write a header row and ``rows`` as UTF-8 CSV with LF line endings."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _open_rows(path: str | Path, *headers: list[str]) -> tuple[list[str], list[list[str]]]:
-    """The header and data rows of a CSV file whose header is one of ``headers``."""
+    """The header and data rows of a CSV file whose header is one of ``headers``.
+
+    With no ``headers`` any header is accepted and the caller checks it.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] not in headers:
+    if not rows or (headers and rows[0] not in headers):
+        expected = " or ".join(repr(",".join(h)) for h in headers) or "row"
         raise DataFormatError(
-            f"{path}: expected header {' or '.join(repr(','.join(h)) for h in headers)}, "
+            f"{path}: expected header {expected}, "
             f"got {','.join(rows[0]) if rows else '<empty file>'!r}"
         )
     return rows[0], rows[1:]
 
 
+# ---------------------------------------------------------------------------
+# CSV loading
+
+
 def load_ratings(path: str | Path) -> tuple[list[RatingRecord], list[RowError]]:
     """Parse ratings.csv; malformed rows are reported, not fatal."""
-    _, rows = _open_rows(path, ["rater_id", "post_id", "feature", "value"])
+    _, rows = _open_rows(path, _RATINGS_HEADER)
     records: list[RatingRecord] = []
     errors: list[RowError] = []
     for lineno, row in enumerate(rows, start=2):
@@ -308,7 +366,7 @@ def load_ratings(path: str | Path) -> tuple[list[RatingRecord], list[RowError]]:
 
 
 def load_posts(path: str | Path) -> tuple[list[Post], list[RowError]]:
-    _, rows = _open_rows(path, ["post_id", "headline", "source", "category"])
+    _, rows = _open_rows(path, _POSTS_HEADER)
     posts: list[Post] = []
     errors: list[RowError] = []
     for lineno, row in enumerate(rows, start=2):
@@ -321,9 +379,6 @@ def load_posts(path: str | Path) -> tuple[list[Post], list[RowError]]:
             continue
         posts.append(Post(post_id, headline, source, category))
     return posts, errors
-
-
-_IMPRESSION_HEADER = ["participant_id", "post_id", "position", "dwell_raw", "shared", "liked"]
 
 
 def _parse_bool(raw: str) -> bool:
@@ -367,24 +422,12 @@ def load_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
 # CSV writing (canonical forms; load(save(x)) is byte-stable)
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
 def save_ratings(path: str | Path, records: list[RatingRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(["rater_id", "post_id", "feature", "value"])
-        for r in records:
-            w.writerow([r.rater_id, r.post_id, r.feature, repr(r.value)])
+    write_csv(path, _RATINGS_HEADER, map(operator.attrgetter(*_RATINGS_HEADER), records))
 
 
 def save_posts(path: str | Path, posts: list[Post]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(["post_id", "headline", "source", "category"])
-        for p in posts:
-            w.writerow([p.post_id, p.headline, p.source, p.category])
+    write_csv(path, _POSTS_HEADER, map(operator.attrgetter(*_POSTS_HEADER), posts))
 
 
 def save_impressions(path: str | Path, impressions: Iterable[ImpressionRecord]) -> None:
@@ -398,10 +441,7 @@ def save_impressions(path: str | Path, impressions: Iterable[ImpressionRecord]) 
                       ("dwell_adjusted", dwell_text)):
         if name in columns:
             columns[name] = list(map(fmt, columns[name]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(list(columns))
-        w.writerows(zip(*columns.values()))
+    write_csv(path, list(columns), zip(*columns.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +505,23 @@ def dataset_violations(
     imps = Impressions.of(impressions)
     violations: list[Violation] = []
     flag = lambda kind, message: violations.append(Violation(kind, message))
-    known = {p.post_id for p in posts}
-    seen_posts: set[str] = set()
+    known: set[str] = set()
     for p in posts:
-        if p.post_id in seen_posts:
+        if p.post_id in known:
             flag("duplicate_post", f"duplicate post_id {p.post_id!r}")
-        seen_posts.add(p.post_id)
+        known.add(p.post_id)
 
     dangling = ~np.isin(imps.post_id, np.array(list(known), dtype=str))
     for pid, post in zip(imps.participant_id[dangling].tolist(), imps.post_id[dangling].tolist()):
         flag("dangling_post", f"impression references unknown post {post!r} (participant {pid!r})")
+    return violations + impression_violations(imps)
+
+
+def impression_violations(impressions: Iterable[ImpressionRecord]) -> list[Violation]:
+    """The checks that need no posts table: dwell sign and position contiguity."""
+    imps = Impressions.of(impressions)
+    violations: list[Violation] = []
+    flag = lambda kind, message: violations.append(Violation(kind, message))
     negative = imps.dwell_raw < 0
     for pid, pos, dwell in zip(
         *(c[negative].tolist() for c in (imps.participant_id, imps.position, imps.dwell_raw))
@@ -530,49 +577,20 @@ def make_provenance(source_paths: list[str | Path]) -> dict:
     }
 
 
-def _post_to_dict(p: Post) -> dict:
-    d = {
-        "post_id": p.post_id,
-        "headline": p.headline,
-        "source": p.source,
-        "category": p.category,
-    }
-    if p.features is not None:
-        d["features"] = {k: p.features[k] for k in FEATURE_NAMES}
-    return d
-
-
 def save_dataset(path: str | Path, dataset: Dataset) -> None:
+    """Write dataset.json; the impressions are written as one object per row."""
     columns = dataset.impressions._column_lists()
-    payload = {
-        "provenance": dataset.provenance,
-        "posts": [_post_to_dict(p) for p in dataset.posts],
-        "impressions": [dict(zip(columns, row)) for row in zip(*columns.values())],
-    }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    write_json(path, replace(dataset, impressions=rows))
 
 
 def load_dataset(path: str | Path) -> Dataset:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    posts = [
-        Post(
-            post_id=d["post_id"],
-            headline=d["headline"],
-            source=d["source"],
-            category=d["category"],
-            features=d.get("features"),
-        )
-        for d in payload["posts"]
-    ]
-    impressions = Impressions._from_rows(
-        [
-            (
-                d["participant_id"], d["post_id"], d["position"], d["dwell_raw"],
-                d["shared"], d["liked"], d.get("dwell_adjusted"),
-            )
-            for d in payload["impressions"]
-        ]
+    # one tuple per row, in ImpressionRecord field order, without a record per row
+    cells = operator.itemgetter(*_IMPRESSION_HEADER)
+    rows = [(*cells(d), d.get("dwell_adjusted")) for d in payload["impressions"]]
+    return Dataset(
+        tuple(from_fields(Post, d) for d in payload["posts"]),
+        Impressions._from_rows(rows),
+        payload.get("provenance", {}),
     )
-    return Dataset(tuple(posts), impressions, payload.get("provenance", {}))

@@ -10,8 +10,8 @@ the orientation of a near-tied column is not meaningful.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,7 +20,16 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._numeric import t_sf_two_sided
-from .data import FeatureMatrix, ImpressionRecord, Impressions
+from .data import (
+    DataFormatError,
+    FeatureMatrix,
+    ImpressionRecord,
+    Impressions,
+    _open_rows,
+    from_fields,
+    write_csv,
+    write_json,
+)
 
 
 @dataclass(frozen=True)
@@ -252,62 +261,45 @@ def score_dwell_correlations(scores: list[PostScore]) -> dict[str, CorrelationRe
 
 
 def save_pca_fit(path: str | Path, fit: PcaFit) -> None:
-    payload = {
-        "feature_names": list(fit.feature_names),
-        "means": fit.means.tolist(),
-        "sds": fit.sds.tolist(),
-        "loadings": fit.loadings.tolist(),
-        "variance_fraction": fit.variance_fraction.tolist(),
-        "flipped": list(fit.flipped),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, fit)
 
 
 def load_pca_fit(path: str | Path) -> PcaFit:
-    payload = json.loads(Path(path).read_text())
-    return PcaFit(
-        feature_names=tuple(payload["feature_names"]),
-        means=np.array(payload["means"]),
-        sds=np.array(payload["sds"]),
-        loadings=np.array(payload["loadings"]),
-        variance_fraction=np.array(payload["variance_fraction"]),
-        flipped=tuple(payload["flipped"]),
-    )
+    d = json.loads(Path(path).read_text())
+    tuples = ("feature_names", "flipped")
+    return from_fields(PcaFit, {k: tuple(v) if k in tuples else np.array(v) for k, v in d.items()})
 
 
 def save_scores(path: str | Path, scores: list[PostScore]) -> None:
+    """Write scores.csv: post_id, pc1..pcK and, when every post has one, mean_dwell."""
     if not scores:
         raise ValueError("no scores to save")
-    n_comp = len(scores[0].pc_scores)
     has_dwell = all(s.mean_dwell is not None for s in scores)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        header = ["post_id"] + [f"pc{j + 1}" for j in range(n_comp)]
-        if has_dwell:
-            header.append("mean_dwell")
-        w.writerow(header)
-        for s in scores:
-            row = [s.post_id] + [repr(v) for v in s.pc_scores]
-            if has_dwell:
-                row.append(repr(s.mean_dwell))
-            w.writerow(row)
+    header = ["post_id"] + [f"pc{j + 1}" for j in range(len(scores[0].pc_scores))]
+    write_csv(
+        path,
+        header + ["mean_dwell"] * has_dwell,
+        ([s.post_id, *s.pc_scores] + [s.mean_dwell] * has_dwell for s in scores),
+    )
 
 
 def load_scores(path: str | Path) -> list[PostScore]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "post_id":
-        raise ValueError(f"{path}: not a scores file")
-    header = rows[0]
+    """Parse scores.csv; a blank, ragged or non-numeric row is a :class:`DataFormatError`."""
+    header, rows = _open_rows(path)
     has_dwell = header[-1] == "mean_dwell"
-    n_comp = len(header) - 1 - int(has_dwell)
+    n_comp = len(header) - 1 - has_dwell
+    if n_comp < 1 or header[: n_comp + 1] != ["post_id"] + [f"pc{j + 1}" for j in range(n_comp)]:
+        raise DataFormatError(f"{path}: not a scores file (header {','.join(header)!r})")
     out = []
-    for row in rows[1:]:
-        out.append(
-            PostScore(
-                post_id=row[0],
-                pc_scores=tuple(float(v) for v in row[1 : 1 + n_comp]),
-                mean_dwell=float(row[-1]) if has_dwell else None,
-            )
-        )
+    for lineno, row in enumerate(rows, start=2):
+        where = f"{path} line {lineno}"
+        if len(row) != len(header):
+            raise DataFormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise DataFormatError(f"{where}: non-finite value")
+        out.append(PostScore(row[0], tuple(values[:n_comp]), values[-1] if has_dwell else None))
     return out

@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset, ImpressionRecord, Impressions
+from .data import Dataset, ImpressionRecord, Impressions, from_fields, write_json
 
 EM_MAX_ITER = 500
 EM_LL_RTOL = 1e-8
@@ -353,42 +353,16 @@ def run_pipeline(
 
 
 def save_movement_model(path: str | Path, model: MovementModel) -> None:
-    payload = {
-        "mu_alpha": model.mu_alpha,
-        "mu_beta": model.mu_beta,
-        "tau_alpha": model.tau_alpha,
-        "tau_beta": model.tau_beta,
-        "sigma_eps": model.sigma_eps,
-        "log_likelihood": model.log_likelihood,
-        "iterations": model.iterations,
-        "participants": {
-            pid: {"intercept": ab[0], "slope": ab[1]}
-            for pid, ab in sorted(model.participants.items())
-        },
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write movement_model.json; each participant is {"intercept", "slope"}."""
+    participants = {pid: {"intercept": a, "slope": b} for pid, (a, b) in model.participants.items()}
+    write_json(path, replace(model, participants=participants))
 
 
 def load_movement_model(path: str | Path) -> MovementModel:
     d = json.loads(Path(path).read_text())
-    return MovementModel(
-        mu_alpha=d["mu_alpha"],
-        mu_beta=d["mu_beta"],
-        tau_alpha=d["tau_alpha"],
-        tau_beta=d["tau_beta"],
-        sigma_eps=d["sigma_eps"],
-        participants={
-            pid: (v["intercept"], v["slope"]) for pid, v in d["participants"].items()
-        },
-        log_likelihood=d.get("log_likelihood", float("nan")),
-        iterations=d.get("iterations", 0),
-    )
+    participants = {pid: (v["intercept"], v["slope"]) for pid, v in d["participants"].items()}
+    return from_fields(MovementModel, d, participants=participants)
 
 
 def save_audit(path: str | Path, audit: PipelineAudit) -> None:
-    payload = {
-        "input_count": audit.input_count,
-        "removed": audit.removed,
-        "retained_count": audit.retained_count,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, audit)

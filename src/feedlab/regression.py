@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._numeric import normal_sf_two_sided, one_blas_thread, t_sf_two_sided
-from .data import ImpressionRecord, Impressions
+from .data import ImpressionRecord, Impressions, from_fields, write_json
 from .features import PostScore
 
 MAX_CONDITION = 1e10
@@ -284,8 +284,7 @@ def fit_logistic(
     if set(np.unique(y)) - {0.0, 1.0}:
         raise ValueError("logistic response must be binary 0/1")
     n, k = X.shape
-    Q, R = np.linalg.qr(X)
-    _check_rank(R, columns)
+    _check_rank(np.linalg.qr(X, mode="r"), columns)
 
     beta = np.zeros(k)
     # start the intercept at the empirical log odds when it is a constant column
@@ -295,11 +294,11 @@ def fit_logistic(
 
     eta = X @ beta
     deviance = _binary_deviance(y, eta)
+    p = 1.0 / (1.0 + np.exp(-eta))
+    grad = X.T @ (y - p)
     converged = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        p = 1.0 / (1.0 + np.exp(-eta))
-        grad = X.T @ (y - p)
         w = np.clip(p * (1.0 - p), 1e-12, None)
         info = X.T @ (w[:, None] * X)
         step = np.linalg.solve(info, grad)
@@ -316,7 +315,9 @@ def fit_logistic(
         beta, eta = candidate, cand_eta
         prev_dev, deviance = deviance, cand_dev
 
-        if np.max(np.abs(X.T @ (y - 1.0 / (1.0 + np.exp(-eta))))) < IRLS_GRADIENT_TOL:
+        p = 1.0 / (1.0 + np.exp(-eta))
+        grad = X.T @ (y - p)
+        if np.max(np.abs(grad)) < IRLS_GRADIENT_TOL:
             converged = True
             break
         if abs(prev_dev - deviance) < IRLS_DEVIANCE_RTOL * (abs(prev_dev) + 1e-30):
@@ -331,7 +332,6 @@ def fit_logistic(
             f"coefficient magnitude exceeds {SEPARATION_COEF_BOUND}; possible separation"
         )
 
-    p = 1.0 / (1.0 + np.exp(-eta))
     w = np.clip(p * (1.0 - p), 1e-12, None)
     info = X.T @ (w[:, None] * X)
     cov = np.linalg.inv(info)
@@ -368,45 +368,16 @@ def fit_design(design: Design, spec: DesignSpec) -> RegressionFit:
 # Persistence / rendering
 
 
-def fit_to_dict(fit: RegressionFit) -> dict:
-    return {
-        "model": fit.model,
-        "n": fit.n,
-        "terms": [
-            {
-                "term": t.term,
-                "estimate": t.estimate,
-                "se": t.se,
-                "statistic": t.statistic,
-                "p": t.p,
-            }
-            for t in fit.terms
-        ],
-        "metadata": fit.metadata,
-        "centering": fit.centering,
-        "warnings": list(fit.warnings),
-    }
-
-
 def save_fit(path: str | Path, fit: RegressionFit) -> None:
-    Path(path).write_text(json.dumps(fit_to_dict(fit), indent=2, sort_keys=True) + "\n")
+    write_json(path, fit)
 
 
 def load_fit(path: str | Path) -> RegressionFit:
     d = json.loads(Path(path).read_text())
     if "terms" not in d or "model" not in d:
         raise ValueError(f"{path} is not a regression fit file")
-    return RegressionFit(
-        model=d["model"],
-        terms=tuple(
-            TermEstimate(t["term"], t["estimate"], t["se"], t["statistic"], t["p"])
-            for t in d["terms"]
-        ),
-        n=d["n"],
-        metadata=d.get("metadata", {}),
-        centering=d.get("centering", {}),
-        warnings=tuple(d.get("warnings", ())),
-    )
+    terms = tuple(from_fields(TermEstimate, t) for t in d["terms"])
+    return from_fields(RegressionFit, d, terms=terms, warnings=tuple(d.get("warnings", ())))
 
 
 def render_fit_table(fit: RegressionFit) -> str:

@@ -46,6 +46,8 @@ from .data import (
     Impressions,
     NEWS_CATEGORIES,
     Post,
+    from_fields,
+    write_json,
 )
 from .features import PostScore, fit_feature_pca, project
 from .pipeline import ExclusionRules, apply_exclusions_stage1, apply_floor, run_pipeline
@@ -296,17 +298,15 @@ class SimConfig:
 
 
 def _sample_feed(
-    pool: PoolPosts, config: SimConfig, rng: np.random.Generator
+    news_idx: np.ndarray, other_idx: np.ndarray, config: SimConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Indices of one participant's feed, positions 1..feed_length.
 
-    When the pool's categories support it, the feed mixes ``news_per_feed``
-    news posts with opinion/mundane posts, then shuffles; otherwise it is a
-    uniform sample without replacement.
+    ``news_idx`` and ``other_idx`` split the pool's indices by category. When
+    they support it, the feed mixes ``news_per_feed`` news posts with
+    opinion/mundane posts, then shuffles; otherwise it is a uniform sample
+    without replacement.
     """
-    is_news = np.isin(pool.categories, NEWS_CATEGORIES)
-    news_idx = np.flatnonzero(is_news)
-    other_idx = np.flatnonzero(~is_news)
     n_other = config.feed_length - config.news_per_feed
     if len(news_idx) >= config.news_per_feed and len(other_idx) >= n_other:
         chosen = np.concatenate(
@@ -316,7 +316,7 @@ def _sample_feed(
             ]
         )
     else:
-        chosen = rng.choice(pool.size, size=config.feed_length, replace=False)
+        chosen = rng.choice(len(news_idx) + len(other_idx), size=config.feed_length, replace=False)
     return rng.permutation(chosen)
 
 
@@ -329,6 +329,8 @@ def simulate_session(
     pool_seq, users_seq = seed_seq.spawn(2)
     pool = config.pool.realize(np.random.default_rng(pool_seq))
     params = resolve_marginal(config.params, pool.credibility, pool.sensationalism)
+    is_news = np.isin(pool.categories, NEWS_CATEGORIES)
+    news_idx, other_idx = np.flatnonzero(is_news), np.flatnonzero(~is_news)
     n, length = config.participants, config.feed_length
     feeds = np.empty((n, length), dtype=np.int64)
     dwell = np.empty((n, length))
@@ -337,7 +339,7 @@ def simulate_session(
     user_seqs = users_seq.spawn(n)
     for u in range(n):
         rng = np.random.default_rng(user_seqs[u])
-        feeds[u] = _sample_feed(pool, config, rng)
+        feeds[u] = _sample_feed(news_idx, other_idx, config, rng)
         out = simulate_impressions(
             pool.credibility[feeds[u]], pool.sensationalism[feeds[u]], params, rng
         )
@@ -767,27 +769,16 @@ def parameter_recovery(
 # Config persistence
 
 
-def _pool_to_dict(pool: SyntheticPool) -> dict:
-    return {"kind": "synthetic", **asdict(pool)}
-
-
-def _pool_from_dict(d: dict) -> SyntheticPool:
-    if d.get("kind") != "synthetic":
-        raise ValueError(f"unsupported pool kind {d.get('kind')!r}")
-    kwargs = {k: v for k, v in d.items() if k != "kind"}
-    return SyntheticPool(**kwargs)
+# the log-dwell marginal is always recomputed from the realized pool
+_DERIVED_PARAMS = ("logdwell_loc", "logdwell_scale")
 
 
 def config_to_dict(config: SimConfig) -> dict:
-    params = {k: v for k, v in asdict(config.params).items() if v is not None}
-    return {
-        "participants": config.participants,
-        "feed_length": config.feed_length,
-        "news_per_feed": config.news_per_feed,
-        "pool": _pool_to_dict(config.pool),
-        "params": params,
-        "seed": config.seed,
-    }
+    """The config's fields, with the pool's kind and without the derived marginal."""
+    d = asdict(config)
+    d["pool"]["kind"] = "synthetic"
+    d["params"] = {k: v for k, v in d["params"].items() if k not in _DERIVED_PARAMS}
+    return d
 
 
 def config_digest(config: SimConfig) -> str:
@@ -797,16 +788,25 @@ def config_digest(config: SimConfig) -> str:
 
 
 def save_sim_config(path: str | Path, config: SimConfig) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")
+    write_json(path, config_to_dict(config))
 
 
 def load_sim_config(path: str | Path) -> SimConfig:
+    """Read sim_config.json; a missing or unknown field is a :class:`DataFormatError`."""
     d = json.loads(Path(path).read_text())
-    return SimConfig(
-        participants=d["participants"],
-        feed_length=d.get("feed_length", 120),
-        news_per_feed=d.get("news_per_feed", 90),
-        pool=_pool_from_dict(d.get("pool", {"kind": "synthetic"})),
-        params=GenerativeParams(**d.get("params", {})),
-        seed=d.get("seed", 0),
+    pool, params = dict(d.get("pool", {"kind": "synthetic"})), d.get("params", {})
+    kind = pool.pop("kind", None)
+    if kind != "synthetic":
+        raise ValueError(f"unsupported pool kind {kind!r}")
+    derived = [k for k in _DERIVED_PARAMS if k in params]
+    if derived:
+        raise ValueError(
+            f"{path}: params {', '.join(derived)} cannot be set; "
+            "they are derived from the pool on every run"
+        )
+    return from_fields(
+        SimConfig,
+        d,
+        pool=from_fields(SyntheticPool, pool),
+        params=from_fields(GenerativeParams, params),
     )

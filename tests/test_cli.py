@@ -45,6 +45,18 @@ class TestSimulateCommand:
     def test_missing_config_is_input_error(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "nope.json", "--output-dir", tmp_path]) == 2
 
+    @pytest.mark.parametrize("key", ["logdwell_loc", "logdwell_scale"])
+    def test_derived_marginal_in_config_is_input_error(
+        self, tmp_path, sim_config_path, capsys, key
+    ):
+        config = json.loads(sim_config_path.read_text())
+        config["params"][key] = 99.0
+        sim_config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 2
+        assert f"{key} cannot be set; they are derived from the pool" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPreprocessCommand:
     def test_end_to_end(self, tmp_path, sim_config_path):
@@ -105,6 +117,19 @@ class TestPreprocessCommand:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["preprocess", "--input", tmp_path / "nope.csv", "--output-dir", tmp_path]) == 2
+
+    def test_duplicate_position_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "impressions.csv"
+        path.write_text(
+            "participant_id,post_id,position,dwell_raw,shared,liked\n"
+            "p1,post_a,1,2.0,0,0\np1,post_b,1,3.0,1,0\np1,post_c,2,4.0,0,0\n"
+        )
+        out = tmp_path / "out"
+        assert run(["preprocess", "--input", path, "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: participant 'p1' has duplicated position(s) [1]" in err
+        assert "unknown post" not in err
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -184,6 +209,28 @@ class TestFitCommand:
                 t.term for t in fit.terms
             }
             assert (out / f"fit_{model}.txt").read_text().startswith("term")
+
+    @pytest.mark.parametrize(
+        "bad_row", ["", "post_x,0.5", "post_x" + ",abc" * 9], ids=["blank", "ragged", "text"]
+    )
+    def test_malformed_scores_row_is_input_error(self, tmp_path, analysis_dirs, capsys, bad_row):
+        _, clean_out, pca_out = analysis_dirs
+        text = (pca_out / "scores.csv").read_text()
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text + bad_row + "\n")
+        out = tmp_path / "o"
+        code = run(
+            [
+                "fit",
+                "--input", clean_out / "cleaned.csv",
+                "--scores", scores,
+                "--model", "dwell",
+                "--output-dir", out,
+            ]
+        )
+        assert code == 2
+        assert f"{scores} line {text.count(chr(10)) + 1}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_engageless_data_is_rank_error(self, tmp_path, analysis_dirs, capsys):
         _, clean_out, pca_out = analysis_dirs
@@ -288,6 +335,14 @@ class TestExperimentAndRecover:
         captured = capsys.readouterr()
         assert "not a regression fit file" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("fields", [{"n": 3, "note": "x"}, {}], ids=["unknown", "missing"])
+    def test_report_rejects_fit_with_wrong_fields(self, tmp_path, capsys, fields):
+        term = {"term": "intercept", "estimate": 1.0, "se": 0.1, "statistic": 10.0, "p": 0.0}
+        path = tmp_path / "fit_dwell.json"
+        path.write_text(json.dumps({"model": "ols", "terms": [term], **fields}))
+        assert run(["report", "--input", path]) == 2
+        assert "error: not a RegressionFit" in capsys.readouterr().err
 
     def test_report_renders_fits(self, tmp_path, analysis_dirs, capsys):
         _, clean_out, pca_out = analysis_dirs

@@ -1,16 +1,18 @@
 """Golden digests of the README command-line walkthrough.
 
-Runs walkthrough steps 1-7 through ``feedlab.cli.main`` at a small size and
-pins the SHA-256 of every output file except ``resolved_config.json`` (which
-records paths). A refactor that claims to preserve behaviour must leave
-these digests unchanged; a change that alters outputs on purpose updates
-them and says why.
+Runs walkthrough steps 1-7 through ``feedlab.cli.main`` at a small size, plus
+``pca`` without ``--impressions`` and ``--posts`` and a config saved with
+``save_sim_config``, and pins the SHA-256 of every output file except
+``resolved_config.json`` (which records paths). A refactor that claims to
+preserve behaviour must leave these digests unchanged; a change that alters
+outputs on purpose updates them and says why.
 """
 
 import hashlib
 import json
 
 from feedlab.cli import main
+from feedlab.sim import GenerativeParams, SimConfig, SyntheticPool, save_sim_config
 
 SIM_CONFIG = {
     "participants": 40,
@@ -20,6 +22,16 @@ SIM_CONFIG = {
     "params": {},
     "seed": 42,
 }
+
+# non-default in every section, so the saved file shows each one
+SAVED_CONFIG = SimConfig(
+    participants=10,
+    feed_length=40,
+    news_per_feed=30,
+    pool=SyntheticPool(n_true_news=20, n_false_news=20, n_opinion=5, n_mundane=5),
+    params=GenerativeParams(motor_mean=0.9),
+    seed=77,
+)
 
 GOLDEN = {
     "clean/audit.json": "7b70a5d0c427964078568740bd9cb971d7dba7975a9c63b921a8eeb002a00134",
@@ -34,7 +46,12 @@ GOLDEN = {
     "pca/pca_fit.json": "878e2f4b5256bfbbe33fb11bde1f534234adcc3352f591a4bf43d525aaab4167",
     "pca/scores.csv": "4dad81efb8146b8b6a5f77a886c0ae122b17060bc51bbde6890d505ae342e0a5",
     "pca/top_posts.txt": "723f056b3f4a7f94004bb5b64c669cae86aa598230222dbc5ca01ecff51d9fa9",
+    "pca_plain/correlations.csv": "b9bd48e7b95a86a29bf28460a593e045a32a230e10f57f77855ed2c469580bee",
+    "pca_plain/pca_fit.json": "878e2f4b5256bfbbe33fb11bde1f534234adcc3352f591a4bf43d525aaab4167",
+    "pca_plain/scores.csv": "d7b7fd1860b9cc587efa5d1c5ff0f9bde9bf104d2c1bd4ce9da72c5c002a7605",
+    "pca_plain/top_posts.txt": "c316880c6d337bd9276c4a3113cec6773a08a24c63bed6b39c1963af8a3f6113",
     "rec/recovery_report.json": "4f691d715ed37af6c6b790225c92e90976449ba6d4d7ce33e9c0bbfe629e3b5b",
+    "saved_config.json": "150b1e3ff50f826a9d4be71ca0700ee38399a5bf10b117ca2dc98fa402f3c84a",
     "sim/dataset.json": "187c18185a455dad950eb395cbc6e77470e5d1586943863add68e29a02962646",
     "sim/impressions.csv": "b383b3d34f7ea8a1685a42162382a16235031b5bd51f0436ddc443dc2533d65b",
     "sim/posts.csv": "71ae841ec32ea38a1a4242488e050fed41dbc91a212db51730b1c7f2adc9ab7e",
@@ -75,9 +92,11 @@ def run_walkthrough(root):
         ],
         ["recover", "--config", config, "--output-dir", out / "rec", "--replications", 2],
         ["report", "--input", out / "fit"],
+        ["pca", "--input", out / "sim" / "ratings.csv", "--output-dir", out / "pca_plain"],
     ]
     for step in steps:
         assert main([str(a) for a in step]) == 0, step
+    save_sim_config(out / "saved_config.json", SAVED_CONFIG)
     return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))

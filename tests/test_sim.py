@@ -1,10 +1,11 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from feedlab.data import FeatureMatrix, dataset_violations, save_impressions
+from feedlab.data import DataFormatError, FeatureMatrix, dataset_violations, save_impressions
 from feedlab.pipeline import ExclusionRules, apply_exclusions_stage1, apply_floor, run_pipeline
 from feedlab.regression import build_design, dwell_model_spec, engagement_model_spec, fit_design
 from feedlab.sim import (
@@ -13,6 +14,7 @@ from feedlab.sim import (
     SimConfig,
     SyntheticPool,
     align_scores_to_axes,
+    config_digest,
     expected_dwell,
     expected_engagement,
     load_sim_config,
@@ -368,6 +370,22 @@ class TestConfigIO:
         save_sim_config(tmp_path / "cfg.json", cfg)
         loaded = load_sim_config(tmp_path / "cfg.json")
         assert loaded == cfg
+
+    def test_saved_config_leaves_out_derived_marginal(self, tmp_path):
+        # every run recomputes the log-dwell marginal from the pool, so a
+        # marginal set in code changes neither the saved file nor the digest
+        plain = SimConfig(participants=10)
+        cfg = replace(plain, params=GenerativeParams(logdwell_loc=1.0, logdwell_scale=0.9))
+        save_sim_config(tmp_path / "cfg.json", cfg)
+        assert load_sim_config(tmp_path / "cfg.json") == plain
+        assert config_digest(cfg) == config_digest(plain)
+
+    def test_unknown_field_rejected(self, tmp_path):
+        # a misspelt key used to be ignored, so the run silently used the default
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"participants": 10, "seeds": 5}))
+        with pytest.raises(DataFormatError, match="seeds"):
+            load_sim_config(path)
 
     def test_policies_constant(self):
         assert POLICIES == ("dwell_opt", "engage_opt", "random", "chronological")
