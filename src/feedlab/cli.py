@@ -17,11 +17,13 @@ from . import __version__
 from .data import (
     DataFormatError,
     DatasetValidationError,
+    RatingRecord,
     aggregate_ratings,
     impression_violations,
     load_impressions,
     load_posts,
     load_ratings,
+    save_dataset,
     save_impressions,
     save_posts,
     save_ratings,
@@ -30,6 +32,7 @@ from .data import (
 )
 from .features import (
     attach_mean_dwell,
+    correlate,
     feature_dwell_correlations,
     fit_feature_pca,
     load_scores,
@@ -147,8 +150,6 @@ def cmd_pca(args: argparse.Namespace) -> int:
             rows.append([comp, res.r, res.p, res.n])
     else:
         # no dwell data: pairwise feature correlations
-        from .features import correlate
-
         names = matrix.feature_names
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
@@ -203,8 +204,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     save_impressions(out / "impressions.csv", dataset.impressions)
     # one synthetic rater per cell so the standard ratings path reproduces
     # the pool's feature matrix exactly
-    from .data import RatingRecord, save_dataset
-
     ratings = [
         RatingRecord("sim", pid, feature, float(pool.matrix.values[i, j]))
         for i, pid in enumerate(pool.matrix.post_ids)

@@ -10,13 +10,21 @@ names are the record's field names):
                       cleaned files carry an extra dwell_adjusted column)
     dataset.json     posts + impressions + provenance digests
 
-Every artifact of every module is written by one of two writers and read
-back through one CSV reader: :func:`write_json` writes canonical JSON
-(sorted keys, 2-space indent, trailing newline; a dataclass as its fields,
-a numpy array as a list), :func:`write_csv` writes UTF-8 CSV with LF line
-endings, and ``_open_rows`` reads every CSV file. A ``save_*`` function
-writes its dataclass; the matching ``load_*`` builds it from the file's
-fields (:func:`from_fields` for a JSON object).
+Every artifact of every module is written by one of two writers:
+:func:`write_json` writes canonical JSON (sorted keys, 2-space indent,
+trailing newline; a dataclass as its fields, a numpy array as a list, an
+:class:`Impressions` field as one object per row), and :func:`write_csv`
+writes UTF-8 CSV with LF line endings. A ``save_*`` function writes its
+dataclass; the matching ``load_*`` builds it from the file's fields
+(:func:`from_fields` for a JSON object).
+
+Two CSV readers read them back. ``_open_columns`` reads impressions.csv
+column-wise: a file without quotes or carriage returns is split in one
+``str.split`` and each column is converted in one pass; any other file goes
+through the csv module. ``_open_rows`` reads every other CSV file (ratings,
+posts, scores) row by row with the csv module. :func:`load_impressions`
+walks the rows one by one only to report errors, when a column fails to
+convert.
 
 In memory, impressions are one columnar :class:`Impressions` table (one
 array per field); :class:`ImpressionRecord` is its row type, produced by
@@ -32,13 +40,17 @@ live in :func:`validate_dataset`.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import io
+import itertools
 import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -290,12 +302,57 @@ def _jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _json_rows(table: Impressions) -> str:
+    """``table`` as the indented JSON list of one object per row that
+    ``json.dumps(..., indent=2, sort_keys=True)`` writes for a top-level key.
+
+    The C encoder writes every cell (it runs only without an indent): a
+    numeric or bool column as one list, each distinct id once. The rows are
+    one fixed template whose texts are interleaved with those cells.
+    """
+    n = len(table)
+    if not n:
+        return "[]"
+    cells = {}
+    for f, column in sorted(zip(fields(table), table._columns()), key=lambda fc: fc[0].name):
+        if column is None:
+            continue
+        if column.dtype.kind == "U":
+            ids = column.tolist()
+            encoded = {s: encode_basestring_ascii(s) for s in set(ids)}
+            cells[f.name] = list(map(encoded.__getitem__, ids))
+        else:
+            cells[f.name] = json.dumps(column.tolist())[1:-1].split(", ")
+    # the template's text before each cell; a row's first one closes the row before
+    keys = [f"      {json.dumps(name)}: " for name in cells]
+    texts = ["\n    },\n    {\n" + keys[0], *(",\n" + key for key in keys[1:])]
+    k = len(texts)
+    chunks = [""] * (2 * k * n)
+    for j, (text, column) in enumerate(zip(texts, cells.values())):
+        chunks[2 * j::2 * k] = [text] * n
+        chunks[2 * j + 1::2 * k] = column
+    chunks[0] = "[\n    {\n" + keys[0]
+    return "".join(chunks) + "\n    }\n  ]"
+
+
 def write_json(path: str | Path, payload) -> None:
-    """Write ``payload`` as canonical JSON: sorted keys, 2-space indent, trailing newline."""
+    """Write ``payload`` as canonical JSON: sorted keys, 2-space indent, trailing newline.
+
+    An :class:`Impressions` table that is a field of the payload is written as
+    one object per row.
+    """
     # the encoder passes every chunk of a hook's result through one more
     # generator, which costs ~10% on dataset.json; convert the top level here
     payload = _jsonable(payload) if is_dataclass(payload) else payload
+    tables = {}
+    if isinstance(payload, dict):
+        tables = {k: v for k, v in payload.items() if isinstance(v, Impressions)}
+        payload = {**payload, **dict.fromkeys(tables, [])}
     text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+    for key, table in tables.items():
+        # a top-level key is the only line indented by exactly two spaces
+        placeholder = f"\n  {json.dumps(key)}: "
+        text = text.replace(placeholder + "[]", placeholder + _json_rows(table), 1)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -317,23 +374,60 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
         w.writerows(rows)
 
 
-def _open_rows(path: str | Path, *headers: list[str]) -> tuple[list[str], list[list[str]]]:
-    """The header and data rows of a CSV file whose header is one of ``headers``.
-
-    With no ``headers`` any header is accepted and the caller checks it.
-    """
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text with its line endings as they are."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        return fh.read()
+
+
+def _check_header(path: str | Path, rows: list[list[str]], headers) -> list[str]:
+    """``rows[0]``, if it is one of ``headers`` (any header when there are none)."""
     if not rows or (headers and rows[0] not in headers):
         expected = " or ".join(repr(",".join(h)) for h in headers) or "row"
         raise DataFormatError(
             f"{path}: expected header {expected}, "
             f"got {','.join(rows[0]) if rows else '<empty file>'!r}"
         )
-    return rows[0], rows[1:]
+    return rows[0]
+
+
+def _open_rows(path: str | Path, *headers: list[str]) -> tuple[list[str], list[list[str]]]:
+    """The header and data rows of a CSV file whose header is one of ``headers``.
+
+    With no ``headers`` any header is accepted and the caller checks it.
+    """
+    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
+    return _check_header(path, rows, headers), rows[1:]
+
+
+def _open_columns(
+    path: str | Path, *headers: list[str]
+) -> tuple[list[str], list[list[str]] | None]:
+    """The header and data columns of a CSV file whose header is one of ``headers``;
+    the columns are None when a row's field count is not the header's.
+
+    A file with no quote, no carriage return and no line longer than the csv
+    module's field limit is split by ``str.split`` in one pass, which is how
+    the csv module would split it; any other file is read by the csv module.
+    """
+    text = _read_text(path)
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final line break ends the last row
+    if '"' in text or "\r" in text or max(map(len, lines), default=0) > csv.field_size_limit():
+        header, rows = _open_rows(path, *headers)
+        if any(len(row) != len(header) for row in rows):
+            return header, None
+        return header, [list(c) for c in zip(*rows)] or [[] for _ in header]
+    header = _check_header(path, [line.split(",") for line in lines[:1]], headers)
+    width = len(header)
+    if set(map(str.count, lines[1:], itertools.repeat(","))) - {width - 1}:
+        return header, None
+    cells = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
+    return header, [cells[i::width] for i in range(width)]
 
 
 # ---------------------------------------------------------------------------
@@ -389,33 +483,79 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected 0/1 boolean, got {raw!r}")
 
 
+def _bool_column(cells: list[str]) -> np.ndarray:
+    if not set(cells) <= {"0", "1"}:
+        raise ValueError("expected 0/1 booleans")
+    return np.fromiter(map("1".__eq__, cells), bool, len(cells))
+
+
+def _dwell_column(cells: list[str]) -> np.ndarray:
+    dwell = np.fromiter(map(float, cells), float, len(cells))
+    if not np.isfinite(dwell).all():
+        raise ValueError("non-finite dwell")
+    return dwell
+
+
+# one converter per impressions.csv column, in file order
+_IMPRESSION_PARSERS = (
+    functools.partial(np.array, dtype=str),
+    functools.partial(np.array, dtype=str),
+    lambda cells: np.fromiter(map(int, cells), np.int64, len(cells)),
+    _dwell_column,
+    _bool_column,
+    _bool_column,
+    _dwell_column,
+)
+
+
+def _impression_table(columns: list[list[str]]) -> Impressions:
+    """The table of impressions.csv's data columns, each converted in one pass.
+
+    Raises ValueError when a cell does not parse or a dwell is not finite.
+    """
+    if len(columns) == 6 and not columns[0]:
+        columns = [*columns, []]  # an empty table has a dwell_adjusted column, as in Impressions.of
+    return Impressions(*(parse(c) for parse, c in zip(_IMPRESSION_PARSERS, columns)))
+
+
 def load_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
-    """Parse impressions.csv (plain or cleaned with dwell_adjusted)."""
-    header, rows = _open_rows(path, _IMPRESSION_HEADER, _IMPRESSION_HEADER + ["dwell_adjusted"])
+    """Parse impressions.csv (plain or cleaned with dwell_adjusted).
+
+    Each column is converted in one pass. Only when that fails (a ragged row,
+    a cell that does not parse, a non-finite dwell) does the row-by-row check
+    below run: it reports each bad row, and the table leaves those rows out.
+    """
+    headers = (_IMPRESSION_HEADER, _IMPRESSION_HEADER + ["dwell_adjusted"])
+    header, columns = _open_columns(path, *headers)
+    if columns is not None:
+        try:
+            return _impression_table(columns), []
+        except (ValueError, OverflowError):
+            pass
+    _, rows = _open_rows(path, header)
     width = len(header)
-    has_adjusted = width == 7
-    parsed: list[tuple] = []
+    kept: list[list[str]] = []
     errors: list[RowError] = []
     for lineno, row in enumerate(rows, start=2):
         if len(row) != width:
             errors.append(RowError(lineno, f"expected {width} fields, got {len(row)}"))
             continue
         try:
-            values = (
-                row[0], row[1], int(row[2]), float(row[3]),
-                _parse_bool(row[4]), _parse_bool(row[5]),
-                float(row[6]) if has_adjusted else None,
-            )
+            int(row[2])
+            dwells = {"dwell_raw": float(row[3])}
+            _parse_bool(row[4])
+            _parse_bool(row[5])
+            if width == 7:
+                dwells["dwell_adjusted"] = float(row[6])
         except ValueError as exc:
             errors.append(RowError(lineno, str(exc)))
             continue
-        dwells = {"dwell_raw": values[3], "dwell_adjusted": values[6]}
-        non_finite = [k for k, v in dwells.items() if v is not None and not math.isfinite(v)]
+        non_finite = [k for k, v in dwells.items() if not math.isfinite(v)]
         if non_finite:
             errors.append(RowError(lineno, f"non-finite {' and '.join(non_finite)}"))
             continue
-        parsed.append(values)
-    return Impressions._from_rows(parsed), errors
+        kept.append(row)
+    return _impression_table([list(c) for c in zip(*kept)] or [[]] * width), errors
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +719,7 @@ def make_provenance(source_paths: list[str | Path]) -> dict:
 
 def save_dataset(path: str | Path, dataset: Dataset) -> None:
     """Write dataset.json; the impressions are written as one object per row."""
-    columns = dataset.impressions._column_lists()
-    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    write_json(path, replace(dataset, impressions=rows))
+    write_json(path, dataset)
 
 
 def load_dataset(path: str | Path) -> Dataset:

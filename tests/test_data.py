@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from feedlab.data import (
     DataFormatError,
+    Dataset,
     DatasetValidationError,
     FEATURE_NAMES,
     FeatureMatrix,
@@ -159,6 +161,70 @@ class TestAggregateRatings:
         assert ratings_per_post_per_feature(records) == pytest.approx(1.5)
 
 
+PLAIN_HEADER = "participant_id,post_id,position,dwell_raw,shared,liked"
+ADJUSTED_HEADER = PLAIN_HEADER + ",dwell_adjusted"
+
+# file text -> (the loaded table's columns in field order, the RowError
+# (line, message) list), as the row-by-row loader returned them
+LOADER_CASES = {
+    "crlf": (
+        PLAIN_HEADER + "\r\np1,post_01,1,2.5,0,1\r\np2,post_02,2,3.25,1,0\r\n",
+        [["p1", "p2"], ["post_01", "post_02"], [1, 2], [2.5, 3.25], [False, True], [True, False], None],
+        [],
+    ),
+    "no_trailing_newline": (
+        PLAIN_HEADER + "\np1,post_01,1,2.5,0,1\np1,post_02,2,3.0,1,1",
+        [["p1", "p1"], ["post_01", "post_02"], [1, 2], [2.5, 3.0], [False, True], [True, True], None],
+        [],
+    ),
+    "blank_line": (
+        PLAIN_HEADER + "\np1,post_01,1,2.5,0,1\n\np1,post_02,2,3.0,1,1\n",
+        [["p1", "p1"], ["post_01", "post_02"], [1, 2], [2.5, 3.0], [False, True], [True, True], None],
+        [(3, "expected 6 fields, got 0")],
+    ),
+    "ragged_row": (
+        PLAIN_HEADER + "\np1,post_01,1,2.5,0\np1,post_02,2,3.0,1,1\np1,post_03,3,1.0,0,0,9\n",
+        [["p1"], ["post_02"], [2], [3.0], [True], [True], None],
+        [(2, "expected 6 fields, got 5"), (4, "expected 6 fields, got 7")],
+    ),
+    "quoted_ids": (
+        PLAIN_HEADER + '\n"p,1","post ""a""",1,2.5,0,0\np2,post_02,2,1.5,1,0\n',
+        [["p,1", "p2"], ['post "a"', "post_02"], [1, 2], [2.5, 1.5], [False, True], [False, False], None],
+        [],
+    ),
+    "quoted_newline_counts_records": (
+        PLAIN_HEADER + '\n"p\n1",post_01,1,2.5,0,0\np2,post_02,x,1.5,1,0\n',
+        [["p\n1"], ["post_01"], [1], [2.5], [False], [False], None],
+        [(3, "invalid literal for int() with base 10: 'x'")],
+    ),
+    "bool_cells": (
+        PLAIN_HEADER + "\np1,post_01,1,2.5, 1,0\np1,post_02,2,2.5,0,2\np1,post_03,3,2.5,1,1\n",
+        [["p1"], ["post_03"], [3], [2.5], [True], [True], None],
+        [(2, "expected 0/1 boolean, got ' 1'"), (3, "expected 0/1 boolean, got '2'")],
+    ),
+    "numeric_cells": (
+        PLAIN_HEADER + "\np1,post_01,1_0,2.5,0,0\np1,post_02,2, 2.5 ,0,0\np1,post_03, 3 ,1e1,0,1\n",
+        [["p1"] * 3, ["post_01", "post_02", "post_03"], [10, 2, 3], [2.5, 2.5, 10.0],
+         [False, False, False], [False, False, True], None],
+        [],
+    ),
+    "non_finite_dwell": (
+        ADJUSTED_HEADER + "\np1,post_01,1,nan,0,0,2.0\np1,post_02,2,2.5,0,0,inf\n"
+        "p1,post_03,3,-inf,0,0,NaN\np1,post_04,4,2.5,0,0,2.5\n",
+        [["p1"], ["post_04"], [4], [2.5], [False], [False], [2.5]],
+        [(2, "non-finite dwell_raw"), (3, "non-finite dwell_adjusted"),
+         (4, "non-finite dwell_raw and dwell_adjusted")],
+    ),
+    "every_row_rejected": (
+        PLAIN_HEADER + "\np1,post_01,one,2.5,0,0\n",
+        [[], [], [], [], [], [], []],
+        [(2, "invalid literal for int() with base 10: 'one'")],
+    ),
+    "header_only_plain": (PLAIN_HEADER + "\n", [[], [], [], [], [], [], []], []),
+    "header_only_adjusted": (ADJUSTED_HEADER + "\n", [[], [], [], [], [], [], []], []),
+}
+
+
 class TestImpressionsIO:
     def test_load_plain(self, tmp_path):
         p = write(
@@ -198,6 +264,20 @@ class TestImpressionsIO:
         assert "dwell_raw" in errors[0].message
         assert "dwell_adjusted" in errors[1].message
 
+    @pytest.mark.parametrize("case", sorted(LOADER_CASES))
+    def test_loader_cases_pinned(self, tmp_path, case):
+        text, expected_columns, expected_errors = LOADER_CASES[case]
+        path = tmp_path / "i.csv"
+        path.write_bytes(text.encode("utf-8"))
+        table, errors = load_impressions(path)
+        assert [(e.line, e.message) for e in errors] == expected_errors
+        columns = table._columns()
+        assert [None if c is None else c.tolist() for c in columns] == expected_columns
+        dtypes = (str, str, np.int64, float, bool, bool, float)
+        for column, expected, dtype in zip(columns, expected_columns, dtypes):
+            if column is not None:
+                assert column.dtype == np.array(expected, dtype=dtype).dtype
+
     def test_roundtrip_bytes_plain_and_adjusted(self, tmp_path):
         imps = [
             make_impression("p1", "post_01", 1, 2.5, 0),
@@ -221,6 +301,21 @@ class TestImpressionsIO:
         assert loaded2[0].dwell_adjusted == 2.5
         save_impressions(path2, loaded2)
         assert path2.read_bytes() == first2
+
+        # an id that needs CSV quoting sends the file through the csv module
+        quoted = Impressions.of([
+            make_impression('p,"1"\nx', "post_01", 1, 2.5, 1),
+            make_impression("p2", "post_02", 1, 1.5, 0),
+        ])
+        path3 = tmp_path / "q.csv"
+        save_impressions(path3, quoted)
+        first3 = path3.read_bytes()
+        assert b'"p,""1""\nx"' in first3
+        loaded3, errors3 = load_impressions(path3)
+        assert not errors3
+        assert loaded3 == quoted
+        save_impressions(path3, loaded3)
+        assert path3.read_bytes() == first3
 
     def test_mixed_adjusted_flags_rejected(self, tmp_path):
         imps = [
@@ -345,6 +440,36 @@ class TestDatasetJson:
         assert loaded.impressions == ds.impressions
         save_dataset(path, loaded)
         assert path.read_bytes() == first
+
+    ODD_IDS = ("péché", "日本😀", 'say "hi"', "back\\slash", "ctl\x00\x1f\t\n\x7f", "p,1")
+    ODD_DWELLS = (math.nan, math.inf, -math.inf, -0.0, 1e-07, 1e22, 2.123456789012345)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7])
+    @pytest.mark.parametrize("adjusted", [False, True])
+    def test_rows_match_json_dumps(self, tmp_path, tiny_posts, n_rows, adjusted):
+        records = [
+            make_impression(
+                self.ODD_IDS[i % len(self.ODD_IDS)], self.ODD_IDS[-1 - i % len(self.ODD_IDS)],
+                i + 1, self.ODD_DWELLS[i], i % 3,
+                adjusted=self.ODD_DWELLS[-1 - i] if adjusted else None,
+            )
+            for i in range(n_rows)
+        ]
+        tables = [Impressions.of(records)]
+        if not records:  # an empty table with and without a dwell_adjusted column
+            tables.append(replace(tables[0], dwell_adjusted=None if adjusted else np.empty(0)))
+        provenance = {"sources": {"r.csv": "00"}, "ingested_at": "now"}
+        for table in tables:
+            path = tmp_path / "dataset.json"
+            save_dataset(path, Dataset(tuple(tiny_posts), table, provenance))
+            rows = [{k: v for k, v in asdict(r).items() if v is not None} for r in records]
+            payload = {
+                "impressions": rows,
+                "posts": [{k: v for k, v in asdict(p).items() if v is not None} for p in tiny_posts],
+                "provenance": provenance,
+            }
+            expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            assert path.read_text(encoding="utf-8") == expected
 
 
 class TestDomainTypes:
