@@ -15,8 +15,6 @@ from pathlib import Path
 
 from . import __version__
 from .data import (
-    DataFormatError,
-    DatasetValidationError,
     RatingRecord,
     aggregate_ratings,
     impression_violations,
@@ -75,11 +73,7 @@ def _write_resolved_config(out_dir: Path, args: argparse.Namespace) -> None:
 
 
 def _rules_from_args(args: argparse.Namespace) -> ExclusionRules:
-    return ExclusionRules(
-        max_dwell=args.rules_max_dwell,
-        edge_trim=args.rules_edge_trim,
-        min_adjusted_dwell=args.rules_min_dwell,
-    )
+    return ExclusionRules(args.rules_max_dwell, args.rules_edge_trim, args.rules_min_dwell)
 
 
 def _sim_config_from_args(args: argparse.Namespace) -> SimConfig:
@@ -158,16 +152,12 @@ def cmd_pca(args: argparse.Namespace) -> int:
     write_csv(out / "correlations.csv", ["feature", "r", "p", "n"], rows)
     save_scores(out / "scores.csv", scores)
 
-    lines = []
-    cumulative = fit.cumulative_variance()
-    lines.append(
-        "variance fractions: "
-        + " ".join(f"{v:.2f}" for v in fit.variance_fraction)
-    )
-    lines.append("cumulative variance: " + " ".join(f"{v:.2f}" for v in cumulative))
+    lines = [
+        "variance fractions: " + " ".join(f"{v:.2f}" for v in fit.variance_fraction),
+        "cumulative variance: " + " ".join(f"{v:.2f}" for v in fit.cumulative_variance()),
+    ]
     for comp in (0, 1):
-        lines.append("")
-        lines.append(f"top posts for pc{comp + 1}:")
+        lines += ["", f"top posts for pc{comp + 1}:"]
         for rank, s in enumerate(top_posts(scores, comp, args.top_k), start=1):
             label = headlines.get(s.post_id, s.post_id)
             lines.append(f"  {rank:2d}. [{s.pc_scores[comp]:+.2f}] {label}")
@@ -351,10 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, DatasetValidationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # the data module's errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -14,9 +14,9 @@ Every artifact of every module is written by one of two writers:
 :func:`write_json` writes canonical JSON (sorted keys, 2-space indent,
 trailing newline; a dataclass as its fields, a numpy array as a list, an
 :class:`Impressions` field as one object per row), and :func:`write_csv`
-writes UTF-8 CSV with LF line endings. A ``save_*`` function writes its
-dataclass; the matching ``load_*`` builds it from the file's fields
-(:func:`from_fields` for a JSON object).
+writes UTF-8 CSV with LF line endings (:func:`save_impressions` writes the
+same bytes column-wise). A ``save_*`` function writes its dataclass; the
+matching ``load_*`` builds it from the file's fields (:func:`from_fields` for JSON).
 
 Two CSV readers read them back. ``_open_columns`` reads impressions.csv
 column-wise: a file without quotes or carriage returns is split in one
@@ -27,10 +27,10 @@ walks the rows one by one only to report errors, when a column fails to
 convert.
 
 In memory, impressions are one columnar :class:`Impressions` table (one
-array per field); :class:`ImpressionRecord` is its row type, produced by
-indexing or iterating the table. Every function that takes impressions also
-accepts an iterable of records and converts it once with
-:meth:`Impressions.of`.
+array per field, the ids as int32 codes into sorted vocabularies);
+:class:`ImpressionRecord` is its row type, produced by indexing or iterating
+the table. Every function that takes impressions also accepts an iterable of
+records and converts it once with :meth:`Impressions.of`.
 
 Loaders collect malformed rows into an error report instead of aborting;
 semantic checks (referential integrity, position contiguity, dwell sign)
@@ -40,7 +40,6 @@ live in :func:`validate_dataset`.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import itertools
@@ -48,7 +47,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -164,18 +163,24 @@ class ImpressionRecord:
         return self.action_count >= 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Impressions:
     """Columnar impression table: one array per :class:`ImpressionRecord` field.
 
-    ``participant_id`` and ``post_id`` are str arrays; ``dwell_adjusted`` is
-    None until the dwell pipeline sets it. An int index or iteration yields
-    :class:`ImpressionRecord` rows; a slice, boolean mask or index array
-    selects rows as a new table. ``==`` compares rows.
+    An id column is held as int32 codes (``participant_code``, ``post_code``)
+    into a vocabulary of distinct ids (``participant_vocab``, ``post_vocab``)
+    sorted as ``np.unique`` sorts them; the ``participant_id`` and ``post_id``
+    properties decode them to str arrays. A selection keeps the vocabulary,
+    so it may hold ids with no rows; :meth:`groups` leaves those out.
+    ``dwell_adjusted`` is None until the dwell pipeline sets it. An int index
+    or iteration yields :class:`ImpressionRecord` rows; a slice, boolean mask
+    or index array selects rows as a new table. ``==`` compares rows.
     """
 
-    participant_id: np.ndarray
-    post_id: np.ndarray
+    participant_vocab: np.ndarray
+    participant_code: np.ndarray
+    post_vocab: np.ndarray
+    post_code: np.ndarray
     position: np.ndarray
     dwell_raw: np.ndarray
     shared: np.ndarray
@@ -183,14 +188,18 @@ class Impressions:
     dwell_adjusted: np.ndarray | None = None
 
     def __post_init__(self):
-        if len({len(c) for c in self._columns() if c is not None}) != 1:
+        rows = (self.participant_code, self.post_code, *self._values())
+        if len({len(c) for c in rows if c is not None}) != 1:
             raise ValueError("impression columns differ in length")
+        if any(np.any(v[1:] <= v[:-1]) for v in (self.participant_vocab, self.post_vocab)):
+            raise ValueError("an id vocabulary must be sorted and distinct")
 
     @classmethod
     def of(cls, impressions: Iterable[ImpressionRecord]) -> Impressions:
         """The table itself, or the records converted to one table.
 
-        Records must all carry ``dwell_adjusted`` or all lack it.
+        Records must all carry ``dwell_adjusted`` or all lack it; an empty
+        table lacks it.
         """
         if isinstance(impressions, cls):
             return impressions
@@ -203,37 +212,70 @@ class Impressions:
         n_adjusted = sum(v is not None for v in columns[6])
         if 0 < n_adjusted < len(rows):
             raise ValueError("mixed adjusted/unadjusted impressions cannot form one table")
-        dtypes = (str, str, np.int64, float, bool, bool, float)
-        if n_adjusted < len(rows):
-            columns[6] = None
-        return cls(*(c if c is None else np.array(c, dtype=t) for c, t in zip(columns, dtypes)))
+        dtypes = (np.int64, float, bool, bool, float)[: 5 if n_adjusted else 4]
+        return cls._from_ids(*columns[:2], *map(np.array, columns[2:], dtypes))
+
+    @classmethod
+    def _from_ids(cls, participant_id, post_id, *values: np.ndarray) -> Impressions:
+        """The table of two id sequences, each coded in one pass, and the other columns;
+        only the distinct ids are sorted, so a vocabulary is what ``np.unique`` gives."""
+        coded = {}
+        for key, ids in (("participant", participant_id), ("post", post_id)):
+            distinct = dict.fromkeys(ids)
+            vocab, rank = np.unique(np.array(list(distinct), dtype=str), return_inverse=True)
+            code = dict(zip(distinct, rank.tolist())).__getitem__
+            coded[f"{key}_vocab"] = vocab
+            coded[f"{key}_code"] = np.fromiter(map(code, ids), np.int32, len(ids))
+        return cls(**coded, **dict(zip(_VALUE_FIELDS, values)))
+
+    def _values(self) -> tuple:
+        """The record's columns after the two ids, in field order."""
+        return tuple(getattr(self, k) for k in _VALUE_FIELDS)
 
     def _columns(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        """The columns in record field order, ids decoded."""
+        return (self.participant_id, self.post_id, *self._values())
 
-    def _column_lists(self) -> dict[str, list]:
-        """Each column that is set, as a list; equal str cells share one object."""
-        return {
-            f.name: _str_list(c) if c.dtype.kind == "U" else c.tolist()
-            for f, c in zip(fields(self), self._columns())
-            if c is not None
-        }
+    @property
+    def participant_id(self) -> np.ndarray:
+        return self.participant_vocab[self.participant_code]
+
+    @property
+    def post_id(self) -> np.ndarray:
+        return self.post_vocab[self.post_code]
 
     @property
     def action_count(self) -> np.ndarray:
         return self.shared.astype(np.int64) + self.liked.astype(np.int64)
 
+    def groups(self, key: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows grouped by ``key`` id, ``"participant"`` or ``"post"``: the ids with rows,
+        each row's group and each group's size, as ``np.unique(ids, return_inverse=True,
+        return_counts=True)`` gives them, but counted on the codes."""
+        vocab, codes = getattr(self, f"{key}_vocab"), getattr(self, f"{key}_code")
+        counts = np.bincount(codes, minlength=len(vocab))
+        present = counts > 0
+        return vocab[present], (np.cumsum(present) - 1)[codes], counts[present]
+
+    def _id_cells(self, key: str, encode=None) -> list[str]:
+        """Id column ``key`` as a list, each distinct id encoded once by ``encode``."""
+        names = getattr(self, f"{key}_vocab").tolist()
+        names = list(map(encode, names)) if encode else names
+        return list(map(names.__getitem__, getattr(self, f"{key}_code").tolist()))
+
     def __len__(self) -> int:
-        return len(self.participant_id)
+        return len(self.position)
 
     def __getitem__(self, key):
-        cells = (None if c is None else c[key] for c in self._columns())
         if isinstance(key, (int, np.integer)):
-            return ImpressionRecord(*(None if v is None else v.item() for v in cells))
-        return Impressions(*cells)
+            return next(iter(self[np.array([key])]))
+        values = {k: c[key] for k, c in zip(_VALUE_FIELDS, self._values()) if c is not None}
+        codes = {"participant_code": self.participant_code[key], "post_code": self.post_code[key]}
+        return replace(self, **codes, **values)
 
     def __iter__(self):
-        return (ImpressionRecord(*row) for row in zip(*self._column_lists().values()))
+        values = (c.tolist() for c in self._values() if c is not None)
+        return map(ImpressionRecord, self._id_cells("participant"), self._id_cells("post"), *values)
 
     def __eq__(self, other):
         return isinstance(other, Impressions) and all(
@@ -244,17 +286,13 @@ class Impressions:
 
 _record_values = operator.attrgetter(*(f.name for f in fields(ImpressionRecord)))
 
+# the record's fields after the two ids, which Impressions holds as they are
+_VALUE_FIELDS = tuple(f.name for f in fields(ImpressionRecord))[2:]
+
 # each CSV file's columns are its record's fields, the optional ones left out
 _RATINGS_HEADER = [f.name for f in fields(RatingRecord)]
 _POSTS_HEADER = [f.name for f in fields(Post)][:-1]
 _IMPRESSION_HEADER = [f.name for f in fields(ImpressionRecord)][:-1]
-
-
-def _str_list(column: np.ndarray) -> list[str]:
-    """A str column as a list holding one shared str object per distinct value."""
-    names, codes = np.unique(column, return_inverse=True)
-    names = names.tolist()
-    return [names[i] for i in codes.tolist()]
 
 
 @dataclass(frozen=True)
@@ -307,22 +345,18 @@ def _json_rows(table: Impressions) -> str:
     ``json.dumps(..., indent=2, sort_keys=True)`` writes for a top-level key.
 
     The C encoder writes every cell (it runs only without an indent): a
-    numeric or bool column as one list, each distinct id once. The rows are
+    numeric or bool column as one list, each vocabulary id once. The rows are
     one fixed template whose texts are interleaved with those cells.
     """
     n = len(table)
     if not n:
         return "[]"
     cells = {}
-    for f, column in sorted(zip(fields(table), table._columns()), key=lambda fc: fc[0].name):
-        if column is None:
-            continue
-        if column.dtype.kind == "U":
-            ids = column.tolist()
-            encoded = {s: encode_basestring_ascii(s) for s in set(ids)}
-            cells[f.name] = list(map(encoded.__getitem__, ids))
-        else:
-            cells[f.name] = json.dumps(column.tolist())[1:-1].split(", ")
+    for name in sorted(f.name for f in fields(ImpressionRecord)):
+        if name.endswith("_id"):
+            cells[name] = table._id_cells(name.removesuffix("_id"), encode_basestring_ascii)
+        elif (column := getattr(table, name)) is not None:
+            cells[name] = json.dumps(column.tolist())[1:-1].split(", ")
     # the template's text before each cell; a row's first one closes the row before
     keys = [f"      {json.dumps(name)}: " for name in cells]
     texts = ["\n    },\n    {\n" + keys[0], *(",\n" + key for key in keys[1:])]
@@ -349,11 +383,13 @@ def write_json(path: str | Path, payload) -> None:
         tables = {k: v for k, v in payload.items() if isinstance(v, Impressions)}
         payload = {**payload, **dict.fromkeys(tables, [])}
     text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
-    for key, table in tables.items():
-        # a top-level key is the only line indented by exactly two spaces
-        placeholder = f"\n  {json.dumps(key)}: "
-        text = text.replace(placeholder + "[]", placeholder + _json_rows(table), 1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        for key in sorted(tables):  # in file order; each table is written as it is joined
+            # a top-level key is the only line indented by exactly two spaces
+            head, text = text.split(f"\n  {json.dumps(key)}: []", 1)
+            fh.write(f"{head}\n  {json.dumps(key)}: ")
+            fh.write(_json_rows(tables[key]))
+        fh.write(text + "\n")
 
 
 def from_fields(cls, payload: dict, **decoded):
@@ -496,10 +532,8 @@ def _dwell_column(cells: list[str]) -> np.ndarray:
     return dwell
 
 
-# one converter per impressions.csv column, in file order
+# one converter per impressions.csv column after the two ids, in file order
 _IMPRESSION_PARSERS = (
-    functools.partial(np.array, dtype=str),
-    functools.partial(np.array, dtype=str),
     lambda cells: np.fromiter(map(int, cells), np.int64, len(cells)),
     _dwell_column,
     _bool_column,
@@ -511,11 +545,11 @@ _IMPRESSION_PARSERS = (
 def _impression_table(columns: list[list[str]]) -> Impressions:
     """The table of impressions.csv's data columns, each converted in one pass.
 
-    Raises ValueError when a cell does not parse or a dwell is not finite.
+    Raises ValueError when a cell does not parse or a dwell is not finite. A
+    plain file's table has no dwell_adjusted, even when it has no rows.
     """
-    if len(columns) == 6 and not columns[0]:
-        columns = [*columns, []]  # an empty table has a dwell_adjusted column, as in Impressions.of
-    return Impressions(*(parse(c) for parse, c in zip(_IMPRESSION_PARSERS, columns)))
+    values = (parse(c) for parse, c in zip(_IMPRESSION_PARSERS, columns[2:]))
+    return Impressions._from_ids(*columns[:2], *values)
 
 
 def load_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
@@ -570,18 +604,29 @@ def save_posts(path: str | Path, posts: list[Post]) -> None:
     write_csv(path, _POSTS_HEADER, map(operator.attrgetter(*_POSTS_HEADER), posts))
 
 
+def _csv_field(value: str) -> str:
+    """``value`` as the csv module writes it inside a row, quoted only if it must be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
+
+
 def save_impressions(path: str | Path, impressions: Iterable[ImpressionRecord]) -> None:
-    """Write impressions.csv; emits dwell_adjusted iff the rows carry it."""
+    """Write impressions.csv; emits dwell_adjusted iff the rows carry it.
+
+    The file is what :func:`write_csv` writes, built column by column: each
+    distinct id is quoted once, as the csv module quotes it, and each line is
+    joined from the formatted cells. An empty table writes the plain header.
+    """
     imps = Impressions.of(impressions)
-    # the table's field names are the file's column names, in file order; an
-    # empty table writes the plain header
-    columns = imps._column_lists() if len(imps) else dict.fromkeys(_IMPRESSION_HEADER, [])
-    dwell_text = f"{{:.{DWELL_DECIMALS}f}}".format
-    for name, fmt in (("dwell_raw", dwell_text), ("shared", int), ("liked", int),
-                      ("dwell_adjusted", dwell_text)):
-        if name in columns:
-            columns[name] = list(map(fmt, columns[name]))
-    write_csv(path, list(columns), zip(*columns.values()))
+    dwell, flag = f"{{:.{DWELL_DECIMALS}f}}".format, ("0", "1").__getitem__
+    values = [c for c in imps._values() if c is not None][: 5 if len(imps) else 4]
+    columns = [imps._id_cells("participant", _csv_field), imps._id_cells("post", _csv_field)]
+    columns += (map(f, c.tolist()) for f, c in zip((str, dwell, flag, flag, dwell), values))
+    header = [f.name for f in fields(ImpressionRecord)][: len(columns)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map("{}\n".format, map(",".join, zip(*columns))))
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +645,8 @@ def aggregate_ratings(records: list[RatingRecord]) -> FeatureMatrix:
     cells: dict[str, dict[str, list[float]]] = {}
     for r in records:
         cells.setdefault(r.post_id, {}).setdefault(r.feature, []).append(r.value)
-    kept: list[str] = []
-    dropped: list[str] = []
-    for post_id in sorted(cells):
-        if len(cells[post_id]) == len(FEATURE_NAMES):
-            kept.append(post_id)
-        else:
-            dropped.append(post_id)
+    kept = [p for p in sorted(cells) if len(cells[p]) == len(FEATURE_NAMES)]
+    dropped = sorted(cells.keys() - set(kept))
     if dropped:
         warnings.warn(
             f"aggregate_ratings: dropped {len(dropped)} post(s) with incomplete "
@@ -626,13 +666,8 @@ def aggregate_ratings(records: list[RatingRecord]) -> FeatureMatrix:
 
 def ratings_per_post_per_feature(records: list[RatingRecord]) -> float:
     """Mean number of ratings behind each (post, feature) cell."""
-    counts: dict[tuple[str, str], int] = {}
-    for r in records:
-        key = (r.post_id, r.feature)
-        counts[key] = counts.get(key, 0) + 1
-    if not counts:
-        return 0.0
-    return sum(counts.values()) / len(counts)
+    cells = {(r.post_id, r.feature) for r in records}
+    return len(records) / len(cells) if cells else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +686,10 @@ def dataset_violations(
             flag("duplicate_post", f"duplicate post_id {p.post_id!r}")
         known.add(p.post_id)
 
-    dangling = ~np.isin(imps.post_id, np.array(list(known), dtype=str))
-    for pid, post in zip(imps.participant_id[dangling].tolist(), imps.post_id[dangling].tolist()):
+    # an id check over the post vocabulary, then a lookup per row
+    unknown = ~np.isin(imps.post_vocab, np.array(list(known), dtype=str))
+    dangling = imps[unknown[imps.post_code]]
+    for pid, post in zip(dangling.participant_id.tolist(), dangling.post_id.tolist()):
         flag("dangling_post", f"impression references unknown post {post!r} (participant {pid!r})")
     return violations + impression_violations(imps)
 
@@ -662,15 +699,15 @@ def impression_violations(impressions: Iterable[ImpressionRecord]) -> list[Viola
     imps = Impressions.of(impressions)
     violations: list[Violation] = []
     flag = lambda kind, message: violations.append(Violation(kind, message))
-    negative = imps.dwell_raw < 0
+    negative = imps[imps.dwell_raw < 0]
     for pid, pos, dwell in zip(
-        *(c[negative].tolist() for c in (imps.participant_id, imps.position, imps.dwell_raw))
+        *(c.tolist() for c in (negative.participant_id, negative.position, negative.dwell_raw))
     ):
         flag("negative_dwell", f"negative dwell {dwell} for participant {pid!r} position {pos}")
 
-    pids, group = np.unique(imps.participant_id, return_inverse=True)
+    pids, group, counts = imps.groups("participant")
     order = np.lexsort((imps.position, group))
-    ends = np.cumsum(np.bincount(group, minlength=len(pids)))[:-1]
+    ends = np.cumsum(counts)[:-1]
     for pid, positions in zip(pids.tolist(), np.split(imps.position[order], ends)):
         repeated = positions[1:][positions[1:] == positions[:-1]]
         n = len(positions)

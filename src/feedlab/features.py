@@ -113,9 +113,8 @@ def mean_dwell_by_post(impressions: Iterable[ImpressionRecord]) -> dict[str, flo
     imps = Impressions.of(impressions)
     if imps.dwell_adjusted is None:
         raise ValueError("impressions have no dwell_adjusted; run the dwell pipeline first")
-    post_ids, group = np.unique(imps.post_id, return_inverse=True)
+    post_ids, group, counts = imps.groups("post")
     sums = np.bincount(group, weights=imps.dwell_adjusted, minlength=len(post_ids))
-    counts = np.bincount(group, minlength=len(post_ids))
     return dict(zip(post_ids.tolist(), (sums / counts).tolist()))
 
 
@@ -143,20 +142,15 @@ def fit_pca(
     if np.any(eigvals < -1e-8):
         raise ValueError("fit_pca: correlation matrix is not positive semidefinite")
     eigvals = np.clip(eigvals, 0.0, None)
-    flips = []
-    for j in range(p):
-        col = eigvecs[:, j]
-        flip = col[np.argmax(np.abs(col))] < 0
-        if flip:
-            eigvecs[:, j] = -col
-        flips.append(bool(flip))
+    flips = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(p)] < 0
+    eigvecs[:, flips] = -eigvecs[:, flips]
     return PcaFit(
         feature_names=tuple(feature_names),
         means=np.array(means, dtype=float),
         sds=np.array(sds, dtype=float),
         loadings=eigvecs,
         variance_fraction=eigvals / p,
-        flipped=tuple(flips),
+        flipped=tuple(flips.tolist()),
     )
 
 
@@ -189,10 +183,7 @@ def project(fit: PcaFit, matrix: FeatureMatrix) -> list[PostScore]:
     """
     raw = component_scores(fit, matrix)
     centered = raw - raw.mean(axis=0)
-    if raw.shape[0] > 1:
-        sds = raw.std(axis=0, ddof=1)
-    else:
-        sds = np.zeros(raw.shape[1])
+    sds = raw.std(axis=0, ddof=1) if raw.shape[0] > 1 else np.zeros(raw.shape[1])
     # a null component's scores are rounding noise around 0; scaling that
     # noise to unit variance would fabricate a predictor
     live = sds > sds.max() * 1e-12 if sds.max() > 0 else sds > 0

@@ -100,7 +100,7 @@ def apply_exclusions_stage1(
     """Drop over-cap raw dwells, then edge positions of each participant's feed."""
     imps = Impressions.of(impressions)
     # length of the feed as displayed: max position seen for the participant
-    pids, group = np.unique(imps.participant_id, return_inverse=True)
+    pids, group, _ = imps.groups("participant")
     lengths = np.zeros(len(pids), dtype=np.int64)
     np.maximum.at(lengths, group, imps.position)
     short = pids[lengths <= 2 * rules.edge_trim].tolist()
@@ -134,7 +134,7 @@ def adjust_dwell(
     rule removes them next).
     """
     imps = Impressions.of(impressions)
-    pids, group = np.unique(imps.participant_id, return_inverse=True)
+    pids, group, _ = imps.groups("participant")
     missing = [pid for pid in pids.tolist() if pid not in model.participants]
     if missing:
         raise PipelineOrderError(
@@ -206,10 +206,10 @@ def fit_movement_model(impressions: Iterable[ImpressionRecord]) -> MovementModel
     if len(imps) == 0:
         raise ValueError("fit_movement_model needs at least one impression")
     # per-participant sufficient statistics, ordered by participant id
-    pids, g = np.unique(imps.participant_id, return_inverse=True)
+    pids, g, counts = imps.groups("participant")
     y = imps.dwell_raw
     a = imps.action_count.astype(float)
-    n_i = np.bincount(g, minlength=len(pids)).astype(float)
+    n_i = counts.astype(float)
     sum_a, sum_a2, sum_y, sum_y2, sum_ay = (
         np.bincount(g, weights=w, minlength=len(pids)) for w in (a, a * a, y, y * y, a * y)
     )

@@ -111,7 +111,7 @@ def build_design(
     """
     imps = Impressions.of(impressions)
     score_map = {s.post_id: s for s in scores}
-    post_ids, post_row = np.unique(imps.post_id, return_inverse=True)
+    post_ids, post_row, _ = imps.groups("post")
     post_ids = post_ids.tolist()
     missing = [pid for pid in post_ids if pid not in score_map]
     if missing:
@@ -165,9 +165,7 @@ def build_design(
 
     y = log_dwell if spec.response == "log_dwell" else engaged
     if demean_by_participant:
-        _, inverse, counts = np.unique(
-            imps.participant_id, return_inverse=True, return_counts=True
-        )
+        _, inverse, counts = imps.groups("participant")
         for j in range(1, len(names)):
             means = np.bincount(inverse, weights=X[:, j]) / counts
             X[:, j] = X[:, j] - means[inverse]
@@ -317,10 +315,8 @@ def fit_logistic(
 
         p = 1.0 / (1.0 + np.exp(-eta))
         grad = X.T @ (y - p)
-        if np.max(np.abs(grad)) < IRLS_GRADIENT_TOL:
-            converged = True
-            break
-        if abs(prev_dev - deviance) < IRLS_DEVIANCE_RTOL * (abs(prev_dev) + 1e-30):
+        if (np.max(np.abs(grad)) < IRLS_GRADIENT_TOL
+                or abs(prev_dev - deviance) < IRLS_DEVIANCE_RTOL * (abs(prev_dev) + 1e-30)):
             converged = True
             break
 
@@ -389,13 +385,7 @@ def render_fit_table(fit: RegressionFit) -> str:
         for t in fit.terms
     ]
     widths = [max(len(header[j]), *(len(r[j]) for r in rows)) for j in range(5)]
-    lines = [
-        "  ".join(h.ljust(widths[j]) for j, h in enumerate(header)),
-        "  ".join("-" * widths[j] for j in range(5)),
-    ]
-    for r in rows:
-        lines.append("  ".join(r[j].ljust(widths[j]) for j in range(5)))
-    lines.append(f"n = {fit.n}  model = {fit.model}")
-    for w in fit.warnings:
-        lines.append(f"warning: {w}")
+    rule = ["-" * w for w in widths]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in [header, rule, *rows]]
+    lines += [f"n = {fit.n}  model = {fit.model}", *(f"warning: {w}" for w in fit.warnings)]
     return "\n".join(lines)

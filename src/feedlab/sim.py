@@ -27,6 +27,7 @@ are configuration, not estimates.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -229,6 +230,13 @@ _SENS_SIGNS = {
 _SENS_PATTERN = np.array([_SENS_SIGNS[f] for f in FEATURE_NAMES]) / math.sqrt(8)
 
 
+@functools.cache
+def _post_ids(n: int) -> tuple[str, ...]:
+    """The ids of a pool of ``n`` posts, zero-padded so that they sort in pool order."""
+    width = len(str(n))
+    return tuple(f"post_{i + 1:0{width}d}" for i in range(n))
+
+
 @dataclass(frozen=True)
 class SyntheticPool:
     """Two-factor synthetic pool mirroring the 276-post study composition.
@@ -268,9 +276,7 @@ class SyntheticPool:
             np.array(CATEGORIES),
             [self.n_true_news, self.n_false_news, self.n_opinion, self.n_mundane],
         )
-        width = len(str(n))
-        ids = tuple(f"post_{i + 1:0{width}d}" for i in range(n))
-        return PoolPosts(FeatureMatrix(ids, FEATURE_NAMES, values), categories, cred, sens)
+        return PoolPosts(FeatureMatrix(_post_ids(n), FEATURE_NAMES, values), categories, cred, sens)
 
 
 @dataclass(frozen=True)
@@ -346,11 +352,14 @@ def simulate_session(
         dwell[u] = out["dwell_observed"]
         shared[u] = out["shared"]
         liked[u] = out["liked"]
+    # zero-padded ids are generated in sorted order, so a participant's index
+    # and a feed's pool indices are the codes
     width = len(str(max(n, 1)))
-    participant_ids = np.array([f"p_{u + 1:0{width}d}" for u in range(n)], dtype=str)
     impressions = Impressions(
-        participant_id=np.repeat(participant_ids, length),
-        post_id=np.array(pool.post_ids())[feeds.ravel()],
+        participant_vocab=np.array([f"p_{u + 1:0{width}d}" for u in range(n)], dtype=str),
+        participant_code=np.repeat(np.arange(n, dtype=np.int32), length),
+        post_vocab=np.array(pool.post_ids(), dtype=str),
+        post_code=feeds.ravel().astype(np.int32),
         position=np.tile(np.arange(1, length + 1), n),
         dwell_raw=dwell.ravel(),
         shared=shared.ravel(),
@@ -445,11 +454,8 @@ def rank_feed(
             raise ValueError("random policy needs an rng")
         order = rng.permutation(pool.size)
         return [ids[j] for j in order[:k]]
-    params = (
-        params
-        if params.resolved
-        else resolve_marginal(params, pool.credibility, pool.sensationalism)
-    )
+    if not params.resolved:
+        params = resolve_marginal(params, pool.credibility, pool.sensationalism)
     if policy == "dwell_opt":
         scores = expected_dwell(params, pool.credibility, pool.sensationalism)
     else:
@@ -553,20 +559,9 @@ def run_policy_experiment(
             ses = rows.std(axis=0, ddof=1) / math.sqrt(replications)
         else:
             ses = np.zeros(4)
-        outcomes.append(
-            PolicyOutcome(
-                policy=policy,
-                mean_credibility=float(means[0]),
-                se_credibility=float(ses[0]),
-                mean_sensationalism=float(means[1]),
-                se_sensationalism=float(ses[1]),
-                engagement_rate=float(means[2]),
-                se_engagement_rate=float(ses[2]),
-                mean_dwell_seconds=float(means[3]),
-                se_mean_dwell=float(ses[3]),
-                replications=replications,
-            )
-        )
+        # PolicyOutcome's fields after the policy alternate a metric's mean and SE
+        pairs = np.column_stack([means, ses]).ravel().tolist()
+        outcomes.append(PolicyOutcome(policy, *pairs, replications))
     return outcomes
 
 

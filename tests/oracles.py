@@ -130,3 +130,32 @@ def per_participant_ols(impressions):
         slope = ((a - a.mean()) * (y - y.mean())).sum() / sxx
         out[pid] = (y.mean() - slope * a.mean(), slope)
     return out
+
+
+def per_row_dwell_pipeline(impressions, rules, slope):
+    """The dwell pipeline's exclusions and adjustment, one row at a time.
+
+    ``slope(participant_id)`` is the fitted motor seconds per action. Returns
+    the participants left after stage 1 in sorted order, the adjusted dwell
+    of each stage-1 row in row order, and the removal count of each rule.
+    """
+    length = {}
+    for r in impressions:
+        length[r.participant_id] = max(length.get(r.participant_id, 0), r.position)
+    removed = {"over_max_dwell": 0, "edge_positions": 0, "below_min_adjusted": 0}
+    stage1 = []
+    for r in impressions:
+        if r.dwell_raw > rules.max_dwell:
+            removed["over_max_dwell"] += 1
+        elif not rules.edge_trim < r.position <= length[r.participant_id] - rules.edge_trim:
+            removed["edge_positions"] += 1
+        else:
+            stage1.append(r)
+    adjusted = [
+        r.dwell_raw
+        if r.action_count == 0
+        else max(0.0, r.dwell_raw - slope(r.participant_id) * r.action_count)
+        for r in stage1
+    ]
+    removed["below_min_adjusted"] = sum(v < rules.min_adjusted_dwell for v in adjusted)
+    return sorted({r.participant_id for r in stage1}), adjusted, removed

@@ -165,7 +165,9 @@ PLAIN_HEADER = "participant_id,post_id,position,dwell_raw,shared,liked"
 ADJUSTED_HEADER = PLAIN_HEADER + ",dwell_adjusted"
 
 # file text -> (the loaded table's columns in field order, the RowError
-# (line, message) list), as the row-by-row loader returned them
+# (line, message) list), as the row-by-row loader returned them; except that a
+# plain file with no valid rows has no dwell_adjusted column (None), like
+# Impressions.of([]), while an adjusted file with no rows has an empty one
 LOADER_CASES = {
     "crlf": (
         PLAIN_HEADER + "\r\np1,post_01,1,2.5,0,1\r\np2,post_02,2,3.25,1,0\r\n",
@@ -217,10 +219,10 @@ LOADER_CASES = {
     ),
     "every_row_rejected": (
         PLAIN_HEADER + "\np1,post_01,one,2.5,0,0\n",
-        [[], [], [], [], [], [], []],
+        [[], [], [], [], [], [], None],
         [(2, "invalid literal for int() with base 10: 'one'")],
     ),
-    "header_only_plain": (PLAIN_HEADER + "\n", [[], [], [], [], [], [], []], []),
+    "header_only_plain": (PLAIN_HEADER + "\n", [[], [], [], [], [], [], None], []),
     "header_only_adjusted": (ADJUSTED_HEADER + "\n", [[], [], [], [], [], [], []], []),
 }
 
@@ -360,6 +362,40 @@ class TestImpressionsTable:
         assert table != Impressions.of(rows[:4])
         assert table != Impressions.of([make_impression("p1", "post_1", 1, 1.0, 2)] + rows[1:])
         assert table != replace(table, dwell_adjusted=table.dwell_raw)
+
+    def test_ids_are_codes_into_sorted_vocabularies(self):
+        rows = [make_impression(pid, post, i, 1.0) for i, (pid, post) in
+                enumerate([("p9", "b"), ("p10", "a"), ("p9", "c"), ("P1", "a")], start=1)]
+        table = Impressions.of(rows)
+        assert table.participant_vocab.tolist() == ["P1", "p10", "p9"]
+        assert table.participant_code.tolist() == [2, 1, 2, 0]
+        assert table.participant_code.dtype == np.int32 and table.post_code.dtype == np.int32
+        assert table.post_id.tolist() == ["b", "a", "c", "a"]
+        assert table.groups("post")[2].tolist() == [2, 1, 1]
+        with pytest.raises(ValueError, match="sorted and distinct"):
+            replace(table, post_vocab=table.post_vocab[::-1])
+
+    def test_equal_rows_with_different_vocabularies_compare_equal(self):
+        rows = [make_impression("p2", "b", 1, 1.0), make_impression("p3", "a", 2, 2.0, 1)]
+        extra = [make_impression("p1", "c", 1, 3.0), make_impression("p4", "0", 1, 4.0)]
+        small = Impressions.of(rows)
+        selected = Impressions.of(extra[:1] + rows + extra[1:])[1:3]
+        assert selected.participant_vocab.tolist() == ["p1", "p2", "p3", "p4"]
+        assert selected.participant_code.tolist() != small.participant_code.tolist()
+        assert selected == small and small == selected
+        assert list(selected) == rows and selected[1] == rows[1]
+        # the same codes into another vocabulary are other rows
+        assert replace(small, participant_vocab=np.array(["q2", "q3"])) != small
+
+    def test_selection_decodes_its_rows(self):
+        rows = [make_impression(f"p{i % 4}", f"post_{i % 7}", i, float(i)) for i in range(1, 30)]
+        table = Impressions.of(rows)
+        mask = table.dwell_raw % 4 != 2  # every row of p2
+        picked = [r for r, m in zip(rows, mask) if m]
+        assert table[mask].participant_id.tolist() == [r.participant_id for r in picked]
+        assert table[mask].post_id.tolist() == [r.post_id for r in picked]
+        assert table[np.array([5, 2])][0] == rows[5]
+        assert table[mask].groups("participant")[0].tolist() == ["p0", "p1", "p3"]
 
 
 class TestPostsIO:

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from feedlab import pipeline
 from feedlab.data import ImpressionRecord, Impressions
+from feedlab.features import PostScore, mean_dwell_by_post
 from feedlab.pipeline import (
     ExclusionRules,
     MovementModel,
@@ -17,8 +20,9 @@ from feedlab.pipeline import (
     run_pipeline,
     save_movement_model,
 )
+from feedlab.regression import build_design, dwell_model_spec
 from conftest import make_impression, simulate_hierarchical_dwell
-from oracles import per_participant_ols
+from oracles import per_participant_ols, per_row_dwell_pipeline
 
 
 def full_feed(pid, dwells, actions=None):
@@ -302,3 +306,83 @@ class TestRunPipeline:
     def test_audit_must_conserve(self):
         with pytest.raises(ValueError, match="conserve"):
             PipelineAudit(10, {"a": 3}, 5)
+
+
+def _dropping_feeds():
+    """p1 and p4 keep rows through stage 1; p2's feed is all edges, p3's all
+    over the cap, and the floor removes every stage-1 row of p4. Posts
+    ``x_*`` appear only in rows that stage 1 or the floor drops."""
+    rng = np.random.default_rng(3)
+    p1 = [
+        make_impression("p1", f"post_{i:02d}", i, float(d), int(a))
+        for i, d, a in zip(range(1, 21), rng.uniform(1.0, 6.0, 20), rng.integers(0, 3, 20))
+    ]
+    p2 = [make_impression("p2", f"x_{i}", i, 2.0, 1) for i in range(1, 7)]
+    p3 = [make_impression("p3", f"x_{i}", i, 31.0 + i, 0) for i in range(1, 11)]
+    p4 = [make_impression("p4", f"x_{i}", i, 0.1, 0) for i in range(1, 11)]
+    return p4 + p1 + p3 + p2
+
+
+@pytest.mark.filterwarnings("ignore:movement-time EM stopped")  # tiny fixtures stop at the cap
+class TestWholeParticipantDropped:
+    def test_model_adjustment_and_audit_match_per_row_oracle(self):
+        rows = _dropping_feeds()
+        rules = ExclusionRules()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_pipeline(Impressions.of(rows), rules)
+            stage1, _ = apply_exclusions_stage1(rows, rules)
+        short = [str(w.message) for w in caught if "trimmed edges" in str(w.message)]
+        assert len(short) == 2 and all(m.endswith(": p2") for m in short)
+        pids, adjusted, removed = per_row_dwell_pipeline(rows, rules, result.model.slope)
+        assert pids == ["p1", "p4"]
+        assert list(result.model.participants) == pids
+        assert adjust_dwell(stage1, result.model).dwell_adjusted.tolist() == adjusted
+        assert result.audit.removed == removed
+        assert result.audit.retained_count == len(result.impressions) == 14
+
+        cleaned = result.impressions
+        assert cleaned.groups("participant")[0].tolist() == ["p1"]
+        # posts without scores are fine once no row of theirs is left
+        posts = sorted(set(cleaned.post_id.tolist()))
+        scores = [PostScore(p, (float(i), float(i % 3))) for i, p in enumerate(posts)]
+        assert sorted(mean_dwell_by_post(cleaned)) == posts
+        assert build_design(cleaned, scores, dwell_model_spec()).n == 14
+
+    def test_ids_without_rows_do_not_warn_or_fit(self):
+        table = Impressions.of(_dropping_feeds())
+        kept = table[np.isin(table.participant_id, ["p1", "p4"])]
+        assert len(kept.participant_vocab) == 4  # a selection keeps the vocabulary
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            stage1, audit = apply_exclusions_stage1(kept, ExclusionRules())
+        assert audit.removed == {"over_max_dwell": 0, "edge_positions": 12}
+        model = fit_movement_model(stage1)
+        assert list(model.participants) == ["p1", "p4"]
+        # the same bits as on a table holding only the selected ids
+        fresh = Impressions.of(list(stage1))
+        assert len(fresh.participant_vocab) == 2 and len(fresh.post_vocab) < len(stage1.post_vocab)
+        assert fit_movement_model(fresh) == model
+        assert adjust_dwell(fresh, model) == adjust_dwell(stage1, model)
+
+    def test_group_order_is_code_point_order(self):
+        # by code point, as np.unique sorts: upper case first ("P1" < "p1"),
+        # "p10" before "p9", and the non-ASCII "é" last
+        ids = ["p9", "é", "p10", "P1", "p1"]
+        rng = np.random.default_rng(8)
+        rows = [
+            make_impression(pid, f"post_{k:02d}", k, float(d), int(a))
+            for pid in ids
+            for k, d, a in zip(range(1, 16), rng.uniform(1, 6, 15), rng.integers(0, 3, 15))
+        ]
+        table = Impressions.of(rows)
+        order = np.unique(np.array(ids)).tolist()
+        assert table.participant_vocab.tolist() == order == ["P1", "p1", "p10", "p9", "é"]
+        assert table.groups("participant")[0].tolist() == order
+        model = fit_movement_model(table)
+        assert list(model.participants) == order
+        # a wider vocabulary, its extra ids sorting between the table's, gives the same bits
+        extra = [make_impression(pid, "post_99", 1, 2.0) for pid in ("P0", "p05", "p99", "z")]
+        wide = Impressions.of(rows + extra)
+        assert len(wide.participant_vocab) == 9
+        assert fit_movement_model(wide[: len(rows)]) == model
