@@ -51,6 +51,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -222,6 +223,10 @@ class Impressions:
         coded = {}
         for key, ids in (("participant", participant_id), ("post", post_id)):
             distinct = dict.fromkeys(ids)
+            lost = next((i for i in distinct if i.endswith("\0")), None)
+            if lost is not None:
+                # a numpy str array drops trailing NULs, which would rename or merge the id
+                raise ValueError(f"{key} id {lost!r} ends in a NUL character")
             vocab, rank = np.unique(np.array(list(distinct), dtype=str), return_inverse=True)
             code = dict(zip(distinct, rank.tolist())).__getitem__
             coded[f"{key}_vocab"] = vocab
@@ -402,10 +407,22 @@ def from_fields(cls, payload: dict, **decoded):
         raise DataFormatError(f"not a {cls.__name__}: {exc}") from None
 
 
+def _csv_writer(fh):
+    """A csv writer into ``fh`` whose lines end in LF.
+
+    The csv module quotes a cell that holds a character of its line
+    terminator, so the rows are formatted with CRLF, which quotes a cell
+    holding a carriage return as well as one holding a line feed, and each
+    line is written with LF in place of its CRLF.
+    """
+    return csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n")),
+                      lineterminator="\r\n")
+
+
 def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
     """Write a header row and ``rows`` as UTF-8 CSV with LF line endings."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
+        w = _csv_writer(fh)
         w.writerow(header)
         w.writerows(rows)
 
@@ -607,7 +624,7 @@ def save_posts(path: str | Path, posts: list[Post]) -> None:
 def _csv_field(value: str) -> str:
     """``value`` as the csv module writes it inside a row, quoted only if it must be."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    _csv_writer(buf).writerow([value, ""])
     return buf.getvalue()[:-2]
 
 

@@ -2,10 +2,23 @@
 
 These deliberately avoid the library's code paths: means by explicit
 sum/count, OLS by normal equations, logistic ML by grid search, p-values by
-permutation, sorting by a plain comparison sort.
+permutation, sorting by a plain comparison sort, and the simulators one
+stream (participant or replication) at a time.
 """
 
+import math
+
 import numpy as np
+from scipy import special
+
+from feedlab.data import NEWS_CATEGORIES
+from feedlab.sim import (
+    PolicyOutcome,
+    _sample_feed,
+    expected_dwell,
+    expected_engagement,
+    resolve_marginal,
+)
 
 
 def brute_force_cell_means(records):
@@ -159,3 +172,101 @@ def per_row_dwell_pipeline(impressions, rules, slope):
     ]
     removed["below_min_adjusted"] = sum(v < rules.min_adjusted_dwell for v in adjusted)
     return sorted({r.participant_id for r in stage1}), adjusted, removed
+
+
+def per_stream_impressions(c, s, params, rng):
+    """One stream's two-stage draw: four variate arrays in order, then the model.
+
+    Returns engaged, liked and observed dwell.
+    """
+    n = c.size
+    eps = rng.standard_normal(n)
+    u_engage = rng.random(n)
+    u_like = rng.random(n)
+    motor_eps = rng.standard_normal(n)
+    log_dwell = (
+        params.dwell_intercept
+        + params.dwell_credibility * c
+        + params.dwell_sensationalism * s
+        + params.dwell_noise_sd * eps
+    )
+    if params.logdwell_scale > 0:
+        z = (log_dwell - params.logdwell_loc) / params.logdwell_scale
+    else:
+        z = np.zeros(n)
+    p_engage = special.expit(
+        params.engage_intercept
+        + params.engage_dwell * z
+        + params.engage_credibility * c
+        + params.engage_sensationalism * s
+        + params.engage_dwell_sensationalism * z * s
+    )
+    engaged = u_engage < p_engage
+    liked = engaged & (u_like < params.like_given_engage)
+    action_count = engaged.astype(int) + liked.astype(int)
+    motor = np.maximum(0.0, params.motor_mean + params.motor_sd * motor_eps)
+    return engaged, liked, np.exp(log_dwell) + action_count * motor
+
+
+def per_participant_session(config):
+    """The study simulation one participant at a time, each drawing and
+    evaluating its own feed: feeds (pool indices), dwell, shared and liked
+    as (participants, feed_length) arrays."""
+    pool_seq, users_seq = np.random.SeedSequence(config.seed).spawn(2)
+    pool = config.pool.realize(np.random.default_rng(pool_seq))
+    params = resolve_marginal(config.params, pool.credibility, pool.sensationalism)
+    is_news = np.isin(pool.categories, NEWS_CATEGORIES)
+    news_idx, other_idx = np.flatnonzero(is_news), np.flatnonzero(~is_news)
+    n, length = config.participants, config.feed_length
+    feeds = np.empty((n, length), dtype=np.int64)
+    dwell = np.empty((n, length))
+    shared = np.empty((n, length), dtype=bool)
+    liked = np.empty((n, length), dtype=bool)
+    user_seqs = users_seq.spawn(n)
+    for u in range(n):
+        rng = np.random.default_rng(user_seqs[u])
+        feeds[u] = _sample_feed(news_idx, other_idx, config, rng)
+        shared[u], liked[u], dwell[u] = per_stream_impressions(
+            pool.credibility[feeds[u]], pool.sensationalism[feeds[u]], params, rng
+        )
+    return feeds, dwell, shared, liked
+
+
+def per_replication_policy_experiment(config, policies, k, replications):
+    """The ranking-policy experiment one replication at a time: realize the
+    pool, then per policy rank it (ties by post id through the id strings)
+    and simulate one session over the top k."""
+    per_rep = []
+    for seed_seq in np.random.SeedSequence(config.seed).spawn(replications):
+        rng = np.random.default_rng(seed_seq)
+        pool = config.pool.realize(rng)
+        c, s = pool.credibility, pool.sensationalism
+        params = resolve_marginal(config.params, c, s)
+        out = {}
+        for policy in policies:
+            if policy == "chronological":
+                idx = np.arange(k)
+            elif policy == "random":
+                idx = rng.permutation(pool.size)[:k]
+            else:
+                score = expected_dwell if policy == "dwell_opt" else expected_engagement
+                idx = np.lexsort((np.array(pool.post_ids()), -score(params, c, s)))[:k]
+            engaged, _, dwell = per_stream_impressions(c[idx], s[idx], params, rng)
+            out[policy] = (
+                float(c[idx].mean()),
+                float(s[idx].mean()),
+                float(engaged.mean()),
+                float(dwell.mean()),
+            )
+        per_rep.append(out)
+    outcomes = []
+    for policy in policies:
+        rows = np.array([rep[policy] for rep in per_rep])
+        means = rows.mean(axis=0)
+        if replications > 1:
+            ses = rows.std(axis=0, ddof=1) / math.sqrt(replications)
+        else:
+            ses = np.zeros(4)
+        pairs = np.column_stack([means, ses]).ravel().tolist()
+        outcomes.append(PolicyOutcome(policy, *pairs, replications))
+    return outcomes

@@ -131,6 +131,17 @@ class TestPreprocessCommand:
         assert "unknown post" not in err
         assert not out.exists()
 
+    def test_id_ending_in_nul_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "impressions.csv"
+        path.write_text(
+            "participant_id,post_id,position,dwell_raw,shared,liked\n"
+            "z,post_a,1,2.0,0,0\nz\x00,post_b,1,3.0,1,0\n"
+        )
+        out = tmp_path / "out"
+        assert run(["preprocess", "--input", path, "--output-dir", out]) == 2
+        assert "error: participant id 'z\\x00' ends in a NUL character" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture
 def analysis_dirs(tmp_path, sim_config_path):

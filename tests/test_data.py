@@ -319,6 +319,33 @@ class TestImpressionsIO:
         save_impressions(path3, loaded3)
         assert path3.read_bytes() == first3
 
+    def test_carriage_return_ids_round_trip(self, tmp_path):
+        # a bare CR must be quoted as a LF is, or the loader splits the row there
+        table = Impressions.of([
+            make_impression("c\rd", "post\r", 1, 2.5, 1),
+            make_impression("p2", "a,b\r\n", 1, 1.5, 0),
+        ])
+        path = tmp_path / "cr.csv"
+        save_impressions(path, table)
+        first = path.read_bytes()
+        assert first.split(b"\n", 1)[1].startswith(b'"c\rd","post\r",1,')
+        loaded, errors = load_impressions(path)
+        assert not errors
+        assert loaded == table
+        save_impressions(path, loaded)
+        assert path.read_bytes() == first
+
+        ratings = [
+            RatingRecord("r\r1", "post\r", "truth", 4.0),
+            RatingRecord("r2", "x", "sharing", 2.5),
+        ]
+        rpath = tmp_path / "ratings.csv"
+        save_ratings(rpath, ratings)
+        assert b'"r\r1","post\r",truth,4.0\n' in rpath.read_bytes()
+        loaded_ratings, errors = load_ratings(rpath)
+        assert not errors
+        assert loaded_ratings == ratings
+
     def test_mixed_adjusted_flags_rejected(self, tmp_path):
         imps = [
             make_impression("p1", "post_01", 1, 2.5, 0, adjusted=2.5),
@@ -340,6 +367,17 @@ class TestImpressionsTable:
         assert table.action_count.tolist() == [0, 2]
         plain = Impressions.of([make_impression("p1", "post_01", 1, 2.5, 1)])
         assert plain.dwell_adjusted is None
+
+    @pytest.mark.parametrize("key", ["participant", "post"])
+    def test_id_ending_in_nul_rejected(self, key):
+        # a numpy str array drops trailing NULs, so "z\0" would become "z"
+        ids = {"participant": "p1", "post": "post_01", key: "z\x00"}
+        rows = [
+            make_impression("z", "z", 1, 2.5, 0),
+            make_impression(ids["participant"], ids["post"], 2, 2.5, 0),
+        ]
+        with pytest.raises(ValueError, match=rf"{key} id 'z\\x00'"):
+            Impressions.of(rows)
 
     def test_of_rejects_mixed_adjusted(self):
         rows = [

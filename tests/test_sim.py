@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from feedlab.data import DataFormatError, FeatureMatrix, dataset_violations, save_impressions
 from feedlab.pipeline import ExclusionRules, apply_exclusions_stage1, apply_floor, run_pipeline
@@ -13,6 +14,8 @@ from feedlab.sim import (
     POLICIES,
     SimConfig,
     SyntheticPool,
+    _top_k,
+    _two_stage,
     align_scores_to_axes,
     config_digest,
     expected_dwell,
@@ -29,6 +32,11 @@ from feedlab.sim import (
     simulate_session,
 )
 from feedlab.features import fit_feature_pca, project
+from oracles import (
+    per_participant_session,
+    per_replication_policy_experiment,
+    per_stream_impressions,
+)
 
 
 def resolved_default(pool_seed=5):
@@ -191,7 +199,6 @@ class TestRankFeed:
                 + params.dwell_noise_sd * eps
             )
             z = (logd - params.logdwell_loc) / params.logdwell_scale
-            from scipy.special import expit
 
             p = expit(
                 params.engage_intercept
@@ -220,6 +227,11 @@ class TestRankFeed:
         s_pos = np.array([0.5, 1.5])
         c = np.zeros(2)
         assert np.all(expected_dwell(stronger, c, s_pos) > expected_dwell(base, c, s_pos))
+
+    def test_top_k_breaks_ties_by_index(self):
+        scores = np.random.default_rng(3).integers(0, 4, (6, 100)).astype(float)
+        expected = [np.lexsort((np.arange(100), -row))[:30] for row in scores]
+        assert np.array_equal(_top_k(scores, 30), expected)
 
     def test_random_policy_needs_rng(self):
         pool, params = resolved_default()
@@ -266,6 +278,99 @@ class TestPolicyExperiment:
         (outcome,) = run_policy_experiment(cfg, ["random"], k=5, replications=3)
         value, se = outcome.metric("engagement_rate")
         assert 0.0 <= value <= 1.0 and se >= 0.0
+
+
+# a pool too small in news posts for news_per_feed, so feeds are uniform samples
+SMALL_POOL = SyntheticPool(n_true_news=5, n_false_news=5, n_opinion=10, n_mundane=10)
+SMALL_POOL_CONFIG = SimConfig(
+    participants=1, feed_length=20, news_per_feed=16, pool=SMALL_POOL, seed=8
+)
+DEFAULT_CONFIG = SimConfig(participants=1, seed=17)
+# no credibility or sensationalism terms: every post scores the same, so
+# every ranking is decided by the post-id tie-break
+FLAT_SCORES_CONFIG = SimConfig(
+    participants=1,
+    params=GenerativeParams(
+        dwell_credibility=0.0,
+        dwell_sensationalism=0.0,
+        engage_credibility=0.0,
+        engage_sensationalism=0.0,
+        engage_dwell_sensationalism=0.0,
+    ),
+    seed=19,
+)
+
+
+class TestBatchedSimulatorMatchesPerStreamLoops:
+    """The batched simulators against one-stream-at-a-time oracles: exact equality."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimConfig(participants=25, seed=3),
+            SimConfig(participants=6, feed_length=20, news_per_feed=20, pool=SMALL_POOL, seed=4),
+            SimConfig(participants=1, seed=5),
+            SimConfig(participants=0, seed=6),
+        ],
+        ids=["mixed_feeds", "uniform_feeds", "one_participant", "no_participants"],
+    )
+    def test_session(self, config):
+        feeds, dwell, shared, liked = per_participant_session(config)
+        imps = simulate_session(config)[0].impressions
+        n, length = config.participants, config.feed_length
+        assert np.array_equal(imps.post_code.reshape(n, length), feeds)
+        assert np.array_equal(imps.participant_code, np.repeat(np.arange(n), length))
+        columns = (imps.dwell_raw, imps.shared, imps.liked)
+        for column, expected in zip(columns, (dwell, shared, liked)):
+            assert column.dtype == expected.dtype
+            assert np.array_equal(column.reshape(n, length), expected)
+
+    @pytest.mark.parametrize(
+        "config, policies, k, replications, threads",
+        [
+            (DEFAULT_CONFIG, POLICIES, 20, 30, 1),
+            (DEFAULT_CONFIG, POLICIES, 1, 7, 1),
+            (DEFAULT_CONFIG, POLICIES, 276, 5, 1),
+            (DEFAULT_CONFIG, ("random", "dwell_opt"), 10, 9, 1),
+            (DEFAULT_CONFIG, ("dwell_opt", "random"), 10, 9, 1),
+            (DEFAULT_CONFIG, ("engage_opt", "chronological", "random"), 15, 6, 1),
+            (DEFAULT_CONFIG, ("random", "dwell_opt", "random"), 5, 4, 1),
+            (DEFAULT_CONFIG, POLICIES, 20, 1, 1),
+            (DEFAULT_CONFIG, POLICIES, 20, 11, 2),
+            (FLAT_SCORES_CONFIG, POLICIES, 40, 5, 1),
+            (SMALL_POOL_CONFIG, POLICIES, SMALL_POOL.size, 3, 1),
+        ],
+    )
+    def test_policy_experiment(self, config, policies, k, replications, threads):
+        expected = per_replication_policy_experiment(config, policies, k, replications)
+        assert run_policy_experiment(config, policies, k, replications, threads) == expected
+
+    def test_simulate_impressions_keeps_the_draw_order(self):
+        _, params = resolved_default()
+        c, s = np.linspace(-2, 2, 50), np.linspace(1, -1, 50)
+        out = simulate_impressions(c, s, params, np.random.default_rng(12))
+        engaged, liked, dwell = per_stream_impressions(c, s, params, np.random.default_rng(12))
+        assert np.array_equal(out["engaged"], engaged)
+        assert np.array_equal(out["liked"], liked)
+        assert np.array_equal(out["dwell_observed"], dwell)
+
+    def test_two_stage_block_matches_rows_with_per_row_marginals(self):
+        # one marginal per row, one of them with scale 0 (z = 0 in that row only)
+        _, params = resolved_default()
+        rng = np.random.default_rng(13)
+        c, s = rng.standard_normal((3, 40)), rng.standard_normal((3, 40))
+        variates = np.stack([rng.standard_normal((3, 40)), rng.random((3, 40)),
+                             rng.random((3, 40)), rng.standard_normal((3, 40))])
+        loc, scale = np.array([[1.0], [0.5], [0.9]]), np.array([[0.8], [0.0], [1.3]])
+        block = _two_stage(c, s, replace(params, logdwell_loc=loc, logdwell_scale=scale), *variates)
+        for r in range(3):
+            row_params = replace(params, logdwell_loc=loc[r, 0], logdwell_scale=scale[r, 0])
+            row = _two_stage(c[r], s[r], row_params, *variates[:, r])
+            for key, values in row.items():
+                assert np.array_equal(block[key][r], values), key
+        no_dwell_term = params.engage_intercept + params.engage_credibility * c[1]
+        no_dwell_term = no_dwell_term + params.engage_sensationalism * s[1]
+        assert np.array_equal(block["p_engage"][1], expit(no_dwell_term))
 
 
 class TestDescriptiveRefit:
