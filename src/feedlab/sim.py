@@ -138,13 +138,13 @@ def _draw_variates(rng: np.random.Generator, eps, u_engage, u_like, motor_eps) -
 
 
 def _two_stage(
-    c, s, params: GenerativeParams, eps, u_engage, u_like, motor_eps
+    c, s, params: GenerativeParams, loc, scale, eps, u_engage, u_like, motor_eps
 ) -> dict[str, np.ndarray]:
     """The two-stage model on posts' scores and their variates, arrays of any one
     broadcast shape; it draws nothing.
 
-    ``params.logdwell_loc``/``logdwell_scale`` may be arrays that broadcast
-    against the block (one marginal per replication); where the scale is not
+    ``loc``/``scale`` are the log-dwell marginal, which may broadcast against
+    the block (one marginal per replication); where the scale is not
     positive, z is 0. Every step is elementwise, so a block's cells are
     bit-identical to the same posts and variates evaluated one stream at a time.
     """
@@ -155,10 +155,7 @@ def _two_stage(
         + params.dwell_noise_sd * eps
     )
     dwell_attention = np.exp(log_dwell)
-    scale = params.logdwell_scale
-    z = np.divide(
-        log_dwell - params.logdwell_loc, scale, out=np.zeros_like(log_dwell), where=scale > 0
-    )
+    z = np.divide(log_dwell - loc, scale, out=np.zeros_like(log_dwell), where=scale > 0)
     p_engage = engage_probability(params, c, s, z)
     engaged = u_engage < p_engage
     shared = engaged
@@ -197,7 +194,7 @@ def simulate_impressions(
     s = np.asarray(s, dtype=float)
     variates = np.empty((4, c.size))
     _draw_variates(rng, *variates)
-    return _two_stage(c, s, params, *variates)
+    return _two_stage(c, s, params, params.logdwell_loc, params.logdwell_scale, *variates)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +278,11 @@ class SyntheticPool:
     def size(self) -> int:
         return self.n_true_news + self.n_false_news + self.n_opinion + self.n_mundane
 
-    def _draw(self, rng: np.random.Generator, cred: np.ndarray, sens: np.ndarray) -> np.ndarray:
-        """Fill a pool's coordinates and return its feature noise, drawn in that order."""
-        rng.standard_normal(out=cred)
-        rng.standard_normal(out=sens)
-        return rng.standard_normal((self.size, len(FEATURE_NAMES)))
-
     def realize(self, rng: np.random.Generator) -> PoolPosts:
         n = self.size
-        cred, sens = np.empty(n), np.empty(n)
-        noise = self._draw(rng, cred, sens)
+        cred = rng.standard_normal(n)
+        sens = rng.standard_normal(n)
+        noise = rng.standard_normal((n, 8))
         values = (
             self.feature_offset
             + self.credibility_strength * np.outer(cred, _CRED_PATTERN)
@@ -375,7 +367,14 @@ def simulate_session(
         rng = np.random.default_rng(user_seq)
         feeds[u] = _sample_feed(news_idx, other_idx, config, rng)
         _draw_variates(rng, *variates[:, u])
-    out = _two_stage(pool.credibility[feeds], pool.sensationalism[feeds], params, *variates)
+    out = _two_stage(
+        pool.credibility[feeds],
+        pool.sensationalism[feeds],
+        params,
+        params.logdwell_loc,
+        params.logdwell_scale,
+        *variates,
+    )
     # zero-padded ids are generated in sorted order, so a participant's index
     # and a feed's pool indices are the codes
     width = len(str(max(n, 1)))
@@ -458,9 +457,14 @@ def expected_engagement(
     return (sigmoid(eta) @ _GH_W) / math.sqrt(math.pi)
 
 
-def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` highest scores along the last axis, ties in index order."""
-    return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+@functools.lru_cache(maxsize=8)
+def _id_order(ids: tuple[str, ...]) -> np.ndarray:
+    """A pool's rows in post-id order, cached per id tuple: building the id
+    string array is most of a ranking's cost, and every replication of a
+    policy experiment names its posts alike."""
+    order = np.argsort(np.array(ids), kind="stable")
+    order.flags.writeable = False
+    return order
 
 
 def rank_feed(
@@ -489,9 +493,10 @@ def rank_feed(
         scores = expected_dwell(params, pool.credibility, pool.sensationalism)
     else:
         scores = expected_engagement(params, pool.credibility, pool.sensationalism)
-    # rank in id order, so that ties break by id; a simulated pool is already in it
-    by_id = np.array(sorted(range(pool.size), key=ids.__getitem__), dtype=np.intp)
-    return [ids[j] for j in by_id[_top_k(scores[by_id], k)].tolist()]
+    # rank the rows in id order, so that score ties break by id
+    by_id = _id_order(tuple(ids))
+    top = by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
+    return [ids[j] for j in top.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -549,58 +554,40 @@ def run_policy_experiment(
     """Per policy: rank a fresh pool, simulate one user session over the top-k,
     and aggregate ecosystem metrics across seeded replications.
 
-    Each replication is one stream on its own spawned generator. It draws the
-    pool's coordinates and its feature noise (as :meth:`SyntheticPool.realize`
-    does), then per policy in argument order the ``random`` permutation and the
+    Each replication is one stream on its own spawned generator. It realizes
+    the pool, then per policy in argument order ranks it with
+    :func:`rank_feed` (which draws the ``random`` permutation) and draws the
     four variate rows of :func:`simulate_impressions`. The replication loop
-    only draws (and scores the pool for ``engage_opt``); ranking and one
-    :func:`_two_stage` call then run on the whole (policies, replications, k)
-    block, bit-identical to one replication at a time.
+    only realizes, ranks and draws; one :func:`_two_stage` call then evaluates
+    the whole (policies, replications, k) block, bit-identical to one
+    replication at a time.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = config.pool.size
-    if k > n:
-        raise ValueError(f"k must be in 0..{n}")
-    for policy in policies:
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-    cred, sens = np.empty((replications, n)), np.empty((replications, n))
+    # realize names every pool's posts _post_ids(size), so one map serves all
+    row = {pid: j for j, pid in enumerate(_post_ids(config.pool.size))}
+    block = (len(policies), replications, k)
+    c, s = np.empty(block), np.empty(block)
     loc, scale = np.empty((replications, 1)), np.empty((replications, 1))
-    engage_scores = np.empty((replications, n)) if "engage_opt" in policies else None
-    top = np.empty((len(policies), replications, k), dtype=np.intp)
-    variates = np.empty((4, len(policies), replications, k))
+    variates = np.empty((4, *block))
 
     def draw(r: int, seed_seq: np.random.SeedSequence) -> None:
         rng = np.random.default_rng(seed_seq)
-        config.pool._draw(rng, cred[r], sens[r])
-        params = resolve_marginal(config.params, cred[r], sens[r])
+        pool = config.pool.realize(rng)
+        params = resolve_marginal(config.params, pool.credibility, pool.sensationalism)
         loc[r], scale[r] = params.logdwell_loc, params.logdwell_scale
-        # per replication, not as one (replications * pool, 64) quadrature
-        # block: at 250 replications that block is 35 MB, over half the
-        # experiment's peak memory, and it ran slower (0.12 s against 0.08 s)
-        if engage_scores is not None:
-            engage_scores[r] = expected_engagement(params, cred[r], sens[r])
+        # ranking stays per replication: engage_opt's quadrature as one
+        # (replications * pool, 64) block is 35 MB at 250 replications, over
+        # half the experiment's peak memory, and it ran slower
         for j, policy in enumerate(policies):
-            if policy == "random":
-                top[j, r] = rng.permutation(n)[:k]
+            top = [row[pid] for pid in rank_feed(policy, pool, params, k, rng=rng)]
+            c[j, r], s[j, r] = pool.credibility[top], pool.sensationalism[top]
             _draw_variates(rng, *variates[:, j, r])
 
     _map_replications(draw, config.seed, replications, threads)
-
-    for j, policy in enumerate(policies):
-        if policy == "dwell_opt":
-            top[j] = _top_k(expected_dwell(config.params, cred, sens), k)
-        elif policy == "engage_opt":
-            top[j] = _top_k(engage_scores, k)
-        elif policy == "chronological":
-            top[j] = np.arange(k)
-    reps = np.arange(replications)[:, None]
-    c, s = cred[reps, top], sens[reps, top]
-    params = replace(config.params, logdwell_loc=loc, logdwell_scale=scale)
-    sim = _two_stage(c, s, params, *variates)
+    sim = _two_stage(c, s, config.params, loc, scale, *variates)
     # (policies, replications, metric), each metric a mean over the k posts of a row
     metrics = (c, s, sim["engaged"], sim["dwell_observed"])
     per_rep = np.stack([m.mean(axis=2) for m in metrics], axis=2)

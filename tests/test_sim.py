@@ -14,7 +14,6 @@ from feedlab.sim import (
     POLICIES,
     SimConfig,
     SyntheticPool,
-    _top_k,
     _two_stage,
     align_scores_to_axes,
     config_digest,
@@ -162,6 +161,23 @@ class TestRankFeed:
         top = rank_feed("dwell_opt", clone, params, 5)
         assert top == sorted(clone.post_ids())[:5]
 
+    def test_ties_break_by_id_in_any_row_order(self):
+        # rounded credibility and no sensationalism: five score levels, many ties
+        pool, params = resolved_default()
+        tied = replace(
+            pool, credibility=np.round(pool.credibility), sensationalism=np.zeros(pool.size)
+        )
+        ids = tuple(np.random.default_rng(4).permutation(pool.post_ids()).tolist())
+        shuffled = replace(tied, matrix=replace(pool.matrix, post_ids=ids))
+        # alternate the two id orders, so a ranking cannot reuse the other's
+        scorers = {"dwell_opt": expected_dwell, "engage_opt": expected_engagement}
+        for candidate in (shuffled, tied, shuffled):
+            names = candidate.post_ids()
+            for policy, score in scorers.items():
+                scores = score(params, candidate.credibility, candidate.sensationalism)
+                expected = [names[j] for j in np.lexsort((np.array(names), -scores))[:40]]
+                assert rank_feed(policy, candidate, params, 40) == expected
+
     def test_sign_dissociation_two_posts(self):
         pool, _ = resolved_default()
         two = replace(
@@ -227,11 +243,6 @@ class TestRankFeed:
         s_pos = np.array([0.5, 1.5])
         c = np.zeros(2)
         assert np.all(expected_dwell(stronger, c, s_pos) > expected_dwell(base, c, s_pos))
-
-    def test_top_k_breaks_ties_by_index(self):
-        scores = np.random.default_rng(3).integers(0, 4, (6, 100)).astype(float)
-        expected = [np.lexsort((np.arange(100), -row))[:30] for row in scores]
-        assert np.array_equal(_top_k(scores, 30), expected)
 
     def test_random_policy_needs_rng(self):
         pool, params = resolved_default()
@@ -362,10 +373,9 @@ class TestBatchedSimulatorMatchesPerStreamLoops:
         variates = np.stack([rng.standard_normal((3, 40)), rng.random((3, 40)),
                              rng.random((3, 40)), rng.standard_normal((3, 40))])
         loc, scale = np.array([[1.0], [0.5], [0.9]]), np.array([[0.8], [0.0], [1.3]])
-        block = _two_stage(c, s, replace(params, logdwell_loc=loc, logdwell_scale=scale), *variates)
+        block = _two_stage(c, s, params, loc, scale, *variates)
         for r in range(3):
-            row_params = replace(params, logdwell_loc=loc[r, 0], logdwell_scale=scale[r, 0])
-            row = _two_stage(c[r], s[r], row_params, *variates[:, r])
+            row = _two_stage(c[r], s[r], params, loc[r, 0], scale[r, 0], *variates[:, r])
             for key, values in row.items():
                 assert np.array_equal(block[key][r], values), key
         no_dwell_term = params.engage_intercept + params.engage_credibility * c[1]
