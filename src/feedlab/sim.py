@@ -60,8 +60,10 @@ from .regression import (
     fit_design,
 )
 
-# Gauss-Hermite nodes and weights for expected_engagement, computed once
+# Gauss-Hermite nodes and weights for expected_engagement, computed once;
+# the nodes are scaled to a standard-normal variable
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(64)
+_GH_NODES = math.sqrt(2.0) * _GH_X
 
 POLICIES = ("dwell_opt", "engage_opt", "random", "chronological")
 
@@ -254,6 +256,14 @@ def _post_ids(n: int) -> tuple[str, ...]:
     return tuple(f"post_{i + 1:0{width}d}" for i in range(n))
 
 
+@functools.cache
+def _categories(*counts: int) -> np.ndarray:
+    """The read-only categories of a pool holding ``counts`` posts of each of CATEGORIES."""
+    categories = np.repeat(np.array(CATEGORIES), counts)
+    categories.flags.writeable = False
+    return categories
+
+
 @dataclass(frozen=True)
 class SyntheticPool:
     """Two-factor synthetic pool mirroring the 276-post study composition.
@@ -279,19 +289,27 @@ class SyntheticPool:
         return self.n_true_news + self.n_false_news + self.n_opinion + self.n_mundane
 
     def realize(self, rng: np.random.Generator) -> PoolPosts:
+        """Draw one pool: credibility, sensationalism, then the feature noise.
+
+        The feature values are ``offset + cred_strength * outer(cred, pattern)
+        + sens_strength * outer(sens, pattern) + noise_sd * noise``, summed left
+        to right in place. Every pool of one composition shares its post ids
+        and its read-only categories array.
+        """
         n = self.size
         cred = rng.standard_normal(n)
         sens = rng.standard_normal(n)
         noise = rng.standard_normal((n, 8))
-        values = (
-            self.feature_offset
-            + self.credibility_strength * np.outer(cred, _CRED_PATTERN)
-            + self.sensationalism_strength * np.outer(sens, _SENS_PATTERN)
-            + self.feature_noise_sd * noise
-        )
-        categories = np.repeat(
-            np.array(CATEGORIES),
-            [self.n_true_news, self.n_false_news, self.n_opinion, self.n_mundane],
+        values = np.multiply.outer(cred, _CRED_PATTERN)
+        values *= self.credibility_strength
+        values += self.feature_offset
+        sens_part = np.multiply.outer(sens, _SENS_PATTERN)
+        sens_part *= self.sensationalism_strength
+        values += sens_part
+        noise *= self.feature_noise_sd
+        values += noise
+        categories = _categories(
+            self.n_true_news, self.n_false_news, self.n_opinion, self.n_mundane
         )
         return PoolPosts(FeatureMatrix(_post_ids(n), FEATURE_NAMES, values), categories, cred, sens)
 
@@ -332,10 +350,12 @@ def _sample_feed(
     """
     n_other = config.feed_length - config.news_per_feed
     if len(news_idx) >= config.news_per_feed and len(other_idx) >= n_other:
+        # choice over a length draws what choice over the array draws
+        # (``a[choice(len(a))]``), without its per-call argument handling
         chosen = np.concatenate(
             [
-                rng.choice(news_idx, size=config.news_per_feed, replace=False),
-                rng.choice(other_idx, size=n_other, replace=False),
+                news_idx[rng.choice(len(news_idx), size=config.news_per_feed, replace=False)],
+                other_idx[rng.choice(len(other_idx), size=n_other, replace=False)],
             ]
         )
     else:
@@ -432,6 +452,14 @@ def expected_engagement(
 
     Gauss-Hermite quadrature over the dwell noise; exact (to quadrature
     accuracy) counterpart of simulating many impressions per post.
+
+    The logistic at the (posts, 64) nodes is ``1 / (1 + exp(-eta))`` with
+    numpy's vectorised ``exp``, evaluated in one buffer. numpy picks its
+    ``exp`` for the CPU at run time, so a score can differ from scipy's
+    ``expit`` (which :func:`engage_probability` uses) in the last bit and
+    from one CPU to another; the scores only rank posts, and rankings and
+    every output built on them do not change. Where ``exp(-eta)``
+    overflows, the logistic is exactly 0, as ``expit``'s is.
     """
     if not params.resolved:
         raise ValueError("params must carry the log-dwell marginal")
@@ -453,8 +481,14 @@ def expected_engagement(
     if scale > 0:
         a = a + slope * (mean_log - params.logdwell_loc) / scale
         b = slope * params.dwell_noise_sd / scale
-    eta = a[:, None] + b[:, None] * (math.sqrt(2.0) * _GH_X)[None, :]
-    return (sigmoid(eta) @ _GH_W) / math.sqrt(math.pi)
+    eta = np.multiply.outer(b, _GH_NODES)
+    eta += a[:, None]
+    np.negative(eta, out=eta)
+    with np.errstate(over="ignore"):
+        np.exp(eta, out=eta)
+    eta += 1.0
+    np.reciprocal(eta, out=eta)
+    return (eta @ _GH_W) / math.sqrt(math.pi)
 
 
 @functools.lru_cache(maxsize=8)
@@ -560,12 +594,15 @@ def run_policy_experiment(
     four variate rows of :func:`simulate_impressions`. The replication loop
     only realizes, ranks and draws; one :func:`_two_stage` call then evaluates
     the whole (policies, replications, k) block, bit-identical to one
-    replication at a time.
+    replication at a time. Each policy may be named once.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     if k < 1:
         raise ValueError("k must be >= 1")
+    repeated = sorted({p for p in policies if policies.count(p) > 1})
+    if repeated:
+        raise ValueError(f"policies named more than once: {repeated}")
     # realize names every pool's posts _post_ids(size), so one map serves all
     row = {pid: j for j, pid in enumerate(_post_ids(config.pool.size))}
     block = (len(policies), replications, k)
@@ -592,11 +629,8 @@ def run_policy_experiment(
     metrics = (c, s, sim["engaged"], sim["dwell_observed"])
     per_rep = np.stack([m.mean(axis=2) for m in metrics], axis=2)
 
-    # a policy named twice reports the draws of its last entry each time
-    last = {policy: j for j, policy in enumerate(policies)}
     outcomes = []
-    for policy in policies:
-        rows = per_rep[last[policy]]
+    for policy, rows in zip(policies, per_rep):
         means = rows.mean(axis=0)
         if replications > 1:
             ses = rows.std(axis=0, ddof=1) / math.sqrt(replications)

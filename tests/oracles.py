@@ -13,10 +13,10 @@ from scipy import special
 
 from feedlab.data import NEWS_CATEGORIES
 from feedlab.sim import (
+    _GH_W,
+    _GH_X,
     PolicyOutcome,
-    _sample_feed,
     expected_dwell,
-    expected_engagement,
     resolve_marginal,
 )
 
@@ -174,6 +174,39 @@ def per_row_dwell_pipeline(impressions, rules, slope):
     return sorted({r.participant_id for r in stage1}), adjusted, removed
 
 
+def expit_expected_engagement(params, c, s):
+    """Gauss-Hermite engagement probability with scipy's ``expit`` at every node."""
+    c = np.asarray(c, dtype=float)
+    s = np.asarray(s, dtype=float)
+    scale = params.logdwell_scale
+    mean_log = (
+        params.dwell_intercept + params.dwell_credibility * c + params.dwell_sensationalism * s
+    )
+    slope = params.engage_dwell + params.engage_dwell_sensationalism * s
+    a = params.engage_intercept + params.engage_credibility * c + params.engage_sensationalism * s
+    b = np.zeros_like(a)
+    if scale > 0:
+        a = a + slope * (mean_log - params.logdwell_loc) / scale
+        b = slope * params.dwell_noise_sd / scale
+    eta = a[:, None] + b[:, None] * (math.sqrt(2.0) * _GH_X)[None, :]
+    return (special.expit(eta) @ _GH_W) / math.sqrt(math.pi)
+
+
+def choice_sample_feed(news_idx, other_idx, config, rng):
+    """One participant's feed drawn by ``rng.choice`` over the index arrays themselves."""
+    n_other = config.feed_length - config.news_per_feed
+    if len(news_idx) >= config.news_per_feed and len(other_idx) >= n_other:
+        chosen = np.concatenate(
+            [
+                rng.choice(news_idx, size=config.news_per_feed, replace=False),
+                rng.choice(other_idx, size=n_other, replace=False),
+            ]
+        )
+    else:
+        chosen = rng.choice(len(news_idx) + len(other_idx), size=config.feed_length, replace=False)
+    return rng.permutation(chosen)
+
+
 def per_stream_impressions(c, s, params, rng):
     """One stream's two-stage draw: four variate arrays in order, then the model.
 
@@ -225,7 +258,7 @@ def per_participant_session(config):
     user_seqs = users_seq.spawn(n)
     for u in range(n):
         rng = np.random.default_rng(user_seqs[u])
-        feeds[u] = _sample_feed(news_idx, other_idx, config, rng)
+        feeds[u] = choice_sample_feed(news_idx, other_idx, config, rng)
         shared[u], liked[u], dwell[u] = per_stream_impressions(
             pool.credibility[feeds[u]], pool.sensationalism[feeds[u]], params, rng
         )
@@ -234,8 +267,9 @@ def per_participant_session(config):
 
 def per_replication_policy_experiment(config, policies, k, replications):
     """The ranking-policy experiment one replication at a time: realize the
-    pool, then per policy rank it (ties by post id through the id strings)
-    and simulate one session over the top k."""
+    pool, then per policy rank it (engagement by the ``expit`` quadrature,
+    ties by post id through the id strings) and simulate one session over
+    the top k."""
     per_rep = []
     for seed_seq in np.random.SeedSequence(config.seed).spawn(replications):
         rng = np.random.default_rng(seed_seq)
@@ -249,7 +283,7 @@ def per_replication_policy_experiment(config, policies, k, replications):
             elif policy == "random":
                 idx = rng.permutation(pool.size)[:k]
             else:
-                score = expected_dwell if policy == "dwell_opt" else expected_engagement
+                score = expected_dwell if policy == "dwell_opt" else expit_expected_engagement
                 idx = np.lexsort((np.array(pool.post_ids()), -score(params, c, s)))[:k]
             engaged, _, dwell = per_stream_impressions(c[idx], s[idx], params, rng)
             out[policy] = (

@@ -315,6 +315,13 @@ class TestExperimentAndRecover:
         )
         assert code == 2
 
+    def test_experiment_rejects_repeated_policy(self, tmp_path, sim_config_path, capsys):
+        out = tmp_path / "exp3"
+        argv = ["experiment", "--config", sim_config_path, "--output-dir", out]
+        assert run(argv + ["--policies", "random,random"]) == 2
+        assert "['random']" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv", [["experiment", "-k", 0], ["recover", "--replications", 0]]
     )

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from feedlab.sim import (
 )
 from feedlab.features import fit_feature_pca, project
 from oracles import (
+    expit_expected_engagement,
     per_participant_session,
     per_replication_policy_experiment,
     per_stream_impressions,
@@ -255,6 +257,52 @@ class TestRankFeed:
             rank_feed("novelty", pool, params, 3)
 
 
+class TestExpectedEngagementQuadrature:
+    """The in-place quadrature against the same quadrature with scipy's expit."""
+
+    def test_agrees_with_expit_quadrature(self):
+        for seed in range(60):
+            pool, params = resolved_default(seed)
+            c, s = pool.credibility, pool.sensationalism
+            np.testing.assert_allclose(
+                expected_engagement(params, c, s),
+                expit_expected_engagement(params, c, s),
+                rtol=1e-14,
+                atol=0,
+            )
+
+    def test_engage_opt_ranking_matches_expit_quadrature(self):
+        for seed in range(200):
+            pool, params = resolved_default(seed)
+            ids = pool.post_ids()
+            scores = expit_expected_engagement(params, pool.credibility, pool.sensationalism)
+            expected = [ids[j] for j in np.lexsort((np.array(ids), -scores))]
+            assert rank_feed("engage_opt", pool, params, pool.size) == expected, seed
+
+    def test_saturated_logistic_matches_expit_without_warnings(self):
+        # the outer rows have no dwell slope and credibility terms of +-1000,
+        # so every node is past |eta| = 745; the middle row's dwell slope of
+        # 400 spreads its nodes across both signs, past 745 at the ends
+        params = GenerativeParams(
+            engage_intercept=0.0,
+            engage_dwell=400.0,
+            engage_credibility=1000.0,
+            engage_sensationalism=0.0,
+            engage_dwell_sensationalism=400.0,
+            logdwell_loc=math.log(2.5),
+            logdwell_scale=1.0,
+        )
+        c, s = np.array([-1.0, 0.0, 1.0]), np.array([-1.0, 0.0, -1.0])
+        expected = expit_expected_engagement(params, c, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expected_engagement(params, c, s)
+        assert got[0] == 0.0 and expected[0] == 0.0
+        assert got[2] == expected[2] == pytest.approx(1.0, abs=1e-14)
+        assert 0.0 < got[1] < 1.0
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+
+
 class TestPolicyExperiment:
     def test_dissociation_and_random_unbiasedness(self):
         cfg = SimConfig(participants=1, seed=99)
@@ -283,6 +331,12 @@ class TestPolicyExperiment:
     def test_zero_k_rejected(self):
         with pytest.raises(ValueError, match="k must be"):
             run_policy_experiment(SimConfig(participants=1, seed=31), k=0, replications=2)
+
+    def test_repeated_policy_rejected(self):
+        with pytest.raises(ValueError, match=r"more than once: \['random'\]"):
+            run_policy_experiment(
+                SimConfig(participants=1, seed=17), ("random", "dwell_opt", "random"), k=5
+            )
 
     def test_outcome_metric_accessor(self):
         cfg = SimConfig(participants=1, seed=31)
@@ -345,7 +399,7 @@ class TestBatchedSimulatorMatchesPerStreamLoops:
             (DEFAULT_CONFIG, ("random", "dwell_opt"), 10, 9, 1),
             (DEFAULT_CONFIG, ("dwell_opt", "random"), 10, 9, 1),
             (DEFAULT_CONFIG, ("engage_opt", "chronological", "random"), 15, 6, 1),
-            (DEFAULT_CONFIG, ("random", "dwell_opt", "random"), 5, 4, 1),
+            (DEFAULT_CONFIG, ("random", "dwell_opt", "chronological"), 5, 4, 1),
             (DEFAULT_CONFIG, POLICIES, 20, 1, 1),
             (DEFAULT_CONFIG, POLICIES, 20, 11, 2),
             (FLAT_SCORES_CONFIG, POLICIES, 40, 5, 1),
