@@ -15,7 +15,6 @@ from .data import (
     DatasetValidationError,
     FEATURE_NAMES,
     FeatureMatrix,
-    ImpressionRecord,
     Impressions,
     Post,
     RatingRecord,

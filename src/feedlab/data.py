@@ -27,10 +27,8 @@ walks the rows one by one only to report errors, when a column fails to
 convert.
 
 In memory, impressions are one columnar :class:`Impressions` table (one
-array per field, the ids as int32 codes into sorted vocabularies);
-:class:`ImpressionRecord` is its row type, produced by indexing or iterating
-the table. Every function that takes impressions also accepts an iterable of
-records and converts it once with :meth:`Impressions.of`.
+array per column of impressions.csv, the ids as int32 codes into sorted
+vocabularies); every function that takes impressions takes that table.
 
 Loaders collect malformed rows into an error report instead of aborting;
 semantic checks (referential integrity, position contiguity, dwell sign)
@@ -139,43 +137,29 @@ class RatingRecord:
             raise ValueError(f"rating value for {self.post_id!r}/{self.feature!r} is not finite")
 
 
-@dataclass(frozen=True)
-class ImpressionRecord:
-    """One participant x post exposure.
+# an impression's fields, in impressions.csv's column order: one participant x
+# post exposure, its feed position, its on-screen time in seconds, its two
+# actions and, once the dwell pipeline has run, the motor-adjusted dwell
+_IMPRESSION_FIELDS: tuple[str, ...] = (
+    "participant_id", "post_id", "position", "dwell_raw", "shared", "liked", "dwell_adjusted",
+)
 
-    ``dwell_raw`` is observed on-screen time in seconds; ``dwell_adjusted``
-    is populated by the dwell pipeline after motor-time subtraction.
-    """
-
-    participant_id: str
-    post_id: str
-    position: int
-    dwell_raw: float
-    shared: bool
-    liked: bool
-    dwell_adjusted: float | None = None
-
-    @property
-    def action_count(self) -> int:
-        return int(self.shared) + int(self.liked)
-
-    @property
-    def engaged(self) -> bool:
-        return self.action_count >= 1
+# the fields after the two ids, which Impressions holds as they are
+_VALUE_FIELDS = _IMPRESSION_FIELDS[2:]
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class Impressions:
-    """Columnar impression table: one array per :class:`ImpressionRecord` field.
+    """Columnar impression table: one array per field of ``_IMPRESSION_FIELDS``.
 
     An id column is held as int32 codes (``participant_code``, ``post_code``)
     into a vocabulary of distinct ids (``participant_vocab``, ``post_vocab``)
     sorted as ``np.unique`` sorts them; the ``participant_id`` and ``post_id``
     properties decode them to str arrays. A selection keeps the vocabulary,
     so it may hold ids with no rows; :meth:`groups` leaves those out.
-    ``dwell_adjusted`` is None until the dwell pipeline sets it. An int index
-    or iteration yields :class:`ImpressionRecord` rows; a slice, boolean mask
-    or index array selects rows as a new table. ``==`` compares rows.
+    ``dwell_adjusted`` is None until the dwell pipeline sets it. A slice,
+    boolean mask or index array selects rows as a new table. ``==`` compares
+    rows.
     """
 
     participant_vocab: np.ndarray
@@ -196,20 +180,13 @@ class Impressions:
             raise ValueError("an id vocabulary must be sorted and distinct")
 
     @classmethod
-    def of(cls, impressions: Iterable[ImpressionRecord]) -> Impressions:
-        """The table itself, or the records converted to one table.
-
-        Records must all carry ``dwell_adjusted`` or all lack it; an empty
-        table lacks it.
-        """
-        if isinstance(impressions, cls):
-            return impressions
-        return cls._from_rows(list(map(_record_values, impressions)))
-
-    @classmethod
     def _from_rows(cls, rows: list[tuple]) -> Impressions:
-        """Build the columns from one tuple per row, in field order."""
-        columns = list(zip(*rows)) if rows else [()] * 7
+        """Build the columns from one tuple per row, in ``_IMPRESSION_FIELDS`` order.
+
+        Rows must all carry ``dwell_adjusted`` or all hold None there; an
+        empty table lacks it.
+        """
+        columns = list(zip(*rows)) if rows else [()] * len(_IMPRESSION_FIELDS)
         n_adjusted = sum(v is not None for v in columns[6])
         if 0 < n_adjusted < len(rows):
             raise ValueError("mixed adjusted/unadjusted impressions cannot form one table")
@@ -234,11 +211,11 @@ class Impressions:
         return cls(**coded, **dict(zip(_VALUE_FIELDS, values)))
 
     def _values(self) -> tuple:
-        """The record's columns after the two ids, in field order."""
+        """The columns after the two ids, in field order."""
         return tuple(getattr(self, k) for k in _VALUE_FIELDS)
 
     def _columns(self) -> tuple:
-        """The columns in record field order, ids decoded."""
+        """The columns in field order, ids decoded."""
         return (self.participant_id, self.post_id, *self._values())
 
     @property
@@ -272,15 +249,12 @@ class Impressions:
         return len(self.position)
 
     def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return next(iter(self[np.array([key])]))
         values = {k: c[key] for k, c in zip(_VALUE_FIELDS, self._values()) if c is not None}
         codes = {"participant_code": self.participant_code[key], "post_code": self.post_code[key]}
         return replace(self, **codes, **values)
 
-    def __iter__(self):
-        values = (c.tolist() for c in self._values() if c is not None)
-        return map(ImpressionRecord, self._id_cells("participant"), self._id_cells("post"), *values)
+    # a table has no row objects; without this, iteration would fall back to int keys
+    __iter__ = None
 
     def __eq__(self, other):
         return isinstance(other, Impressions) and all(
@@ -289,15 +263,10 @@ class Impressions:
         )
 
 
-_record_values = operator.attrgetter(*(f.name for f in fields(ImpressionRecord)))
-
-# the record's fields after the two ids, which Impressions holds as they are
-_VALUE_FIELDS = tuple(f.name for f in fields(ImpressionRecord))[2:]
-
 # each CSV file's columns are its record's fields, the optional ones left out
 _RATINGS_HEADER = [f.name for f in fields(RatingRecord)]
 _POSTS_HEADER = [f.name for f in fields(Post)][:-1]
-_IMPRESSION_HEADER = [f.name for f in fields(ImpressionRecord)][:-1]
+_IMPRESSION_HEADER = list(_IMPRESSION_FIELDS[:-1])
 
 
 @dataclass(frozen=True)
@@ -357,7 +326,7 @@ def _json_rows(table: Impressions) -> str:
     if not n:
         return "[]"
     cells = {}
-    for name in sorted(f.name for f in fields(ImpressionRecord)):
+    for name in sorted(_IMPRESSION_FIELDS):
         if name.endswith("_id"):
             cells[name] = table._id_cells(name.removesuffix("_id"), encode_basestring_ascii)
         elif (column := getattr(table, name)) is not None:
@@ -576,7 +545,7 @@ def load_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
     a cell that does not parse, a non-finite dwell) does the row-by-row check
     below run: it reports each bad row, and the table leaves those rows out.
     """
-    headers = (_IMPRESSION_HEADER, _IMPRESSION_HEADER + ["dwell_adjusted"])
+    headers = (_IMPRESSION_HEADER, list(_IMPRESSION_FIELDS))
     header, columns = _open_columns(path, *headers)
     if columns is not None:
         try:
@@ -628,19 +597,18 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def save_impressions(path: str | Path, impressions: Iterable[ImpressionRecord]) -> None:
-    """Write impressions.csv; emits dwell_adjusted iff the rows carry it.
+def save_impressions(path: str | Path, impressions: Impressions) -> None:
+    """Write impressions.csv; emits dwell_adjusted iff the table carries it.
 
     The file is what :func:`write_csv` writes, built column by column: each
     distinct id is quoted once, as the csv module quotes it, and each line is
     joined from the formatted cells. An empty table writes the plain header.
     """
-    imps = Impressions.of(impressions)
     dwell, flag = f"{{:.{DWELL_DECIMALS}f}}".format, ("0", "1").__getitem__
-    values = [c for c in imps._values() if c is not None][: 5 if len(imps) else 4]
-    columns = [imps._id_cells("participant", _csv_field), imps._id_cells("post", _csv_field)]
+    values = [c for c in impressions._values() if c is not None][: 5 if len(impressions) else 4]
+    columns = [impressions._id_cells(key, _csv_field) for key in ("participant", "post")]
     columns += (map(f, c.tolist()) for f, c in zip((str, dwell, flag, flag, dwell), values))
-    header = [f.name for f in fields(ImpressionRecord)][: len(columns)]
+    header = _IMPRESSION_FIELDS[: len(columns)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(map("{}\n".format, map(",".join, zip(*columns))))
@@ -691,10 +659,7 @@ def ratings_per_post_per_feature(records: list[RatingRecord]) -> float:
 # Validation
 
 
-def dataset_violations(
-    posts: list[Post], impressions: Iterable[ImpressionRecord]
-) -> list[Violation]:
-    imps = Impressions.of(impressions)
+def dataset_violations(posts: list[Post], impressions: Impressions) -> list[Violation]:
     violations: list[Violation] = []
     flag = lambda kind, message: violations.append(Violation(kind, message))
     known: set[str] = set()
@@ -704,28 +669,27 @@ def dataset_violations(
         known.add(p.post_id)
 
     # an id check over the post vocabulary, then a lookup per row
-    unknown = ~np.isin(imps.post_vocab, np.array(list(known), dtype=str))
-    dangling = imps[unknown[imps.post_code]]
+    unknown = ~np.isin(impressions.post_vocab, np.array(list(known), dtype=str))
+    dangling = impressions[unknown[impressions.post_code]]
     for pid, post in zip(dangling.participant_id.tolist(), dangling.post_id.tolist()):
         flag("dangling_post", f"impression references unknown post {post!r} (participant {pid!r})")
-    return violations + impression_violations(imps)
+    return violations + impression_violations(impressions)
 
 
-def impression_violations(impressions: Iterable[ImpressionRecord]) -> list[Violation]:
+def impression_violations(impressions: Impressions) -> list[Violation]:
     """The checks that need no posts table: dwell sign and position contiguity."""
-    imps = Impressions.of(impressions)
     violations: list[Violation] = []
     flag = lambda kind, message: violations.append(Violation(kind, message))
-    negative = imps[imps.dwell_raw < 0]
+    negative = impressions[impressions.dwell_raw < 0]
     for pid, pos, dwell in zip(
         *(c.tolist() for c in (negative.participant_id, negative.position, negative.dwell_raw))
     ):
         flag("negative_dwell", f"negative dwell {dwell} for participant {pid!r} position {pos}")
 
-    pids, group, counts = imps.groups("participant")
-    order = np.lexsort((imps.position, group))
+    pids, group, counts = impressions.groups("participant")
+    order = np.lexsort((impressions.position, group))
     ends = np.cumsum(counts)[:-1]
-    for pid, positions in zip(pids.tolist(), np.split(imps.position[order], ends)):
+    for pid, positions in zip(pids.tolist(), np.split(impressions.position[order], ends)):
         repeated = positions[1:][positions[1:] == positions[:-1]]
         n = len(positions)
         if repeated.size:
@@ -738,18 +702,17 @@ def impression_violations(impressions: Iterable[ImpressionRecord]) -> list[Viola
 
 def validate_dataset(
     posts: list[Post],
-    impressions: Iterable[ImpressionRecord],
+    impressions: Impressions,
     provenance: dict | None = None,
 ) -> Dataset:
     """Check referential integrity, position contiguity, and dwell sign.
 
     Raises :class:`DatasetValidationError` carrying the full violation list.
     """
-    imps = Impressions.of(impressions)
-    violations = dataset_violations(posts, imps)
+    violations = dataset_violations(posts, impressions)
     if violations:
         raise DatasetValidationError(violations)
-    return Dataset(tuple(posts), imps, provenance or {})
+    return Dataset(tuple(posts), impressions, provenance or {})
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +741,7 @@ def save_dataset(path: str | Path, dataset: Dataset) -> None:
 
 def load_dataset(path: str | Path) -> Dataset:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    # one tuple per row, in ImpressionRecord field order, without a record per row
+    # one tuple per row, in _IMPRESSION_FIELDS order
     cells = operator.itemgetter(*_IMPRESSION_HEADER)
     rows = [(*cells(d), d.get("dwell_adjusted")) for d in payload["impressions"]]
     return Dataset(

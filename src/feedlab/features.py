@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from ._numeric import t_sf_two_sided
 from .data import (
     DataFormatError,
     FeatureMatrix,
-    ImpressionRecord,
     Impressions,
     _open_rows,
     from_fields,
@@ -108,13 +107,12 @@ def correlate(x: np.ndarray, y: np.ndarray) -> CorrelationResult:
     return CorrelationResult(r=r, n=n, p=float(t_sf_two_sided(t, n - 2)))
 
 
-def mean_dwell_by_post(impressions: Iterable[ImpressionRecord]) -> dict[str, float]:
+def mean_dwell_by_post(impressions: Impressions) -> dict[str, float]:
     """Mean adjusted dwell per post over cleaned impressions."""
-    imps = Impressions.of(impressions)
-    if imps.dwell_adjusted is None:
+    if impressions.dwell_adjusted is None:
         raise ValueError("impressions have no dwell_adjusted; run the dwell pipeline first")
-    post_ids, group, counts = imps.groups("post")
-    sums = np.bincount(group, weights=imps.dwell_adjusted, minlength=len(post_ids))
+    post_ids, group, counts = impressions.groups("post")
+    sums = np.bincount(group, weights=impressions.dwell_adjusted, minlength=len(post_ids))
     return dict(zip(post_ids.tolist(), (sums / counts).tolist()))
 
 
@@ -275,17 +273,24 @@ def save_scores(path: str | Path, scores: list[PostScore]) -> None:
 
 
 def load_scores(path: str | Path) -> list[PostScore]:
-    """Parse scores.csv; a blank, ragged or non-numeric row is a :class:`DataFormatError`."""
+    """Parse scores.csv; a blank, ragged or non-numeric row, or a post_id on two rows,
+    is a :class:`DataFormatError`."""
     header, rows = _open_rows(path)
     has_dwell = header[-1] == "mean_dwell"
     n_comp = len(header) - 1 - has_dwell
     if n_comp < 1 or header[: n_comp + 1] != ["post_id"] + [f"pc{j + 1}" for j in range(n_comp)]:
         raise DataFormatError(f"{path}: not a scores file (header {','.join(header)!r})")
     out = []
+    first_line: dict[str, int] = {}
     for lineno, row in enumerate(rows, start=2):
         where = f"{path} line {lineno}"
         if len(row) != len(header):
             raise DataFormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        if row[0] in first_line:
+            raise DataFormatError(
+                f"{where}: post_id {row[0]!r} is also on line {first_line[row[0]]}"
+            )
+        first_line[row[0]] = lineno
         try:
             values = [float(v) for v in row[1:]]
         except ValueError as exc:

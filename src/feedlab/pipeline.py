@@ -30,11 +30,10 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset, ImpressionRecord, Impressions, from_fields, write_json
+from .data import Impressions, from_fields, write_json
 
 EM_MAX_ITER = 500
 EM_LL_RTOL = 1e-8
@@ -95,14 +94,13 @@ class PipelineOrderError(RuntimeError):
 
 
 def apply_exclusions_stage1(
-    impressions: Iterable[ImpressionRecord], rules: ExclusionRules
+    impressions: Impressions, rules: ExclusionRules
 ) -> tuple[Impressions, PipelineAudit]:
     """Drop over-cap raw dwells, then edge positions of each participant's feed."""
-    imps = Impressions.of(impressions)
     # length of the feed as displayed: max position seen for the participant
-    pids, group, _ = imps.groups("participant")
+    pids, group, _ = impressions.groups("participant")
     lengths = np.zeros(len(pids), dtype=np.int64)
-    np.maximum.at(lengths, group, imps.position)
+    np.maximum.at(lengths, group, impressions.position)
     short = pids[lengths <= 2 * rules.edge_trim].tolist()
     if short:
         warnings.warn(
@@ -110,31 +108,28 @@ def apply_exclusions_stage1(
             f"all their impressions fall in the trimmed edges: {', '.join(short[:5])}"
             + ("..." if len(short) > 5 else "")
         )
-    over = imps.dwell_raw > rules.max_dwell
+    over = impressions.dwell_raw > rules.max_dwell
     edge = ~over & (
-        (imps.position <= rules.edge_trim)
-        | (imps.position > lengths[group] - rules.edge_trim)
+        (impressions.position <= rules.edge_trim)
+        | (impressions.position > lengths[group] - rules.edge_trim)
     )
-    kept = imps[~over & ~edge]
+    kept = impressions[~over & ~edge]
     audit = PipelineAudit(
-        input_count=len(imps),
+        input_count=len(impressions),
         removed={"over_max_dwell": int(over.sum()), "edge_positions": int(edge.sum())},
         retained_count=len(kept),
     )
     return kept, audit
 
 
-def adjust_dwell(
-    impressions: Iterable[ImpressionRecord], model: MovementModel
-) -> Impressions:
+def adjust_dwell(impressions: Impressions, model: MovementModel) -> Impressions:
     """Subtract the participant's motor cost per action from raw dwell.
 
     Zero-action impressions pass through with dwell_adjusted == dwell_raw
     exactly; negative adjusted values are floored at 0 (the minimum-dwell
     rule removes them next).
     """
-    imps = Impressions.of(impressions)
-    pids, group, _ = imps.groups("participant")
+    pids, group, _ = impressions.groups("participant")
     missing = [pid for pid in pids.tolist() if pid not in model.participants]
     if missing:
         raise PipelineOrderError(
@@ -142,23 +137,22 @@ def adjust_dwell(
             "adjust_dwell must run on the impressions the model was fit to"
         )
     slope = np.array([model.slope(pid) for pid in pids.tolist()], dtype=float)
-    a = imps.action_count
-    y = imps.dwell_raw
+    a = impressions.action_count
+    y = impressions.dwell_raw
     value = np.where(a == 0, y, np.maximum(0.0, y - slope[group] * a))
-    return replace(imps, dwell_adjusted=value)
+    return replace(impressions, dwell_adjusted=value)
 
 
 def apply_floor(
-    impressions: Iterable[ImpressionRecord], rules: ExclusionRules
+    impressions: Impressions, rules: ExclusionRules
 ) -> tuple[Impressions, PipelineAudit]:
     """Drop impressions with adjusted dwell strictly below the floor."""
-    imps = Impressions.of(impressions)
-    if imps.dwell_adjusted is None:
+    if impressions.dwell_adjusted is None:
         raise PipelineOrderError("apply_floor requires adjusted impressions")
-    below = imps.dwell_adjusted < rules.min_adjusted_dwell
-    kept = imps[~below]
+    below = impressions.dwell_adjusted < rules.min_adjusted_dwell
+    kept = impressions[~below]
     audit = PipelineAudit(
-        input_count=len(imps),
+        input_count=len(impressions),
         removed={"below_min_adjusted": int(below.sum())},
         retained_count=len(kept),
     )
@@ -192,7 +186,7 @@ def _pooled_ols(n, sum_a, sum_a2, sum_y, sum_ay, sum_y2):
     return mu, sigma2
 
 
-def fit_movement_model(impressions: Iterable[ImpressionRecord]) -> MovementModel:
+def fit_movement_model(impressions: Impressions) -> MovementModel:
     """Fit dwell_raw ~ intercept + slope * action_count with participant-level
     random intercepts and slopes, by EM on the marginal Gaussian likelihood.
 
@@ -202,13 +196,12 @@ def fit_movement_model(impressions: Iterable[ImpressionRecord]) -> MovementModel
     fits only the random intercept. A warning is also emitted if the EM
     stops at ``EM_MAX_ITER`` without meeting the convergence tolerance.
     """
-    imps = Impressions.of(impressions)
-    if len(imps) == 0:
+    if len(impressions) == 0:
         raise ValueError("fit_movement_model needs at least one impression")
     # per-participant sufficient statistics, ordered by participant id
-    pids, g, counts = imps.groups("participant")
-    y = imps.dwell_raw
-    a = imps.action_count.astype(float)
+    pids, g, counts = impressions.groups("participant")
+    y = impressions.dwell_raw
+    a = impressions.action_count.astype(float)
     n_i = counts.astype(float)
     sum_a, sum_a2, sum_y, sum_y2, sum_ay = (
         np.bincount(g, weights=w, minlength=len(pids)) for w in (a, a * a, y, y * y, a * y)
@@ -329,12 +322,9 @@ class PipelineResult:
     audit: PipelineAudit
 
 
-def run_pipeline(
-    data: Dataset | Iterable[ImpressionRecord], rules: ExclusionRules | None = None
-) -> PipelineResult:
+def run_pipeline(impressions: Impressions, rules: ExclusionRules | None = None) -> PipelineResult:
     """Stage-1 exclusions -> movement fit -> adjustment -> floor."""
     rules = rules or ExclusionRules()
-    impressions = Impressions.of(data.impressions if isinstance(data, Dataset) else data)
     stage1, audit1 = apply_exclusions_stage1(impressions, rules)
     # with nothing left to fit, the empty table passes through a zero model
     empty_model = MovementModel(0.0, 0.0, 0.0, 0.0, 0.0, {})

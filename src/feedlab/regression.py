@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._numeric import normal_sf_two_sided, one_blas_thread, t_sf_two_sided
-from .data import ImpressionRecord, Impressions, from_fields, write_json
+from .data import Impressions, from_fields, write_json
 from .features import PostScore
 
 MAX_CONDITION = 1e10
@@ -98,20 +98,13 @@ class Design:
 
 
 def build_design(
-    impressions: Iterable[ImpressionRecord],
+    impressions: Impressions,
     scores: Iterable[PostScore],
     spec: DesignSpec,
-    demean_by_participant: bool = False,
 ) -> Design:
-    """Assemble the design matrix (intercept first, spec order) and response.
-
-    ``demean_by_participant`` subtracts per-participant means from every
-    non-intercept column (and from a log-dwell response), so estimates use
-    within-participant variation only. Off by default.
-    """
-    imps = Impressions.of(impressions)
+    """Assemble the design matrix (intercept first, spec order) and response."""
     score_map = {s.post_id: s for s in scores}
-    post_ids, post_row, _ = imps.groups("post")
+    post_ids, post_row, _ = impressions.groups("post")
     post_ids = post_ids.tolist()
     missing = [pid for pid in post_ids if pid not in score_map]
     if missing:
@@ -120,18 +113,18 @@ def build_design(
             + ", ".join(missing[:10])
             + ("..." if len(missing) > 10 else "")
         )
-    n = len(imps)
+    n = len(impressions)
     if n == 0:
         raise ValueError("no impressions in analysis sample")
-    if imps.dwell_adjusted is None:
+    if impressions.dwell_adjusted is None:
         raise ValueError("impressions must be pipeline output (dwell_adjusted set)")
-    dwell_adj = imps.dwell_adjusted
+    dwell_adj = impressions.dwell_adjusted
     if np.any(dwell_adj <= 0):
         raise ValueError(
             f"non-positive adjusted dwell {dwell_adj.min()} cannot be logged; "
             "was the floor rule applied?"
         )
-    engaged = (imps.action_count >= 1).astype(float)
+    engaged = (impressions.action_count >= 1).astype(float)
     # credibility and sensationalism scores, gathered once per distinct post
     post_scores = np.array([score_map[pid].pc_scores[:2] for pid in post_ids], dtype=float)
     cred = post_scores[post_row, 0]
@@ -164,15 +157,6 @@ def build_design(
             X[:, j] = columns[name]
 
     y = log_dwell if spec.response == "log_dwell" else engaged
-    if demean_by_participant:
-        _, inverse, counts = imps.groups("participant")
-        for j in range(1, len(names)):
-            means = np.bincount(inverse, weights=X[:, j]) / counts
-            X[:, j] = X[:, j] - means[inverse]
-        if spec.response == "log_dwell":
-            means = np.bincount(inverse, weights=y) / counts
-            y = y - means[inverse]
-        centering["demeaned_by_participant"] = True
     return Design(X=X, y=y, columns=names, centering=centering)
 
 

@@ -32,7 +32,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -41,6 +41,7 @@ import numpy as np
 from ._numeric import sigmoid
 from .data import (
     CATEGORIES,
+    DataFormatError,
     Dataset,
     FeatureMatrix,
     FEATURE_NAMES,
@@ -735,7 +736,7 @@ def _recover_once(
 ) -> dict:
     dataset, pool, params = simulate_session(config, seed_seq)
 
-    cleaned = run_pipeline(dataset, rules)
+    cleaned = run_pipeline(dataset.impressions, rules)
     # no-adjustment control: same exclusions, raw dwell carried through
     stage1_kept, _ = apply_exclusions_stage1(dataset.impressions, rules)
     raw_kept, _ = apply_floor(replace(stage1_kept, dwell_adjusted=stage1_kept.dwell_raw), rules)
@@ -863,10 +864,30 @@ def save_sim_config(path: str | Path, config: SimConfig) -> None:
     write_json(path, config_to_dict(config))
 
 
+# the JSON values that a config field annotated with the key's type accepts
+_JSON_NUMBERS = {"int": (int,), "float": (int, float)}
+
+
+def _config_object(path: str | Path, name: str, cls, value) -> dict:
+    """``value``, if it is a JSON object whose number fields of ``cls`` hold numbers
+    of their type (an integer for an int field, no bool for either); otherwise a
+    :class:`DataFormatError`."""
+    if not isinstance(value, dict):
+        raise DataFormatError(f"{path}: {name} must be a JSON object, got {type(value).__name__}")
+    for f in fields(cls):
+        kinds = _JSON_NUMBERS.get(f.type)
+        v = value.get(f.name)
+        if kinds and f.name in value and (isinstance(v, bool) or not isinstance(v, kinds)):
+            raise DataFormatError(f"{path}: {name} field {f.name} must be {f.type}, got {v!r}")
+    return value
+
+
 def load_sim_config(path: str | Path) -> SimConfig:
-    """Read sim_config.json; a missing or unknown field is a :class:`DataFormatError`."""
-    d = json.loads(Path(path).read_text())
-    pool, params = dict(d.get("pool", {"kind": "synthetic"})), d.get("params", {})
+    """Read sim_config.json; a missing or unknown field, or a value of the wrong
+    JSON type, is a :class:`DataFormatError`."""
+    d = _config_object(path, "the config", SimConfig, json.loads(Path(path).read_text()))
+    pool = dict(_config_object(path, "pool", SyntheticPool, d.get("pool", {"kind": "synthetic"})))
+    params = _config_object(path, "params", GenerativeParams, d.get("params", {}))
     kind = pool.pop("kind", None)
     if kind != "synthetic":
         raise ValueError(f"unsupported pool kind {kind!r}")

@@ -6,19 +6,24 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from feedlab.data import ImpressionRecord, Post, FEATURE_NAMES
+from feedlab.data import Impressions, Post, FEATURE_NAMES
 
 
 def make_impression(pid="p1", post="post_01", position=1, dwell=2.0, actions=0, adjusted=None):
-    return ImpressionRecord(
-        participant_id=pid,
-        post_id=post,
-        position=position,
-        dwell_raw=dwell,
-        shared=actions >= 1,
-        liked=actions >= 2,
-        dwell_adjusted=adjusted,
-    )
+    """One impression row: a tuple in the table's field order (participant_id,
+    post_id, position, dwell_raw, shared, liked, dwell_adjusted)."""
+    return (pid, post, position, dwell, actions >= 1, actions >= 2, adjusted)
+
+
+def as_table(rows):
+    """The Impressions table of ``make_impression`` rows."""
+    return Impressions._from_rows(list(rows))
+
+
+def rows_of(table):
+    """The table's rows as ``make_impression`` tuples (dwell_adjusted None when absent)."""
+    columns = [[None] * len(table) if c is None else c.tolist() for c in table._columns()]
+    return list(zip(*columns))
 
 
 @pytest.fixture
@@ -44,8 +49,8 @@ def pipeline_fixture_10():
     rows.append(make_impression("p1", "post_05", 5, 30.5, 0))
     rows.append(make_impression("p1", "post_06", 6, 0.10, 0))
     rows.append(make_impression("p1", "post_07", 7, 5.0, 2))
-    rows.sort(key=lambda i: i.position)
-    return rows
+    rows.sort(key=lambda row: row[2])
+    return as_table(rows)
 
 
 def simulate_hierarchical_dwell(
@@ -60,28 +65,33 @@ def simulate_hierarchical_dwell(
     p_one=0.08,
     p_two=0.04,
 ):
-    """Draw dwell = alpha_i + beta_i*actions + noise for known parameters."""
-    impressions = []
+    """Draw dwell = alpha_i + beta_i*actions + noise for known parameters.
+
+    Participant ``p{i:04d}`` sees posts ``post_001``.. at positions 1..n_per;
+    the draws are made one participant at a time, in that order.
+    """
+    pids = np.array([f"p{i:04d}" for i in range(n_participants)])
+    actions = np.empty((n_participants, n_per), dtype=np.int64)
+    dwell = np.empty((n_participants, n_per))
     true_slopes = {}
-    for i in range(n_participants):
-        pid = f"p{i:04d}"
+    for i, pid in enumerate(pids.tolist()):
         alpha = mu_alpha + tau_alpha * rng.standard_normal()
         beta = mu_beta + tau_beta * rng.standard_normal()
         true_slopes[pid] = beta
         u = rng.random(n_per)
-        actions = np.where(u < p_two, 2, np.where(u < p_one + p_two, 1, 0))
-        y = alpha + beta * actions + sigma * rng.standard_normal(n_per)
-        for j in range(n_per):
-            impressions.append(
-                ImpressionRecord(
-                    participant_id=pid,
-                    post_id=f"post_{j + 1:03d}",
-                    position=j + 1,
-                    dwell_raw=float(y[j]),
-                    shared=bool(actions[j] >= 1),
-                    liked=bool(actions[j] >= 2),
-                )
-            )
+        actions[i] = np.where(u < p_two, 2, np.where(u < p_one + p_two, 1, 0))
+        dwell[i] = alpha + beta * actions[i] + sigma * rng.standard_normal(n_per)
+    # both id lists are sorted as written, so their indices are the codes
+    impressions = Impressions(
+        participant_vocab=pids,
+        participant_code=np.repeat(np.arange(n_participants, dtype=np.int32), n_per),
+        post_vocab=np.array([f"post_{j + 1:03d}" for j in range(n_per)]),
+        post_code=np.tile(np.arange(n_per, dtype=np.int32), n_participants),
+        position=np.tile(np.arange(1, n_per + 1, dtype=np.int64), n_participants),
+        dwell_raw=dwell.ravel(),
+        shared=actions.ravel() >= 1,
+        liked=actions.ravel() >= 2,
+    )
     return impressions, true_slopes
 
 

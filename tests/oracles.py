@@ -130,13 +130,14 @@ def per_participant_ols(impressions):
 
     Returns only participants whose action counts vary.
     """
-    groups = {}
-    for imp in impressions:
-        groups.setdefault(imp.participant_id, []).append(imp)
+    pids, inverse = np.unique(impressions.participant_id, return_inverse=True)
+    # each participant's rows, in row order
+    rows = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    actions = impressions.shared.astype(float) + impressions.liked.astype(float)
     out = {}
-    for pid, rows in sorted(groups.items()):
-        a = np.array([r.action_count for r in rows], dtype=float)
-        y = np.array([r.dwell_raw for r in rows], dtype=float)
+    for pid, mine in zip(pids.tolist(), rows):
+        a = actions[mine]
+        y = impressions.dwell_raw[mine]
         sxx = ((a - a.mean()) ** 2).sum()
         if sxx == 0:
             continue
@@ -152,26 +153,27 @@ def per_row_dwell_pipeline(impressions, rules, slope):
     the participants left after stage 1 in sorted order, the adjusted dwell
     of each stage-1 row in row order, and the removal count of each rule.
     """
+    columns = (impressions.participant_id, impressions.position, impressions.dwell_raw,
+               impressions.shared, impressions.liked)
+    rows = list(zip(*(c.tolist() for c in columns)))
     length = {}
-    for r in impressions:
-        length[r.participant_id] = max(length.get(r.participant_id, 0), r.position)
+    for pid, position, _, _, _ in rows:
+        length[pid] = max(length.get(pid, 0), position)
     removed = {"over_max_dwell": 0, "edge_positions": 0, "below_min_adjusted": 0}
     stage1 = []
-    for r in impressions:
-        if r.dwell_raw > rules.max_dwell:
+    for pid, position, dwell, shared, liked in rows:
+        if dwell > rules.max_dwell:
             removed["over_max_dwell"] += 1
-        elif not rules.edge_trim < r.position <= length[r.participant_id] - rules.edge_trim:
+        elif not rules.edge_trim < position <= length[pid] - rules.edge_trim:
             removed["edge_positions"] += 1
         else:
-            stage1.append(r)
+            stage1.append((pid, dwell, int(shared) + int(liked)))
     adjusted = [
-        r.dwell_raw
-        if r.action_count == 0
-        else max(0.0, r.dwell_raw - slope(r.participant_id) * r.action_count)
-        for r in stage1
+        dwell if actions == 0 else max(0.0, dwell - slope(pid) * actions)
+        for pid, dwell, actions in stage1
     ]
     removed["below_min_adjusted"] = sum(v < rules.min_adjusted_dwell for v in adjusted)
-    return sorted({r.participant_id for r in stage1}), adjusted, removed
+    return sorted({pid for pid, _, _ in stage1}), adjusted, removed
 
 
 def expit_expected_engagement(params, c, s):

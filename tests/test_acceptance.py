@@ -42,7 +42,7 @@ from feedlab.sim import (
     run_policy_experiment,
     simulate_session,
 )
-from conftest import simulate_hierarchical_dwell
+from conftest import as_table, simulate_hierarchical_dwell
 from oracles import (
     grid_search_logistic_mle,
     normal_equations_ols,
@@ -158,18 +158,16 @@ class TestCriterion3PipelineFixtures:
             == {"over_max_dwell": 1, "edge_positions": 6, "below_min_adjusted": 1}
             and result.audit.retained_count == 2
         )
-        by_pos = {i.position: i for i in result.impressions}
-        zero_action_ok = by_pos[4].dwell_adjusted == 2.0  # exact, not approx
+        kept = result.impressions
+        by_pos = dict(zip(kept.position.tolist(), kept.dwell_adjusted.tolist()))
+        zero_action_ok = by_pos[4] == 2.0  # exact, not approx
 
         # independent zero-action check on a larger feed
         feed = full_feed("q1", [2.0 + 0.01 * i for i in range(60)], [0] * 60)
         feed += full_feed("q2", [3.0 + 0.02 * i for i in range(60)], [1 if i % 7 == 0 else 0 for i in range(60)])
-        res2 = run_pipeline(feed, ExclusionRules())
-        zero_action_ok = zero_action_ok and all(
-            i.dwell_adjusted == i.dwell_raw
-            for i in res2.impressions
-            if i.action_count == 0
-        )
+        res2 = run_pipeline(as_table(feed), ExclusionRules())
+        zero = res2.impressions[res2.impressions.action_count == 0]
+        zero_action_ok = zero_action_ok and np.array_equal(zero.dwell_adjusted, zero.dwell_raw)
         ok = audit_ok and zero_action_ok
         assert report(
             3,
@@ -279,10 +277,10 @@ class TestCriterion6Dissociation:
         dissociation_ok = sens_gap > 0.2 and d.mean_credibility < e.mean_credibility
 
         ds, pool, _ = simulate_session(SimConfig(participants=300, seed=66_166))
-        res = run_pipeline(ds, ExclusionRules())
+        res = run_pipeline(ds.impressions, ExclusionRules())
         spec = dwell_model_spec()
         fit = fit_design(
-            build_design(list(res.impressions), pool_scores(pool), spec), spec
+            build_design(res.impressions, pool_scores(pool), spec), spec
         )
         signs_ok = (
             fit.term("engage").estimate > 0

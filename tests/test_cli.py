@@ -57,6 +57,31 @@ class TestSimulateCommand:
         assert f"{key} cannot be set; they are derived from the pool" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (None, [], "the config must be a JSON object, got list"),
+            ("pool", 5, "pool must be a JSON object, got int"),
+            ("participants", 2.5, "the config field participants must be int, got 2.5"),
+            ("params", [], "params must be a JSON object, got list"),
+            ("params", {"motor_sd": "0.4"}, "params field motor_sd must be float, got '0.4'"),
+        ],
+        ids=["top_level_list", "pool_int", "participants_float", "params_list", "param_text"],
+    )
+    def test_malformed_config_is_input_error(
+        self, tmp_path, sim_config_path, capsys, key, value, message
+    ):
+        config = json.loads(sim_config_path.read_text())
+        if key is None:
+            config = value
+        else:
+            config[key] = value
+        sim_config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 2
+        assert f"error: {sim_config_path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPreprocessCommand:
     def test_end_to_end(self, tmp_path, sim_config_path):
@@ -65,7 +90,7 @@ class TestPreprocessCommand:
         out = tmp_path / "clean"
         assert run(["preprocess", "--input", sim_out / "impressions.csv", "--output-dir", out]) == 0
         cleaned, _ = load_impressions(out / "cleaned.csv")
-        assert cleaned and all(i.dwell_adjusted is not None for i in cleaned)
+        assert len(cleaned) and cleaned.dwell_adjusted is not None
         audit = json.loads((out / "audit.json").read_text())
         assert (
             sum(audit["removed"].values()) + audit["retained_count"] == audit["input_count"]
@@ -243,13 +268,38 @@ class TestFitCommand:
         assert f"{scores} line {text.count(chr(10)) + 1}: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_post_in_scores_is_input_error(self, tmp_path, analysis_dirs, capsys):
+        # a second row for a post, its component scores negated, must not replace the first
+        _, clean_out, pca_out = analysis_dirs
+        text = (pca_out / "scores.csv").read_text()
+        first = text.splitlines()[1].split(",")
+        copy = [first[0], *(repr(-float(v)) for v in first[1:3]), *first[3:]]
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text + ",".join(copy) + "\n")
+        out = tmp_path / "o"
+        code = run(
+            [
+                "fit",
+                "--input", clean_out / "cleaned.csv",
+                "--scores", scores,
+                "--model", "dwell",
+                "--output-dir", out,
+            ]
+        )
+        assert code == 2
+        line = text.count("\n") + 1
+        expected = f"{scores} line {line}: post_id {first[0]!r} is also on line 2"
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
     def test_engageless_data_is_rank_error(self, tmp_path, analysis_dirs, capsys):
         _, clean_out, pca_out = analysis_dirs
         cleaned, _ = load_impressions(clean_out / "cleaned.csv")
         from dataclasses import replace
         from feedlab.data import save_impressions
 
-        no_engage = [replace(i, shared=False, liked=False) for i in cleaned]
+        no_action = np.zeros(len(cleaned), dtype=bool)
+        no_engage = replace(cleaned, shared=no_action, liked=no_action)
         path = tmp_path / "no_engage.csv"
         save_impressions(path, no_engage)
         code = run(

@@ -12,8 +12,6 @@ from feedlab.data import (
     DatasetValidationError,
     FEATURE_NAMES,
     FeatureMatrix,
-    ImpressionRecord,
-    Impressions,
     Post,
     RatingRecord,
     aggregate_ratings,
@@ -30,7 +28,7 @@ from feedlab.data import (
     save_ratings,
     validate_dataset,
 )
-from conftest import make_impression
+from conftest import as_table, make_impression, rows_of
 from oracles import brute_force_cell_means
 
 
@@ -166,8 +164,8 @@ ADJUSTED_HEADER = PLAIN_HEADER + ",dwell_adjusted"
 
 # file text -> (the loaded table's columns in field order, the RowError
 # (line, message) list), as the row-by-row loader returned them; except that a
-# plain file with no valid rows has no dwell_adjusted column (None), like
-# Impressions.of([]), while an adjusted file with no rows has an empty one
+# plain file with no valid rows has no dwell_adjusted column (None), like a
+# table built from no rows, while an adjusted file with no rows has an empty one
 LOADER_CASES = {
     "crlf": (
         PLAIN_HEADER + "\r\np1,post_01,1,2.5,0,1\r\np2,post_02,2,3.25,1,0\r\n",
@@ -237,8 +235,7 @@ class TestImpressionsIO:
         )
         records, errors = load_impressions(p)
         assert not errors
-        assert records[1].action_count == 2
-        assert records[1].engaged
+        assert records.action_count.tolist() == [0, 2]
 
     def test_malformed_rows_reported(self, tmp_path):
         p = write(
@@ -281,10 +278,10 @@ class TestImpressionsIO:
                 assert column.dtype == np.array(expected, dtype=dtype).dtype
 
     def test_roundtrip_bytes_plain_and_adjusted(self, tmp_path):
-        imps = [
+        imps = as_table([
             make_impression("p1", "post_01", 1, 2.5, 0),
             make_impression("p1", "post_02", 2, 1.234567, 2),
-        ]
+        ])
         path = tmp_path / "i.csv"
         save_impressions(path, imps)
         first = path.read_bytes()
@@ -292,20 +289,20 @@ class TestImpressionsIO:
         save_impressions(path, loaded)
         assert path.read_bytes() == first
 
-        adjusted = [
+        adjusted = as_table([
             make_impression("p1", "post_01", 1, 2.5, 0, adjusted=2.5),
             make_impression("p1", "post_02", 2, 1.9, 1, adjusted=0.7),
-        ]
+        ])
         path2 = tmp_path / "c.csv"
         save_impressions(path2, adjusted)
         first2 = path2.read_bytes()
         loaded2, _ = load_impressions(path2)
-        assert loaded2[0].dwell_adjusted == 2.5
+        assert loaded2.dwell_adjusted[0] == 2.5
         save_impressions(path2, loaded2)
         assert path2.read_bytes() == first2
 
         # an id that needs CSV quoting sends the file through the csv module
-        quoted = Impressions.of([
+        quoted = as_table([
             make_impression('p,"1"\nx', "post_01", 1, 2.5, 1),
             make_impression("p2", "post_02", 1, 1.5, 0),
         ])
@@ -321,7 +318,7 @@ class TestImpressionsIO:
 
     def test_carriage_return_ids_round_trip(self, tmp_path):
         # a bare CR must be quoted as a LF is, or the loader splits the row there
-        table = Impressions.of([
+        table = as_table([
             make_impression("c\rd", "post\r", 1, 2.5, 1),
             make_impression("p2", "a,b\r\n", 1, 1.5, 0),
         ])
@@ -347,25 +344,34 @@ class TestImpressionsIO:
         assert loaded_ratings == ratings
 
     def test_mixed_adjusted_flags_rejected(self, tmp_path):
-        imps = [
+        # rows must all carry dwell_adjusted or all lack it, built in memory or read back
+        rows = [
             make_impression("p1", "post_01", 1, 2.5, 0, adjusted=2.5),
             make_impression("p1", "post_02", 2, 2.5, 0),
         ]
         with pytest.raises(ValueError, match="mixed"):
-            save_impressions(tmp_path / "x.csv", imps)
+            as_table(rows)
+        keys = ADJUSTED_HEADER.split(",")
+        payload = {
+            "impressions": [{k: v for k, v in zip(keys, r) if v is not None} for r in rows],
+            "posts": [],
+            "provenance": {},
+        }
+        path = write(tmp_path / "dataset.json", json.dumps(payload))
+        with pytest.raises(ValueError, match="mixed"):
+            load_dataset(path)
 
 
 class TestImpressionsTable:
-    def test_of_round_trips_records(self):
+    def test_from_rows_round_trips_rows(self):
         rows = [
             make_impression("p1", "post_01", 1, 2.5, 0, adjusted=2.5),
             make_impression("p2", "post_02", 2, 1.9, 2, adjusted=0.7),
         ]
-        table = Impressions.of(rows)
-        assert Impressions.of(table) is table
-        assert list(table) == rows
+        table = as_table(rows)
+        assert rows_of(table) == rows
         assert table.action_count.tolist() == [0, 2]
-        plain = Impressions.of([make_impression("p1", "post_01", 1, 2.5, 1)])
+        plain = as_table([make_impression("p1", "post_01", 1, 2.5, 1)])
         assert plain.dwell_adjusted is None
 
     @pytest.mark.parametrize("key", ["participant", "post"])
@@ -377,34 +383,30 @@ class TestImpressionsTable:
             make_impression(ids["participant"], ids["post"], 2, 2.5, 0),
         ]
         with pytest.raises(ValueError, match=rf"{key} id 'z\\x00'"):
-            Impressions.of(rows)
-
-    def test_of_rejects_mixed_adjusted(self):
-        rows = [
-            make_impression("p1", "post_01", 1, 2.5, 0, adjusted=2.5),
-            make_impression("p1", "post_02", 2, 2.5, 0),
-        ]
-        with pytest.raises(ValueError, match="mixed"):
-            Impressions.of(rows)
+            as_table(rows)
 
     def test_int_and_mask_indexing_and_equality(self):
         rows = [make_impression("p1", f"post_{i}", i, float(i), i % 3) for i in range(1, 6)]
-        table = Impressions.of(rows)
-        assert table[0] == rows[0]
-        assert table[-1] == rows[-1]
-        assert isinstance(table[1].position, int) and isinstance(table[1].shared, bool)
+        table = as_table(rows)
+        # a table has no row objects: an int index and iteration are errors
+        for key in (0, np.int64(-1)):
+            with pytest.raises(TypeError):
+                table[key]
+        with pytest.raises(TypeError, match="not iterable"):
+            list(table)
         mask = table.dwell_raw > 2.5
-        assert list(table[mask]) == rows[2:]
-        assert table[np.array([4, 0])] == Impressions.of([rows[4], rows[0]])
-        assert table == Impressions.of(rows)
-        assert table != Impressions.of(rows[:4])
-        assert table != Impressions.of([make_impression("p1", "post_1", 1, 1.0, 2)] + rows[1:])
+        assert table[mask] == as_table(rows[2:])
+        assert rows_of(table[1:3]) == rows[1:3]
+        assert table[np.array([4, 0])] == as_table([rows[4], rows[0]])
+        assert table == as_table(rows)
+        assert table != as_table(rows[:4])
+        assert table != as_table([make_impression("p1", "post_1", 1, 1.0, 2)] + rows[1:])
         assert table != replace(table, dwell_adjusted=table.dwell_raw)
 
     def test_ids_are_codes_into_sorted_vocabularies(self):
         rows = [make_impression(pid, post, i, 1.0) for i, (pid, post) in
                 enumerate([("p9", "b"), ("p10", "a"), ("p9", "c"), ("P1", "a")], start=1)]
-        table = Impressions.of(rows)
+        table = as_table(rows)
         assert table.participant_vocab.tolist() == ["P1", "p10", "p9"]
         assert table.participant_code.tolist() == [2, 1, 2, 0]
         assert table.participant_code.dtype == np.int32 and table.post_code.dtype == np.int32
@@ -416,23 +418,23 @@ class TestImpressionsTable:
     def test_equal_rows_with_different_vocabularies_compare_equal(self):
         rows = [make_impression("p2", "b", 1, 1.0), make_impression("p3", "a", 2, 2.0, 1)]
         extra = [make_impression("p1", "c", 1, 3.0), make_impression("p4", "0", 1, 4.0)]
-        small = Impressions.of(rows)
-        selected = Impressions.of(extra[:1] + rows + extra[1:])[1:3]
+        small = as_table(rows)
+        selected = as_table(extra[:1] + rows + extra[1:])[1:3]
         assert selected.participant_vocab.tolist() == ["p1", "p2", "p3", "p4"]
         assert selected.participant_code.tolist() != small.participant_code.tolist()
         assert selected == small and small == selected
-        assert list(selected) == rows and selected[1] == rows[1]
+        assert rows_of(selected) == rows
         # the same codes into another vocabulary are other rows
         assert replace(small, participant_vocab=np.array(["q2", "q3"])) != small
 
     def test_selection_decodes_its_rows(self):
         rows = [make_impression(f"p{i % 4}", f"post_{i % 7}", i, float(i)) for i in range(1, 30)]
-        table = Impressions.of(rows)
+        table = as_table(rows)
         mask = table.dwell_raw % 4 != 2  # every row of p2
         picked = [r for r, m in zip(rows, mask) if m]
-        assert table[mask].participant_id.tolist() == [r.participant_id for r in picked]
-        assert table[mask].post_id.tolist() == [r.post_id for r in picked]
-        assert table[np.array([5, 2])][0] == rows[5]
+        assert table[mask].participant_id.tolist() == [r[0] for r in picked]
+        assert table[mask].post_id.tolist() == [r[1] for r in picked]
+        assert rows_of(table[np.array([5, 2])]) == [rows[5], rows[2]]
         assert table[mask].groups("participant")[0].tolist() == ["p0", "p1", "p3"]
 
 
@@ -463,10 +465,10 @@ class TestPostsIO:
 
 class TestValidation:
     def _feed(self, pid, n, posts):
-        return [
+        return as_table(
             make_impression(pid, posts[i % len(posts)].post_id, i + 1, 2.0)
             for i in range(n)
-        ]
+        )
 
     def test_valid_feed_of_120(self, tiny_posts):
         imps = self._feed("p1", 120, tiny_posts)
@@ -474,29 +476,29 @@ class TestValidation:
         assert len(ds.impressions) == 120
 
     def test_position_gap(self, tiny_posts):
-        imps = [
+        imps = as_table(
             make_impression("p1", tiny_posts[0].post_id, pos, 2.0) for pos in (1, 2, 4)
-        ]
+        )
         violations = dataset_violations(tiny_posts, imps)
         assert any(v.kind == "position_gap" for v in violations)
         with pytest.raises(DatasetValidationError):
             validate_dataset(tiny_posts, imps)
 
     def test_negative_dwell(self, tiny_posts):
-        imps = [make_impression("p1", tiny_posts[0].post_id, 1, -0.5)]
+        imps = as_table([make_impression("p1", tiny_posts[0].post_id, 1, -0.5)])
         violations = dataset_violations(tiny_posts, imps)
         assert any(v.kind == "negative_dwell" for v in violations)
 
     def test_dangling_post(self, tiny_posts):
-        imps = [make_impression("p1", "ghost", 1, 2.0)]
+        imps = as_table([make_impression("p1", "ghost", 1, 2.0)])
         violations = dataset_violations(tiny_posts, imps)
         assert any(v.kind == "dangling_post" for v in violations)
 
     def test_duplicate_position(self, tiny_posts):
-        imps = [
+        imps = as_table([
             make_impression("p1", tiny_posts[0].post_id, 1, 2.0),
             make_impression("p1", tiny_posts[1].post_id, 1, 2.0),
-        ]
+        ])
         violations = dataset_violations(tiny_posts, imps)
         assert any(v.kind == "duplicate_position" for v in violations)
 
@@ -504,7 +506,7 @@ class TestValidation:
 class TestDatasetJson:
     def test_roundtrip_bytes(self, tmp_path, tiny_posts):
         ratings_path = write(tmp_path / "r.csv", "rater_id,post_id,feature,value\n")
-        imps = [make_impression("p1", tiny_posts[0].post_id, 1, 2.0)]
+        imps = as_table([make_impression("p1", tiny_posts[0].post_id, 1, 2.0)])
         ds = validate_dataset(tiny_posts, imps, make_provenance([ratings_path]))
         path = tmp_path / "dataset.json"
         save_dataset(path, ds)
@@ -529,14 +531,15 @@ class TestDatasetJson:
             )
             for i in range(n_rows)
         ]
-        tables = [Impressions.of(records)]
+        tables = [as_table(records)]
         if not records:  # an empty table with and without a dwell_adjusted column
             tables.append(replace(tables[0], dwell_adjusted=None if adjusted else np.empty(0)))
         provenance = {"sources": {"r.csv": "00"}, "ingested_at": "now"}
         for table in tables:
             path = tmp_path / "dataset.json"
             save_dataset(path, Dataset(tuple(tiny_posts), table, provenance))
-            rows = [{k: v for k, v in asdict(r).items() if v is not None} for r in records]
+            keys = ADJUSTED_HEADER.split(",")
+            rows = [{k: v for k, v in zip(keys, r) if v is not None} for r in records]
             payload = {
                 "impressions": rows,
                 "posts": [{k: v for k, v in asdict(p).items() if v is not None} for p in tiny_posts],
@@ -562,11 +565,8 @@ class TestDomainTypes:
             RatingRecord("r", "p", "novelty", 1.0)
 
     def test_action_count_range(self):
-        assert make_impression(actions=0).action_count == 0
-        assert make_impression(actions=1).action_count == 1
-        assert make_impression(actions=2).action_count == 2
-        assert not make_impression(actions=0).engaged
-        assert make_impression(actions=1).engaged
+        table = as_table(make_impression(position=a + 1, actions=a) for a in (0, 1, 2))
+        assert table.action_count.tolist() == [0, 1, 2]
 
     def test_feature_matrix_shape_check(self):
         with pytest.raises(ValueError, match="shape"):

@@ -23,7 +23,7 @@ from feedlab.features import (
     standardize,
     top_posts,
 )
-from conftest import make_impression
+from conftest import as_table, make_impression
 from oracles import (
     comparison_sort_ranking,
     permutation_pearson_p,
@@ -135,17 +135,17 @@ class TestCorrelate:
 
 class TestMeanDwell:
     def test_single_and_pair(self):
-        imps = [
+        imps = as_table([
             make_impression("p1", "a", 1, 5.0, adjusted=2.0),
             make_impression("p2", "b", 1, 5.0, adjusted=1.0),
             make_impression("p3", "b", 1, 5.0, adjusted=3.0),
-        ]
+        ])
         out = mean_dwell_by_post(imps)
         assert out == {"a": 2.0, "b": 2.0}
 
     def test_requires_adjusted(self):
         with pytest.raises(ValueError, match="pipeline"):
-            mean_dwell_by_post([make_impression("p1", "a", 1, 5.0)])
+            mean_dwell_by_post(as_table([make_impression("p1", "a", 1, 5.0)]))
 
     def test_matches_sum_count_oracle(self):
         rng = np.random.default_rng(11)
@@ -155,11 +155,11 @@ class TestMeanDwell:
             )
             for i in range(1000)
         ]
-        out = mean_dwell_by_post(imps)
+        out = mean_dwell_by_post(as_table(imps))
         sums, counts = {}, {}
-        for i in imps:
-            sums[i.post_id] = sums.get(i.post_id, 0.0) + i.dwell_adjusted
-            counts[i.post_id] = counts.get(i.post_id, 0) + 1
+        for _, post, _, _, _, _, adjusted in imps:
+            sums[post] = sums.get(post, 0.0) + adjusted
+            counts[post] = counts.get(post, 0) + 1
         for pid, mean in out.items():
             assert mean == pytest.approx(sums[pid] / counts[pid], abs=1e-12)
 

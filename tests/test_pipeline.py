@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feedlab import pipeline
-from feedlab.data import ImpressionRecord, Impressions
 from feedlab.features import PostScore, mean_dwell_by_post
 from feedlab.pipeline import (
     ExclusionRules,
@@ -21,7 +20,7 @@ from feedlab.pipeline import (
     save_movement_model,
 )
 from feedlab.regression import build_design, dwell_model_spec
-from conftest import make_impression, simulate_hierarchical_dwell
+from conftest import as_table, make_impression, rows_of, simulate_hierarchical_dwell
 from oracles import per_participant_ols, per_row_dwell_pipeline
 
 
@@ -37,14 +36,14 @@ class TestStage1:
     def test_over_cap_removed(self):
         feed = full_feed("p1", [2.0] * 10)
         feed[4] = make_impression("p1", "post_005", 5, 31.0, 0)
-        kept, audit = apply_exclusions_stage1(feed, ExclusionRules())
+        kept, audit = apply_exclusions_stage1(as_table(feed), ExclusionRules())
         assert audit.removed["over_max_dwell"] == 1
-        assert all(i.dwell_raw <= 30.0 for i in kept)
+        assert (kept.dwell_raw <= 30.0).all()
 
     def test_edge_positions(self):
         feed = full_feed("p1", [2.0] * 120)
-        kept, audit = apply_exclusions_stage1(feed, ExclusionRules())
-        positions = {i.position for i in kept}
+        kept, audit = apply_exclusions_stage1(as_table(feed), ExclusionRules())
+        positions = set(kept.position.tolist())
         assert 2 not in positions and 4 in positions
         assert min(positions) == 4 and max(positions) == 117
         assert audit.removed["edge_positions"] == 6
@@ -52,19 +51,19 @@ class TestStage1:
     def test_feed_length_uses_original_positions(self):
         # a capped impression at the end must not shrink the edge window
         feed = full_feed("p1", [2.0] * 9 + [31.0])
-        kept, audit = apply_exclusions_stage1(feed, ExclusionRules())
+        kept, audit = apply_exclusions_stage1(as_table(feed), ExclusionRules())
         assert audit.removed["over_max_dwell"] == 1
-        assert {i.position for i in kept} == {4, 5, 6, 7}
+        assert set(kept.position.tolist()) == {4, 5, 6, 7}
 
     def test_short_feed_warns_and_empties(self):
         feed = full_feed("p1", [2.0] * 6)
         with pytest.warns(UserWarning, match="trimmed edges"):
-            kept, audit = apply_exclusions_stage1(feed, ExclusionRules())
+            kept, audit = apply_exclusions_stage1(as_table(feed), ExclusionRules())
         assert len(kept) == 0
         assert audit.retained_count == 0
 
     def test_empty_input(self):
-        kept, audit = apply_exclusions_stage1([], ExclusionRules())
+        kept, audit = apply_exclusions_stage1(as_table([]), ExclusionRules())
         assert len(kept) == 0
         assert audit.input_count == 0 and audit.retained_count == 0
 
@@ -74,7 +73,7 @@ class TestStage1:
     @settings(max_examples=50)
     def test_audit_conservation(self, dwells):
         feed = full_feed("p1", list(dwells))
-        kept, audit = apply_exclusions_stage1(feed, ExclusionRules())
+        kept, audit = apply_exclusions_stage1(as_table(feed), ExclusionRules())
         assert sum(audit.removed.values()) + len(kept) == len(feed)
 
 
@@ -83,50 +82,48 @@ class TestAdjustAndFloor:
         return MovementModel(2.0, slope, 0.0, 0.0, 0.1, {"p1": (2.0, slope)})
 
     def test_zero_action_identity_exact(self):
-        imps = [make_impression("p1", "a", 1, 4.2, 0)]
+        imps = as_table([make_impression("p1", "a", 1, 4.2, 0)])
         out = adjust_dwell(imps, self._model(1.5))
-        assert out[0].dwell_adjusted == 4.2
+        assert out.dwell_adjusted.tolist() == [4.2]
 
     def test_subtraction(self):
-        imps = [make_impression("p1", "a", 1, 5.0, 2)]
+        imps = as_table([make_impression("p1", "a", 1, 5.0, 2)])
         out = adjust_dwell(imps, self._model(1.5))
-        assert out[0].dwell_adjusted == pytest.approx(2.0)
+        assert out.dwell_adjusted[0] == pytest.approx(2.0)
 
     def test_negative_floored_to_zero(self):
-        imps = [make_impression("p1", "a", 1, 5.0, 2)]
+        imps = as_table([make_impression("p1", "a", 1, 5.0, 2)])
         out = adjust_dwell(imps, self._model(3.0))
-        assert out[0].dwell_adjusted == 0.0
+        assert out.dwell_adjusted.tolist() == [0.0]
 
     def test_matches_per_row_reference_exactly(self):
         imps, _ = simulate_hierarchical_dwell(np.random.default_rng(12), n_participants=20, n_per=40)
         model = fit_movement_model(imps)
         out = adjust_dwell(imps, model)
-        for imp, row in zip(imps, out):
-            a = imp.action_count
-            expected = (
-                imp.dwell_raw
-                if a == 0
-                else max(0.0, imp.dwell_raw - model.slope(imp.participant_id) * a)
-            )
-            assert row.dwell_adjusted == expected
+        for (pid, _, _, dwell, shared, liked, _), adjusted in zip(
+            rows_of(imps), out.dwell_adjusted.tolist()
+        ):
+            a = int(shared) + int(liked)
+            expected = dwell if a == 0 else max(0.0, dwell - model.slope(pid) * a)
+            assert adjusted == expected
 
     def test_unknown_participant_is_hard_error(self):
-        imps = [make_impression("p2", "a", 1, 5.0, 1)]
+        imps = as_table([make_impression("p2", "a", 1, 5.0, 1)])
         with pytest.raises(PipelineOrderError):
             adjust_dwell(imps, self._model(1.5))
 
     def test_floor_removes_below_threshold(self):
-        imps = [
+        imps = as_table([
             make_impression("p1", "a", 1, 1.0, 0, adjusted=0.10),
             make_impression("p1", "b", 2, 1.0, 0, adjusted=0.15),
             make_impression("p1", "c", 3, 1.0, 0, adjusted=0.20),
-        ]
+        ])
         kept, audit = apply_floor(imps, ExclusionRules())
-        assert [i.post_id for i in kept] == ["b", "c"]  # boundary 0.15 kept
+        assert kept.post_id.tolist() == ["b", "c"]  # boundary 0.15 kept
         assert audit.removed["below_min_adjusted"] == 1
 
     def test_clean_input_zero_removals(self):
-        imps = [make_impression("p1", "a", 1, 1.0, 0, adjusted=1.0)]
+        imps = as_table([make_impression("p1", "a", 1, 1.0, 0, adjusted=1.0)])
         kept, audit = apply_floor(imps, ExclusionRules())
         assert audit.removed["below_min_adjusted"] == 0
         assert len(kept) == 1
@@ -135,14 +132,14 @@ class TestAdjustAndFloor:
 class TestMovementModel:
     def test_noiseless_single_participant_exact(self):
         actions = [0, 1, 2, 0, 1, 2, 0, 0, 1, 2]
-        imps = full_feed("p1", [3.0 + 1.5 * a for a in actions], actions)
+        imps = as_table(full_feed("p1", [3.0 + 1.5 * a for a in actions], actions))
         model = fit_movement_model(imps)
         assert model.mu_alpha == pytest.approx(3.0, abs=1e-9)
         assert model.mu_beta == pytest.approx(1.5, abs=1e-9)
         assert model.participants["p1"][1] == pytest.approx(1.5, abs=1e-9)
 
     def test_zero_engagement_pins_slope(self):
-        imps = full_feed("p1", [2.0, 2.5, 3.0, 2.2, 2.8])
+        imps = as_table(full_feed("p1", [2.0, 2.5, 3.0, 2.2, 2.8]))
         with pytest.warns(UserWarning, match="unidentifiable"):
             model = fit_movement_model(imps)
         assert model.mu_beta == 0.0
@@ -154,11 +151,11 @@ class TestMovementModel:
         # on balanced data the random-intercept ML mean is the grand mean
         rng = np.random.default_rng(12)
         dwells = 3.0 + rng.standard_normal((8, 15)) + rng.standard_normal((8, 1))
-        imps = [
+        imps = as_table(
             imp
             for i, row in enumerate(dwells)
             for imp in full_feed(f"p{i}", list(row), [1] * len(row))
-        ]
+        )
         with pytest.warns(UserWarning, match="unidentifiable"):
             model = fit_movement_model(imps)
         assert model.mu_beta == 0.0
@@ -197,13 +194,10 @@ class TestMovementModel:
         imps, _ = simulate_hierarchical_dwell(rng, n_participants=80, n_per=60)
         model = fit_movement_model(imps)
         oracle = per_participant_ols(imps)
-        rows = {}
-        for imp in imps:
-            rows.setdefault(imp.participant_id, []).append(imp)
         n_between = 0
         n_defined = 0
         for pid, (a0, b0) in oracle.items():
-            a = np.array([r.action_count for r in rows[pid]], dtype=float)
+            a = imps.action_count[imps.participant_id == pid].astype(float)
             X = np.column_stack([np.ones_like(a), a])
             H = X.T @ X
             d = np.array([a0 - model.mu_alpha, b0 - model.mu_beta])
@@ -242,12 +236,12 @@ class TestMovementModel:
         rng = np.random.default_rng(9)
         imps, _ = simulate_hierarchical_dwell(rng, n_participants=30, n_per=40)
         m1 = fit_movement_model(imps)
-        m2 = fit_movement_model(list(imps))
+        m2 = fit_movement_model(as_table(rows_of(imps)))
         assert m1 == m2
 
     def test_requires_input(self):
         with pytest.raises(ValueError):
-            fit_movement_model([])
+            fit_movement_model(as_table([]))
 
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -269,21 +263,15 @@ class TestRunPipeline:
             "below_min_adjusted": 1,
         }
         assert result.audit.retained_count == 2
-        by_pos = {i.position: i for i in result.impressions}
-        assert by_pos[4].dwell_adjusted == 2.0  # zero-action identity, exact
+        kept = result.impressions
+        by_pos = dict(zip(kept.position.tolist(), kept.dwell_adjusted.tolist()))
+        assert by_pos[4] == 2.0  # zero-action identity, exact
         # post-fit slope equals the pooled least-squares slope of the three
         # stage-1 survivors (single participant, EM fixed point)
-        assert by_pos[7].dwell_adjusted == pytest.approx(5.0 - 2 * 1.975, abs=1e-9)
-
-    def test_records_and_table_give_equal_results(self):
-        imps, _ = simulate_hierarchical_dwell(np.random.default_rng(5), n_participants=30, n_per=40)
-        from_records = run_pipeline(imps, ExclusionRules())
-        from_table = run_pipeline(Impressions.of(imps), ExclusionRules())
-        assert from_records == from_table
-        assert len(from_table.impressions) == from_table.audit.retained_count
+        assert by_pos[7] == pytest.approx(5.0 - 2 * 1.975, abs=1e-9)
 
     def test_empty_dataset(self):
-        result = run_pipeline([], ExclusionRules())
+        result = run_pipeline(as_table([]), ExclusionRules())
         assert len(result.impressions) == 0
         assert result.audit.input_count == 0
         assert result.model.participants == {}
@@ -326,11 +314,11 @@ def _dropping_feeds():
 @pytest.mark.filterwarnings("ignore:movement-time EM stopped")  # tiny fixtures stop at the cap
 class TestWholeParticipantDropped:
     def test_model_adjustment_and_audit_match_per_row_oracle(self):
-        rows = _dropping_feeds()
+        rows = as_table(_dropping_feeds())
         rules = ExclusionRules()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = run_pipeline(Impressions.of(rows), rules)
+            result = run_pipeline(rows, rules)
             stage1, _ = apply_exclusions_stage1(rows, rules)
         short = [str(w.message) for w in caught if "trimmed edges" in str(w.message)]
         assert len(short) == 2 and all(m.endswith(": p2") for m in short)
@@ -350,7 +338,7 @@ class TestWholeParticipantDropped:
         assert build_design(cleaned, scores, dwell_model_spec()).n == 14
 
     def test_ids_without_rows_do_not_warn_or_fit(self):
-        table = Impressions.of(_dropping_feeds())
+        table = as_table(_dropping_feeds())
         kept = table[np.isin(table.participant_id, ["p1", "p4"])]
         assert len(kept.participant_vocab) == 4  # a selection keeps the vocabulary
         with warnings.catch_warnings():
@@ -360,7 +348,7 @@ class TestWholeParticipantDropped:
         model = fit_movement_model(stage1)
         assert list(model.participants) == ["p1", "p4"]
         # the same bits as on a table holding only the selected ids
-        fresh = Impressions.of(list(stage1))
+        fresh = as_table(rows_of(stage1))
         assert len(fresh.participant_vocab) == 2 and len(fresh.post_vocab) < len(stage1.post_vocab)
         assert fit_movement_model(fresh) == model
         assert adjust_dwell(fresh, model) == adjust_dwell(stage1, model)
@@ -375,7 +363,7 @@ class TestWholeParticipantDropped:
             for pid in ids
             for k, d, a in zip(range(1, 16), rng.uniform(1, 6, 15), rng.integers(0, 3, 15))
         ]
-        table = Impressions.of(rows)
+        table = as_table(rows)
         order = np.unique(np.array(ids)).tolist()
         assert table.participant_vocab.tolist() == order == ["P1", "p1", "p10", "p9", "é"]
         assert table.groups("participant")[0].tolist() == order
@@ -383,6 +371,6 @@ class TestWholeParticipantDropped:
         assert list(model.participants) == order
         # a wider vocabulary, its extra ids sorting between the table's, gives the same bits
         extra = [make_impression(pid, "post_99", 1, 2.0) for pid in ("P0", "p05", "p99", "z")]
-        wide = Impressions.of(rows + extra)
+        wide = as_table(rows + extra)
         assert len(wide.participant_vocab) == 9
         assert fit_movement_model(wide[: len(rows)]) == model

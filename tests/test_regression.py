@@ -18,7 +18,7 @@ from feedlab.regression import (
     render_fit_table,
     save_fit,
 )
-from conftest import make_impression
+from conftest import as_table, make_impression
 from oracles import grid_search_logistic_mle, normal_equations_ols
 
 
@@ -60,10 +60,10 @@ class TestDesignSpec:
 
 class TestBuildDesign:
     def test_engage_coding(self):
-        imps = [
+        imps = as_table([
             make_impression("p1", "a", 1, 3.0, actions=1, adjusted=2.0),
             make_impression("p1", "b", 2, 3.0, actions=0, adjusted=2.0),
-        ]
+        ])
         d = build_design(imps, scores_for(["a", "b"]), dwell_model_spec())
         engage = d.X[:, d.columns.index("engage")]
         assert engage[0] == 0.5 and engage[1] == -0.5
@@ -72,11 +72,11 @@ class TestBuildDesign:
         # adjusted dwells e^0, e^2: log-dwell mean 1, SD sqrt(2);
         # the e^2 row's z-scored dwell predictor is 1/sqrt(2)... use three
         # rows engineered for mean 1, SD 1: logs (0, 1, 2)
-        imps = [
+        imps = as_table([
             make_impression("p1", "a", 1, 3.0, adjusted=1.0),
             make_impression("p1", "b", 2, 3.0, adjusted=math.e),
             make_impression("p1", "c", 3, 3.0, adjusted=math.e**2),
-        ]
+        ])
         d = build_design(imps, scores_for(["a", "b", "c"]), engagement_model_spec())
         zs = d.X[:, d.columns.index("dwell")]
         assert d.centering["log_dwell_mean"] == pytest.approx(1.0)
@@ -87,14 +87,14 @@ class TestBuildDesign:
             PostScore("a", (1.0, -1.0)),
             PostScore("b", (0.0, 2.0)),
         ]
-        imps = [
+        imps = as_table([
             make_impression("p1", "a", 1, 3.0, actions=0, adjusted=1.0),
             make_impression("p1", "b", 2, 3.0, actions=1, adjusted=2.0),
             make_impression("p1", "a", 3, 3.0, actions=2, adjusted=4.0),
             make_impression("p2", "b", 1, 3.0, actions=0, adjusted=1.0),
             make_impression("p2", "a", 2, 3.0, actions=0, adjusted=0.5),
             make_impression("p2", "b", 3, 3.0, actions=1, adjusted=8.0),
-        ]
+        ])
         d = build_design(imps, scores, dwell_model_spec())
         eng = np.array([-0.5, 0.5, 0.5, -0.5, -0.5, 0.5])
         cred = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
@@ -106,35 +106,14 @@ class TestBuildDesign:
         assert np.allclose(d.y, np.log([1.0, 2.0, 4.0, 1.0, 0.5, 8.0]), atol=1e-15)
 
     def test_missing_scores_listed(self):
-        imps = [make_impression("p1", "ghost", 1, 3.0, adjusted=2.0)]
+        imps = as_table([make_impression("p1", "ghost", 1, 3.0, adjusted=2.0)])
         with pytest.raises(ValueError, match="ghost"):
             build_design(imps, scores_for(["a"]), dwell_model_spec())
 
     def test_requires_adjusted_dwell(self):
-        imps = [make_impression("p1", "a", 1, 3.0)]
+        imps = as_table([make_impression("p1", "a", 1, 3.0)])
         with pytest.raises(ValueError, match="pipeline"):
             build_design(imps, scores_for(["a"]), dwell_model_spec())
-
-    def test_participant_demeaning_switch(self):
-        scores = [PostScore("a", (1.0, 0.5)), PostScore("b", (-1.0, 2.0))]
-        imps = [
-            make_impression("p1", "a", 1, 3.0, actions=1, adjusted=2.0),
-            make_impression("p1", "b", 2, 3.0, actions=0, adjusted=1.0),
-            make_impression("p2", "a", 1, 3.0, actions=0, adjusted=4.0),
-            make_impression("p2", "b", 2, 3.0, actions=2, adjusted=0.5),
-            make_impression("p2", "a", 3, 3.0, actions=0, adjusted=1.5),
-        ]
-        spec = dwell_model_spec()
-        plain = build_design(imps, scores, spec)
-        within = build_design(imps, scores, spec, demean_by_participant=True)
-        assert within.centering["demeaned_by_participant"]
-        pids = np.array([i.participant_id for i in imps])
-        for j in range(1, len(within.columns)):
-            for pid in ("p1", "p2"):
-                assert within.X[pids == pid, j].mean() == pytest.approx(0.0, abs=1e-12)
-            assert not np.allclose(within.X[:, j], plain.X[:, j])
-        for pid in ("p1", "p2"):
-            assert within.y[pids == pid].mean() == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFitOls:
@@ -280,7 +259,7 @@ class TestFitDesignAndIO:
                         adjusted=float(rng.lognormal(0.5, 0.6) + 0.2),
                     )
                 )
-        return imps, scores
+        return as_table(imps), scores
 
     def test_dispatch_and_roundtrip(self, tmp_path):
         imps, scores = self._fitted()

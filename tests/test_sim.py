@@ -103,10 +103,10 @@ class TestSimulateImpression:
 class TestSimulateDataset:
     def test_validates_and_has_contiguous_positions(self):
         ds = simulate_dataset(SimConfig(participants=4, seed=11))
-        assert dataset_violations(list(ds.posts), list(ds.impressions)) == []
+        assert dataset_violations(list(ds.posts), ds.impressions) == []
         by_pid = {}
-        for imp in ds.impressions:
-            by_pid.setdefault(imp.participant_id, []).append(imp.position)
+        for pid, position in zip(ds.impressions.participant_id.tolist(), ds.impressions.position):
+            by_pid.setdefault(pid, []).append(int(position))
         assert all(sorted(v) == list(range(1, 121)) for v in by_pid.values())
 
     def test_zero_participants(self):
@@ -118,8 +118,8 @@ class TestSimulateDataset:
         a = simulate_dataset(SimConfig(participants=3, seed=123))
         b = simulate_dataset(SimConfig(participants=3, seed=123))
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_impressions(pa, list(a.impressions))
-        save_impressions(pb, list(b.impressions))
+        save_impressions(pa, a.impressions)
+        save_impressions(pb, b.impressions)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_different_seeds_differ(self):
@@ -131,8 +131,8 @@ class TestSimulateDataset:
         ds = simulate_dataset(SimConfig(participants=2, seed=3))
         cats = {p.post_id: p.category for p in ds.posts}
         by_pid = {}
-        for imp in ds.impressions:
-            by_pid.setdefault(imp.participant_id, []).append(cats[imp.post_id])
+        for pid, post in zip(ds.impressions.participant_id.tolist(), ds.impressions.post_id.tolist()):
+            by_pid.setdefault(pid, []).append(cats[post])
         for feed_cats in by_pid.values():
             n_news = sum(c in ("true_news", "false_news") for c in feed_cats)
             assert n_news == 90
@@ -143,7 +143,7 @@ class TestSimulateDataset:
         ds, pool, params = simulate_session(cfg)
         p_all = expected_engagement(params, pool.credibility, pool.sensationalism)
         expected = float(p_all.mean())  # feeds are near-uniform samples of the pool
-        rate = np.mean([i.engaged for i in ds.impressions])
+        rate = np.mean(ds.impressions.action_count >= 1)
         se = math.sqrt(expected * (1 - expected) / len(ds.impressions))
         assert abs(rate - expected) < max(3 * se, 0.01)
 
@@ -443,8 +443,8 @@ class TestDescriptiveRefit:
         # descriptive dwell spec on simulated data and check their signs
         cfg = SimConfig(participants=300, seed=4242)
         ds, pool, params = simulate_session(cfg)
-        res = run_pipeline(ds, ExclusionRules())
-        design = build_design(list(res.impressions), pool_scores(pool), dwell_model_spec())
+        res = run_pipeline(ds.impressions, ExclusionRules())
+        design = build_design(res.impressions, pool_scores(pool), dwell_model_spec())
         fit = fit_design(design, dwell_model_spec())
         assert fit.term("engage").estimate > 0
         assert fit.term("engage:sensationalism").estimate > 0
@@ -494,14 +494,12 @@ class TestParameterRecovery:
         cfg = SimConfig(participants=250, seed=909, params=params)
         ds, pool, _ = simulate_session(cfg)
         rules = ExclusionRules()
-        adjusted = run_pipeline(ds, rules)
-        stage1, _ = apply_exclusions_stage1(list(ds.impressions), rules)
-        raw_rows, _ = apply_floor(
-            [replace(i, dwell_adjusted=i.dwell_raw) for i in stage1], rules
-        )
+        adjusted = run_pipeline(ds.impressions, rules)
+        stage1, _ = apply_exclusions_stage1(ds.impressions, rules)
+        raw_rows, _ = apply_floor(replace(stage1, dwell_adjusted=stage1.dwell_raw), rules)
         spec = engagement_model_spec()
         scores = pool_scores(pool)
-        fit_adj = fit_design(build_design(list(adjusted.impressions), scores, spec), spec)
+        fit_adj = fit_design(build_design(adjusted.impressions, scores, spec), spec)
         fit_raw = fit_design(build_design(raw_rows, scores, spec), spec)
         assert fit_adj.term("dwell").estimate == pytest.approx(
             fit_raw.term("dwell").estimate, abs=1e-6
