@@ -344,13 +344,11 @@ class TestImpressionsIO:
         assert loaded_ratings == ratings
 
     def test_mixed_adjusted_flags_rejected(self, tmp_path):
-        # rows must all carry dwell_adjusted or all lack it, built in memory or read back
+        # a file whose rows mix set and missing dwell_adjusted is rejected on load
         rows = [
             make_impression("p1", "post_01", 1, 2.5, 0, adjusted=2.5),
             make_impression("p1", "post_02", 2, 2.5, 0),
         ]
-        with pytest.raises(ValueError, match="mixed"):
-            as_table(rows)
         keys = ADJUSTED_HEADER.split(",")
         payload = {
             "impressions": [{k: v for k, v in zip(keys, r) if v is not None} for r in rows],
@@ -373,6 +371,15 @@ class TestImpressionsTable:
         assert table.action_count.tolist() == [0, 2]
         plain = as_table([make_impression("p1", "post_01", 1, 2.5, 1)])
         assert plain.dwell_adjusted is None
+
+    def test_of_rejects_mixed_adjusted(self):
+        # rows must all carry dwell_adjusted or all lack it
+        rows = [
+            make_impression("p1", "post_01", 1, 2.5, 0, adjusted=2.5),
+            make_impression("p1", "post_02", 2, 2.5, 0),
+        ]
+        with pytest.raises(ValueError, match="mixed"):
+            as_table(rows)
 
     @pytest.mark.parametrize("key", ["participant", "post"])
     def test_id_ending_in_nul_rejected(self, key):
