@@ -188,7 +188,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     config = _sim_config_from_args(args)
-    dataset, pool, _ = simulate_session(config)
+    dataset, pool = simulate_session(config)
     _write_resolved_config(out, args)
     save_posts(out / "posts.csv", list(dataset.posts))
     save_impressions(out / "impressions.csv", dataset.impressions)

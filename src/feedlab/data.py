@@ -249,6 +249,11 @@ class Impressions:
         return len(self.position)
 
     def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            raise TypeError(
+                "a table has no row objects; select rows with a slice, a boolean mask "
+                "or an index array"
+            )
         values = {k: c[key] for k, c in zip(_VALUE_FIELDS, self._values()) if c is not None}
         codes = {"participant_code": self.participant_code[key], "post_code": self.post_code[key]}
         return replace(self, **codes, **values)

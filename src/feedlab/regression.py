@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._numeric import normal_sf_two_sided, one_blas_thread, t_sf_two_sided
-from .data import Impressions, from_fields, write_json
+from .data import DataFormatError, Impressions, from_fields, write_json
 from .features import PostScore
 
 MAX_CONDITION = 1e10
@@ -354,8 +354,11 @@ def save_fit(path: str | Path, fit: RegressionFit) -> None:
 
 def load_fit(path: str | Path) -> RegressionFit:
     d = json.loads(Path(path).read_text())
-    if "terms" not in d or "model" not in d:
-        raise ValueError(f"{path} is not a regression fit file")
+    if not isinstance(d, dict) or "terms" not in d or "model" not in d:
+        raise DataFormatError(f"{path} is not a regression fit file")
+    for name in ("terms", "warnings"):
+        if not isinstance(d.get(name, []), list):
+            raise DataFormatError(f"{path}: {name} must be a JSON list, got {d[name]!r}")
     terms = tuple(from_fields(TermEstimate, t) for t in d["terms"])
     return from_fields(RegressionFit, d, terms=terms, warnings=tuple(d.get("warnings", ())))
 

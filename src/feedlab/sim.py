@@ -8,7 +8,8 @@ A simulated user processes each feed post in two stages:
 * Stage 2 (engagement): conditional on dwell, the user shares (and possibly
   likes) the post with probability
   ``logistic(g0 + g_dwell*z + g_cred*c + g_sens*s + g_dwell_sens*z*s)``
-  where ``z`` is the log-dwell z-score under the configured marginal.
+  where ``z`` is log dwell's z-score under the pool's log-dwell marginal,
+  which :func:`log_dwell_marginal` works out from the params and the pool.
 
 Observed dwell adds a motor cost per action, ``action_count * max(0,
 Normal(motor_mean, motor_sd))``, recreating the confound the dwell pipeline
@@ -89,8 +90,6 @@ class GenerativeParams:
     motor_mean: float = 1.2
     motor_sd: float = 0.4
     like_given_engage: float = 0.5
-    logdwell_loc: float | None = None
-    logdwell_scale: float | None = None
 
     def __post_init__(self):
         if self.dwell_noise_sd < 0 or self.motor_sd < 0:
@@ -98,26 +97,28 @@ class GenerativeParams:
         if not 0.0 <= self.like_given_engage <= 1.0:
             raise ValueError("like_given_engage must be a probability")
 
-    @property
-    def resolved(self) -> bool:
-        return self.logdwell_loc is not None and self.logdwell_scale is not None
 
-
-def resolve_marginal(
+def log_dwell_marginal(
     params: GenerativeParams, credibility: np.ndarray, sensationalism: np.ndarray
-) -> GenerativeParams:
-    """Fill the log-dwell marginal (mean/SD over the pool plus stage-1 noise).
+) -> tuple[float, float]:
+    """The log-dwell marginal ``(loc, scale)`` of a pool: mean and SD over its
+    posts, stage-1 noise included.
 
     The stage-2 dwell predictor is standardized against this marginal, the
     generative counterpart of z-scoring log dwell over the analysis sample.
+    The reductions are called directly, without the wrappers of
+    ``ndarray.mean``/``var``; they sum in the same order, so the bits are the same.
     """
     lin = (
         params.dwell_credibility * np.asarray(credibility, dtype=float)
         + params.dwell_sensationalism * np.asarray(sensationalism, dtype=float)
     )
-    loc = params.dwell_intercept + float(lin.mean())
-    scale = math.sqrt(float(lin.var()) + params.dwell_noise_sd**2)
-    return replace(params, logdwell_loc=loc, logdwell_scale=scale)
+    mean = np.add.reduce(lin) / lin.size
+    x = lin - mean
+    x *= x
+    loc = params.dwell_intercept + float(mean)
+    scale = math.sqrt(float(np.add.reduce(x) / lin.size) + params.dwell_noise_sd**2)
+    return loc, scale
 
 
 def engage_probability(
@@ -181,9 +182,12 @@ def simulate_impressions(
     c: np.ndarray,
     s: np.ndarray,
     params: GenerativeParams,
+    loc: float,
+    scale: float,
     rng: np.random.Generator,
 ) -> dict[str, np.ndarray]:
-    """Vectorized two-stage draw for a block of posts.
+    """Vectorized two-stage draw for a block of posts, z-scoring log dwell
+    against the marginal ``loc``/``scale``.
 
     Exactly four variate arrays of ``c``'s size are drawn, in a fixed order
     (dwell noise, engage uniform, like uniform, motor noise), so a block's
@@ -191,13 +195,11 @@ def simulate_impressions(
     contract the batched simulators keep: each stream draws its four rows in
     its own loop, and one :func:`_two_stage` call evaluates all of them.
     """
-    if not params.resolved:
-        raise ValueError("params.logdwell_loc/scale unset; call resolve_marginal first")
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
     variates = np.empty((4, c.size))
     _draw_variates(rng, *variates)
-    return _two_stage(c, s, params, params.logdwell_loc, params.logdwell_scale, *variates)
+    return _two_stage(c, s, params, loc, scale, *variates)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +368,10 @@ def _sample_feed(
 
 def simulate_session(
     config: SimConfig, seed_seq: np.random.SeedSequence | None = None
-) -> tuple[Dataset, PoolPosts, GenerativeParams]:
-    """Simulate one study and also return the realized pool and resolved params.
+) -> tuple[Dataset, PoolPosts]:
+    """Simulate one study and also return the realized pool.
 
+    Log dwell is z-scored against the pool's :func:`log_dwell_marginal`.
     Each participant is one stream on its own spawned generator, which draws
     the feed and then the four variate rows of :func:`simulate_impressions`.
     The loop only draws; one :func:`_two_stage` call then evaluates the whole
@@ -378,7 +381,7 @@ def simulate_session(
         seed_seq = np.random.SeedSequence(config.seed)
     pool_seq, users_seq = seed_seq.spawn(2)
     pool = config.pool.realize(np.random.default_rng(pool_seq))
-    params = resolve_marginal(config.params, pool.credibility, pool.sensationalism)
+    loc, scale = log_dwell_marginal(config.params, pool.credibility, pool.sensationalism)
     is_news = np.isin(pool.categories, NEWS_CATEGORIES)
     news_idx, other_idx = np.flatnonzero(is_news), np.flatnonzero(~is_news)
     n, length = config.participants, config.feed_length
@@ -389,12 +392,7 @@ def simulate_session(
         feeds[u] = _sample_feed(news_idx, other_idx, config, rng)
         _draw_variates(rng, *variates[:, u])
     out = _two_stage(
-        pool.credibility[feeds],
-        pool.sensationalism[feeds],
-        params,
-        params.logdwell_loc,
-        params.logdwell_scale,
-        *variates,
+        pool.credibility[feeds], pool.sensationalism[feeds], config.params, loc, scale, *variates
     )
     # zero-padded ids are generated in sorted order, so a participant's index
     # and a feed's pool indices are the codes
@@ -415,12 +413,12 @@ def simulate_session(
         "config_digest": config_digest(config),
     }
     dataset = Dataset(pool.posts(), impressions, provenance)
-    return dataset, pool, params
+    return dataset, pool
 
 
 def simulate_dataset(config: SimConfig) -> Dataset:
     """Simulate a full study: every participant walks a sampled 1..n feed."""
-    dataset, _, _ = simulate_session(config)
+    dataset, _ = simulate_session(config)
     return dataset
 
 
@@ -447,9 +445,10 @@ def expected_dwell(params: GenerativeParams, c: np.ndarray, s: np.ndarray) -> np
 
 
 def expected_engagement(
-    params: GenerativeParams, c: np.ndarray, s: np.ndarray
+    params: GenerativeParams, c: np.ndarray, s: np.ndarray, loc: float, scale: float
 ) -> np.ndarray:
-    """Engagement probability marginalized over stage-1 dwell noise.
+    """Engagement probability marginalized over stage-1 dwell noise, log dwell
+    z-scored against the marginal ``loc``/``scale``.
 
     Gauss-Hermite quadrature over the dwell noise; exact (to quadrature
     accuracy) counterpart of simulating many impressions per post.
@@ -462,11 +461,8 @@ def expected_engagement(
     every output built on them do not change. Where ``exp(-eta)``
     overflows, the logistic is exactly 0, as ``expit``'s is.
     """
-    if not params.resolved:
-        raise ValueError("params must carry the log-dwell marginal")
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
-    scale = params.logdwell_scale
     mean_log = (
         params.dwell_intercept
         + params.dwell_credibility * c
@@ -480,7 +476,7 @@ def expected_engagement(
     )
     b = np.zeros_like(a)
     if scale > 0:
-        a = a + slope * (mean_log - params.logdwell_loc) / scale
+        a = a + slope * (mean_log - loc) / scale
         b = slope * params.dwell_noise_sd / scale
     eta = np.multiply.outer(b, _GH_NODES)
     eta += a[:, None]
@@ -508,30 +504,30 @@ def rank_feed(
     params: GenerativeParams,
     k: int,
     rng: np.random.Generator | None = None,
-) -> list[str]:
-    """Top-k post ids under a ranking policy; score ties break by post_id."""
+) -> np.ndarray:
+    """The pool rows of the top k posts under a ranking policy, best first.
+
+    Score ties break by post id; ``engage_opt`` scores against the pool's
+    :func:`log_dwell_marginal`, ``chronological`` takes the first k rows.
+    """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
     if k < 0 or k > pool.size:
         raise ValueError(f"k must be in 0..{pool.size}")
-    ids = pool.post_ids()
     if policy == "chronological":
-        return list(ids[:k])
+        return np.arange(k)
     if policy == "random":
         if rng is None:
             raise ValueError("random policy needs an rng")
-        order = rng.permutation(pool.size)
-        return [ids[j] for j in order[:k]]
-    if not params.resolved:
-        params = resolve_marginal(params, pool.credibility, pool.sensationalism)
+        return rng.permutation(pool.size)[:k]
+    c, s = pool.credibility, pool.sensationalism
     if policy == "dwell_opt":
-        scores = expected_dwell(params, pool.credibility, pool.sensationalism)
+        scores = expected_dwell(params, c, s)
     else:
-        scores = expected_engagement(params, pool.credibility, pool.sensationalism)
+        scores = expected_engagement(params, c, s, *log_dwell_marginal(params, c, s))
     # rank the rows in id order, so that score ties break by id
-    by_id = _id_order(tuple(ids))
-    top = by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
-    return [ids[j] for j in top.tolist()]
+    by_id = _id_order(tuple(pool.post_ids()))
+    return by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +586,10 @@ def run_policy_experiment(
     and aggregate ecosystem metrics across seeded replications.
 
     Each replication is one stream on its own spawned generator. It realizes
-    the pool, then per policy in argument order ranks it with
-    :func:`rank_feed` (which draws the ``random`` permutation) and draws the
-    four variate rows of :func:`simulate_impressions`. The replication loop
+    the pool and works out its :func:`log_dwell_marginal`, then per policy in
+    argument order ranks it with :func:`rank_feed` (which draws the ``random``
+    permutation), takes the top k rows' coordinates and draws the four
+    variate rows of :func:`simulate_impressions`. The replication loop
     only realizes, ranks and draws; one :func:`_two_stage` call then evaluates
     the whole (policies, replications, k) block, bit-identical to one
     replication at a time. Each policy may be named once.
@@ -604,8 +601,6 @@ def run_policy_experiment(
     repeated = sorted({p for p in policies if policies.count(p) > 1})
     if repeated:
         raise ValueError(f"policies named more than once: {repeated}")
-    # realize names every pool's posts _post_ids(size), so one map serves all
-    row = {pid: j for j, pid in enumerate(_post_ids(config.pool.size))}
     block = (len(policies), replications, k)
     c, s = np.empty(block), np.empty(block)
     loc, scale = np.empty((replications, 1)), np.empty((replications, 1))
@@ -614,13 +609,12 @@ def run_policy_experiment(
     def draw(r: int, seed_seq: np.random.SeedSequence) -> None:
         rng = np.random.default_rng(seed_seq)
         pool = config.pool.realize(rng)
-        params = resolve_marginal(config.params, pool.credibility, pool.sensationalism)
-        loc[r], scale[r] = params.logdwell_loc, params.logdwell_scale
+        loc[r], scale[r] = log_dwell_marginal(config.params, pool.credibility, pool.sensationalism)
         # ranking stays per replication: engage_opt's quadrature as one
         # (replications * pool, 64) block is 35 MB at 250 replications, over
         # half the experiment's peak memory, and it ran slower
         for j, policy in enumerate(policies):
-            top = [row[pid] for pid in rank_feed(policy, pool, params, k, rng=rng)]
+            top = rank_feed(policy, pool, config.params, k, rng=rng)
             c[j, r], s[j, r] = pool.credibility[top], pool.sensationalism[top]
             _draw_variates(rng, *variates[:, j, r])
 
@@ -702,9 +696,10 @@ def align_scores_to_axes(
     return aligned, meta
 
 
-def stage1_recovery_spec() -> DesignSpec:
-    """Dwell model matching the generative stage 1 (no engagement predictor)."""
-    return DesignSpec(response="log_dwell", predictors=("credibility", "sensationalism"))
+# the dwell model matching the generative stage 1 (no engagement predictor)
+STAGE1_RECOVERY_SPEC = DesignSpec(
+    response="log_dwell", predictors=("credibility", "sensationalism")
+)
 
 
 _STAGE1_TARGETS = {"credibility": "dwell_credibility", "sensationalism": "dwell_sensationalism"}
@@ -728,13 +723,9 @@ class RecoveryReport:
 
 
 def _recover_once(
-    config: SimConfig,
-    rules: ExclusionRules,
-    stage2_spec: DesignSpec,
-    stage1_spec: DesignSpec,
-    seed_seq: np.random.SeedSequence,
+    config: SimConfig, rules: ExclusionRules, seed_seq: np.random.SeedSequence
 ) -> dict:
-    dataset, pool, params = simulate_session(config, seed_seq)
+    dataset, pool = simulate_session(config, seed_seq)
 
     cleaned = run_pipeline(dataset.impressions, rules)
     # no-adjustment control: same exclusions, raw dwell carried through
@@ -750,7 +741,8 @@ def _recover_once(
     def fit_spec(impressions, spec: DesignSpec) -> RegressionFit:
         return fit_design(build_design(impressions, aligned, spec), spec)
 
-    s1_fit = fit_spec(cleaned.impressions, stage1_spec)
+    stage2_spec = engagement_model_spec()
+    s1_fit = fit_spec(cleaned.impressions, STAGE1_RECOVERY_SPEC)
     s2_fit = fit_spec(cleaned.impressions, stage2_spec)
     # the no-adjustment control needs only the stage-2 dwell coefficient
     s2_raw_fit = fit_spec(raw_kept, stage2_spec)
@@ -758,12 +750,12 @@ def _recover_once(
     def capture(fit_: RegressionFit, targets: dict[str, str]) -> dict:
         rows = {}
         for term, attr in targets.items():
-            t = fit_.term(term)
+            t, generating = fit_.term(term), getattr(config.params, attr)
             rows[term] = {
-                "generating": getattr(params, attr),
+                "generating": generating,
                 "estimate": t.estimate,
                 "se": t.se,
-                "within_3se": bool(abs(t.estimate - getattr(params, attr)) <= 3 * t.se),
+                "within_3se": bool(abs(t.estimate - generating) <= 3 * t.se),
             }
         return rows
 
@@ -780,8 +772,6 @@ def _recover_once(
 def parameter_recovery(
     config: SimConfig,
     rules: ExclusionRules | None = None,
-    stage1_spec: DesignSpec | None = None,
-    stage2_spec: DesignSpec | None = None,
     replications: int = 20,
     threads: int = 1,
 ) -> RecoveryReport:
@@ -794,9 +784,7 @@ def parameter_recovery(
     if replications < 1:
         raise ValueError("need at least one replication")
     rules = rules or ExclusionRules()
-    stage1_spec = stage1_spec or stage1_recovery_spec()
-    stage2_spec = stage2_spec or engagement_model_spec()
-    work = lambda _, sq: _recover_once(config, rules, stage2_spec, stage1_spec, sq)
+    work = lambda _, sq: _recover_once(config, rules, sq)
     reps = _map_replications(work, config.seed, replications, threads)
 
     all_terms = [("stage1", t) for t in _STAGE1_TARGETS] + [("stage2", t) for t in _STAGE2_TARGETS]
@@ -842,15 +830,10 @@ def parameter_recovery(
 # Config persistence
 
 
-# the log-dwell marginal is always recomputed from the realized pool
-_DERIVED_PARAMS = ("logdwell_loc", "logdwell_scale")
-
-
 def config_to_dict(config: SimConfig) -> dict:
-    """The config's fields, with the pool's kind and without the derived marginal."""
+    """The config's fields, with the pool's kind."""
     d = asdict(config)
     d["pool"]["kind"] = "synthetic"
-    d["params"] = {k: v for k, v in d["params"].items() if k not in _DERIVED_PARAMS}
     return d
 
 
@@ -891,12 +874,6 @@ def load_sim_config(path: str | Path) -> SimConfig:
     kind = pool.pop("kind", None)
     if kind != "synthetic":
         raise ValueError(f"unsupported pool kind {kind!r}")
-    derived = [k for k in _DERIVED_PARAMS if k in params]
-    if derived:
-        raise ValueError(
-            f"{path}: params {', '.join(derived)} cannot be set; "
-            "they are derived from the pool on every run"
-        )
     return from_fields(
         SimConfig,
         d,

@@ -17,7 +17,6 @@ from feedlab.sim import (
     _GH_X,
     PolicyOutcome,
     expected_dwell,
-    resolve_marginal,
 )
 
 
@@ -176,11 +175,21 @@ def per_row_dwell_pipeline(impressions, rules, slope):
     return sorted({pid for pid, _, _ in stage1}), adjusted, removed
 
 
-def expit_expected_engagement(params, c, s):
+def mean_var_marginal(params, c, s):
+    """The log-dwell marginal ``(loc, scale)`` through ``ndarray.mean``/``var``."""
+    lin = (
+        params.dwell_credibility * np.asarray(c, dtype=float)
+        + params.dwell_sensationalism * np.asarray(s, dtype=float)
+    )
+    loc = params.dwell_intercept + float(lin.mean())
+    scale = math.sqrt(float(lin.var()) + params.dwell_noise_sd**2)
+    return loc, scale
+
+
+def expit_expected_engagement(params, c, s, loc, scale):
     """Gauss-Hermite engagement probability with scipy's ``expit`` at every node."""
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
-    scale = params.logdwell_scale
     mean_log = (
         params.dwell_intercept + params.dwell_credibility * c + params.dwell_sensationalism * s
     )
@@ -188,7 +197,7 @@ def expit_expected_engagement(params, c, s):
     a = params.engage_intercept + params.engage_credibility * c + params.engage_sensationalism * s
     b = np.zeros_like(a)
     if scale > 0:
-        a = a + slope * (mean_log - params.logdwell_loc) / scale
+        a = a + slope * (mean_log - loc) / scale
         b = slope * params.dwell_noise_sd / scale
     eta = a[:, None] + b[:, None] * (math.sqrt(2.0) * _GH_X)[None, :]
     return (special.expit(eta) @ _GH_W) / math.sqrt(math.pi)
@@ -209,7 +218,7 @@ def choice_sample_feed(news_idx, other_idx, config, rng):
     return rng.permutation(chosen)
 
 
-def per_stream_impressions(c, s, params, rng):
+def per_stream_impressions(c, s, params, loc, scale, rng):
     """One stream's two-stage draw: four variate arrays in order, then the model.
 
     Returns engaged, liked and observed dwell.
@@ -225,8 +234,8 @@ def per_stream_impressions(c, s, params, rng):
         + params.dwell_sensationalism * s
         + params.dwell_noise_sd * eps
     )
-    if params.logdwell_scale > 0:
-        z = (log_dwell - params.logdwell_loc) / params.logdwell_scale
+    if scale > 0:
+        z = (log_dwell - loc) / scale
     else:
         z = np.zeros(n)
     p_engage = special.expit(
@@ -249,7 +258,8 @@ def per_participant_session(config):
     as (participants, feed_length) arrays."""
     pool_seq, users_seq = np.random.SeedSequence(config.seed).spawn(2)
     pool = config.pool.realize(np.random.default_rng(pool_seq))
-    params = resolve_marginal(config.params, pool.credibility, pool.sensationalism)
+    params = config.params
+    loc, scale = mean_var_marginal(params, pool.credibility, pool.sensationalism)
     is_news = np.isin(pool.categories, NEWS_CATEGORIES)
     news_idx, other_idx = np.flatnonzero(is_news), np.flatnonzero(~is_news)
     n, length = config.participants, config.feed_length
@@ -262,7 +272,7 @@ def per_participant_session(config):
         rng = np.random.default_rng(user_seqs[u])
         feeds[u] = choice_sample_feed(news_idx, other_idx, config, rng)
         shared[u], liked[u], dwell[u] = per_stream_impressions(
-            pool.credibility[feeds[u]], pool.sensationalism[feeds[u]], params, rng
+            pool.credibility[feeds[u]], pool.sensationalism[feeds[u]], params, loc, scale, rng
         )
     return feeds, dwell, shared, liked
 
@@ -277,7 +287,8 @@ def per_replication_policy_experiment(config, policies, k, replications):
         rng = np.random.default_rng(seed_seq)
         pool = config.pool.realize(rng)
         c, s = pool.credibility, pool.sensationalism
-        params = resolve_marginal(config.params, c, s)
+        params = config.params
+        loc, scale = mean_var_marginal(params, c, s)
         out = {}
         for policy in policies:
             if policy == "chronological":
@@ -285,9 +296,12 @@ def per_replication_policy_experiment(config, policies, k, replications):
             elif policy == "random":
                 idx = rng.permutation(pool.size)[:k]
             else:
-                score = expected_dwell if policy == "dwell_opt" else expit_expected_engagement
-                idx = np.lexsort((np.array(pool.post_ids()), -score(params, c, s)))[:k]
-            engaged, _, dwell = per_stream_impressions(c[idx], s[idx], params, rng)
+                if policy == "dwell_opt":
+                    scores = expected_dwell(params, c, s)
+                else:
+                    scores = expit_expected_engagement(params, c, s, loc, scale)
+                idx = np.lexsort((np.array(pool.post_ids()), -scores))[:k]
+            engaged, _, dwell = per_stream_impressions(c[idx], s[idx], params, loc, scale, rng)
             out[policy] = (
                 float(c[idx].mean()),
                 float(s[idx].mean()),

@@ -276,7 +276,7 @@ class TestCriterion6Dissociation:
         sens_gap = d.mean_sensationalism - e.mean_sensationalism
         dissociation_ok = sens_gap > 0.2 and d.mean_credibility < e.mean_credibility
 
-        ds, pool, _ = simulate_session(SimConfig(participants=300, seed=66_166))
+        ds, pool = simulate_session(SimConfig(participants=300, seed=66_166))
         res = run_pipeline(ds.impressions, ExclusionRules())
         spec = dwell_model_spec()
         fit = fit_design(

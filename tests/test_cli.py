@@ -54,7 +54,7 @@ class TestSimulateCommand:
         sim_config_path.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 2
-        assert f"{key} cannot be set; they are derived from the pool" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -411,6 +411,26 @@ class TestExperimentAndRecover:
         path.write_text(json.dumps({"model": "ols", "terms": [term], **fields}))
         assert run(["report", "--input", path]) == 2
         assert "error: not a RegressionFit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (5, "not a regression fit file"),
+            ({"model": "ols", "terms": 5}, "terms must be a JSON list, got 5"),
+            (
+                {"model": "ols", "terms": [], "n": 3, "warnings": 5},
+                "warnings must be a JSON list, got 5",
+            ),
+        ],
+        ids=["top_level_int", "terms_int", "warnings_int"],
+    )
+    def test_report_rejects_malformed_fit_shapes(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "fit_dwell.json"
+        path.write_text(json.dumps(payload))
+        assert run(["report", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "internal error" not in captured.err and captured.out == ""
 
     def test_report_renders_fits(self, tmp_path, analysis_dirs, capsys):
         _, clean_out, pca_out = analysis_dirs

@@ -396,8 +396,8 @@ class TestImpressionsTable:
         rows = [make_impression("p1", f"post_{i}", i, float(i), i % 3) for i in range(1, 6)]
         table = as_table(rows)
         # a table has no row objects: an int index and iteration are errors
-        for key in (0, np.int64(-1)):
-            with pytest.raises(TypeError):
+        for key in (0, np.int64(-1), np.int32(2)):
+            with pytest.raises(TypeError, match="no row objects.*slice, a boolean mask"):
                 table[key]
         with pytest.raises(TypeError, match="not iterable"):
             list(table)
