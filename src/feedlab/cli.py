@@ -17,6 +17,7 @@ from . import __version__
 from .data import (
     RatingRecord,
     aggregate_ratings,
+    file_digest,
     impression_violations,
     load_impressions,
     load_posts,
@@ -200,7 +201,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for j, feature in enumerate(pool.matrix.feature_names)
     ]
     save_ratings(out / "ratings.csv", ratings)
-    save_dataset(out / "dataset.json", dataset)
+    # dataset.json names the impressions by digest; impressions.csv holds them
+    digest = file_digest(out / "impressions.csv")
+    provenance = dict(dataset.provenance, impressions_sha256=digest)
+    save_dataset(out / "dataset.json", replace(dataset, provenance=provenance))
     print(
         f"simulated {len(dataset.impressions)} impressions "
         f"({config.participants} participants x {config.feed_length} posts)"

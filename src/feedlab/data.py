@@ -8,15 +8,15 @@ names are the record's field names):
     impressions.csv  participant_id,post_id,position,dwell_raw,shared,liked
                      (booleans as 0/1; dwell in seconds with 6 decimals;
                       cleaned files carry an extra dwell_adjusted column)
-    dataset.json     posts + impressions + provenance digests
+    dataset.json     posts + provenance (impressions.csv's digest in place of its rows)
 
 Every artifact of every module is written by one of two writers:
 :func:`write_json` writes canonical JSON (sorted keys, 2-space indent,
-trailing newline; a dataclass as its fields, a numpy array as a list, an
-:class:`Impressions` field as one object per row), and :func:`write_csv`
-writes UTF-8 CSV with LF line endings (:func:`save_impressions` writes the
-same bytes column-wise). A ``save_*`` function writes its dataclass; the
-matching ``load_*`` builds it from the file's fields (:func:`from_fields` for JSON).
+trailing newline; a dataclass as its fields, a numpy array as a list), and
+:func:`write_csv` writes UTF-8 CSV with LF line endings
+(:func:`save_impressions` writes the same bytes column-wise). A ``save_*``
+function writes its dataclass; the matching ``load_*`` builds it from the
+file's fields (:func:`from_fields` for JSON).
 
 Two CSV readers read them back. ``_open_columns`` reads impressions.csv
 column-wise: a file without quotes or carriage returns is split in one
@@ -47,7 +47,6 @@ import operator
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable
@@ -239,10 +238,9 @@ class Impressions:
         present = counts > 0
         return vocab[present], (np.cumsum(present) - 1)[codes], counts[present]
 
-    def _id_cells(self, key: str, encode=None) -> list[str]:
+    def _id_cells(self, key: str, encode) -> list[str]:
         """Id column ``key`` as a list, each distinct id encoded once by ``encode``."""
-        names = getattr(self, f"{key}_vocab").tolist()
-        names = list(map(encode, names)) if encode else names
+        names = list(map(encode, getattr(self, f"{key}_vocab").tolist()))
         return list(map(names.__getitem__, getattr(self, f"{key}_code").tolist()))
 
     def __len__(self) -> int:
@@ -319,55 +317,10 @@ def _jsonable(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _json_rows(table: Impressions) -> str:
-    """``table`` as the indented JSON list of one object per row that
-    ``json.dumps(..., indent=2, sort_keys=True)`` writes for a top-level key.
-
-    The C encoder writes every cell (it runs only without an indent): a
-    numeric or bool column as one list, each vocabulary id once. The rows are
-    one fixed template whose texts are interleaved with those cells.
-    """
-    n = len(table)
-    if not n:
-        return "[]"
-    cells = {}
-    for name in sorted(_IMPRESSION_FIELDS):
-        if name.endswith("_id"):
-            cells[name] = table._id_cells(name.removesuffix("_id"), encode_basestring_ascii)
-        elif (column := getattr(table, name)) is not None:
-            cells[name] = json.dumps(column.tolist())[1:-1].split(", ")
-    # the template's text before each cell; a row's first one closes the row before
-    keys = [f"      {json.dumps(name)}: " for name in cells]
-    texts = ["\n    },\n    {\n" + keys[0], *(",\n" + key for key in keys[1:])]
-    k = len(texts)
-    chunks = [""] * (2 * k * n)
-    for j, (text, column) in enumerate(zip(texts, cells.values())):
-        chunks[2 * j::2 * k] = [text] * n
-        chunks[2 * j + 1::2 * k] = column
-    chunks[0] = "[\n    {\n" + keys[0]
-    return "".join(chunks) + "\n    }\n  ]"
-
-
 def write_json(path: str | Path, payload) -> None:
-    """Write ``payload`` as canonical JSON: sorted keys, 2-space indent, trailing newline.
-
-    An :class:`Impressions` table that is a field of the payload is written as
-    one object per row.
-    """
-    # the encoder passes every chunk of a hook's result through one more
-    # generator, which costs ~10% on dataset.json; convert the top level here
-    payload = _jsonable(payload) if is_dataclass(payload) else payload
-    tables = {}
-    if isinstance(payload, dict):
-        tables = {k: v for k, v in payload.items() if isinstance(v, Impressions)}
-        payload = {**payload, **dict.fromkeys(tables, [])}
+    """Write ``payload`` as canonical JSON: sorted keys, 2-space indent, trailing newline."""
     text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(tables):  # in file order; each table is written as it is joined
-            # a top-level key is the only line indented by exactly two spaces
-            head, text = text.split(f"\n  {json.dumps(key)}: []", 1)
-            fh.write(f"{head}\n  {json.dumps(key)}: ")
-            fh.write(_json_rows(tables[key]))
         fh.write(text + "\n")
 
 
@@ -740,17 +693,6 @@ def make_provenance(source_paths: list[str | Path]) -> dict:
 
 
 def save_dataset(path: str | Path, dataset: Dataset) -> None:
-    """Write dataset.json; the impressions are written as one object per row."""
-    write_json(path, dataset)
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    # one tuple per row, in _IMPRESSION_FIELDS order
-    cells = operator.itemgetter(*_IMPRESSION_HEADER)
-    rows = [(*cells(d), d.get("dwell_adjusted")) for d in payload["impressions"]]
-    return Dataset(
-        tuple(from_fields(Post, d) for d in payload["posts"]),
-        Impressions._from_rows(rows),
-        payload.get("provenance", {}),
-    )
+    """Write dataset.json: the posts and the provenance. The impressions are
+    impressions.csv's alone; the provenance may name that file's digest."""
+    write_json(path, {"posts": dataset.posts, "provenance": dataset.provenance})

@@ -338,6 +338,14 @@ def run_pipeline(impressions: Impressions, rules: ExclusionRules | None = None) 
     return PipelineResult(cleaned, model, audit)
 
 
+def raw_dwell_control(impressions: Impressions, rules: ExclusionRules) -> Impressions:
+    """The no-adjustment control of :func:`run_pipeline`: the same stage-1
+    exclusions and floor, with raw dwell carried through as the adjusted dwell."""
+    stage1, _ = apply_exclusions_stage1(impressions, rules)
+    kept, _ = apply_floor(replace(stage1, dwell_adjusted=stage1.dwell_raw), rules)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Persistence
 

@@ -33,7 +33,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -53,7 +53,7 @@ from .data import (
     write_json,
 )
 from .features import PostScore, fit_feature_pca, project
-from .pipeline import ExclusionRules, apply_exclusions_stage1, apply_floor, run_pipeline
+from .pipeline import ExclusionRules, raw_dwell_control, run_pipeline
 from .regression import (
     DesignSpec,
     RegressionFit,
@@ -329,6 +329,8 @@ class SimConfig:
     def __post_init__(self):
         if self.participants < 0:
             raise ValueError("participants must be >= 0")
+        if self.pool.size < 1:
+            raise ValueError("the post pool must hold at least one post")
         if self.feed_length > self.pool.size:
             raise ValueError(
                 f"feed_length {self.feed_length} exceeds pool size {self.pool.size}"
@@ -728,9 +730,7 @@ def _recover_once(
     dataset, pool = simulate_session(config, seed_seq)
 
     cleaned = run_pipeline(dataset.impressions, rules)
-    # no-adjustment control: same exclusions, raw dwell carried through
-    stage1_kept, _ = apply_exclusions_stage1(dataset.impressions, rules)
-    raw_kept, _ = apply_floor(replace(stage1_kept, dwell_adjusted=stage1_kept.dwell_raw), rules)
+    raw_kept = raw_dwell_control(dataset.impressions, rules)
 
     fit = fit_feature_pca(pool.matrix)
     scores = project(fit, pool.matrix)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from feedlab.cli import main
-from feedlab.data import load_impressions
+from feedlab.data import file_digest, load_impressions
 from feedlab.features import load_scores
 from feedlab.regression import load_fit
 from feedlab.sim import GenerativeParams, SimConfig, SyntheticPool, save_sim_config
@@ -34,6 +34,15 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 0
         for name in ("posts.csv", "impressions.csv", "ratings.csv", "dataset.json", "resolved_config.json"):
             assert (out / name).exists()
+
+    def test_dataset_json_names_impressions_by_digest(self, tmp_path, sim_config_path):
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 0
+        dataset = json.loads((out / "dataset.json").read_text())
+        assert sorted(dataset) == ["posts", "provenance"]
+        digest = dataset["provenance"]["impressions_sha256"]
+        assert digest == file_digest(out / "impressions.csv")
+        assert {"seed", "config_digest"} <= dataset["provenance"].keys()
 
     def test_seed_determinism(self, tmp_path, sim_config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -80,6 +89,16 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 2
         assert f"error: {sim_config_path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_pool_is_input_error(self, tmp_path, sim_config_path, capsys):
+        config = json.loads(sim_config_path.read_text())
+        config["pool"].update(n_true_news=0, n_false_news=0, n_opinion=0, n_mundane=0)
+        config.update(feed_length=0, news_per_feed=0)
+        sim_config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 2
+        assert "error: the post pool must hold at least one post" in capsys.readouterr().err
         assert not out.exists()
 
 

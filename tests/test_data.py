@@ -10,13 +10,14 @@ from feedlab.data import (
     DataFormatError,
     Dataset,
     DatasetValidationError,
+    CATEGORIES,
     FEATURE_NAMES,
     FeatureMatrix,
     Post,
     RatingRecord,
     aggregate_ratings,
     dataset_violations,
-    load_dataset,
+    from_fields,
     load_impressions,
     load_posts,
     load_ratings,
@@ -343,22 +344,6 @@ class TestImpressionsIO:
         assert not errors
         assert loaded_ratings == ratings
 
-    def test_mixed_adjusted_flags_rejected(self, tmp_path):
-        # a file whose rows mix set and missing dwell_adjusted is rejected on load
-        rows = [
-            make_impression("p1", "post_01", 1, 2.5, 0, adjusted=2.5),
-            make_impression("p1", "post_02", 2, 2.5, 0),
-        ]
-        keys = ADJUSTED_HEADER.split(",")
-        payload = {
-            "impressions": [{k: v for k, v in zip(keys, r) if v is not None} for r in rows],
-            "posts": [],
-            "provenance": {},
-        }
-        path = write(tmp_path / "dataset.json", json.dumps(payload))
-        with pytest.raises(ValueError, match="mixed"):
-            load_dataset(path)
-
 
 class TestImpressionsTable:
     def test_from_rows_round_trips_rows(self):
@@ -518,10 +503,12 @@ class TestDatasetJson:
         path = tmp_path / "dataset.json"
         save_dataset(path, ds)
         first = path.read_bytes()
-        loaded = load_dataset(path)
-        assert loaded.posts == ds.posts
-        assert loaded.impressions == ds.impressions
-        save_dataset(path, loaded)
+        # the file holds the posts and the provenance; the impressions are impressions.csv's
+        payload = json.loads(first)
+        posts = tuple(from_fields(Post, d) for d in payload["posts"])
+        assert posts == ds.posts
+        assert payload["provenance"] == ds.provenance
+        save_dataset(path, Dataset(posts, as_table([]), payload["provenance"]))
         assert path.read_bytes() == first
 
     ODD_IDS = ("péché", "日本😀", 'say "hi"', "back\\slash", "ctl\x00\x1f\t\n\x7f", "p,1")
@@ -529,31 +516,32 @@ class TestDatasetJson:
 
     @pytest.mark.parametrize("n_rows", [0, 1, 7])
     @pytest.mark.parametrize("adjusted", [False, True])
-    def test_rows_match_json_dumps(self, tmp_path, tiny_posts, n_rows, adjusted):
+    def test_rows_match_json_dumps(self, tmp_path, n_rows, adjusted):
+        # the rows are the posts, one object each; a dataset's impressions, with
+        # or without dwell_adjusted, add nothing to the file
+        odd = self.ODD_IDS
+        features = dict(zip(FEATURE_NAMES, (-0.0, 1e-07, 1e22, 2.123456789012345, 0, 1, 2, 3)))
+        posts = tuple(
+            Post(odd[i % len(odd)], odd[-1 - i % len(odd)], odd[(i + 2) % len(odd)],
+                 CATEGORIES[i % len(CATEGORIES)], features if i % 2 else None)
+            for i in range(n_rows)
+        )
         records = [
             make_impression(
-                self.ODD_IDS[i % len(self.ODD_IDS)], self.ODD_IDS[-1 - i % len(self.ODD_IDS)],
-                i + 1, self.ODD_DWELLS[i], i % 3,
+                odd[i % len(odd)], odd[i % len(odd)], i + 1, self.ODD_DWELLS[i], i % 3,
                 adjusted=self.ODD_DWELLS[-1 - i] if adjusted else None,
             )
             for i in range(n_rows)
         ]
-        tables = [as_table(records)]
-        if not records:  # an empty table with and without a dwell_adjusted column
-            tables.append(replace(tables[0], dwell_adjusted=None if adjusted else np.empty(0)))
-        provenance = {"sources": {"r.csv": "00"}, "ingested_at": "now"}
-        for table in tables:
-            path = tmp_path / "dataset.json"
-            save_dataset(path, Dataset(tuple(tiny_posts), table, provenance))
-            keys = ADJUSTED_HEADER.split(",")
-            rows = [{k: v for k, v in zip(keys, r) if v is not None} for r in records]
-            payload = {
-                "impressions": rows,
-                "posts": [{k: v for k, v in asdict(p).items() if v is not None} for p in tiny_posts],
-                "provenance": provenance,
-            }
-            expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            assert path.read_text(encoding="utf-8") == expected
+        provenance = {"sources": {odd[0]: odd[1]}, "impressions_sha256": "00", "seed": n_rows}
+        path = tmp_path / "dataset.json"
+        save_dataset(path, Dataset(posts, as_table(records), provenance))
+        payload = {
+            "posts": [{k: v for k, v in asdict(p).items() if v is not None} for p in posts],
+            "provenance": provenance,
+        }
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
 
 
 class TestDomainTypes:

@@ -52,7 +52,7 @@ GOLDEN = {
     "pca_plain/top_posts.txt": "c316880c6d337bd9276c4a3113cec6773a08a24c63bed6b39c1963af8a3f6113",
     "rec/recovery_report.json": "4f691d715ed37af6c6b790225c92e90976449ba6d4d7ce33e9c0bbfe629e3b5b",
     "saved_config.json": "150b1e3ff50f826a9d4be71ca0700ee38399a5bf10b117ca2dc98fa402f3c84a",
-    "sim/dataset.json": "187c18185a455dad950eb395cbc6e77470e5d1586943863add68e29a02962646",
+    "sim/dataset.json": "e5edd70c9a983fa5cd2a818ec3f9793cc3b2a4027423afbd8421a079129269cd",
     "sim/impressions.csv": "b383b3d34f7ea8a1685a42162382a16235031b5bd51f0436ddc443dc2533d65b",
     "sim/posts.csv": "71ae841ec32ea38a1a4242488e050fed41dbc91a212db51730b1c7f2adc9ab7e",
     "sim/ratings.csv": "b81582d5813cb0ec398fe71d459fbad7c121b6cb677020c933ad1459c43ee302",

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from feedlab.pipeline import (
     apply_floor,
     fit_movement_model,
     load_movement_model,
+    raw_dwell_control,
     run_pipeline,
     save_movement_model,
 )
@@ -284,6 +286,21 @@ class TestRunPipeline:
             sum(result.audit.removed.values()) + result.audit.retained_count
             == result.audit.input_count
         )
+
+    def test_raw_dwell_control(self, pipeline_fixture_10):
+        # stage 1 keeps positions 4, 6 and 7; the floor drops 6 (0.10 s raw)
+        kept = raw_dwell_control(pipeline_fixture_10, ExclusionRules())
+        assert kept.position.tolist() == [4, 7]
+        assert kept.dwell_adjusted.tolist() == [2.0, 5.0]
+        # the rows of stage 1 whose raw dwell reaches the floor, raw dwell as adjusted
+        rng = np.random.default_rng(78)
+        imps, _ = simulate_hierarchical_dwell(rng, n_participants=10, n_per=30)
+        rules = ExclusionRules(min_adjusted_dwell=3.0)
+        stage1, _ = apply_exclusions_stage1(imps, rules)
+        expected = stage1[stage1.dwell_raw >= rules.min_adjusted_dwell]
+        kept = raw_dwell_control(imps, rules)
+        assert 0 < len(kept) < len(stage1)
+        assert kept == replace(expected, dwell_adjusted=expected.dwell_raw)
 
     def test_rules_validation(self):
         with pytest.raises(ValueError):

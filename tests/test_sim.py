@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit
 
 from feedlab.data import DataFormatError, FeatureMatrix, dataset_violations, save_impressions
-from feedlab.pipeline import ExclusionRules, apply_exclusions_stage1, apply_floor, run_pipeline
+from feedlab.pipeline import ExclusionRules, raw_dwell_control, run_pipeline
 from feedlab.regression import build_design, dwell_model_spec, engagement_model_spec, fit_design
 from feedlab.sim import (
     GenerativeParams,
@@ -541,8 +541,7 @@ class TestParameterRecovery:
         ds, pool = simulate_session(cfg)
         rules = ExclusionRules()
         adjusted = run_pipeline(ds.impressions, rules)
-        stage1, _ = apply_exclusions_stage1(ds.impressions, rules)
-        raw_rows, _ = apply_floor(replace(stage1, dwell_adjusted=stage1.dwell_raw), rules)
+        raw_rows = raw_dwell_control(ds.impressions, rules)
         spec = engagement_model_spec()
         scores = pool_scores(pool)
         fit_adj = fit_design(build_design(adjusted.impressions, scores, spec), spec)
