@@ -18,13 +18,17 @@ trailing newline; a dataclass as its fields, a numpy array as a list), and
 function writes its dataclass; the matching ``load_*`` builds it from the
 file's fields (:func:`from_fields` for JSON).
 
-Two CSV readers read them back. ``_open_columns`` reads impressions.csv
-column-wise: a file without quotes or carriage returns is split in one
-``str.split`` and each column is converted in one pass; any other file goes
-through the csv module. ``_open_rows`` reads every other CSV file (ratings,
-posts, scores) row by row with the csv module. :func:`load_impressions`
-walks the rows one by one only to report errors, when a column fails to
-convert.
+:func:`load_impressions` has two readers. A file in the canonical form that
+:func:`save_impressions` writes (UTF-8 with LF line ends and no '"', CR or
+NUL; every row with the header's field count; positions of at most 18 ASCII
+digits; dwells matching ``[0-9]+[.][0-9]+`` with at most 15 digits; bools the
+one byte 0 or 1; ids of any length) is read from its bytes with numpy, with
+no Python object per row or cell. Any other file (quoted ids, CR line ends,
+spaces or other number spellings, ragged rows, a header only) is read by the
+csv module, column by column, and row by row only to report errors; for a
+canonical file it gives the same table and errors, only more slowly.
+``_open_rows`` reads every other CSV file (ratings, posts, scores) row by row
+with the csv module.
 
 In memory, impressions are one columnar :class:`Impressions` table (one
 array per column of impressions.csv, the ids as int32 codes into sorted
@@ -40,7 +44,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import itertools
 import json
 import math
 import operator
@@ -177,20 +180,6 @@ class Impressions:
             raise ValueError("impression columns differ in length")
         if any(np.any(v[1:] <= v[:-1]) for v in (self.participant_vocab, self.post_vocab)):
             raise ValueError("an id vocabulary must be sorted and distinct")
-
-    @classmethod
-    def _from_rows(cls, rows: list[tuple]) -> Impressions:
-        """Build the columns from one tuple per row, in ``_IMPRESSION_FIELDS`` order.
-
-        Rows must all carry ``dwell_adjusted`` or all hold None there; an
-        empty table lacks it.
-        """
-        columns = list(zip(*rows)) if rows else [()] * len(_IMPRESSION_FIELDS)
-        n_adjusted = sum(v is not None for v in columns[6])
-        if 0 < n_adjusted < len(rows):
-            raise ValueError("mixed adjusted/unadjusted impressions cannot form one table")
-        dtypes = (np.int64, float, bool, bool, float)[: 5 if n_adjusted else 4]
-        return cls._from_ids(*columns[:2], *map(np.array, columns[2:], dtypes))
 
     @classmethod
     def _from_ids(cls, participant_id, post_id, *values: np.ndarray) -> Impressions:
@@ -354,12 +343,17 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
         w.writerows(rows)
 
 
-def _read_text(path: str | Path) -> str:
-    """A UTF-8 file's text with its line endings as they are."""
+def _existing(path: str | Path) -> Path:
+    """``path`` as a Path; a missing file is a FileNotFoundError naming it."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    return path
+
+
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text with its line endings as they are."""
+    with open(_existing(path), newline="", encoding="utf-8") as fh:
         return fh.read()
 
 
@@ -381,33 +375,6 @@ def _open_rows(path: str | Path, *headers: list[str]) -> tuple[list[str], list[l
     """
     rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     return _check_header(path, rows, headers), rows[1:]
-
-
-def _open_columns(
-    path: str | Path, *headers: list[str]
-) -> tuple[list[str], list[list[str]] | None]:
-    """The header and data columns of a CSV file whose header is one of ``headers``;
-    the columns are None when a row's field count is not the header's.
-
-    A file with no quote, no carriage return and no line longer than the csv
-    module's field limit is split by ``str.split`` in one pass, which is how
-    the csv module would split it; any other file is read by the csv module.
-    """
-    text = _read_text(path)
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final line break ends the last row
-    if '"' in text or "\r" in text or max(map(len, lines), default=0) > csv.field_size_limit():
-        header, rows = _open_rows(path, *headers)
-        if any(len(row) != len(header) for row in rows):
-            return header, None
-        return header, [list(c) for c in zip(*rows)] or [[] for _ in header]
-    header = _check_header(path, [line.split(",") for line in lines[:1]], headers)
-    width = len(header)
-    if set(map(str.count, lines[1:], itertools.repeat(","))) - {width - 1}:
-        return header, None
-    cells = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
-    return header, [cells[i::width] for i in range(width)]
 
 
 # ---------------------------------------------------------------------------
@@ -496,22 +463,24 @@ def _impression_table(columns: list[list[str]]) -> Impressions:
     return Impressions._from_ids(*columns[:2], *values)
 
 
-def load_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
-    """Parse impressions.csv (plain or cleaned with dwell_adjusted).
+_IMPRESSION_HEADERS = (_IMPRESSION_HEADER, list(_IMPRESSION_FIELDS))
+
+
+def _csv_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
+    """impressions.csv as the csv module reads it: the reader of every file that
+    is not in the canonical form, and the reference for the canonical reader.
 
     Each column is converted in one pass. Only when that fails (a ragged row,
     a cell that does not parse, a non-finite dwell) does the row-by-row check
     below run: it reports each bad row, and the table leaves those rows out.
     """
-    headers = (_IMPRESSION_HEADER, list(_IMPRESSION_FIELDS))
-    header, columns = _open_columns(path, *headers)
-    if columns is not None:
+    header, rows = _open_rows(path, *_IMPRESSION_HEADERS)
+    width = len(header)
+    if all(len(row) == width for row in rows):
         try:
-            return _impression_table(columns), []
+            return _impression_table([list(c) for c in zip(*rows)] or [[]] * width), []
         except (ValueError, OverflowError):
             pass
-    _, rows = _open_rows(path, header)
-    width = len(header)
     kept: list[list[str]] = []
     errors: list[RowError] = []
     for lineno, row in enumerate(rows, start=2):
@@ -536,6 +505,165 @@ def load_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
     return _impression_table([list(c) for c in zip(*kept)] or [[]] * width), errors
 
 
+# The canonical form of impressions.csv, the one save_impressions writes: UTF-8
+# with no '"', CR or NUL; one of the two headers and at least one row; each line
+# ending in LF with the header's field count; a position of at most 18 ASCII
+# digits; a dwell matching [0-9]+\.[0-9]+ with at most 15 digits; a bool the one
+# byte 0 or 1. An id holds any other characters and may be of any length.
+_CANONICAL_HEADERS = {",".join(h).encode(): len(h) for h in _IMPRESSION_HEADERS}
+_MAX_POSITION_DIGITS = 18  # below 2**63
+_MAX_DWELL_DIGITS = 15  # below 2**53
+_POWERS = 10 ** np.arange(_MAX_POSITION_DIGITS, dtype=np.int64)
+# 10**k as floats, each exact: a dwell is mantissa / 10**frac, both exact, and one
+# correctly rounded division gives what float() gives for the decimal
+_FLOAT_POWERS = np.array([float(10**k) for k in range(_MAX_DWELL_DIGITS + 1)])
+
+
+def _digit_cells(buf: np.ndarray, start: np.ndarray, end: np.ndarray, most: int):
+    """The cells ``buf[start:end]`` of digits and points, read one byte column at a
+    time from the right: each cell's digits as one int64 (a point read as a 0),
+    the offset from its end of a point in it (-1 for none) and the number of
+    points in all cells. None when a cell is empty, longer than ``most`` bytes
+    or holds any other byte.
+    """
+    length = end - start
+    if length.min() < 1 or length.max() > most:
+        return None
+    value, point_at, points = np.zeros(len(start), np.int64), np.full(len(start), -1), 0
+    for k in range(int(length.max())):
+        byte = buf[end - (k + 1)]
+        if k >= length.min():
+            byte[k >= length] = ord("0")
+        point = byte == ord(".")
+        digit = byte - ord("0")  # a byte below '0' wraps above 9
+        digit[point] = 0
+        if (digit > 9).any():
+            return None
+        value += digit * _POWERS[k]
+        point_at[point] = k
+        points += np.count_nonzero(point)
+    return value, point_at, points
+
+
+def _canonical_positions(buf, start, end):
+    cells = _digit_cells(buf, start, end, _MAX_POSITION_DIGITS)
+    return None if cells is None or cells[2] else cells[0]
+
+
+def _canonical_dwell(buf, start, end):
+    cells = _digit_cells(buf, start, end, _MAX_DWELL_DIGITS + 1)
+    if cells is None:
+        return None
+    with_zero, frac, points = cells  # frac: the digits after a point
+    # one point per cell, with a digit on each side
+    if points != len(frac) or frac.min() < 1 or (end - start - frac).min() < 2:
+        return None
+    # dropping the 0 read at the point gives the mantissa
+    scale = _POWERS[frac]
+    return (with_zero // (10 * scale) * scale + with_zero % scale) / _FLOAT_POWERS[frac]
+
+
+def _canonical_bools(buf, start, end):
+    cells = buf[start]
+    if (end - start != 1).any() or ((cells != ord("0")) & (cells != ord("1"))).any():
+        return None
+    return cells == ord("1")
+
+
+# one converter per impressions.csv column after the two ids, in file order
+_CANONICAL_PARSERS = (
+    _canonical_positions, _canonical_dwell, _canonical_bools, _canonical_bools, _canonical_dwell,
+)
+
+
+# a big-endian uint64 with only its top t bytes kept, t = 0..8
+_TOP_BYTES = np.array([2**64 - 2 ** (64 - 8 * t) for t in range(9)], np.uint64)
+
+
+def _canonical_ids(body: bytes, words: np.ndarray, start, end) -> tuple[np.ndarray, np.ndarray]:
+    """The vocabulary and codes of the id cells ``body[start:end]``, as
+    :meth:`Impressions._from_ids` gives them; ``words[i]`` is the eight bytes of
+    ``body`` from ``i`` as a big-endian uint64.
+
+    Equal ids are found on their bytes: each round ranks, with ``np.unique``
+    over integers, the ids longer than the bytes seen by (rank so far, next
+    bytes), so the rounds read each byte once. Only the distinct ids are
+    decoded and sorted as str.
+    """
+    length = end - start
+    label = np.empty(len(start), np.int64)  # one per distinct id once the rounds end
+    rows, rank, seen, labelled = np.arange(len(start)), 0, 0, 0
+    while rows.size:
+        step = 4 if seen else 8  # after the first round, the rank takes 32 bits of the key
+        chunk = words[start[rows] + seen] & _TOP_BYTES[np.minimum(length[rows] - seen, step)]
+        key = rank << 32 | chunk >> 32 if seen else chunk
+        distinct, rank = np.unique(key, return_inverse=True)
+        label[rows] = labelled + rank
+        labelled += len(distinct)
+        seen += step
+        longer = length[rows] > seen
+        rows, rank = rows[longer], rank[longer].astype(np.uint64)
+    distinct, code = np.unique(label, return_inverse=True)
+    first = np.empty(len(distinct), np.intp)
+    first[code] = np.arange(len(code))  # a row of each distinct id
+    ids = [body[i:j].decode() for i, j in zip(start[first].tolist(), end[first].tolist())]
+    vocab, rank = np.unique(np.array(ids, dtype=str), return_inverse=True)
+    return vocab, rank[code].astype(np.int32)
+
+
+def _canonical_impressions(data: bytes) -> Impressions | None:
+    """The table of impressions.csv's bytes when they are in the canonical form,
+    else None.
+
+    Every field is found with one ``np.flatnonzero`` over commas and line
+    feeds, and each column is converted from the bytes between them, so no
+    Python object is made per row or per cell.
+    """
+    head, _, body = data.partition(b"\n")
+    width = _CANONICAL_HEADERS.get(head)
+    if width is None or not body.endswith(b"\n") or any(c in body for c in (b'"', b"\r", b"\0")):
+        return None
+    if not body.isascii():
+        try:
+            body.decode()
+        except UnicodeDecodeError:
+            return None
+    buf = np.frombuffer(body + bytes(8), np.uint8)  # 8 bytes to read from past each cell
+    line_end = buf == ord("\n")
+    ends = np.flatnonzero(line_end | (buf == ord(",")))
+    rows = len(ends) // width
+    if len(ends) != rows * width or np.count_nonzero(line_end) != rows:
+        return None
+    ends = ends.reshape(rows, width).T.copy()  # one contiguous row of cell ends per column
+    if (buf[ends[-1]] != ord("\n")).any():
+        return None
+    starts = np.empty_like(ends)
+    starts[1:] = ends[:-1] + 1
+    starts[0, 0], starts[0, 1:] = 0, ends[-1, :-1] + 1
+    values = []
+    for parse, start, end in zip(_CANONICAL_PARSERS, starts[2:], ends[2:]):
+        values.append(parse(buf, start, end))
+        if values[-1] is None:
+            return None
+    words = np.ndarray((len(buf) - 7,), ">u8", buf, strides=(1,))
+    ids = {}
+    for key, start, end in zip(("participant", "post"), starts, ends):
+        ids[f"{key}_vocab"], ids[f"{key}_code"] = _canonical_ids(body, words, start, end)
+    return Impressions(**ids, **dict(zip(_VALUE_FIELDS, values)))
+
+
+def load_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
+    """Parse impressions.csv (plain or cleaned with dwell_adjusted).
+
+    A file in the canonical form that :func:`save_impressions` writes is read
+    from its bytes (``_canonical_impressions``); any other is read by the csv
+    module (``_csv_impressions``), which gives any file the canonical reader
+    reads the same table, only more slowly.
+    """
+    table = _canonical_impressions(_existing(path).read_bytes())
+    return (table, []) if table is not None else _csv_impressions(path)
+
+
 # ---------------------------------------------------------------------------
 # CSV writing (canonical forms; load(save(x)) is byte-stable)
 
@@ -558,18 +686,24 @@ def _csv_field(value: str) -> str:
 def save_impressions(path: str | Path, impressions: Impressions) -> None:
     """Write impressions.csv; emits dwell_adjusted iff the table carries it.
 
-    The file is what :func:`write_csv` writes, built column by column: each
-    distinct id is quoted once, as the csv module quotes it, and each line is
-    joined from the formatted cells. An empty table writes the plain header.
+    The file is what :func:`write_csv` writes, in the canonical form that
+    :func:`load_impressions` reads from its bytes: each distinct id is quoted
+    once, as the csv module quotes it, and the body is one ``%`` format over
+    the interleaved columns (``%.6f`` formats a float as ``'{:.6f}'.format``
+    does). An empty table writes the plain header.
     """
-    dwell, flag = f"{{:.{DWELL_DECIMALS}f}}".format, ("0", "1").__getitem__
     values = [c for c in impressions._values() if c is not None][: 5 if len(impressions) else 4]
     columns = [impressions._id_cells(key, _csv_field) for key in ("participant", "post")]
-    columns += (map(f, c.tolist()) for f, c in zip((str, dwell, flag, flag, dwell), values))
-    header = _IMPRESSION_FIELDS[: len(columns)]
+    columns += (c.tolist() for c in values)
+    width = len(columns)
+    cells = [None] * (len(impressions) * width)
+    for i, column in enumerate(columns):
+        cells[i::width] = column
+    dwell = f"%.{DWELL_DECIMALS}f"
+    line = ",".join(("%s", "%s", "%d", dwell, "%d", "%d", dwell)[:width]) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map("{}\n".format, map(",".join, zip(*columns))))
+        fh.write(",".join(_IMPRESSION_FIELDS[:width]) + "\n")
+        fh.write(line * len(impressions) % tuple(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,11 @@ class SyntheticPool:
     feature_noise_sd: float = 0.15
     feature_offset: float = 3.0
 
+    def __post_init__(self):
+        for name in ("n_true_news", "n_false_news", "n_opinion", "n_mundane"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
     @property
     def size(self) -> int:
         return self.n_true_news + self.n_false_news + self.n_opinion + self.n_mundane

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from feedlab.data import Impressions, Post, FEATURE_NAMES
+from feedlab.data import _IMPRESSION_FIELDS, Impressions, Post, FEATURE_NAMES
 
 
 def make_impression(pid="p1", post="post_01", position=1, dwell=2.0, actions=0, adjusted=None):
@@ -16,8 +16,18 @@ def make_impression(pid="p1", post="post_01", position=1, dwell=2.0, actions=0, 
 
 
 def as_table(rows):
-    """The Impressions table of ``make_impression`` rows."""
-    return Impressions._from_rows(list(rows))
+    """The Impressions table of ``make_impression`` rows.
+
+    Rows must all carry ``dwell_adjusted`` or all hold None there; an empty
+    table lacks it.
+    """
+    rows = list(rows)
+    columns = list(zip(*rows)) if rows else [()] * len(_IMPRESSION_FIELDS)
+    n_adjusted = sum(v is not None for v in columns[6])
+    if 0 < n_adjusted < len(rows):
+        raise ValueError("mixed adjusted/unadjusted impressions cannot form one table")
+    dtypes = (np.int64, float, bool, bool, float)[: 5 if n_adjusted else 4]
+    return Impressions._from_ids(*columns[:2], *map(np.array, columns[2:], dtypes))
 
 
 def rows_of(table):

@@ -101,6 +101,15 @@ class TestSimulateCommand:
         assert "error: the post pool must hold at least one post" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_post_count_is_input_error(self, tmp_path, sim_config_path, capsys):
+        config = json.loads(sim_config_path.read_text())
+        config["pool"].update(n_true_news=-3, n_false_news=50)
+        sim_config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 2
+        assert "error: n_true_news must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPreprocessCommand:
     def test_end_to_end(self, tmp_path, sim_config_path):

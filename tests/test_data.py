@@ -1,11 +1,13 @@
 import json
 import math
-from dataclasses import asdict, replace
+import re
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from feedlab import data as data_module
 from feedlab.data import (
     DataFormatError,
     Dataset,
@@ -13,6 +15,7 @@ from feedlab.data import (
     CATEGORIES,
     FEATURE_NAMES,
     FeatureMatrix,
+    Impressions,
     Post,
     RatingRecord,
     aggregate_ratings,
@@ -29,6 +32,7 @@ from feedlab.data import (
     save_ratings,
     validate_dataset,
 )
+from feedlab.sim import SimConfig, simulate_session
 from conftest import as_table, make_impression, rows_of
 from oracles import brute_force_cell_means
 
@@ -343,6 +347,149 @@ class TestImpressionsIO:
         loaded_ratings, errors = load_ratings(rpath)
         assert not errors
         assert loaded_ratings == ratings
+
+
+TABLE_COLUMNS = [f.name for f in fields(Impressions)]
+
+# id stems that share prefixes across the 8- and 4-byte rounds of the byte
+# reader; tails that keep an id canonical, and tails that make the csv module
+# quote it
+ID_STEMS = ("", "a", "ab", "abcdefg", "abcdefgh", "abcdefghi", "abcdefghijkl", "abcdefghijklm")
+ID_TAILS = ("", "x", "7", ".", " ", "\t", "é", "日", "😀", "z" * 30)
+QUOTED_TAILS = (",", '"', "\r")
+
+
+def random_table(rng, n_rows, adjusted, odd):
+    """A table of ``n_rows`` rows whose ids are 0-40 bytes; each id, position and
+    dwell is, with probability ``odd``, one that save_impressions writes in
+    another form than the canonical one (a quoted id, a negative or 19-digit
+    position, a dwell of NaN, inf or more than 15 digits)."""
+    def an_id():
+        text = str(rng.choice(ID_STEMS)) + "".join(rng.choice(ID_TAILS, rng.integers(0, 3)))
+        if rng.random() < odd:
+            text += str(rng.choice(QUOTED_TAILS))
+        return text.encode()[:40].decode(errors="ignore")
+
+    def a_dwell():
+        if rng.random() < odd:
+            return float(rng.choice([math.nan, math.inf, 1e300, 10.0 ** rng.uniform(-323, 300)]))
+        return float(rng.choice([0.0, 5e-324, rng.uniform(0, 60), 10.0 ** rng.uniform(-8, 8.9)]))
+
+    def a_position():
+        return rng.choice([-3, 10**18 + 1]) if rng.random() < odd else rng.choice([0, 7, 120, 10**17])
+
+    values = [np.array([a_position() for _ in range(n_rows)], np.int64)]
+    values += [np.array([a_dwell() for _ in range(n_rows)])]
+    values += [rng.random(n_rows) < 0.5, rng.random(n_rows) < 0.5]
+    if adjusted:
+        values.append(np.array([a_dwell() for _ in range(n_rows)]))
+    return Impressions._from_ids(
+        [an_id() for _ in range(n_rows)], [an_id() for _ in range(n_rows)], *values
+    )
+
+
+def outcome(load, path):
+    """What ``load(path)`` gives: each table column's dtype and bytes with the
+    (line, message) of each RowError, or the exception's type and message."""
+    try:
+        table, errors = load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    columns = [getattr(table, k) for k in TABLE_COLUMNS]
+    cells = [None if c is None else (c.dtype.str, c.tobytes()) for c in columns]
+    return cells, [(e.line, e.message) for e in errors]
+
+
+# cells outside the canonical form of at least one value column
+NON_CANONICAL = (" 3", "+3", "1_0", "007", "3.0", "1e1", ".5", "5.", "-0.5",
+                 "1234567890.123456", " 1", "1.2.3", ".")
+
+
+def mutate(data, rng, cell):
+    """A file's bytes (with no quoted id) with one value cell replaced by ``cell``."""
+    head, *lines = data.decode().split("\n")
+    row = int(rng.integers(len(lines) - 1))
+    fields = lines[row].split(",")
+    fields[-1 - int(rng.integers(len(fields) - 2))] = cell
+    lines[row] = ",".join(fields)
+    return "\n".join([head, *lines]).encode()
+
+
+class TestImpressionsCodec:
+    def test_differential_against_csv_reader(self, tmp_path):
+        # every file, canonical or not, loads as the csv-module reader reads it
+        rng = np.random.default_rng(20261019)
+        path = tmp_path / "i.csv"
+        read_from_bytes = 0
+        for trial in range(240):
+            odd = (0.0, 0.05, 0.3)[trial % 3]
+            table = random_table(rng, int(rng.integers(0, 8)), bool(trial % 2), odd)
+            save_impressions(path, table)
+            data = path.read_bytes()
+            read_from_bytes += data_module._canonical_impressions(data) is not None
+            variants = [data]
+            if len(table) and b'"' not in data:
+                variants.append(mutate(data, rng, NON_CANONICAL[trial % len(NON_CANONICAL)]))
+            if len(table):
+                # an invalid UTF-8 byte in the first id, a misspelt header, and the
+                # last row split in two, which keeps the count of separators
+                variants += [data.replace(b"\n", b"\n\xff", 1), data.replace(b"liked", b"like", 1)]
+                cut = data.rindex(b",")
+                variants.append(data[:cut] + b"\n" + data[cut + 1:])
+            for variant in variants:
+                path.write_bytes(variant)
+                expected = outcome(data_module._csv_impressions, path)
+                assert outcome(load_impressions, path) == expected, (trial, variant)
+            # a file that loads without errors is saved again as it was
+            path.write_bytes(data)
+            loaded, errors = load_impressions(path)
+            if not errors:
+                save_impressions(path, loaded)
+                assert path.read_bytes() == data
+        # the fuzz reaches both readers
+        assert 40 < read_from_bytes < 200
+
+    @given(st.lists(
+        st.integers(2, 15).flatmap(lambda n: st.integers(1, n - 1).flatmap(
+            lambda k: st.tuples(st.text("0123456789", min_size=k, max_size=k),
+                                st.text("0123456789", min_size=n - k, max_size=n - k)))),
+        min_size=1, max_size=12,
+    ))
+    @example([("0", "1"), ("9007199254740", "99"), ("0", "00000000000001"), ("99999999999999", "9")])
+    def test_dwell_division_equals_float(self, cells):
+        # mantissa / 10**frac is float(cell) to the bit for cells of at most 15 digits
+        text = ",".join(f"{a}.{b}" for a, b in cells)
+        start, end = (np.array(b) for b in zip(*(m.span() for m in re.finditer(r"[^,]+", text))))
+        buf = np.frombuffer(text.encode() + bytes(8), np.uint8)
+        dwell = data_module._canonical_dwell(buf, start, end)
+        expected = np.array([float(f"{a}.{b}") for a, b in cells])
+        assert dwell is not None and dwell.tobytes() == expected.tobytes()
+
+    def test_saved_files_are_read_from_bytes(self, tmp_path, monkeypatch):
+        # a silent fall back to the csv-module reader would fail here
+        def no_csv_reader(path):
+            raise AssertionError(f"{path} was read by the csv module")
+
+        monkeypatch.setattr(data_module, "_csv_impressions", no_csv_reader)
+        rng = np.random.default_rng(5)
+        dataset, _ = simulate_session(SimConfig(participants=6, feed_length=20, news_per_feed=10))
+        simulated = dataset.impressions
+        odd = ["p", "日本😀", "péché", "a" * 41, "b" * 5000, "a" * 40 + "x", "ctl\x01\x1f\t"]
+        long_ids = Impressions._from_ids(
+            [odd[i % len(odd)] for i in range(40)], [odd[-1 - i % len(odd)] for i in range(40)],
+            np.arange(40), rng.uniform(0, 1e6, 40), rng.random(40) < 0.5, rng.random(40) < 0.5,
+        )
+        path = tmp_path / "i.csv"
+        for table in (simulated, replace(simulated, dwell_adjusted=simulated.dwell_raw / 3),
+                      long_ids, replace(long_ids, dwell_adjusted=long_ids.dwell_raw[::-1].copy())):
+            save_impressions(path, table)
+            first = path.read_bytes()
+            loaded, errors = load_impressions(path)
+            assert not errors and len(loaded) == len(table)
+            assert loaded.participant_id.tolist() == table.participant_id.tolist()
+            assert loaded.post_id.tolist() == table.post_id.tolist()
+            save_impressions(path, loaded)
+            assert path.read_bytes() == first
 
 
 class TestImpressionsTable:
