@@ -25,8 +25,9 @@ digits; dwells matching ``[0-9]+[.][0-9]+`` with at most 15 digits; bools the
 one byte 0 or 1; ids of any length) is read from its bytes with numpy, with
 no Python object per row or cell. Any other file (quoted ids, CR line ends,
 spaces or other number spellings, ragged rows, a header only) is read by the
-csv module, column by column, and row by row only to report errors; for a
-canonical file it gives the same table and errors, only more slowly.
+csv module, column by column, and row by row only to report errors: a
+well-formed one gives the table and errors that the same rows in the
+canonical form give, only more slowly.
 ``_open_rows`` reads every other CSV file (ratings, posts, scores) row by row
 with the csv module.
 
@@ -511,8 +512,8 @@ def _csv_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
 # digits; a dwell matching [0-9]+\.[0-9]+ with at most 15 digits; a bool the one
 # byte 0 or 1. An id holds any other characters and may be of any length.
 _CANONICAL_HEADERS = {",".join(h).encode(): len(h) for h in _IMPRESSION_HEADERS}
-_MAX_POSITION_DIGITS = 18  # below 2**63
-_MAX_DWELL_DIGITS = 15  # below 2**53
+_MAX_POSITION_DIGITS = 18  # any 18-digit number is below 2**63
+_MAX_DWELL_DIGITS = 15  # any 15-digit mantissa is below 2**53, so exact as a float
 _POWERS = 10 ** np.arange(_MAX_POSITION_DIGITS, dtype=np.int64)
 # 10**k as floats, each exact: a dwell is mantissa / 10**frac, both exact, and one
 # correctly rounded division gives what float() gives for the decimal
