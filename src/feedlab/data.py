@@ -588,13 +588,20 @@ def _canonical_ids(body: bytes, words: np.ndarray, start, end) -> tuple[np.ndarr
 
     Equal ids are found on their bytes: each round ranks, with ``np.unique``
     over integers, the ids longer than the bytes seen by (rank so far, next
-    bytes), so the rounds read each byte once. Only the distinct ids are
-    decoded and sorted as str.
+    bytes), so the rounds read each byte once. When fewer ids are left than
+    rounds to go, the rest of each is keyed by its bytes instead. Only the
+    distinct ids are decoded and sorted as str.
     """
     length = end - start
     label = np.empty(len(start), np.int64)  # one per distinct id once the rounds end
-    rows, rank, seen, labelled = np.arange(len(start)), 0, 0, 0
+    rows, rank, seen, labelled = np.arange(len(start)), np.zeros(len(start), np.uint64), 0, 0
     while rows.size:
+        if rows.size < (length[rows].max() - seen) // 4:
+            tails = [body[i:j] for i, j in zip((start[rows] + seen).tolist(), end[rows].tolist())]
+            keys = list(zip(rank.tolist(), tails))
+            index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+            label[rows] = labelled + np.array([index[key] for key in keys])
+            break
         step = 4 if seen else 8  # after the first round, the rank takes 32 bits of the key
         chunk = words[start[rows] + seen] & _TOP_BYTES[np.minimum(length[rows] - seen, step)]
         key = rank << 32 | chunk >> 32 if seen else chunk

@@ -475,13 +475,15 @@ class TestImpressionsCodec:
         dataset, _ = simulate_session(SimConfig(participants=6, feed_length=20, news_per_feed=10))
         simulated = dataset.impressions
         odd = ["p", "日本😀", "péché", "a" * 41, "b" * 5000, "a" * 40 + "x", "ctl\x01\x1f\t"]
-        long_ids = Impressions._from_ids(
-            [odd[i % len(odd)] for i in range(40)], [odd[-1 - i % len(odd)] for i in range(40)],
-            np.arange(40), rng.uniform(0, 1e6, 40), rng.random(40) < 0.5, rng.random(40) < 0.5,
-        )
+        # after the first round, two long ids left that differ only in their first byte
+        handed_over = [f"p{i % 7}" for i in range(200)] + ["c" + "z" * 500, "d" + "z" * 500]
+        tables = [simulated, replace(simulated, dwell_adjusted=simulated.dwell_raw / 3)]
+        for ids, n in ((odd * 6, 40), (handed_over, 202)):
+            values = np.arange(n), rng.uniform(0, 1e6, n), rng.random(n) < 0.5, rng.random(n) < 0.5
+            tables.append(Impressions._from_ids(ids[:n], ids[n - 1::-1], *values))
+            tables.append(replace(tables[-1], dwell_adjusted=values[1][::-1].copy()))
         path = tmp_path / "i.csv"
-        for table in (simulated, replace(simulated, dwell_adjusted=simulated.dwell_raw / 3),
-                      long_ids, replace(long_ids, dwell_adjusted=long_ids.dwell_raw[::-1].copy())):
+        for table in tables:
             save_impressions(path, table)
             first = path.read_bytes()
             loaded, errors = load_impressions(path)
