@@ -506,11 +506,7 @@ def _csv_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
     return _impression_table([list(c) for c in zip(*kept)] or [[]] * width), errors
 
 
-# The canonical form of impressions.csv, the one save_impressions writes: UTF-8
-# with no '"', CR or NUL; one of the two headers and at least one row; each line
-# ending in LF with the header's field count; a position of at most 18 ASCII
-# digits; a dwell matching [0-9]+\.[0-9]+ with at most 15 digits; a bool the one
-# byte 0 or 1. An id holds any other characters and may be of any length.
+# the canonical form of impressions.csv, as the module docstring gives it
 _CANONICAL_HEADERS = {",".join(h).encode(): len(h) for h in _IMPRESSION_HEADERS}
 _MAX_POSITION_DIGITS = 18  # any 18-digit number is below 2**63
 _MAX_DWELL_DIGITS = 15  # any 15-digit mantissa is below 2**53, so exact as a float
@@ -586,31 +582,19 @@ def _canonical_ids(body: bytes, words: np.ndarray, start, end) -> tuple[np.ndarr
     :meth:`Impressions._from_ids` gives them; ``words[i]`` is the eight bytes of
     ``body`` from ``i`` as a big-endian uint64.
 
-    Equal ids are found on their bytes: each round ranks, with ``np.unique``
-    over integers, the ids longer than the bytes seen by (rank so far, next
-    bytes), so the rounds read each byte once. When fewer ids are left than
-    rounds to go, the rest of each is keyed by its bytes instead. Only the
-    distinct ids are decoded and sorted as str.
+    Equal ids are found on their bytes: ``np.unique`` over integers ranks the
+    ids by their first eight bytes, and an id longer than that is keyed by
+    (that rank, the rest of its bytes). Only the distinct ids are decoded and
+    sorted as str.
     """
     length = end - start
-    label = np.empty(len(start), np.int64)  # one per distinct id once the rounds end
-    rows, rank, seen, labelled = np.arange(len(start)), np.zeros(len(start), np.uint64), 0, 0
-    while rows.size:
-        if rows.size < (length[rows].max() - seen) // 4:
-            tails = [body[i:j] for i, j in zip((start[rows] + seen).tolist(), end[rows].tolist())]
-            keys = list(zip(rank.tolist(), tails))
-            index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-            label[rows] = labelled + np.array([index[key] for key in keys])
-            break
-        step = 4 if seen else 8  # after the first round, the rank takes 32 bits of the key
-        chunk = words[start[rows] + seen] & _TOP_BYTES[np.minimum(length[rows] - seen, step)]
-        key = rank << 32 | chunk >> 32 if seen else chunk
-        distinct, rank = np.unique(key, return_inverse=True)
-        label[rows] = labelled + rank
-        labelled += len(distinct)
-        seen += step
-        longer = length[rows] > seen
-        rows, rank = rows[longer], rank[longer].astype(np.uint64)
+    heads, label = np.unique(words[start] & _TOP_BYTES[np.minimum(length, 8)], return_inverse=True)
+    long = np.flatnonzero(length > 8)
+    if long.size:
+        tails = [body[i:j] for i, j in zip((start[long] + 8).tolist(), end[long].tolist())]
+        index = {}
+        keys = [index.setdefault(key, len(index)) for key in zip(label[long].tolist(), tails)]
+        label[long] = len(heads) + np.array(keys)
     distinct, code = np.unique(label, return_inverse=True)
     first = np.empty(len(distinct), np.intp)
     first[code] = np.arange(len(code))  # a row of each distinct id

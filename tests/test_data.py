@@ -351,9 +351,9 @@ class TestImpressionsIO:
 
 TABLE_COLUMNS = [f.name for f in fields(Impressions)]
 
-# id stems that share prefixes across the 8- and 4-byte rounds of the byte
-# reader; tails that keep an id canonical, and tails that make the csv module
-# quote it
+# id stems that share prefixes up to and past the first 8 bytes, which the byte
+# reader ranks as integers; tails that keep an id canonical, and tails that make
+# the csv module quote it
 ID_STEMS = ("", "a", "ab", "abcdefg", "abcdefgh", "abcdefghi", "abcdefghijkl", "abcdefghijklm")
 ID_TAILS = ("", "x", "7", ".", " ", "\t", "é", "日", "😀", "z" * 30)
 QUOTED_TAILS = (",", '"', "\r")
@@ -474,14 +474,14 @@ class TestImpressionsCodec:
         rng = np.random.default_rng(5)
         dataset, _ = simulate_session(SimConfig(participants=6, feed_length=20, news_per_feed=10))
         simulated = dataset.impressions
-        odd = ["p", "日本😀", "péché", "a" * 41, "b" * 5000, "a" * 40 + "x", "ctl\x01\x1f\t"]
-        # after the first round, two long ids left that differ only in their first byte
-        handed_over = [f"p{i % 7}" for i in range(200)] + ["c" + "z" * 500, "d" + "z" * 500]
-        tables = [simulated, replace(simulated, dwell_adjusted=simulated.dwell_raw / 3)]
-        for ids, n in ((odd * 6, 40), (handed_over, 202)):
-            values = np.arange(n), rng.uniform(0, 1e6, n), rng.random(n) < 0.5, rng.random(n) < 0.5
-            tables.append(Impressions._from_ids(ids[:n], ids[n - 1::-1], *values))
-            tables.append(replace(tables[-1], dwell_adjusted=values[1][::-1].copy()))
+        # long ids with equal first 8 bytes, and with equal tails after different first bytes
+        odd = ["p", "日本😀", "péché", "a" * 41, "b" * 5000, "a" * 40 + "x", "ctl\x01\x1f\t",
+               "c" + "z" * 500, "d" + "z" * 500]
+        n = 40
+        values = np.arange(n), rng.uniform(0, 1e6, n), rng.random(n) < 0.5, rng.random(n) < 0.5
+        odd_table = Impressions._from_ids((odd * 5)[:n], (odd * 5)[n - 1::-1], *values)
+        tables = [simulated, replace(simulated, dwell_adjusted=simulated.dwell_raw / 3), odd_table,
+                  replace(odd_table, dwell_adjusted=values[1][::-1].copy())]
         path = tmp_path / "i.csv"
         for table in tables:
             save_impressions(path, table)
