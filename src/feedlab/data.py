@@ -14,7 +14,7 @@ Every artifact of every module is written by one of two writers:
 :func:`write_json` writes canonical JSON (sorted keys, 2-space indent,
 trailing newline; a dataclass as its fields, a numpy array as a list), and
 :func:`write_csv` writes UTF-8 CSV with LF line endings
-(:func:`save_impressions` writes the same bytes column-wise). A ``save_*``
+(:func:`save_impressions` writes the same bytes with numpy). A ``save_*``
 function writes its dataclass; the matching ``load_*`` builds it from the
 file's fields (:func:`from_fields` for JSON).
 
@@ -30,6 +30,14 @@ well-formed one gives the table and errors that the same rows in the
 canonical form give, only more slowly.
 ``_open_rows`` reads every other CSV file (ratings, posts, scores) row by row
 with the csv module.
+
+:func:`save_impressions` builds the body of impressions.csv as a (rows,
+width) uint8 matrix and a mask of the bytes to write, with no Python object
+per row: each distinct id is quoted once and gathered by its code, integers
+are written as digits, and a dwell as the exact fixed-point integer
+rint(|v| * 1e6). Only a dwell that fixed point would not write exactly (NaN,
++-inf, |v| >= 2**23, at or near a rounding tie) is formatted by itself,
+with ``'%.6f' %``.
 
 In memory, impressions are one columnar :class:`Impressions` table (one
 array per column of impressions.csv, the ids as int32 codes into sorted
@@ -50,7 +58,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable
@@ -228,11 +235,6 @@ class Impressions:
         present = counts > 0
         return vocab[present], (np.cumsum(present) - 1)[codes], counts[present]
 
-    def _id_cells(self, key: str, encode) -> list[str]:
-        """Id column ``key`` as a list, each distinct id encoded once by ``encode``."""
-        names = list(map(encode, getattr(self, f"{key}_vocab").tolist()))
-        return list(map(names.__getitem__, getattr(self, f"{key}_code").tolist()))
-
     def __len__(self) -> int:
         return len(self.position)
 
@@ -372,9 +374,15 @@ def _check_header(path: str | Path, rows: list[list[str]], headers) -> list[str]
 def _open_rows(path: str | Path, *headers: list[str]) -> tuple[list[str], list[list[str]]]:
     """The header and data rows of a CSV file whose header is one of ``headers``.
 
-    With no ``headers`` any header is accepted and the caller checks it.
+    With no ``headers`` any header is accepted and the caller checks it. A file
+    the csv module cannot read (a cell over its field limit) is a
+    :class:`DataFormatError` naming the line.
     """
-    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     return _check_header(path, rows, headers), rows[1:]
 
 
@@ -675,27 +683,148 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[:-2]
 
 
+# save_impressions builds each block of rows as one uint8 matrix and one mask of the
+# bytes to write. A block's matrix holds about this many bytes (the ids' padded
+# widths plus 128 a row for the numbers), so the writer's memory stays small however
+# many rows the table has, and one long id does not widen a matrix of every row.
+_BLOCK_BYTES = 2**21
+_POWERS_U64 = np.array([10**k for k in range(20)], np.uint64)  # every power of 10 below 2**64
+# a dwell below this is written as a fixed-point integer when that is exact (_dwell_cells)
+_FIXED_POINT_LIMIT = 2.0**23
+
+# The cell writers below give a column as a (width, rows) uint8 matrix of bytes and
+# a same-shape mask of the bytes to write: stored that way, each matrix row is
+# contiguous, and the body matrix of a block stacks them.
+
+
+def _padded(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``strings`` UTF-8 encoded as the columns of a NUL-padded (width, len(strings))
+    matrix, and each one's length in bytes, which says where it ends (it may hold a NUL)."""
+    encoded = [s.encode() for s in strings]
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    width = max(int(lengths.max(initial=0)), 1)
+    matrix = np.array(encoded, f"S{width}").view(np.uint8).reshape(len(encoded), width)
+    return np.ascontiguousarray(matrix.T), lengths
+
+
+def _first(lengths: np.ndarray, width: int) -> np.ndarray:
+    """The mask of the first ``lengths[i]`` of ``width`` bytes of each column."""
+    return np.arange(width)[:, None] < lengths
+
+
+def _digits(magnitude: np.ndarray, least: int) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 ``magnitude`` as ASCII decimal digits, most significant first, and the
+    mask that drops leading zeros, keeping at least ``least`` digits."""
+    count = np.maximum(np.searchsorted(_POWERS_U64, magnitude, "right"), least)
+    width = int(count.max())
+    digits = np.empty((width, len(magnitude)), np.uint8)
+    rest = magnitude.copy()
+    for k in range(width - 1, -1, -1):
+        digits[k] = rest % np.uint64(10)
+        rest //= np.uint64(10)
+    return digits + ord("0"), np.arange(width)[:, None] >= width - count
+
+
+def _with_sign(negative: np.ndarray, digits: np.ndarray, shown: np.ndarray):
+    """A '-', shown where ``negative``, before ``digits``."""
+    minus = np.full((1, len(negative)), ord("-"), np.uint8)
+    return np.vstack([minus, digits]), np.vstack([negative, shown])
+
+
+def _integer_cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An integer or bool column as ``%d`` writes each cell."""
+    if column.dtype.kind in "bu":
+        return _with_sign(np.zeros(len(column), bool), *_digits(column.astype(np.uint64), 1))
+    signed = column.astype(np.int64, copy=False)
+    # the int64 minimum is its own absolute value, which read as uint64 is its magnitude
+    return _with_sign(signed < 0, *_digits(np.abs(signed).view(np.uint64), 1))
+
+
+def _percent_dwell(values: list[float]) -> list[str]:
+    """Dwell cells as ``'%.6f' %`` writes them, one at a time: the writer's only
+    per-cell path, for the cells :func:`_dwell_cells` cannot write exactly."""
+    return [f"%.{DWELL_DECIMALS}f" % v for v in values]
+
+
+def _dwell_cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A dwell column as ``'%.6f' %`` writes each cell.
+
+    A cell v is written from x = |v| * 1e6 as the integer rint(x) with a
+    point before its last 6 digits, and a '-' where v's sign bit is set (so
+    -0.0 and -1e-9 give '-0.000000', as %.6f does), when v is finite,
+    |v| < 2**23 and |frac(x) - 0.5| > 2 * spacing(x). This is exact:
+    x < 2**43, so frac(x) and rint(x) are computed without error, and x is
+    off the exact product |v| * 10**6 by at most half its spacing. The
+    product is therefore more than 1.5 spacings from a half and on the same
+    side of it as x, so rint(x) is the product correctly rounded, no tie is
+    possible, and it is the integer that %.6f rounds v to. Every other cell
+    (NaN, +-inf, |v| >= 2**23, a value at or near a tie such as 122.0703125)
+    goes through :func:`_percent_dwell`.
+    """
+    v = column.astype(float, copy=False)
+    small = np.abs(v) < _FIXED_POINT_LIMIT  # False for NaN
+    x = np.where(small, np.abs(v), 0.0) * 10.0**DWELL_DECIMALS
+    exact = small & (np.abs(x - np.floor(x) - 0.5) > 2 * np.spacing(x))
+    digits, shown = _digits(np.rint(np.where(exact, x, 0.0)).astype(np.uint64), 1 + DWELL_DECIMALS)
+    point = len(digits) - DWELL_DECIMALS
+    matrix, shown = _with_sign(
+        np.signbit(v), np.insert(digits, point, ord("."), axis=0), np.insert(shown, point, True, axis=0)
+    )
+    shown &= exact
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        cells, lengths = _padded(_percent_dwell(v[slow].tolist()))
+        more = np.zeros((len(cells), len(v)), np.uint8)
+        more_shown = np.zeros(more.shape, bool)
+        more[:, slow], more_shown[:, slow] = cells, _first(lengths, len(cells))
+        matrix, shown = np.vstack([matrix, more]), np.vstack([shown, more_shown])
+    return matrix, shown
+
+
+# one writer per impressions.csv column after the two ids, in file order
+_CELL_WRITERS = (_integer_cells, _dwell_cells, _integer_cells, _integer_cells, _dwell_cells)
+
+
+def _lines(cells: list[tuple[np.ndarray, np.ndarray]]) -> bytes:
+    """The CSV lines of columns given as (byte matrix, mask) pairs: the bytes that the
+    mask keeps of the (rows, width) body matrix, read row by row."""
+    rows = cells[0][0].shape[1]
+    parts, shown = [], []
+    for i, (matrix, mask) in enumerate(cells):
+        end = ord("\n") if i == len(cells) - 1 else ord(",")
+        parts += [matrix, np.full((1, rows), end, np.uint8)]
+        shown += [mask, np.ones((1, rows), bool)]
+    return np.vstack(parts).T[np.vstack(shown).T].tobytes()
+
+
 def save_impressions(path: str | Path, impressions: Impressions) -> None:
     """Write impressions.csv; emits dwell_adjusted iff the table carries it.
 
     The file is what :func:`write_csv` writes, in the canonical form that
-    :func:`load_impressions` reads from its bytes: each distinct id is quoted
-    once, as the csv module quotes it, and the body is one ``%`` format over
-    the interleaved columns (``%.6f`` formats a float as ``'{:.6f}'.format``
-    does). An empty table writes the plain header.
+    :func:`load_impressions` reads from its bytes, and each dwell is written
+    as ``'%.6f' %`` writes it. The body is built as a (rows, width) uint8
+    matrix and a mask of the bytes to write, each column a fixed span of
+    matrix columns: each distinct id is quoted once, as the csv module quotes
+    it, and gathered by code; integers and bools are written as digits; a
+    dwell as the exact fixed-point integer rint(|v| * 1e6). Only a dwell that
+    this would not write exactly (NaN, +-inf, 2**23 or more, at or near a
+    rounding tie) is formatted alone, by ``'%.6f' %``. An empty table writes
+    the plain header.
     """
     values = [c for c in impressions._values() if c is not None][: 5 if len(impressions) else 4]
-    columns = [impressions._id_cells(key, _csv_field) for key in ("participant", "post")]
-    columns += (c.tolist() for c in values)
-    width = len(columns)
-    cells = [None] * (len(impressions) * width)
-    for i, column in enumerate(columns):
-        cells[i::width] = column
-    dwell = f"%.{DWELL_DECIMALS}f"
-    line = ",".join(("%s", "%s", "%d", dwell, "%d", "%d", dwell)[:width]) + "\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_IMPRESSION_FIELDS[:width]) + "\n")
-        fh.write(line * len(impressions) % tuple(cells))
+    ids = [
+        (_padded(list(map(_csv_field, getattr(impressions, f"{key}_vocab").tolist()))),
+         getattr(impressions, f"{key}_code"))
+        for key in ("participant", "post")
+    ]
+    step = max(1, _BLOCK_BYTES // (sum(len(matrix) for (matrix, _), _ in ids) + 128))
+    with open(path, "wb") as fh:
+        fh.write((",".join(_IMPRESSION_FIELDS[: 2 + len(values)]) + "\n").encode())
+        for start in range(0, len(impressions), step):
+            rows = slice(start, start + step)
+            cells = [(m[:, code[rows]], _first(n[code[rows]], len(m))) for (m, n), code in ids]
+            cells += [write(c[rows]) for write, c in zip(_CELL_WRITERS, values)]
+            fh.write(_lines(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -809,13 +938,6 @@ def file_digest(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def make_provenance(source_paths: list[str | Path]) -> dict:
-    return {
-        "sources": {str(Path(p).name): file_digest(p) for p in source_paths},
-        "ingested_at": datetime.now(timezone.utc).isoformat(),
-    }
 
 
 def save_dataset(path: str | Path, dataset: Dataset) -> None:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's code paths: means by explicit
 sum/count, OLS by normal equations, logistic ML by grid search, p-values by
-permutation, sorting by a plain comparison sort, and the simulators one
-stream (participant or replication) at a time.
+permutation, sorting by a plain comparison sort, the simulators one
+stream (participant or replication) at a time, and impressions.csv by one
+``%`` format over a list of every cell.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 from scipy import special
 
-from feedlab.data import NEWS_CATEGORIES
+from feedlab.data import _IMPRESSION_FIELDS, NEWS_CATEGORIES, _csv_field
 from feedlab.sim import (
     _GH_W,
     _GH_X,
@@ -320,3 +321,20 @@ def per_replication_policy_experiment(config, policies, k, replications):
         pairs = np.column_stack([means, ses]).ravel().tolist()
         outcomes.append(PolicyOutcome(policy, *pairs, replications))
     return outcomes
+
+
+def percent_format_impressions(path, table):
+    """impressions.csv as one ``%`` format over the interleaved cells: each id
+    quoted as the csv module quotes it, ``%d`` for positions and bools and
+    ``%.6f`` for dwells; an empty table writes the plain header."""
+    values = [c for c in table._values() if c is not None][: 5 if len(table) else 4]
+    columns = [[_csv_field(i) for i in ids.tolist()] for ids in (table.participant_id, table.post_id)]
+    columns += (c.tolist() for c in values)
+    width = len(columns)
+    cells = [None] * (len(table) * width)
+    for i, column in enumerate(columns):
+        cells[i::width] = column
+    line = ",".join(("%s", "%s", "%d", "%.6f", "%d", "%d", "%.6f")[:width]) + "\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_IMPRESSION_FIELDS[:width]) + "\n")
+        fh.write(line * len(table) % tuple(cells))

@@ -195,6 +195,19 @@ class TestPreprocessCommand:
         assert "error: participant id 'z\\x00' ends in a NUL character" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cell_over_field_limit_exit_2(self, tmp_path, capsys):
+        # a quoted id sends the file to the csv module, whose field limit is 131072
+        path = tmp_path / "impressions.csv"
+        path.write_text(
+            "participant_id,post_id,position,dwell_raw,shared,liked\n"
+            f'"{"p" * 200000}",post_a,1,2.0,0,0\n'
+        )
+        out = tmp_path / "out"
+        assert run(["preprocess", "--input", path, "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: line " in err and "field larger than field limit" in err
+        assert not out.exists()
+
 
 @pytest.fixture
 def analysis_dirs(tmp_path, sim_config_path):
@@ -251,6 +264,15 @@ class TestPcaCommand:
         assert run(["pca", "--input", sim_out / "ratings.csv", "--output-dir", out]) == 0
         lines = (out / "correlations.csv").read_text().splitlines()
         assert len(lines) == 1 + 28  # 8 choose 2 feature pairs
+
+    def test_cell_over_field_limit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ratings.csv"
+        path.write_text(f"rater_id,post_id,feature,value\nr1,post_a,truth,4.0\nr2,{'x' * 200000},truth,1\n")
+        out = tmp_path / "out"
+        assert run(["pca", "--input", path, "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: line 3: field larger than field limit" in err
+        assert not out.exists()
 
 
 class TestFitCommand:

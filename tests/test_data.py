@@ -24,7 +24,6 @@ from feedlab.data import (
     load_impressions,
     load_posts,
     load_ratings,
-    make_provenance,
     ratings_per_post_per_feature,
     save_dataset,
     save_impressions,
@@ -32,9 +31,10 @@ from feedlab.data import (
     save_ratings,
     validate_dataset,
 )
+from feedlab.pipeline import ExclusionRules, run_pipeline
 from feedlab.sim import SimConfig, simulate_session
 from conftest import as_table, make_impression, rows_of
-from oracles import brute_force_cell_means
+from oracles import brute_force_cell_means, percent_format_impressions
 
 
 def write(path, text):
@@ -494,6 +494,85 @@ class TestImpressionsCodec:
             assert path.read_bytes() == first
 
 
+# ids of 0-40 bytes: the canonical stems and tails above, and characters the csv
+# module quotes or that only a byte-length mask keeps (an inner NUL)
+WRITER_ID_TAILS = ID_TAILS + QUOTED_TAILS + ("\n", "\0x", "a\0\0b")
+WRITER_INTEGERS = (-3, -1, 0, 1, 7, 120, 10**17, 10**18 + 1, -(2**63), 2**63 - 1)
+WRITER_DWELLS = (-0.0, -1e-9, 5e-324, 122.0703125, 2.0**23, np.nextafter(2.0**23, 0),
+                 np.nextafter(2.0**23, np.inf), 1e300, math.nan, math.inf, -math.inf, 0.5e-6)
+
+
+def writer_table(rng, n_rows, adjusted):
+    """A table for the writer: ids, positions, bools or integers and dwells drawn
+    from the edge cases above and from plain values, rounding ties among them."""
+    def an_id():
+        text = str(rng.choice(ID_STEMS)) + "".join(rng.choice(WRITER_ID_TAILS, rng.integers(0, 4)))
+        return text.encode()[:40].decode(errors="ignore").rstrip("\0")
+
+    def dwells():
+        plain = np.where(rng.random(n_rows) < 0.5, rng.uniform(-60, 60, n_rows),
+                         10.0 ** rng.uniform(-8, 8.9, n_rows))
+        ties = rng.integers(0, 10**12, n_rows) / 1e6 + 5e-7  # k/1e6 + 5e-7, at or near a tie
+        odd = np.array(WRITER_DWELLS)[rng.integers(len(WRITER_DWELLS), size=n_rows)]
+        return np.choose(rng.integers(3, size=n_rows), [plain, ties, odd])
+
+    def integers(kind):
+        if kind == "bool":
+            return rng.random(n_rows) < 0.5
+        if kind == "uint":
+            return np.array([0, 1, 2**63, 2**64 - 1], np.uint64)[rng.integers(4, size=n_rows)]
+        return np.array(WRITER_INTEGERS, np.int64)[rng.integers(len(WRITER_INTEGERS), size=n_rows)]
+
+    kinds = rng.choice(["bool", "int", "uint"], 2)
+    values = [integers("int"), dwells(), integers(kinds[0]), integers(kinds[1])]
+    if adjusted:
+        values.append(dwells())
+    return Impressions._from_ids([an_id() for _ in range(n_rows)], [an_id() for _ in range(n_rows)], *values)
+
+
+class TestImpressionsWriter:
+    def test_differential_against_percent_format(self, tmp_path, monkeypatch):
+        # the byte-matrix writer writes what one % format over every cell writes
+        rng = np.random.default_rng(20261020)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        sizes = [int(rng.integers(0, 8)) for _ in range(60)] + [5000, 5000]
+        for trial, n_rows in enumerate(sizes):
+            table = writer_table(rng, n_rows, bool(trial % 2))
+            save_impressions(new, table)
+            percent_format_impressions(old, table)
+            assert new.read_bytes() == old.read_bytes(), trial
+            if n_rows == 5000:
+                # blocks of a few rows each write the same file
+                monkeypatch.setattr(data_module, "_BLOCK_BYTES", 4096)
+                save_impressions(new, table)
+                monkeypatch.undo()
+                assert new.read_bytes() == old.read_bytes(), trial
+
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.floats(-(2.0**24), 2.0**24),
+        st.integers(-(10**13), 10**13).map(lambda k: (k + 0.5) / 1e6),
+    ), min_size=1, max_size=20))
+    @example([-0.0, -1e-9, 5e-324, 122.0703125, 2.0**23, 1e300, math.nan, math.inf, -math.inf])
+    def test_dwell_cells_equal_percent_format(self, values):
+        matrix, shown = data_module._dwell_cells(np.array(values))
+        cells = [matrix[:, i][shown[:, i]].tobytes().decode() for i in range(len(values))]
+        assert cells == ["%.6f" % v for v in values]
+
+    def test_walkthrough_dwells_are_written_without_fallback(self, tmp_path, monkeypatch):
+        # a silent slide onto the per-cell path would fail here
+        def no_fallback(values):
+            raise AssertionError(f"{len(values)} dwell cells were formatted one at a time")
+
+        dataset, _ = simulate_session(SimConfig(participants=600, feed_length=120, seed=5))
+        cleaned = run_pipeline(dataset.impressions, ExclusionRules()).impressions
+        monkeypatch.setattr(data_module, "_percent_dwell", no_fallback)
+        save_impressions(tmp_path / "impressions.csv", dataset.impressions)
+        save_impressions(tmp_path / "cleaned.csv", cleaned)
+        loaded, errors = load_impressions(tmp_path / "cleaned.csv")
+        assert not errors and len(loaded) == len(cleaned)
+
+
 class TestImpressionsTable:
     def test_from_rows_round_trips_rows(self):
         rows = [
@@ -646,9 +725,9 @@ class TestValidation:
 
 class TestDatasetJson:
     def test_roundtrip_bytes(self, tmp_path, tiny_posts):
-        ratings_path = write(tmp_path / "r.csv", "rater_id,post_id,feature,value\n")
         imps = as_table([make_impression("p1", tiny_posts[0].post_id, 1, 2.0)])
-        ds = validate_dataset(tiny_posts, imps, make_provenance([ratings_path]))
+        provenance = {"sources": {"r.csv": "0" * 64}, "ingested_at": "2024-01-01T00:00:00+00:00"}
+        ds = validate_dataset(tiny_posts, imps, provenance)
         path = tmp_path / "dataset.json"
         save_dataset(path, ds)
         first = path.read_bytes()
