@@ -676,11 +676,11 @@ def save_posts(path: str | Path, posts: list[Post]) -> None:
     write_csv(path, _POSTS_HEADER, map(operator.attrgetter(*_POSTS_HEADER), posts))
 
 
-def _csv_field(value: str) -> str:
-    """``value`` as the csv module writes it inside a row, quoted only if it must be."""
-    buf = io.StringIO()
-    _csv_writer(buf).writerow([value, ""])
-    return buf.getvalue()[:-2]
+def _csv_fields(values: list[str]) -> list[str]:
+    """Each of ``values`` as the csv module writes it inside a row, quoted only if it must be."""
+    lines: list[str] = []  # the writer writes each row with one call
+    _csv_writer(SimpleNamespace(write=lines.append)).writerows([v, ""] for v in values)
+    return [line[:-2] for line in lines]
 
 
 # save_impressions builds each block of rows as one uint8 matrix and one mask of the
@@ -688,7 +688,6 @@ def _csv_field(value: str) -> str:
 # widths plus 128 a row for the numbers), so the writer's memory stays small however
 # many rows the table has, and one long id does not widen a matrix of every row.
 _BLOCK_BYTES = 2**21
-_POWERS_U64 = np.array([10**k for k in range(20)], np.uint64)  # every power of 10 below 2**64
 # a dwell below this is written as a fixed-point integer when that is exact (_dwell_cells)
 _FIXED_POINT_LIMIT = 2.0**23
 
@@ -712,32 +711,35 @@ def _first(lengths: np.ndarray, width: int) -> np.ndarray:
     return np.arange(width)[:, None] < lengths
 
 
-def _digits(magnitude: np.ndarray, least: int) -> tuple[np.ndarray, np.ndarray]:
-    """uint64 ``magnitude`` as ASCII decimal digits, most significant first, and the
-    mask that drops leading zeros, keeping at least ``least`` digits."""
-    count = np.maximum(np.searchsorted(_POWERS_U64, magnitude, "right"), least)
-    width = int(count.max())
-    digits = np.empty((width, len(magnitude)), np.uint8)
-    rest = magnitude.copy()
-    for k in range(width - 1, -1, -1):
-        digits[k] = rest % np.uint64(10)
-        rest //= np.uint64(10)
-    return digits + ord("0"), np.arange(width)[:, None] >= width - count
-
-
-def _with_sign(negative: np.ndarray, digits: np.ndarray, shown: np.ndarray):
-    """A '-', shown where ``negative``, before ``digits``."""
-    minus = np.full((1, len(negative)), ord("-"), np.uint8)
-    return np.vstack([minus, digits]), np.vstack([negative, shown])
+def _number_cells(
+    negative: np.ndarray, magnitude: np.ndarray, least: int = 1, decimals: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of a '-' where ``negative``, then the decimal digits of uint64
+    ``magnitude`` with no leading zeros beyond the last ``least``, and a point
+    before the last ``decimals`` digits when ``decimals`` is not 0."""
+    digits = max(len(str(int(magnitude.max()))), least)
+    width = 1 + digits + bool(decimals)
+    matrix = np.full((width, len(magnitude)), ord("."), np.uint8)
+    shown = np.ones(matrix.shape, bool)
+    matrix[0], shown[0] = ord("-"), negative
+    rest, ten = magnitude, np.uint64(10)
+    for j in range(digits):  # the j-th digit from the right
+        row = width - 1 - j - (0 < decimals <= j)
+        if j >= least:
+            shown[row] = rest > 0
+        quotient = rest // ten
+        matrix[row] = rest - quotient * ten + ord("0")
+        rest = quotient
+    return matrix, shown
 
 
 def _integer_cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An integer or bool column as ``%d`` writes each cell."""
     if column.dtype.kind in "bu":
-        return _with_sign(np.zeros(len(column), bool), *_digits(column.astype(np.uint64), 1))
+        return _number_cells(np.zeros(len(column), bool), column.astype(np.uint64))
     signed = column.astype(np.int64, copy=False)
     # the int64 minimum is its own absolute value, which read as uint64 is its magnitude
-    return _with_sign(signed < 0, *_digits(np.abs(signed).view(np.uint64), 1))
+    return _number_cells(signed < 0, np.abs(signed).view(np.uint64))
 
 
 def _percent_dwell(values: list[float]) -> list[str]:
@@ -765,11 +767,8 @@ def _dwell_cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     small = np.abs(v) < _FIXED_POINT_LIMIT  # False for NaN
     x = np.where(small, np.abs(v), 0.0) * 10.0**DWELL_DECIMALS
     exact = small & (np.abs(x - np.floor(x) - 0.5) > 2 * np.spacing(x))
-    digits, shown = _digits(np.rint(np.where(exact, x, 0.0)).astype(np.uint64), 1 + DWELL_DECIMALS)
-    point = len(digits) - DWELL_DECIMALS
-    matrix, shown = _with_sign(
-        np.signbit(v), np.insert(digits, point, ord("."), axis=0), np.insert(shown, point, True, axis=0)
-    )
+    magnitude = np.rint(np.where(exact, x, 0.0)).astype(np.uint64)
+    matrix, shown = _number_cells(np.signbit(v), magnitude, 1 + DWELL_DECIMALS, DWELL_DECIMALS)
     shown &= exact
     slow = np.flatnonzero(~exact)
     if slow.size:
@@ -813,7 +812,7 @@ def save_impressions(path: str | Path, impressions: Impressions) -> None:
     """
     values = [c for c in impressions._values() if c is not None][: 5 if len(impressions) else 4]
     ids = [
-        (_padded(list(map(_csv_field, getattr(impressions, f"{key}_vocab").tolist()))),
+        (_padded(_csv_fields(getattr(impressions, f"{key}_vocab").tolist())),
          getattr(impressions, f"{key}_code"))
         for key in ("participant", "post")
     ]
@@ -822,7 +821,7 @@ def save_impressions(path: str | Path, impressions: Impressions) -> None:
         fh.write((",".join(_IMPRESSION_FIELDS[: 2 + len(values)]) + "\n").encode())
         for start in range(0, len(impressions), step):
             rows = slice(start, start + step)
-            cells = [(m[:, code[rows]], _first(n[code[rows]], len(m))) for (m, n), code in ids]
+            cells = [(m.take(code[rows], 1), _first(n[code[rows]], len(m))) for (m, n), code in ids]
             cells += [write(c[rows]) for write, c in zip(_CELL_WRITERS, values)]
             fh.write(_lines(cells))
 

@@ -7,12 +7,14 @@ stream (participant or replication) at a time, and impressions.csv by one
 ``%`` format over a list of every cell.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 from scipy import special
 
-from feedlab.data import _IMPRESSION_FIELDS, NEWS_CATEGORIES, _csv_field
+from feedlab.data import _IMPRESSION_FIELDS, NEWS_CATEGORIES
 from feedlab.sim import (
     _GH_W,
     _GH_X,
@@ -323,12 +325,19 @@ def per_replication_policy_experiment(config, policies, k, replications):
     return outcomes
 
 
+def csv_cell(value):
+    """``value`` as a csv writer whose lines end in CRLF writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow([value, ""])
+    return buf.getvalue()[:-3]
+
+
 def percent_format_impressions(path, table):
     """impressions.csv as one ``%`` format over the interleaved cells: each id
     quoted as the csv module quotes it, ``%d`` for positions and bools and
     ``%.6f`` for dwells; an empty table writes the plain header."""
     values = [c for c in table._values() if c is not None][: 5 if len(table) else 4]
-    columns = [[_csv_field(i) for i in ids.tolist()] for ids in (table.participant_id, table.post_id)]
+    columns = [[csv_cell(i) for i in ids.tolist()] for ids in (table.participant_id, table.post_id)]
     columns += (c.tolist() for c in values)
     width = len(columns)
     cells = [None] * (len(table) * width)
