@@ -1,4 +1,9 @@
-"""Small shared numeric helpers."""
+"""Small shared numeric helpers.
+
+scipy is imported only inside the p-value functions, so a process that
+computes no p-value (simulate, preprocess, the policy experiment, report)
+never loads it: ``scipy.special`` alone costs ~0.2 s and ~26 MB at start-up.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,6 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 
 @cache
@@ -26,14 +30,30 @@ def one_blas_thread() -> None:
             getattr(blas, name, lambda n: None)(1)
 
 
-def sigmoid(x):
-    return special.expit(x)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic ``1 / (1 + exp(-x))`` of a float array, into ``out`` if given
+    (``out=x`` reuses ``x``'s buffer).
+
+    numpy picks its ``exp`` for the CPU at run time, so a value can differ from
+    scipy's ``expit`` (the same formula with the C library's ``exp``) in its
+    last bits, and from one CPU to another. Where ``exp(-x)`` overflows the
+    result is exactly 0, as ``expit``'s is, and no warning is raised.
+    """
+    out = np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def t_sf_two_sided(t: np.ndarray | float, df: float) -> np.ndarray | float:
     """Two-sided p-value for a t statistic with ``df`` degrees of freedom."""
+    from scipy import special
+
     return 2.0 * special.stdtr(df, -np.abs(t))
 
 
 def normal_sf_two_sided(z: np.ndarray | float) -> np.ndarray | float:
+    from scipy import special
+
     return 2.0 * special.ndtr(-np.abs(z))

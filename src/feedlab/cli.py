@@ -130,9 +130,6 @@ def cmd_pca(args: argparse.Namespace) -> int:
         _report_row_errors("posts", post_errors)
         headlines = {p.post_id: p.headline for p in posts}
 
-    _write_resolved_config(out, args)
-    save_pca_fit(out / "pca_fit.json", fit)
-
     rows: list[list] = []
     if args.impressions:
         impressions, imp_errors = load_impressions(args.impressions)
@@ -150,6 +147,8 @@ def cmd_pca(args: argparse.Namespace) -> int:
             for j in range(i + 1, len(names)):
                 res = correlate(matrix.values[:, i], matrix.values[:, j])
                 rows.append([f"{names[i]}~{names[j]}", res.r, res.p, res.n])
+    _write_resolved_config(out, args)  # every input is read: nothing is written for a bad one
+    save_pca_fit(out / "pca_fit.json", fit)
     write_csv(out / "correlations.csv", ["feature", "r", "p", "n"], rows)
     save_scores(out / "scores.csv", scores)
 
@@ -345,7 +344,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # the data module's errors are ValueErrors
+    # the data module's errors are ValueErrors; an input path may name no file or a directory
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

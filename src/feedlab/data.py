@@ -532,12 +532,14 @@ def _digit_cells(buf: np.ndarray, start: np.ndarray, end: np.ndarray, most: int)
     or holds any other byte.
     """
     length = end - start
-    if length.min() < 1 or length.max() > most:
+    shortest, longest = int(length.min()), int(length.max())
+    if shortest < 1 or longest > most:
         return None
     value, point_at, points = np.zeros(len(start), np.int64), np.full(len(start), -1), 0
-    for k in range(int(length.max())):
-        byte = buf[end - (k + 1)]
-        if k >= length.min():
+    last = end - 1  # read once: the bounds may be a strided view
+    for k in range(longest):
+        byte = buf[last - k]
+        if k >= shortest:
             byte[k >= length] = ord("0")
         point = byte == ord(".")
         digit = byte - ord("0")  # a byte below '0' wraps above 9
@@ -585,10 +587,10 @@ _CANONICAL_PARSERS = (
 _TOP_BYTES = np.array([2**64 - 2 ** (64 - 8 * t) for t in range(9)], np.uint64)
 
 
-def _canonical_ids(body: bytes, words: np.ndarray, start, end) -> tuple[np.ndarray, np.ndarray]:
-    """The vocabulary and codes of the id cells ``body[start:end]``, as
+def _canonical_ids(data: bytes, words: np.ndarray, start, end) -> tuple[np.ndarray, np.ndarray]:
+    """The vocabulary and codes of the id cells ``data[start:end]``, as
     :meth:`Impressions._from_ids` gives them; ``words[i]`` is the eight bytes of
-    ``body`` from ``i`` as a big-endian uint64.
+    ``data`` from ``i`` as a big-endian uint64.
 
     Equal ids are found on their bytes: ``np.unique`` over integers ranks the
     ids by their first eight bytes, and an id longer than that is keyed by
@@ -599,14 +601,14 @@ def _canonical_ids(body: bytes, words: np.ndarray, start, end) -> tuple[np.ndarr
     heads, label = np.unique(words[start] & _TOP_BYTES[np.minimum(length, 8)], return_inverse=True)
     long = np.flatnonzero(length > 8)
     if long.size:
-        tails = [body[i:j] for i, j in zip((start[long] + 8).tolist(), end[long].tolist())]
+        tails = [data[i:j] for i, j in zip((start[long] + 8).tolist(), end[long].tolist())]
         index = {}
         keys = [index.setdefault(key, len(index)) for key in zip(label[long].tolist(), tails)]
         label[long] = len(heads) + np.array(keys)
     distinct, code = np.unique(label, return_inverse=True)
     first = np.empty(len(distinct), np.intp)
     first[code] = np.arange(len(code))  # a row of each distinct id
-    ids = [body[i:j].decode() for i, j in zip(start[first].tolist(), end[first].tolist())]
+    ids = [data[i:j].decode() for i, j in zip(start[first].tolist(), end[first].tolist())]
     vocab, rank = np.unique(np.array(ids, dtype=str), return_inverse=True)
     return vocab, rank[code].astype(np.int32)
 
@@ -617,38 +619,42 @@ def _canonical_impressions(data: bytes) -> Impressions | None:
 
     Every field is found with one ``np.flatnonzero`` over commas and line
     feeds, and each column is converted from the bytes between them, so no
-    Python object is made per row or per cell.
+    Python object is made per row or per cell. The bytes are read in place:
+    the header counts as one more row of fields, so every position is an
+    offset into ``data``, and a column's cell bounds are strided views of
+    the field ends.
     """
-    head, _, body = data.partition(b"\n")
-    width = _CANONICAL_HEADERS.get(head)
-    if width is None or not body.endswith(b"\n") or any(c in body for c in (b'"', b"\r", b"\0")):
+    width = _CANONICAL_HEADERS.get(data[: data.find(b"\n")])
+    if width is None or not data.endswith(b"\n") or any(data.find(c) >= 0 for c in b'"\r\0'):
         return None
-    if not body.isascii():
+    if not data.isascii():  # the header is ASCII, so this checks the body
         try:
-            body.decode()
+            data.decode()
         except UnicodeDecodeError:
             return None
-    buf = np.frombuffer(body + bytes(8), np.uint8)  # 8 bytes to read from past each cell
+    buf = np.frombuffer(data, np.uint8)
     line_end = buf == ord("\n")
     ends = np.flatnonzero(line_end | (buf == ord(",")))
-    rows = len(ends) // width
-    if len(ends) != rows * width or np.count_nonzero(line_end) != rows:
+    rows = len(ends) // width - 1
+    if rows < 1 or len(ends) != (rows + 1) * width or np.count_nonzero(line_end) != rows + 1:
         return None
-    ends = ends.reshape(rows, width).T.copy()  # one contiguous row of cell ends per column
-    if (buf[ends[-1]] != ord("\n")).any():
+    if (buf[ends[2 * width - 1 :: width]] != ord("\n")).any():
         return None
-    starts = np.empty_like(ends)
-    starts[1:] = ends[:-1] + 1
-    starts[0, 0], starts[0, 1:] = 0, ends[-1, :-1] + 1
+    # column j of the body: its cells end at ends[width + j::width] and each starts
+    # one byte after the field end before it
+    columns = [(ends[width + j - 1 : -1 : width] + 1, ends[width + j :: width]) for j in range(width)]
     values = []
-    for parse, start, end in zip(_CANONICAL_PARSERS, starts[2:], ends[2:]):
+    for parse, (start, end) in zip(_CANONICAL_PARSERS, columns[2:]):
         values.append(parse(buf, start, end))
         if values[-1] is None:
             return None
+    # No pad is needed to read eight bytes from an id cell's start: the row's cells
+    # have parsed, so at least 11 bytes (a position digit, a dwell of three bytes or
+    # more, two bools, their commas and the line feed) follow every id cell.
     words = np.ndarray((len(buf) - 7,), ">u8", buf, strides=(1,))
     ids = {}
-    for key, start, end in zip(("participant", "post"), starts, ends):
-        ids[f"{key}_vocab"], ids[f"{key}_code"] = _canonical_ids(body, words, start, end)
+    for key, (start, end) in zip(("participant", "post"), columns):
+        ids[f"{key}_vocab"], ids[f"{key}_code"] = _canonical_ids(data, words, start, end)
     return Impressions(**ids, **dict(zip(_VALUE_FIELDS, values)))
 
 

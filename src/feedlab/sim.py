@@ -124,13 +124,15 @@ def log_dwell_marginal(
 def engage_probability(
     params: GenerativeParams, c: np.ndarray, s: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
-    return sigmoid(
+    eta = np.asarray(
         params.engage_intercept
         + params.engage_dwell * z
         + params.engage_credibility * c
         + params.engage_sensationalism * s
-        + params.engage_dwell_sensationalism * z * s
+        + params.engage_dwell_sensationalism * z * s,
+        dtype=float,
     )
+    return sigmoid(eta, out=eta)
 
 
 def _draw_variates(rng: np.random.Generator, eps, u_engage, u_like, motor_eps) -> None:
@@ -460,13 +462,11 @@ def expected_engagement(
     Gauss-Hermite quadrature over the dwell noise; exact (to quadrature
     accuracy) counterpart of simulating many impressions per post.
 
-    The logistic at the (posts, 64) nodes is ``1 / (1 + exp(-eta))`` with
-    numpy's vectorised ``exp``, evaluated in one buffer. numpy picks its
-    ``exp`` for the CPU at run time, so a score can differ from scipy's
-    ``expit`` (which :func:`engage_probability` uses) in the last bit and
-    from one CPU to another; the scores only rank posts, and rankings and
-    every output built on them do not change. Where ``exp(-eta)``
-    overflows, the logistic is exactly 0, as ``expit``'s is.
+    The logistic at the (posts, 64) nodes is the one that
+    :func:`engage_probability` uses (``_numeric.sigmoid``), evaluated in one
+    buffer. A score can differ from one computed with scipy's ``expit`` in
+    its last bits and from one CPU to another; the scores only rank posts,
+    and rankings and every output built on them do not change.
     """
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -487,12 +487,7 @@ def expected_engagement(
         b = slope * params.dwell_noise_sd / scale
     eta = np.multiply.outer(b, _GH_NODES)
     eta += a[:, None]
-    np.negative(eta, out=eta)
-    with np.errstate(over="ignore"):
-        np.exp(eta, out=eta)
-    eta += 1.0
-    np.reciprocal(eta, out=eta)
-    return (eta @ _GH_W) / math.sqrt(math.pi)
+    return (sigmoid(eta, out=eta) @ _GH_W) / math.sqrt(math.pi)
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import feedlab
 from feedlab.cli import main
 from feedlab.data import file_digest, load_impressions
 from feedlab.features import load_scores
@@ -499,3 +504,81 @@ class TestExperimentAndRecover:
         text = capsys.readouterr().out
         assert "fit_dwell.json" in text
         assert "estimate" in text
+
+
+
+class TestDirectoryAsInputFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "{dir}"],
+            ["preprocess", "--input", "{dir}"],
+            ["pca", "--input", "{dir}"],
+            ["pca", "--input", "{sim}/ratings.csv", "--impressions", "{dir}"],
+            ["fit", "--input", "{cleaned}", "--scores", "{dir}", "--model", "dwell"],
+        ],
+        ids=["simulate-config", "preprocess-input", "pca-input", "pca-impressions", "fit-scores"],
+    )
+    def test_exit_2_naming_the_path(self, tmp_path, sim_config_path, capsys, argv):
+        sim_out, cleaned = tmp_path / "sim", tmp_path / "cleaned.csv"
+        assert run(["simulate", "--config", sim_config_path, "--output-dir", sim_out]) == 0
+        cleaned.write_text(
+            "participant_id,post_id,position,dwell_raw,shared,liked,dwell_adjusted\n"
+            "p1,post_a,1,2.0,0,0,2.0\n"
+        )
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        out = tmp_path / "out"
+        capsys.readouterr()
+        args = [a.format(dir=directory, sim=sim_out, cleaned=cleaned) for a in argv]
+        assert run([*args, "--output-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(directory) in err
+        assert not out.exists()
+
+
+# Runs CLI commands in one fresh process and prints, after the import and after
+# each command, whether any scipy module has been loaded.
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_loaded():
+    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+
+import feedlab
+loaded = {"import": scipy_loaded()}
+from feedlab.cli import main
+for name, argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        raise SystemExit(f"{name} failed")
+    loaded[name] = scipy_loaded()
+print(json.dumps(loaded))
+"""
+
+
+def _scipy_probe(commands) -> dict[str, bool]:
+    argv = json.dumps([[name, [str(a) for a in args]] for name, args in commands])
+    env = dict(os.environ, PYTHONPATH=str(Path(feedlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_is_loaded_only_for_p_values(tmp_path, sim_config_path):
+    # scipy.special is most of a start-up; only commands that compute p-values load it
+    sim_out, clean_out, pca_out, fit_out = (tmp_path / d for d in ("sim", "clean", "pca", "fit"))
+    assert _scipy_probe([
+        ("simulate", ["simulate", "--config", sim_config_path, "--output-dir", sim_out]),
+        ("preprocess", ["preprocess", "--input", sim_out / "impressions.csv",
+                        "--output-dir", clean_out]),
+        ("experiment", ["experiment", "--config", sim_config_path, "--replications", 2,
+                        "--output-dir", tmp_path / "exp"]),
+    ]) == {"import": False, "simulate": False, "preprocess": False, "experiment": False}
+    assert run(["pca", "--input", sim_out / "ratings.csv", "--output-dir", pca_out]) == 0
+    fit = ["fit", "--input", clean_out / "cleaned.csv", "--scores", pca_out / "scores.csv"]
+    assert run([*fit, "--model", "dwell", "--output-dir", fit_out]) == 0
+    assert _scipy_probe([
+        ("report", ["report", "--input", fit_out]),
+        ("fit", [*fit, "--model", "engage", "--output-dir", tmp_path / "fit2"]),
+    ]) == {"import": False, "report": False, "fit": True}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from feedlab._numeric import sigmoid
 from feedlab.data import DataFormatError, FeatureMatrix, dataset_violations, save_impressions
 from feedlab.pipeline import ExclusionRules, raw_dwell_control, run_pipeline
 from feedlab.regression import build_design, dwell_model_spec, engagement_model_spec, fit_design
@@ -17,6 +18,7 @@ from feedlab.sim import (
     SyntheticPool,
     _two_stage,
     align_scores_to_axes,
+    engage_probability,
     expected_dwell,
     expected_engagement,
     load_sim_config,
@@ -348,6 +350,33 @@ class TestExpectedEngagementQuadrature:
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
 
+class TestLogistic:
+    """The one numpy logistic that the simulator and the quadrature use."""
+
+    def test_within_ulps_of_expit(self):
+        # both compute 1 / (1 + exp(-x)), with exps that can differ by an ulp; where
+        # exp(-x) is in [2**53, 2**54), adding 1 rounds to one of two neighbours 2
+        # apart, and there an ulp of exp can become 4 ulps of the logistic
+        x = np.linspace(-745.0, 745.0, 1_000_001)
+        band = (x > -54 * math.log(2.0)) & (x <= -53 * math.log(2.0))
+        np.testing.assert_array_max_ulp(sigmoid(x[~band]), expit(x[~band]), 2)
+        np.testing.assert_array_max_ulp(sigmoid(x[band]), expit(x[band]), 4)
+
+    def test_engage_probability_saturates_without_warnings(self):
+        params = GenerativeParams(
+            engage_intercept=0.0,
+            engage_dwell=0.0,
+            engage_credibility=1000.0,
+            engage_sensationalism=0.0,
+            engage_dwell_sensationalism=0.0,
+        )
+        c = np.array([-1.0, -0.75, 0.0, 0.75, 1.0])  # eta = 1000 c, past |eta| = 745 at the ends
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = engage_probability(params, c, np.zeros(5), np.zeros(5))
+        assert p.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+
 class TestPolicyExperiment:
     def test_dissociation_and_random_unbiasedness(self):
         cfg = SimConfig(participants=1, seed=99)
@@ -480,7 +509,7 @@ class TestBatchedSimulatorMatchesPerStreamLoops:
                 assert np.array_equal(block[key][r], values), key
         no_dwell_term = params.engage_intercept + params.engage_credibility * c[1]
         no_dwell_term = no_dwell_term + params.engage_sensationalism * s[1]
-        assert np.array_equal(block["p_engage"][1], expit(no_dwell_term))
+        assert np.array_equal(block["p_engage"][1], sigmoid(no_dwell_term))
 
 
 class TestDescriptiveRefit:
