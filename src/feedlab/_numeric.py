@@ -2,7 +2,8 @@
 
 scipy is imported only inside the p-value functions, so a process that
 computes no p-value (simulate, preprocess, the policy experiment, report)
-never loads it: ``scipy.special`` alone costs ~0.2 s and ~26 MB at start-up.
+never loads it: importing ``scipy.special`` takes about as long as the rest
+of such a process's start-up.
 """
 
 from __future__ import annotations
