@@ -506,7 +506,6 @@ class TestExperimentAndRecover:
         assert "estimate" in text
 
 
-
 class TestDirectoryAsInputFile:
     @pytest.mark.parametrize(
         "argv",
@@ -558,7 +557,8 @@ print(json.dumps(loaded))
 
 def _scipy_probe(commands) -> dict[str, bool]:
     argv = json.dumps([[name, [str(a) for a in args]] for name, args in commands])
-    env = dict(os.environ, PYTHONPATH=str(Path(feedlab.__file__).parents[1]))
+    path = [str(Path(feedlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -566,7 +566,8 @@ def _scipy_probe(commands) -> dict[str, bool]:
 
 
 def test_scipy_is_loaded_only_for_p_values(tmp_path, sim_config_path):
-    # scipy.special is most of a start-up; only commands that compute p-values load it
+    # importing scipy.special is about half of a short process's start-up; only
+    # the commands that compute p-values load it
     sim_out, clean_out, pca_out, fit_out = (tmp_path / d for d in ("sim", "clean", "pca", "fit"))
     assert _scipy_probe([
         ("simulate", ["simulate", "--config", sim_config_path, "--output-dir", sim_out]),
