@@ -11,18 +11,16 @@ studies.
 from .data import (
     CATEGORIES,
     DataFormatError,
-    Dataset,
-    DatasetValidationError,
     FEATURE_NAMES,
     FeatureMatrix,
     Impressions,
     Post,
     RatingRecord,
     aggregate_ratings,
+    dataset_violations,
     load_impressions,
     load_posts,
     load_ratings,
-    validate_dataset,
 )
 from .features import (
     CorrelationResult,
@@ -65,7 +63,7 @@ from .sim import (
     parameter_recovery,
     rank_feed,
     run_policy_experiment,
-    simulate_dataset,
+    simulate_session,
 )
 
 __version__ = "0.1.0"

@@ -55,6 +55,7 @@ from .regression import (
 from .sim import (
     POLICIES,
     SimConfig,
+    config_digest,
     load_sim_config,
     parameter_recovery,
     run_policy_experiment,
@@ -188,10 +189,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     config = _sim_config_from_args(args)
-    dataset, pool = simulate_session(config)
+    impressions, pool = simulate_session(config)
+    posts = pool.posts()
     _write_resolved_config(out, args)
-    save_posts(out / "posts.csv", list(dataset.posts))
-    save_impressions(out / "impressions.csv", dataset.impressions)
+    save_posts(out / "posts.csv", posts)
+    save_impressions(out / "impressions.csv", impressions)
     # one synthetic rater per cell so the standard ratings path reproduces
     # the pool's feature matrix exactly
     ratings = [
@@ -200,12 +202,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for j, feature in enumerate(pool.matrix.feature_names)
     ]
     save_ratings(out / "ratings.csv", ratings)
-    # dataset.json names the impressions by digest; impressions.csv holds them
-    digest = file_digest(out / "impressions.csv")
-    provenance = dict(dataset.provenance, impressions_sha256=digest)
-    save_dataset(out / "dataset.json", replace(dataset, provenance=provenance))
+    # dataset.json names the impressions by digest; impressions.csv holds them.
+    # The generator label is the one dataset.json has always carried.
+    provenance = {
+        "generator": "feedlab.sim.simulate_dataset",
+        "seed": config.seed,
+        "config_digest": config_digest(config),
+        "impressions_sha256": file_digest(out / "impressions.csv"),
+    }
+    save_dataset(out / "dataset.json", posts, provenance)
     print(
-        f"simulated {len(dataset.impressions)} impressions "
+        f"simulated {len(impressions)} impressions "
         f"({config.participants} participants x {config.feed_length} posts)"
     )
     return EXIT_OK
@@ -342,6 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "output_dir", None) is not None:
+        # checked before any work: the first part of the path that exists must be a directory
+        out = Path(args.output_dir)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            print(f"error: --output-dir {out}: {existing} is not a directory", file=sys.stderr)
+            return EXIT_INPUT
     try:
         return args.func(args)
     # the data module's errors are ValueErrors; an input path may name no file or a directory

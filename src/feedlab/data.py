@@ -25,7 +25,7 @@ digits; dwells matching ``[0-9]+[.][0-9]+`` with at most 15 digits; bools the
 one byte 0 or 1; ids of any length) is read from its bytes with numpy, with
 no Python object per row or cell. Any other file (quoted ids, CR line ends,
 spaces or other number spellings, ragged rows, a header only) is read by the
-csv module, column by column, and row by row only to report errors: a
+csv module in one pass over its rows, which reports each bad row: a
 well-formed one gives the table and errors that the same rows in the
 canonical form give, only more slowly.
 ``_open_rows`` reads every other CSV file (ratings, posts, scores) row by row
@@ -45,7 +45,7 @@ vocabularies); every function that takes impressions takes that table.
 
 Loaders collect malformed rows into an error report instead of aborting;
 semantic checks (referential integrity, position contiguity, dwell sign)
-live in :func:`validate_dataset`.
+are listed by :func:`dataset_violations` and :func:`impression_violations`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable
@@ -84,16 +84,6 @@ DWELL_DECIMALS = 6
 
 class DataFormatError(ValueError):
     """A file does not match its expected schema (missing/renamed columns)."""
-
-
-class DatasetValidationError(ValueError):
-    """Semantic dataset invariants are violated; carries the violation list."""
-
-    def __init__(self, violations: list["Violation"]):
-        self.violations = violations
-        preview = "; ".join(v.message for v in violations[:5])
-        more = "" if len(violations) <= 5 else f" (+{len(violations) - 5} more)"
-        super().__init__(f"{len(violations)} dataset violation(s): {preview}{more}")
 
 
 @dataclass(frozen=True)
@@ -289,13 +279,6 @@ class FeatureMatrix:
         return len(self.post_ids)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    posts: tuple[Post, ...]
-    impressions: Impressions
-    provenance: dict = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # Artifact formats: the two writers, the CSV reader and the JSON-object reader
 
@@ -439,79 +422,47 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected 0/1 boolean, got {raw!r}")
 
 
-def _bool_column(cells: list[str]) -> np.ndarray:
-    if not set(cells) <= {"0", "1"}:
-        raise ValueError("expected 0/1 booleans")
-    return np.fromiter(map("1".__eq__, cells), bool, len(cells))
-
-
-def _dwell_column(cells: list[str]) -> np.ndarray:
-    dwell = np.fromiter(map(float, cells), float, len(cells))
-    if not np.isfinite(dwell).all():
-        raise ValueError("non-finite dwell")
-    return dwell
-
-
-# one converter per impressions.csv column after the two ids, in file order
-_IMPRESSION_PARSERS = (
-    lambda cells: np.fromiter(map(int, cells), np.int64, len(cells)),
-    _dwell_column,
-    _bool_column,
-    _bool_column,
-    _dwell_column,
-)
-
-
-def _impression_table(columns: list[list[str]]) -> Impressions:
-    """The table of impressions.csv's data columns, each converted in one pass.
-
-    Raises ValueError when a cell does not parse or a dwell is not finite. A
-    plain file's table has no dwell_adjusted, even when it has no rows.
-    """
-    values = (parse(c) for parse, c in zip(_IMPRESSION_PARSERS, columns[2:]))
-    return Impressions._from_ids(*columns[:2], *values)
-
-
 _IMPRESSION_HEADERS = (_IMPRESSION_HEADER, list(_IMPRESSION_FIELDS))
+
+
+def _impression_values(row: list[str]) -> list:
+    """The cells of a csv row after the two ids, converted in field order; a
+    ValueError names the first cell that does not convert, or the non-finite dwells."""
+    position = int(row[2])
+    if not -(2**63) <= position < 2**63:
+        raise ValueError(f"position {row[2]!r} is outside the int64 range")
+    values = [position, float(row[3]), _parse_bool(row[4]), _parse_bool(row[5]), *map(float, row[6:])]
+    dwells = values[1::3]  # dwell_raw and, in a cleaned file, dwell_adjusted
+    if not all(map(math.isfinite, dwells)):
+        names = [k for k, v in zip(("dwell_raw", "dwell_adjusted"), dwells) if not math.isfinite(v)]
+        raise ValueError(f"non-finite {' and '.join(names)}")
+    return values
 
 
 def _csv_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
     """impressions.csv as the csv module reads it: the reader of every file that
     is not in the canonical form, and the reference for the canonical reader.
 
-    Each column is converted in one pass. Only when that fails (a ragged row,
-    a cell that does not parse, a non-finite dwell) does the row-by-row check
-    below run: it reports each bad row, and the table leaves those rows out.
+    One pass converts each row and reports each bad one (a ragged row, a cell
+    that does not parse, a position outside int64, a non-finite dwell), which
+    the table leaves out; the table is then built with one array per column.
+    A plain file's table has no dwell_adjusted, even when it has no rows.
     """
     header, rows = _open_rows(path, *_IMPRESSION_HEADERS)
     width = len(header)
-    if all(len(row) == width for row in rows):
-        try:
-            return _impression_table([list(c) for c in zip(*rows)] or [[]] * width), []
-        except (ValueError, OverflowError):
-            pass
-    kept: list[list[str]] = []
+    kept: list[list] = []
     errors: list[RowError] = []
     for lineno, row in enumerate(rows, start=2):
         if len(row) != width:
             errors.append(RowError(lineno, f"expected {width} fields, got {len(row)}"))
             continue
         try:
-            int(row[2])
-            dwells = {"dwell_raw": float(row[3])}
-            _parse_bool(row[4])
-            _parse_bool(row[5])
-            if width == 7:
-                dwells["dwell_adjusted"] = float(row[6])
+            kept.append(row[:2] + _impression_values(row))
         except ValueError as exc:
             errors.append(RowError(lineno, str(exc)))
-            continue
-        non_finite = [k for k, v in dwells.items() if not math.isfinite(v)]
-        if non_finite:
-            errors.append(RowError(lineno, f"non-finite {' and '.join(non_finite)}"))
-            continue
-        kept.append(row)
-    return _impression_table([list(c) for c in zip(*kept)] or [[]] * width), errors
+    columns = list(zip(*kept)) or [()] * width
+    values = map(np.array, columns[2:], (np.int64, float, bool, bool, float))
+    return Impressions._from_ids(*columns[:2], *values), errors
 
 
 # the canonical form of impressions.csv, as the module docstring gives it
@@ -867,17 +818,13 @@ def aggregate_ratings(records: list[RatingRecord]) -> FeatureMatrix:
     return FeatureMatrix(tuple(kept), FEATURE_NAMES, values)
 
 
-def ratings_per_post_per_feature(records: list[RatingRecord]) -> float:
-    """Mean number of ratings behind each (post, feature) cell."""
-    cells = {(r.post_id, r.feature) for r in records}
-    return len(records) / len(cells) if cells else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
 
 def dataset_violations(posts: list[Post], impressions: Impressions) -> list[Violation]:
+    """Referential integrity (duplicate posts, impressions of unknown posts), then
+    :func:`impression_violations`; an empty list for a valid study."""
     violations: list[Violation] = []
     flag = lambda kind, message: violations.append(Violation(kind, message))
     known: set[str] = set()
@@ -918,23 +865,8 @@ def impression_violations(impressions: Impressions) -> list[Violation]:
     return violations
 
 
-def validate_dataset(
-    posts: list[Post],
-    impressions: Impressions,
-    provenance: dict | None = None,
-) -> Dataset:
-    """Check referential integrity, position contiguity, and dwell sign.
-
-    Raises :class:`DatasetValidationError` carrying the full violation list.
-    """
-    violations = dataset_violations(posts, impressions)
-    if violations:
-        raise DatasetValidationError(violations)
-    return Dataset(tuple(posts), impressions, provenance or {})
-
-
 # ---------------------------------------------------------------------------
-# Dataset persistence
+# dataset.json
 
 
 def file_digest(path: str | Path) -> str:
@@ -945,7 +877,7 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def save_dataset(path: str | Path, dataset: Dataset) -> None:
+def save_dataset(path: str | Path, posts: Iterable[Post], provenance: dict) -> None:
     """Write dataset.json: the posts and the provenance. The impressions are
     impressions.csv's alone; the provenance may name that file's digest."""
-    write_json(path, {"posts": dataset.posts, "provenance": dataset.provenance})
+    write_json(path, {"posts": list(posts), "provenance": provenance})

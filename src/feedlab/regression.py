@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._numeric import normal_sf_two_sided, one_blas_thread, t_sf_two_sided
+from ._numeric import normal_sf_two_sided, one_blas_thread, sigmoid, t_sf_two_sided
 from .data import DataFormatError, Impressions, from_fields, write_json
 from .features import PostScore
 
@@ -276,7 +276,7 @@ def fit_logistic(
 
     eta = X @ beta
     deviance = _binary_deviance(y, eta)
-    p = 1.0 / (1.0 + np.exp(-eta))
+    p = sigmoid(eta)
     grad = X.T @ (y - p)
     converged = False
     iterations = 0
@@ -297,7 +297,7 @@ def fit_logistic(
         beta, eta = candidate, cand_eta
         prev_dev, deviance = deviance, cand_dev
 
-        p = 1.0 / (1.0 + np.exp(-eta))
+        p = sigmoid(eta)
         grad = X.T @ (y - p)
         if (np.max(np.abs(grad)) < IRLS_GRADIENT_TOL
                 or abs(prev_dev - deviance) < IRLS_DEVIANCE_RTOL * (abs(prev_dev) + 1e-30)):

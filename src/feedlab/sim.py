@@ -43,14 +43,12 @@ from ._numeric import sigmoid
 from .data import (
     CATEGORIES,
     DataFormatError,
-    Dataset,
     FeatureMatrix,
     FEATURE_NAMES,
     Impressions,
     NEWS_CATEGORIES,
     Post,
     from_fields,
-    write_json,
 )
 from .features import PostScore, fit_feature_pca, project
 from .pipeline import ExclusionRules, raw_dwell_control, run_pipeline
@@ -347,7 +345,7 @@ class SimConfig:
 
 
 # ---------------------------------------------------------------------------
-# Dataset simulation
+# Study simulation
 
 
 def _sample_feed(
@@ -377,8 +375,8 @@ def _sample_feed(
 
 def simulate_session(
     config: SimConfig, seed_seq: np.random.SeedSequence | None = None
-) -> tuple[Dataset, PoolPosts]:
-    """Simulate one study and also return the realized pool.
+) -> tuple[Impressions, PoolPosts]:
+    """Simulate one study: its impressions and the realized pool.
 
     Log dwell is z-scored against the pool's :func:`log_dwell_marginal`.
     Each participant is one stream on its own spawned generator, which draws
@@ -416,27 +414,7 @@ def simulate_session(
         shared=out["shared"].ravel(),
         liked=out["liked"].ravel(),
     )
-    provenance = {
-        "generator": "feedlab.sim.simulate_dataset",
-        "seed": config.seed,
-        "config_digest": config_digest(config),
-    }
-    dataset = Dataset(pool.posts(), impressions, provenance)
-    return dataset, pool
-
-
-def simulate_dataset(config: SimConfig) -> Dataset:
-    """Simulate a full study: every participant walks a sampled 1..n feed."""
-    dataset, _ = simulate_session(config)
-    return dataset
-
-
-def pool_scores(pool: PoolPosts) -> list[PostScore]:
-    """The pool's true (credibility, sensationalism) coordinates as scores."""
-    return [
-        PostScore(post_id=pid, pc_scores=(float(c), float(s)))
-        for pid, c, s in zip(pool.post_ids(), pool.credibility, pool.sensationalism)
-    ]
+    return impressions, pool
 
 
 # ---------------------------------------------------------------------------
@@ -727,10 +705,10 @@ class RecoveryReport:
 def _recover_once(
     config: SimConfig, rules: ExclusionRules, seed_seq: np.random.SeedSequence
 ) -> dict:
-    dataset, pool = simulate_session(config, seed_seq)
+    impressions, pool = simulate_session(config, seed_seq)
 
-    cleaned = run_pipeline(dataset.impressions, rules)
-    raw_kept = raw_dwell_control(dataset.impressions, rules)
+    cleaned = run_pipeline(impressions, rules)
+    raw_kept = raw_dwell_control(impressions, rules)
 
     fit = fit_feature_pca(pool.matrix)
     scores = project(fit, pool.matrix)
@@ -841,10 +819,6 @@ def config_digest(config: SimConfig) -> str:
     return hashlib.sha256(
         json.dumps(config_to_dict(config), sort_keys=True).encode()
     ).hexdigest()
-
-
-def save_sim_config(path: str | Path, config: SimConfig) -> None:
-    write_json(path, config_to_dict(config))
 
 
 # the JSON values that a config field annotated with the key's type accepts

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feedlab.data import FEATURE_NAMES, aggregate_ratings, load_impressions, load_ratings, ratings_per_post_per_feature
+from feedlab.data import FEATURE_NAMES, aggregate_ratings, load_impressions, load_ratings
 from feedlab.features import (
     correlate,
     fit_feature_pca,
@@ -38,11 +38,10 @@ from feedlab.regression import (
 from feedlab.sim import (
     SimConfig,
     parameter_recovery,
-    pool_scores,
     run_policy_experiment,
     simulate_session,
 )
-from conftest import as_table, simulate_hierarchical_dwell
+from conftest import as_table, pool_scores, simulate_hierarchical_dwell
 from oracles import (
     grid_search_logistic_mle,
     normal_equations_ols,
@@ -276,8 +275,8 @@ class TestCriterion6Dissociation:
         sens_gap = d.mean_sensationalism - e.mean_sensationalism
         dissociation_ok = sens_gap > 0.2 and d.mean_credibility < e.mean_credibility
 
-        ds, pool = simulate_session(SimConfig(participants=300, seed=66_166))
-        res = run_pipeline(ds.impressions, ExclusionRules())
+        imps, pool = simulate_session(SimConfig(participants=300, seed=66_166))
+        res = run_pipeline(imps, ExclusionRules())
         spec = dwell_model_spec()
         fit = fit_design(
             build_design(res.impressions, pool_scores(pool), spec), spec
@@ -353,7 +352,8 @@ class TestCriterion7ReleasedData:
 
     def test_rating_density(self, released):
         ratings, *_ = released
-        density = ratings_per_post_per_feature(ratings)
+        # mean number of ratings behind each (post, feature) cell
+        density = len(ratings) / len({(r.post_id, r.feature) for r in ratings})
         assert report(
             "7 (ratings)", abs(density - 15.06) < 0.5, f"ratings per cell {density:.2f}"
         )

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import feedlab
+from feedlab import cli
 from feedlab.cli import main
-from feedlab.data import file_digest, load_impressions
+from feedlab.data import file_digest, load_impressions, write_json
 from feedlab.features import load_scores
 from feedlab.regression import load_fit
-from feedlab.sim import GenerativeParams, SimConfig, SyntheticPool, save_sim_config
+from feedlab.sim import GenerativeParams, SimConfig, SyntheticPool, config_to_dict
 
 
 @pytest.fixture
@@ -25,7 +26,7 @@ def sim_config_path(tmp_path):
         seed=424242,
     )
     path = tmp_path / "sim_config.json"
-    save_sim_config(path, cfg)
+    write_json(path, config_to_dict(cfg))
     return path
 
 
@@ -212,6 +213,22 @@ class TestPreprocessCommand:
         err = capsys.readouterr().err
         assert f"error: {path}: line " in err and "field larger than field limit" in err
         assert not out.exists()
+
+    def test_position_outside_int64_is_a_row_error(self, tmp_path, capsys):
+        # the row is reported and dropped; it used to end the run with exit 1
+        path = tmp_path / "impressions.csv"
+        path.write_text(
+            "participant_id,post_id,position,dwell_raw,shared,liked\n"
+            "p1,post_a,99999999999999999999,2.0,0,0\n"
+        )
+        out = tmp_path / "out"
+        assert run(["preprocess", "--input", path, "--output-dir", out]) == 0
+        err = capsys.readouterr().err
+        assert err == (
+            "warning: impressions line 2: position '99999999999999999999' is outside the int64 range\n"
+        )
+        cleaned, errors = load_impressions(out / "cleaned.csv")
+        assert len(cleaned) == 0 and not errors
 
 
 @pytest.fixture
@@ -534,6 +551,32 @@ class TestDirectoryAsInputFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(directory) in err
         assert not out.exists()
+
+
+class TestOutputDirIsAFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "sim_config.json"],
+            ["preprocess", "--input", "impressions.csv"],
+            ["pca", "--input", "ratings.csv"],
+            ["fit", "--input", "cleaned.csv", "--scores", "scores.csv", "--model", "dwell"],
+            ["experiment", "--config", "sim_config.json"],
+            ["recover", "--config", "sim_config.json"],
+        ],
+        ids=["simulate", "preprocess", "pca", "fit", "experiment", "recover"],
+    )
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "under-file"])
+    def test_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, argv, nested):
+        # the path is checked before the command starts, so no command may run
+        for command in ("simulate", "preprocess", "pca", "fit", "experiment", "recover"):
+            monkeypatch.setattr(cli, f"cmd_{command}", lambda args: pytest.fail("the command ran"))
+        a_file = tmp_path / "a_file"
+        a_file.write_text("kept\n")
+        out = a_file / "sub" if nested else a_file
+        assert run([*argv, "--output-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: --output-dir {out}: {a_file} is not a directory\n"
+        assert a_file.read_text() == "kept\n"
 
 
 # Runs CLI commands in one fresh process and prints, after the import and after

@@ -10,8 +10,6 @@ from hypothesis import example, given, strategies as st
 from feedlab import data as data_module
 from feedlab.data import (
     DataFormatError,
-    Dataset,
-    DatasetValidationError,
     CATEGORIES,
     FEATURE_NAMES,
     FeatureMatrix,
@@ -24,12 +22,10 @@ from feedlab.data import (
     load_impressions,
     load_posts,
     load_ratings,
-    ratings_per_post_per_feature,
     save_dataset,
     save_impressions,
     save_posts,
     save_ratings,
-    validate_dataset,
 )
 from feedlab.pipeline import ExclusionRules, run_pipeline
 from feedlab.sim import SimConfig, simulate_session
@@ -155,14 +151,6 @@ class TestAggregateRatings:
         assert base.post_ids == again.post_ids
         assert np.array_equal(base.values, again.values)
 
-    def test_mean_ratings_per_cell(self):
-        records = [
-            RatingRecord("r1", "a", "truth", 1.0),
-            RatingRecord("r2", "a", "truth", 2.0),
-            RatingRecord("r1", "a", "sharing", 1.0),
-        ]
-        assert ratings_per_post_per_feature(records) == pytest.approx(1.5)
-
 
 PLAIN_HEADER = "participant_id,post_id,position,dwell_raw,shared,liked"
 ADJUSTED_HEADER = PLAIN_HEADER + ",dwell_adjusted"
@@ -219,6 +207,15 @@ LOADER_CASES = {
         [["p1"], ["post_04"], [4], [2.5], [False], [False], [2.5]],
         [(2, "non-finite dwell_raw"), (3, "non-finite dwell_adjusted"),
          (4, "non-finite dwell_raw and dwell_adjusted")],
+    ),
+    "position_outside_int64": (
+        # 19 and 20 digits send the file to the csv module; int64 holds the first two
+        PLAIN_HEADER + "\np1,post_01,9223372036854775807,2.5,0,0\np2,post_01,-9223372036854775808,2.5,0,0\n"
+        "p3,post_01,9223372036854775808,2.5,0,0\np4,post_01,-99999999999999999999,2.5,0,0\n",
+        [["p1", "p2"], ["post_01", "post_01"], [2**63 - 1, -(2**63)], [2.5, 2.5], [False, False],
+         [False, False], None],
+        [(4, "position '9223372036854775808' is outside the int64 range"),
+         (5, "position '-99999999999999999999' is outside the int64 range")],
     ),
     "every_row_rejected": (
         PLAIN_HEADER + "\np1,post_01,one,2.5,0,0\n",
@@ -472,8 +469,7 @@ class TestImpressionsCodec:
 
         monkeypatch.setattr(data_module, "_csv_impressions", no_csv_reader)
         rng = np.random.default_rng(5)
-        dataset, _ = simulate_session(SimConfig(participants=6, feed_length=20, news_per_feed=10))
-        simulated = dataset.impressions
+        simulated, _ = simulate_session(SimConfig(participants=6, feed_length=20, news_per_feed=10))
         # long ids with equal first 8 bytes, and with equal tails after different first bytes
         odd = ["p", "日本😀", "péché", "a" * 41, "b" * 5000, "a" * 40 + "x", "ctl\x01\x1f\t",
                "c" + "z" * 500, "d" + "z" * 500]
@@ -564,10 +560,10 @@ class TestImpressionsWriter:
         def no_fallback(values):
             raise AssertionError(f"{len(values)} dwell cells were formatted one at a time")
 
-        dataset, _ = simulate_session(SimConfig(participants=600, feed_length=120, seed=5))
-        cleaned = run_pipeline(dataset.impressions, ExclusionRules()).impressions
+        simulated, _ = simulate_session(SimConfig(participants=600, feed_length=120, seed=5))
+        cleaned = run_pipeline(simulated, ExclusionRules()).impressions
         monkeypatch.setattr(data_module, "_percent_dwell", no_fallback)
-        save_impressions(tmp_path / "impressions.csv", dataset.impressions)
+        save_impressions(tmp_path / "impressions.csv", simulated)
         save_impressions(tmp_path / "cleaned.csv", cleaned)
         loaded, errors = load_impressions(tmp_path / "cleaned.csv")
         assert not errors and len(loaded) == len(cleaned)
@@ -692,17 +688,15 @@ class TestValidation:
 
     def test_valid_feed_of_120(self, tiny_posts):
         imps = self._feed("p1", 120, tiny_posts)
-        ds = validate_dataset(tiny_posts, imps)
-        assert len(ds.impressions) == 120
+        assert len(imps) == 120
+        assert dataset_violations(tiny_posts, imps) == []
 
     def test_position_gap(self, tiny_posts):
         imps = as_table(
             make_impression("p1", tiny_posts[0].post_id, pos, 2.0) for pos in (1, 2, 4)
         )
         violations = dataset_violations(tiny_posts, imps)
-        assert any(v.kind == "position_gap" for v in violations)
-        with pytest.raises(DatasetValidationError):
-            validate_dataset(tiny_posts, imps)
+        assert [v.kind for v in violations] == ["position_gap"]
 
     def test_negative_dwell(self, tiny_posts):
         imps = as_table([make_impression("p1", tiny_posts[0].post_id, 1, -0.5)])
@@ -727,43 +721,35 @@ class TestDatasetJson:
     def test_roundtrip_bytes(self, tmp_path, tiny_posts):
         imps = as_table([make_impression("p1", tiny_posts[0].post_id, 1, 2.0)])
         provenance = {"sources": {"r.csv": "0" * 64}, "ingested_at": "2024-01-01T00:00:00+00:00"}
-        ds = validate_dataset(tiny_posts, imps, provenance)
+        assert dataset_violations(tiny_posts, imps) == []
         path = tmp_path / "dataset.json"
-        save_dataset(path, ds)
+        save_dataset(path, tiny_posts, provenance)
         first = path.read_bytes()
         # the file holds the posts and the provenance; the impressions are impressions.csv's
         payload = json.loads(first)
-        posts = tuple(from_fields(Post, d) for d in payload["posts"])
-        assert posts == ds.posts
-        assert payload["provenance"] == ds.provenance
-        save_dataset(path, Dataset(posts, as_table([]), payload["provenance"]))
+        posts = [from_fields(Post, d) for d in payload["posts"]]
+        assert posts == tiny_posts
+        assert payload["provenance"] == provenance
+        save_dataset(path, posts, payload["provenance"])
         assert path.read_bytes() == first
 
     ODD_IDS = ("péché", "日本😀", 'say "hi"', "back\\slash", "ctl\x00\x1f\t\n\x7f", "p,1")
-    ODD_DWELLS = (math.nan, math.inf, -math.inf, -0.0, 1e-07, 1e22, 2.123456789012345)
 
     @pytest.mark.parametrize("n_rows", [0, 1, 7])
-    @pytest.mark.parametrize("adjusted", [False, True])
-    def test_rows_match_json_dumps(self, tmp_path, n_rows, adjusted):
-        # the rows are the posts, one object each; a dataset's impressions, with
-        # or without dwell_adjusted, add nothing to the file
+    @pytest.mark.parametrize("with_features", [False, True])
+    def test_rows_match_json_dumps(self, tmp_path, n_rows, with_features):
+        # the rows are the posts, one object each, a post's features left out when
+        # it has none
         odd = self.ODD_IDS
         features = dict(zip(FEATURE_NAMES, (-0.0, 1e-07, 1e22, 2.123456789012345, 0, 1, 2, 3)))
         posts = tuple(
             Post(odd[i % len(odd)], odd[-1 - i % len(odd)], odd[(i + 2) % len(odd)],
-                 CATEGORIES[i % len(CATEGORIES)], features if i % 2 else None)
+                 CATEGORIES[i % len(CATEGORIES)], features if with_features and i % 2 else None)
             for i in range(n_rows)
         )
-        records = [
-            make_impression(
-                odd[i % len(odd)], odd[i % len(odd)], i + 1, self.ODD_DWELLS[i], i % 3,
-                adjusted=self.ODD_DWELLS[-1 - i] if adjusted else None,
-            )
-            for i in range(n_rows)
-        ]
         provenance = {"sources": {odd[0]: odd[1]}, "impressions_sha256": "00", "seed": n_rows}
         path = tmp_path / "dataset.json"
-        save_dataset(path, Dataset(posts, as_table(records), provenance))
+        save_dataset(path, posts, provenance)
         payload = {
             "posts": [{k: v for k, v in asdict(p).items() if v is not None} for p in posts],
             "provenance": provenance,

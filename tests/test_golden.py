@@ -2,7 +2,7 @@
 
 Runs walkthrough steps 1-7 through ``feedlab.cli.main`` at a small size, plus
 ``pca`` without ``--impressions`` and ``--posts`` and a config saved with
-``save_sim_config``, and pins the SHA-256 of every output file except
+``write_json(path, config_to_dict(config))``, and pins the SHA-256 of every output file except
 ``resolved_config.json`` (which records paths). A refactor that claims to
 preserve behaviour must leave these digests unchanged; a change that alters
 outputs on purpose updates them and says why.
@@ -12,7 +12,8 @@ import hashlib
 import json
 
 from feedlab.cli import main
-from feedlab.sim import GenerativeParams, SimConfig, SyntheticPool, save_sim_config
+from feedlab.data import write_json
+from feedlab.sim import GenerativeParams, SimConfig, SyntheticPool, config_to_dict
 
 SIM_CONFIG = {
     "participants": 40,
@@ -96,7 +97,7 @@ def run_walkthrough(root):
     ]
     for step in steps:
         assert main([str(a) for a in step]) == 0, step
-    save_sim_config(out / "saved_config.json", SAVED_CONFIG)
+    write_json(out / "saved_config.json", config_to_dict(SAVED_CONFIG))
     return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))

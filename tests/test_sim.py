@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit
 
 from feedlab._numeric import sigmoid
-from feedlab.data import DataFormatError, FeatureMatrix, dataset_violations, save_impressions
+from feedlab.data import DataFormatError, FeatureMatrix, dataset_violations, save_impressions, write_json
 from feedlab.pipeline import ExclusionRules, raw_dwell_control, run_pipeline
 from feedlab.regression import build_design, dwell_model_spec, engagement_model_spec, fit_design
 from feedlab.sim import (
@@ -18,17 +18,15 @@ from feedlab.sim import (
     SyntheticPool,
     _two_stage,
     align_scores_to_axes,
+    config_to_dict,
     engage_probability,
     expected_dwell,
     expected_engagement,
     load_sim_config,
     log_dwell_marginal,
     parameter_recovery,
-    pool_scores,
     rank_feed,
     run_policy_experiment,
-    save_sim_config,
-    simulate_dataset,
     simulate_impressions,
     simulate_session,
 )
@@ -40,6 +38,7 @@ from oracles import (
     per_replication_policy_experiment,
     per_stream_impressions,
 )
+from conftest import pool_scores
 
 
 PARAMS = GenerativeParams()
@@ -142,36 +141,36 @@ class TestSimulateImpression:
 
 class TestSimulateDataset:
     def test_validates_and_has_contiguous_positions(self):
-        ds = simulate_dataset(SimConfig(participants=4, seed=11))
-        assert dataset_violations(list(ds.posts), ds.impressions) == []
+        imps, pool = simulate_session(SimConfig(participants=4, seed=11))
+        assert dataset_violations(pool.posts(), imps) == []
         by_pid = {}
-        for pid, position in zip(ds.impressions.participant_id.tolist(), ds.impressions.position):
+        for pid, position in zip(imps.participant_id.tolist(), imps.position):
             by_pid.setdefault(pid, []).append(int(position))
         assert all(sorted(v) == list(range(1, 121)) for v in by_pid.values())
 
     def test_zero_participants(self):
-        ds = simulate_dataset(SimConfig(participants=0, seed=11))
-        assert len(ds.impressions) == 0
-        assert len(ds.posts) == 276
+        imps, pool = simulate_session(SimConfig(participants=0, seed=11))
+        assert len(imps) == 0
+        assert len(pool.posts()) == 276
 
     def test_seed_determinism_byte_identical(self, tmp_path):
-        a = simulate_dataset(SimConfig(participants=3, seed=123))
-        b = simulate_dataset(SimConfig(participants=3, seed=123))
+        a, _ = simulate_session(SimConfig(participants=3, seed=123))
+        b, _ = simulate_session(SimConfig(participants=3, seed=123))
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_impressions(pa, a.impressions)
-        save_impressions(pb, b.impressions)
+        save_impressions(pa, a)
+        save_impressions(pb, b)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_different_seeds_differ(self):
-        a = simulate_dataset(SimConfig(participants=2, seed=1))
-        b = simulate_dataset(SimConfig(participants=2, seed=2))
-        assert a.impressions != b.impressions
+        a, _ = simulate_session(SimConfig(participants=2, seed=1))
+        b, _ = simulate_session(SimConfig(participants=2, seed=2))
+        assert a != b
 
     def test_feed_composition_stratified(self):
-        ds = simulate_dataset(SimConfig(participants=2, seed=3))
-        cats = {p.post_id: p.category for p in ds.posts}
+        imps, pool = simulate_session(SimConfig(participants=2, seed=3))
+        cats = {p.post_id: p.category for p in pool.posts()}
         by_pid = {}
-        for pid, post in zip(ds.impressions.participant_id.tolist(), ds.impressions.post_id.tolist()):
+        for pid, post in zip(imps.participant_id.tolist(), imps.post_id.tolist()):
             by_pid.setdefault(pid, []).append(cats[post])
         for feed_cats in by_pid.values():
             n_news = sum(c in ("true_news", "false_news") for c in feed_cats)
@@ -180,11 +179,11 @@ class TestSimulateDataset:
 
     def test_engagement_rate_near_expectation(self):
         cfg = SimConfig(participants=50, seed=21)
-        ds, pool = simulate_session(cfg)
+        imps, pool = simulate_session(cfg)
         p_all = engagement_scores(cfg.params, pool.credibility, pool.sensationalism)
         expected = float(p_all.mean())  # feeds are near-uniform samples of the pool
-        rate = np.mean(ds.impressions.action_count >= 1)
-        se = math.sqrt(expected * (1 - expected) / len(ds.impressions))
+        rate = np.mean(imps.action_count >= 1)
+        se = math.sqrt(expected * (1 - expected) / len(imps))
         assert abs(rate - expected) < max(3 * se, 0.01)
 
     def test_feed_length_cannot_exceed_pool(self):
@@ -455,7 +454,7 @@ class TestBatchedSimulatorMatchesPerStreamLoops:
     )
     def test_session(self, config):
         feeds, dwell, shared, liked = per_participant_session(config)
-        imps = simulate_session(config)[0].impressions
+        imps = simulate_session(config)[0]
         n, length = config.participants, config.feed_length
         assert np.array_equal(imps.post_code.reshape(n, length), feeds)
         assert np.array_equal(imps.participant_code, np.repeat(np.arange(n), length))
@@ -517,8 +516,8 @@ class TestDescriptiveRefit:
         # the dwell-model engage terms are emergent, not injected: refit the
         # descriptive dwell spec on simulated data and check their signs
         cfg = SimConfig(participants=300, seed=4242)
-        ds, pool = simulate_session(cfg)
-        res = run_pipeline(ds.impressions, ExclusionRules())
+        imps, pool = simulate_session(cfg)
+        res = run_pipeline(imps, ExclusionRules())
         design = build_design(res.impressions, pool_scores(pool), dwell_model_spec())
         fit = fit_design(design, dwell_model_spec())
         assert fit.term("engage").estimate > 0
@@ -567,10 +566,10 @@ class TestParameterRecovery:
     def test_no_confound_parity_pipeline_on_off(self):
         params = GenerativeParams(motor_mean=0.0, motor_sd=0.0)
         cfg = SimConfig(participants=250, seed=909, params=params)
-        ds, pool = simulate_session(cfg)
+        imps, pool = simulate_session(cfg)
         rules = ExclusionRules()
-        adjusted = run_pipeline(ds.impressions, rules)
-        raw_rows = raw_dwell_control(ds.impressions, rules)
+        adjusted = run_pipeline(imps, rules)
+        raw_rows = raw_dwell_control(imps, rules)
         spec = engagement_model_spec()
         scores = pool_scores(pool)
         fit_adj = fit_design(build_design(adjusted.impressions, scores, spec), spec)
@@ -608,7 +607,7 @@ class TestConfigIO:
             params=GenerativeParams(motor_mean=0.9),
             seed=77,
         )
-        save_sim_config(tmp_path / "cfg.json", cfg)
+        write_json(tmp_path / "cfg.json", config_to_dict(cfg))
         loaded = load_sim_config(tmp_path / "cfg.json")
         assert loaded == cfg
 
