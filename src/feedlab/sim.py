@@ -432,7 +432,11 @@ def expected_dwell(params: GenerativeParams, c: np.ndarray, s: np.ndarray) -> np
 
 
 def expected_engagement(
-    params: GenerativeParams, c: np.ndarray, s: np.ndarray, loc: float, scale: float
+    params: GenerativeParams,
+    c: np.ndarray,
+    s: np.ndarray,
+    loc: float | np.ndarray,
+    scale: float | np.ndarray,
 ) -> np.ndarray:
     """Engagement probability marginalized over stage-1 dwell noise, log dwell
     z-scored against the marginal ``loc``/``scale``.
@@ -440,7 +444,12 @@ def expected_engagement(
     Gauss-Hermite quadrature over the dwell noise; exact (to quadrature
     accuracy) counterpart of simulating many impressions per post.
 
-    The logistic at the (posts, 64) nodes is the one that
+    ``c``/``s`` may be one pool's posts or a ``(pools, posts)`` block; then
+    ``loc``/``scale`` may be ``(pools, 1)`` columns, one marginal per pool,
+    and each row is bit-identical to the call on that pool alone. Where the
+    scale is not positive, the dwell noise does not move the score.
+
+    The logistic at the (..., posts, 64) nodes is the one that
     :func:`engage_probability` uses (``_numeric.sigmoid``), evaluated in one
     buffer. A score can differ from one computed with scipy's ``expit`` in
     its last bits and from one CPU to another; the scores only rank posts,
@@ -459,23 +468,35 @@ def expected_engagement(
         + params.engage_credibility * c
         + params.engage_sensationalism * s
     )
-    b = np.zeros_like(a)
-    if scale > 0:
-        a = a + slope * (mean_log - loc) / scale
-        b = slope * params.dwell_noise_sd / scale
+    spread = np.asarray(scale) > 0
+    a += np.divide(slope * (mean_log - loc), scale, out=np.zeros_like(a), where=spread)
+    b = np.divide(slope * params.dwell_noise_sd, scale, out=np.zeros_like(a), where=spread)
     eta = np.multiply.outer(b, _GH_NODES)
-    eta += a[:, None]
+    eta += a[..., None]
+    # matmul makes one matrix-vector product per pool of a block, so each row is
+    # that pool's product alone
     return (sigmoid(eta, out=eta) @ _GH_W) / math.sqrt(math.pi)
 
 
-@functools.lru_cache(maxsize=8)
-def _id_order(ids: tuple[str, ...]) -> np.ndarray:
-    """A pool's rows in post-id order, cached per id tuple: building the id
-    string array is most of a ranking's cost, and every replication of a
-    policy experiment names its posts alike."""
-    order = np.argsort(np.array(ids), kind="stable")
-    order.flags.writeable = False
-    return order
+def _id_order(ids: Sequence[str]) -> np.ndarray:
+    """A pool's rows in post-id order."""
+    return np.argsort(np.array(ids), kind="stable")
+
+
+def _rank_rows(
+    policy: str, params: GenerativeParams, c, s, loc, scale, by_id: np.ndarray, k: int
+) -> np.ndarray:
+    """Per row of a pool or a ``(pools, posts)`` block: the rows of its top k
+    posts under ``dwell_opt`` or ``engage_opt``, best first.
+
+    ``loc``/``scale`` are each pool's log-dwell marginal, and ``by_id`` the
+    posts' id order, in which score ties break.
+    """
+    if policy == "dwell_opt":
+        scores = expected_dwell(params, c, s)
+    else:
+        scores = expected_engagement(params, c, s, loc, scale)
+    return by_id[np.argsort(-scores[..., by_id], axis=-1, kind="stable")[..., :k]]
 
 
 def rank_feed(
@@ -501,13 +522,8 @@ def rank_feed(
             raise ValueError("random policy needs an rng")
         return rng.permutation(pool.size)[:k]
     c, s = pool.credibility, pool.sensationalism
-    if policy == "dwell_opt":
-        scores = expected_dwell(params, c, s)
-    else:
-        scores = expected_engagement(params, c, s, *log_dwell_marginal(params, c, s))
-    # rank the rows in id order, so that score ties break by id
-    by_id = _id_order(tuple(pool.post_ids()))
-    return by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
+    marginal = log_dwell_marginal(params, c, s)
+    return _rank_rows(policy, params, c, s, *marginal, _id_order(pool.post_ids()), k)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +545,12 @@ def _map_replications(work: Callable, seed: int, replications: int, threads: int
 
 # ---------------------------------------------------------------------------
 # Policy experiments
+
+# replications that run_policy_experiment ranks per expected_engagement call:
+# four 276-post pools make a 0.57 MB quadrature buffer, inside a 2 MB L2 cache.
+# At 250 replications on a 2-vCPU Xeon, chunks of 4 to 16 ran alike and 1 or 2
+# slower; the whole block in one call needs 35 MB (141 MB at 1000) and ran slower.
+_RANK_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -566,40 +588,60 @@ def run_policy_experiment(
     and aggregate ecosystem metrics across seeded replications.
 
     Each replication is one stream on its own spawned generator. It realizes
-    the pool and works out its :func:`log_dwell_marginal`, then per policy in
-    argument order ranks it with :func:`rank_feed` (which draws the ``random``
-    permutation), takes the top k rows' coordinates and draws the four
-    variate rows of :func:`simulate_impressions`. The replication loop
-    only realizes, ranks and draws; one :func:`_two_stage` call then evaluates
-    the whole (policies, replications, k) block, bit-identical to one
-    replication at a time. Each policy may be named once.
+    the pool, works out its :func:`log_dwell_marginal` and keeps the pool's
+    credibility and sensationalism as one row of a (replications, pool)
+    block; then, per policy in argument order, it draws the ``random``
+    permutation through :func:`rank_feed` (for that policy only) and the
+    four variate rows of :func:`simulate_impressions`. After the loop,
+    ``dwell_opt`` and ``engage_opt`` rank the block ``_RANK_CHUNK``
+    replications at a time, ``chronological`` takes each pool's first k
+    rows, and one :func:`_two_stage` call evaluates the whole (policies,
+    replications, k) block. Every value is bit-identical to ranking and
+    simulating one replication at a time. Each policy may be named once,
+    and k must be in 1..pool size.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    n = config.pool.size
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..{n}")
     repeated = sorted({p for p in policies if policies.count(p) > 1})
     if repeated:
         raise ValueError(f"policies named more than once: {repeated}")
+    params = config.params
     block = (len(policies), replications, k)
     c, s = np.empty(block), np.empty(block)
+    cred, sens = np.empty((replications, n)), np.empty((replications, n))
     loc, scale = np.empty((replications, 1)), np.empty((replications, 1))
     variates = np.empty((4, *block))
 
     def draw(r: int, seed_seq: np.random.SeedSequence) -> None:
         rng = np.random.default_rng(seed_seq)
         pool = config.pool.realize(rng)
-        loc[r], scale[r] = log_dwell_marginal(config.params, pool.credibility, pool.sensationalism)
-        # ranking stays per replication: engage_opt's quadrature as one
-        # (replications * pool, 64) block is 35 MB at 250 replications, over
-        # half the experiment's peak memory, and it ran slower
+        cred[r], sens[r] = pool.credibility, pool.sensationalism
+        loc[r], scale[r] = log_dwell_marginal(params, pool.credibility, pool.sensationalism)
         for j, policy in enumerate(policies):
-            top = rank_feed(policy, pool, config.params, k, rng=rng)
-            c[j, r], s[j, r] = pool.credibility[top], pool.sensationalism[top]
+            if policy == "random":
+                top = rank_feed(policy, pool, params, k, rng=rng)
+                c[j, r], s[j, r] = pool.credibility[top], pool.sensationalism[top]
             _draw_variates(rng, *variates[:, j, r])
 
     _map_replications(draw, config.seed, replications, threads)
-    sim = _two_stage(c, s, config.params, loc, scale, *variates)
+    by_id = _id_order(_post_ids(n))
+    for j, policy in enumerate(policies):
+        if policy == "chronological":
+            c[j], s[j] = cred[:, :k], sens[:, :k]
+        elif policy != "random":
+            for start in range(0, replications, _RANK_CHUNK):
+                chunk = slice(start, start + _RANK_CHUNK)
+                top = _rank_rows(
+                    policy, params, cred[chunk], sens[chunk], loc[chunk], scale[chunk], by_id, k
+                )
+                c[j, chunk] = np.take_along_axis(cred[chunk], top, axis=1)
+                s[j, chunk] = np.take_along_axis(sens[chunk], top, axis=1)
+    # the two-stage model needs only the top k rows: free the pool block first
+    del cred, sens
+    sim = _two_stage(c, s, params, loc, scale, *variates)
     # (policies, replications, metric), each metric a mean over the k posts of a row
     metrics = (c, s, sim["engaged"], sim["dwell_observed"])
     per_rep = np.stack([m.mean(axis=2) for m in metrics], axis=2)

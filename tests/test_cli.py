@@ -13,7 +13,7 @@ from feedlab.cli import main
 from feedlab.data import file_digest, load_impressions, write_json
 from feedlab.features import load_scores
 from feedlab.regression import load_fit
-from feedlab.sim import GenerativeParams, SimConfig, SyntheticPool, config_to_dict
+from feedlab.sim import POLICIES, GenerativeParams, SimConfig, SyntheticPool, config_to_dict
 
 
 @pytest.fixture
@@ -442,6 +442,14 @@ class TestExperimentAndRecover:
         argv = ["experiment", "--config", sim_config_path, "--output-dir", out]
         assert run(argv + ["--policies", "random,random"]) == 2
         assert "['random']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_experiment_rejects_k_over_pool_size(self, tmp_path, sim_config_path, capsys, policy):
+        out = tmp_path / "exp4"
+        argv = ["experiment", "--config", sim_config_path, "--output-dir", out]
+        assert run(argv + ["--policies", policy, "-k", 300]) == 2
+        assert "k must be in 1..80" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

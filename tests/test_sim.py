@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from feedlab.sim import (
     POLICIES,
     SimConfig,
     SyntheticPool,
+    _RANK_CHUNK,
     _two_stage,
     align_scores_to_axes,
     config_to_dict,
@@ -348,6 +350,30 @@ class TestExpectedEngagementQuadrature:
         assert 0.0 < got[1] < 1.0
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
+    def test_block_rows_match_single_pools(self):
+        # a (pools, posts) block with one marginal per pool; pool 2's has no spread
+        pools = [default_pool(seed) for seed in range(5)]
+        c = np.stack([pool.credibility for pool, _ in pools])
+        s = np.stack([pool.sensationalism for pool, _ in pools])
+        loc = np.array([[marginal[0]] for _, marginal in pools])
+        scale = np.array([[marginal[1]] for _, marginal in pools])
+        scale[2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = expected_engagement(PARAMS, c, s, loc, scale)
+            rows = [
+                expected_engagement(PARAMS, c[i], s[i], loc[i, 0], scale[i, 0])
+                for i in range(len(pools))
+            ]
+        assert block.shape == c.shape
+        for got, expected in zip(block, rows):
+            assert got.tobytes() == expected.tobytes()
+        # without spread the dwell noise has no weight (b = 0), so every node
+        # gives the logistic of the score's constant part
+        a = PARAMS.engage_intercept + PARAMS.engage_credibility * c[2]
+        a += PARAMS.engage_sensationalism * s[2]
+        np.testing.assert_allclose(block[2], expit(a), rtol=1e-14, atol=0)
+
 
 class TestLogistic:
     """The one numpy logistic that the simulator and the quadrature use."""
@@ -404,6 +430,23 @@ class TestPolicyExperiment:
     def test_zero_k_rejected(self):
         with pytest.raises(ValueError, match="k must be"):
             run_policy_experiment(SimConfig(participants=1, seed=31), k=0, replications=2)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_k_over_pool_size_rejected(self, policy):
+        cfg = SimConfig(participants=1, seed=31)
+        with pytest.raises(ValueError, match=r"k must be in 1\.\.276"):
+            run_policy_experiment(cfg, (policy,), k=cfg.pool.size + 24, replications=2)
+
+    def test_peak_memory_is_bounded(self):
+        # the (replications, pool) block is ranked in chunks: a quadrature
+        # over the whole block would hold ~141 MB here
+        tracemalloc.start()
+        try:
+            run_policy_experiment(SimConfig(participants=1), k=20, replications=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_repeated_policy_rejected(self):
         with pytest.raises(ValueError, match=r"more than once: \['random'\]"):
@@ -477,6 +520,10 @@ class TestBatchedSimulatorMatchesPerStreamLoops:
             (DEFAULT_CONFIG, POLICIES, 20, 11, 2),
             (FLAT_SCORES_CONFIG, POLICIES, 40, 5, 1),
             (SMALL_POOL_CONFIG, POLICIES, SMALL_POOL.size, 3, 1),
+            # more than three ranking chunks, the last one partial
+            (DEFAULT_CONFIG, POLICIES, 20, 3 * _RANK_CHUNK + 2, 1),
+            (DEFAULT_CONFIG, POLICIES, 20, 3 * _RANK_CHUNK + 2, 2),
+            (FLAT_SCORES_CONFIG, POLICIES, 40, 3 * _RANK_CHUNK + 2, 1),
         ],
     )
     def test_policy_experiment(self, config, policies, k, replications, threads):
