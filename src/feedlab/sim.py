@@ -597,14 +597,17 @@ def run_policy_experiment(
     replications at a time, ``chronological`` takes each pool's first k
     rows, and one :func:`_two_stage` call evaluates the whole (policies,
     replications, k) block. Every value is bit-identical to ranking and
-    simulating one replication at a time. Each policy may be named once,
-    and k must be in 1..pool size.
+    simulating one replication at a time. Each policy must be one of
+    ``POLICIES``, named once, and k must be in 1..pool size.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     n = config.pool.size
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
+    for policy in policies:
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
     repeated = sorted({p for p in policies if policies.count(p) > 1})
     if repeated:
         raise ValueError(f"policies named more than once: {repeated}")

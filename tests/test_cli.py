@@ -444,16 +444,14 @@ class TestExperimentAndRecover:
         assert "['random']" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_experiment_rejects_k_over_pool_size(self, tmp_path, sim_config_path, capsys, policy):
-        out = tmp_path / "exp4"
-        argv = ["experiment", "--config", sim_config_path, "--output-dir", out]
-        assert run(argv + ["--policies", policy, "-k", 300]) == 2
-        assert "k must be in 1..80" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
-        "argv", [["experiment", "-k", 0], ["recover", "--replications", 0]]
+        "argv",
+        [
+            ["experiment", "-k", 0],
+            ["recover", "--replications", 0],
+            # k over the pool's 80 posts, for each policy alone
+            *(["experiment", "--policies", policy, "-k", 300] for policy in POLICIES),
+        ],
     )
     def test_degenerate_sizes_are_input_errors(self, tmp_path, sim_config_path, argv):
         out = tmp_path / "degenerate"

@@ -448,6 +448,10 @@ class TestPolicyExperiment:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown policy 'novelty'"):
+            run_policy_experiment(SimConfig(participants=1, seed=17), ("dwell_opt", "novelty"), k=5)
+
     def test_repeated_policy_rejected(self):
         with pytest.raises(ValueError, match=r"more than once: \['random'\]"):
             run_policy_experiment(
