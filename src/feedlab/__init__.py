@@ -25,7 +25,6 @@ from .data import (
 from .features import (
     CorrelationResult,
     PcaFit,
-    PostScore,
     correlate,
     fit_feature_pca,
     fit_pca,

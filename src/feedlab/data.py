@@ -256,7 +256,7 @@ _IMPRESSION_HEADER = list(_IMPRESSION_FIELDS[:-1])
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Posts x features numeric table with no missing cells."""
+    """Posts x named finite columns: rated features or component scores."""
 
     post_ids: tuple[str, ...]
     feature_names: tuple[str, ...]

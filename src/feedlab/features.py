@@ -1,5 +1,10 @@
 """Feature-space analyses: standardization, correlations, PCA, scores, top posts.
 
+Every per-post table is a :class:`~feedlab.data.FeatureMatrix`: the rated
+features, and the component scores that :func:`project` returns (columns
+``pc1..pcK``, plus a final ``mean_dwell`` column once
+:func:`attach_mean_dwell` has joined dwell on).
+
 The component analysis is an eigendecomposition of the sample correlation
 matrix (features are z-scored first; the rating scales are heterogeneous, so
 covariance PCA would let one scale dominate). Components are sorted by
@@ -13,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -51,15 +56,6 @@ class PcaFit:
 
     def cumulative_variance(self) -> np.ndarray:
         return np.cumsum(self.variance_fraction)
-
-
-@dataclass(frozen=True)
-class PostScore:
-    """Per-post component scores (z-scored) plus optional mean dwell."""
-
-    post_id: str
-    pc_scores: tuple[float, ...]
-    mean_dwell: float | None = None
 
 
 def standardize(
@@ -159,25 +155,30 @@ def fit_feature_pca(matrix: FeatureMatrix) -> PcaFit:
 
 
 def component_scores(fit: PcaFit, matrix: FeatureMatrix | np.ndarray) -> np.ndarray:
-    """Project rows onto the components using the fit's own means/SDs (pre-z)."""
+    """Project rows onto the components using the fit's own means/SDs (pre-z).
+
+    A :class:`FeatureMatrix` must have the fit's feature columns, in the fit's order.
+    """
     if isinstance(matrix, FeatureMatrix):
         if matrix.feature_names != fit.feature_names:
-            # tolerate reordered columns, not missing ones
-            idx = [matrix.feature_names.index(f) for f in fit.feature_names]
-            values = matrix.values[:, idx]
-        else:
-            values = matrix.values
+            raise ValueError(
+                f"feature columns {list(matrix.feature_names)} are not the fit's "
+                f"{list(fit.feature_names)}"
+            )
+        values = matrix.values
     else:
         values = np.asarray(matrix, dtype=float)
     z = (values - fit.means) / fit.sds
     return z @ fit.loadings
 
 
-def project(fit: PcaFit, matrix: FeatureMatrix) -> list[PostScore]:
+def project(fit: PcaFit, matrix: FeatureMatrix) -> FeatureMatrix:
     """Standardize with the fit's constants, project, and z-score each column.
 
-    Score columns with zero variance (e.g. null components of rank-deficient
-    input) are left at their centered value of 0 instead of dividing by zero.
+    Returns the scores as a table with the matrix's posts and columns
+    ``pc1..pcK``. Score columns with zero variance (e.g. null components of
+    rank-deficient input) are left at their centered value of 0 instead of
+    dividing by zero.
     """
     raw = component_scores(fit, matrix)
     centered = raw - raw.mean(axis=0)
@@ -186,35 +187,38 @@ def project(fit: PcaFit, matrix: FeatureMatrix) -> list[PostScore]:
     # noise to unit variance would fabricate a predictor
     live = sds > sds.max() * 1e-12 if sds.max() > 0 else sds > 0
     scaled = np.where(live, centered / np.where(live, sds, 1.0), centered)
-    return [
-        PostScore(post_id=pid, pc_scores=tuple(float(v) for v in scaled[i]))
-        for i, pid in enumerate(matrix.post_ids)
-    ]
+    names = tuple(f"pc{j + 1}" for j in range(scaled.shape[1]))
+    return FeatureMatrix(matrix.post_ids, names, scaled)
 
 
 def attach_mean_dwell(
-    scores: list[PostScore], dwell_by_post: Mapping[str, float]
-) -> list[PostScore]:
-    """Return scores for posts that have dwell data; warn about the rest."""
-    missing = [s.post_id for s in scores if s.post_id not in dwell_by_post]
+    scores: FeatureMatrix, dwell_by_post: Mapping[str, float]
+) -> FeatureMatrix:
+    """The rows of posts that have dwell data, with a final ``mean_dwell``
+    column; warn about the rest."""
+    missing = [pid for pid in scores.post_ids if pid not in dwell_by_post]
     if missing:
         warnings.warn(
             f"{len(missing)} post(s) have no retained impressions and were "
             f"omitted from dwell analyses: {', '.join(missing[:10])}"
             + ("..." if len(missing) > 10 else "")
         )
-    return [
-        replace(s, mean_dwell=dwell_by_post[s.post_id])
-        for s in scores
-        if s.post_id in dwell_by_post
-    ]
+    rows = [i for i, pid in enumerate(scores.post_ids) if pid in dwell_by_post]
+    post_ids = tuple(scores.post_ids[i] for i in rows)
+    dwell = np.array([dwell_by_post[pid] for pid in post_ids], dtype=float)
+    return FeatureMatrix(
+        post_ids,
+        (*scores.feature_names, "mean_dwell"),
+        np.column_stack([scores.values[rows], dwell]),
+    )
 
 
-def top_posts(scores: list[PostScore], component: int, k: int) -> list[PostScore]:
-    """Top-k posts by one component's score, ties broken by post_id."""
+def top_posts(scores: FeatureMatrix, component: int, k: int) -> list[int]:
+    """Rows of the top-k posts by one component's score, ties broken by post_id."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    ranked = sorted(scores, key=lambda s: (-s.pc_scores[component], s.post_id))
+    column = scores.values[:, component].tolist()
+    ranked = sorted(range(scores.n_posts), key=lambda i: (-column[i], scores.post_ids[i]))
     return ranked[:k]
 
 
@@ -222,26 +226,24 @@ def feature_dwell_correlations(
     matrix: FeatureMatrix, dwell_by_post: Mapping[str, float]
 ) -> dict[str, CorrelationResult]:
     """Correlate each feature's per-post mean rating with mean dwell."""
-    shared = [pid for pid in matrix.post_ids if pid in dwell_by_post]
-    if len(shared) < 3:
+    idx = [i for i, pid in enumerate(matrix.post_ids) if pid in dwell_by_post]
+    if len(idx) < 3:
         raise ValueError("need at least 3 posts with both features and dwell")
-    idx = [matrix.post_ids.index(pid) for pid in shared]
-    dwell = np.array([dwell_by_post[pid] for pid in shared])
+    dwell = np.array([dwell_by_post[matrix.post_ids[i]] for i in idx])
     return {
         feature: correlate(matrix.values[idx, j], dwell)
         for j, feature in enumerate(matrix.feature_names)
     }
 
 
-def score_dwell_correlations(scores: list[PostScore]) -> dict[str, CorrelationResult]:
-    """Correlate each component's z-scores with mean dwell (scores must carry it)."""
-    with_dwell = [s for s in scores if s.mean_dwell is not None]
-    if len(with_dwell) < 3:
+def score_dwell_correlations(scores: FeatureMatrix) -> dict[str, CorrelationResult]:
+    """Correlate each component's z-scores with the ``mean_dwell`` column."""
+    if scores.feature_names[-1:] != ("mean_dwell",) or scores.n_posts < 3:
         raise ValueError("need at least 3 posts with mean dwell attached")
-    dwell = np.array([s.mean_dwell for s in with_dwell])
-    mat = np.array([s.pc_scores for s in with_dwell])
+    dwell = scores.values[:, -1]
     return {
-        f"pc{j + 1}": correlate(mat[:, j], dwell) for j in range(mat.shape[1])
+        name: correlate(scores.values[:, j], dwell)
+        for j, name in enumerate(scores.feature_names[:-1])
     }
 
 
@@ -259,28 +261,26 @@ def load_pca_fit(path: str | Path) -> PcaFit:
     return from_fields(PcaFit, {k: tuple(v) if k in tuples else np.array(v) for k, v in d.items()})
 
 
-def save_scores(path: str | Path, scores: list[PostScore]) -> None:
-    """Write scores.csv: post_id, pc1..pcK and, when every post has one, mean_dwell."""
-    if not scores:
+def save_scores(path: str | Path, scores: FeatureMatrix) -> None:
+    """Write scores.csv: post_id, then the table's columns (pc1..pcK[, mean_dwell])."""
+    if not scores.n_posts:
         raise ValueError("no scores to save")
-    has_dwell = all(s.mean_dwell is not None for s in scores)
-    header = ["post_id"] + [f"pc{j + 1}" for j in range(len(scores[0].pc_scores))]
     write_csv(
         path,
-        header + ["mean_dwell"] * has_dwell,
-        ([s.post_id, *s.pc_scores] + [s.mean_dwell] * has_dwell for s in scores),
+        ["post_id", *scores.feature_names],
+        ([pid, *row] for pid, row in zip(scores.post_ids, scores.values.tolist())),
     )
 
 
-def load_scores(path: str | Path) -> list[PostScore]:
-    """Parse scores.csv; a blank, ragged or non-numeric row, or a post_id on two rows,
-    is a :class:`DataFormatError`."""
+def load_scores(path: str | Path) -> FeatureMatrix:
+    """Parse scores.csv into its table; a blank, ragged or non-numeric row, or a
+    post_id on two rows, is a :class:`DataFormatError`."""
     header, rows = _open_rows(path)
     has_dwell = header[-1] == "mean_dwell"
     n_comp = len(header) - 1 - has_dwell
     if n_comp < 1 or header[: n_comp + 1] != ["post_id"] + [f"pc{j + 1}" for j in range(n_comp)]:
         raise DataFormatError(f"{path}: not a scores file (header {','.join(header)!r})")
-    out = []
+    values = []
     first_line: dict[str, int] = {}
     for lineno, row in enumerate(rows, start=2):
         where = f"{path} line {lineno}"
@@ -292,10 +292,12 @@ def load_scores(path: str | Path) -> list[PostScore]:
             )
         first_line[row[0]] = lineno
         try:
-            values = [float(v) for v in row[1:]]
+            values.append([float(v) for v in row[1:]])
         except ValueError as exc:
             raise DataFormatError(f"{where}: {exc}") from None
-        if not all(map(math.isfinite, values)):
+        if not all(map(math.isfinite, values[-1])):
             raise DataFormatError(f"{where}: non-finite value")
-        out.append(PostScore(row[0], tuple(values[:n_comp]), values[-1] if has_dwell else None))
-    return out
+    columns = tuple(header[1:])
+    return FeatureMatrix(
+        tuple(first_line), columns, np.array(values, dtype=float).reshape(-1, len(columns))
+    )

@@ -22,13 +22,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._numeric import normal_sf_two_sided, one_blas_thread, sigmoid, t_sf_two_sided
-from .data import DataFormatError, Impressions, from_fields, write_json
-from .features import PostScore
+from .data import DataFormatError, FeatureMatrix, Impressions, from_fields, write_json
 
 MAX_CONDITION = 1e10
 IRLS_MAX_ITER = 100
@@ -99,14 +98,17 @@ class Design:
 
 def build_design(
     impressions: Impressions,
-    scores: Iterable[PostScore],
+    scores: FeatureMatrix,
     spec: DesignSpec,
 ) -> Design:
-    """Assemble the design matrix (intercept first, spec order) and response."""
-    score_map = {s.post_id: s for s in scores}
+    """Assemble the design matrix (intercept first, spec order) and response.
+
+    ``scores``' first two columns are each post's credibility and sensationalism.
+    """
+    row_of = {pid: i for i, pid in enumerate(scores.post_ids)}
     post_ids, post_row, _ = impressions.groups("post")
     post_ids = post_ids.tolist()
-    missing = [pid for pid in post_ids if pid not in score_map]
+    missing = [pid for pid in post_ids if pid not in row_of]
     if missing:
         raise ValueError(
             f"{len(missing)} post(s) lack component scores: "
@@ -126,7 +128,7 @@ def build_design(
         )
     engaged = (impressions.action_count >= 1).astype(float)
     # credibility and sensationalism scores, gathered once per distinct post
-    post_scores = np.array([score_map[pid].pc_scores[:2] for pid in post_ids], dtype=float)
+    post_scores = scores.values[[row_of[pid] for pid in post_ids], :2]
     cred = post_scores[post_row, 0]
     sens = post_scores[post_row, 1]
 

@@ -50,7 +50,7 @@ from .data import (
     Post,
     from_fields,
 )
-from .features import PostScore, fit_feature_pca, project
+from .features import fit_feature_pca, project
 from .pipeline import ExclusionRules, raw_dwell_control, run_pipeline
 from .regression import (
     DesignSpec,
@@ -94,6 +94,11 @@ class GenerativeParams:
             raise ValueError("noise SDs must be non-negative")
         if not 0.0 <= self.like_given_engage <= 1.0:
             raise ValueError("like_given_engage must be a probability")
+
+
+def _mean_log_dwell(params: GenerativeParams, c, s):
+    """Stage 1's mean log dwell, ``b0 + b_cred*c + b_sens*s``, summed left to right."""
+    return params.dwell_intercept + params.dwell_credibility * c + params.dwell_sensationalism * s
 
 
 def log_dwell_marginal(
@@ -152,12 +157,7 @@ def _two_stage(
     positive, z is 0. Every step is elementwise, so a block's cells are
     bit-identical to the same posts and variates evaluated one stream at a time.
     """
-    log_dwell = (
-        params.dwell_intercept
-        + params.dwell_credibility * c
-        + params.dwell_sensationalism * s
-        + params.dwell_noise_sd * eps
-    )
+    log_dwell = _mean_log_dwell(params, c, s) + params.dwell_noise_sd * eps
     dwell_attention = np.exp(log_dwell)
     z = np.divide(log_dwell - loc, scale, out=np.zeros_like(log_dwell), where=scale > 0)
     p_engage = engage_probability(params, c, s, z)
@@ -424,10 +424,7 @@ def simulate_session(
 def expected_dwell(params: GenerativeParams, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Closed-form mean observed-attention dwell (log-normal mean)."""
     return np.exp(
-        params.dwell_intercept
-        + params.dwell_credibility * np.asarray(c)
-        + params.dwell_sensationalism * np.asarray(s)
-        + 0.5 * params.dwell_noise_sd**2
+        _mean_log_dwell(params, np.asarray(c), np.asarray(s)) + 0.5 * params.dwell_noise_sd**2
     )
 
 
@@ -457,11 +454,7 @@ def expected_engagement(
     """
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
-    mean_log = (
-        params.dwell_intercept
-        + params.dwell_credibility * c
-        + params.dwell_sensationalism * s
-    )
+    mean_log = _mean_log_dwell(params, c, s)
     slope = params.engage_dwell + params.engage_dwell_sensationalism * s
     a = (
         params.engage_intercept
@@ -667,22 +660,21 @@ def run_policy_experiment(
 
 
 def align_scores_to_axes(
-    scores: list[PostScore],
-    post_ids: Sequence[str],
+    scores: FeatureMatrix,
     credibility: np.ndarray,
     sensationalism: np.ndarray,
-) -> tuple[list[PostScore], dict]:
+) -> tuple[FeatureMatrix, dict]:
     """Map estimated components onto the generating axes.
 
     Component order and sign are not identified by the component fit alone
     (close eigenvalues can swap; orientation is a convention), so recovery
     matches each axis to the estimated component that correlates with it
-    most strongly, flipping signs to positive correlation. Returns rewritten
-    scores whose first two entries are (credibility, sensationalism) plus
-    the mapping metadata.
+    most strongly, flipping signs to positive correlation. ``scores``' rows
+    are the posts of ``credibility``/``sensationalism``, in that order.
+    Returns the scores table with columns ``pc1``, ``pc2`` = (credibility,
+    sensationalism) plus the mapping metadata.
     """
-    by_id = {s.post_id: s for s in scores}
-    mat = np.array([by_id[pid].pc_scores for pid in post_ids])
+    mat = scores.values
     n_comp = mat.shape[1]
     targets = {"credibility": np.asarray(credibility), "sensationalism": np.asarray(sensationalism)}
     corr = {
@@ -699,17 +691,11 @@ def align_scores_to_axes(
         sens_j = int(order[1]) if int(order[0]) == cred_j else int(order[0])
     cred_sign = 1.0 if corr["credibility"][cred_j] >= 0 else -1.0
     sens_sign = 1.0 if corr["sensationalism"][sens_j] >= 0 else -1.0
-    aligned = [
-        PostScore(
-            post_id=pid,
-            pc_scores=(
-                float(cred_sign * by_id[pid].pc_scores[cred_j]),
-                float(sens_sign * by_id[pid].pc_scores[sens_j]),
-            ),
-            mean_dwell=by_id[pid].mean_dwell,
-        )
-        for pid in post_ids
-    ]
+    aligned = FeatureMatrix(
+        scores.post_ids,
+        ("pc1", "pc2"),
+        np.column_stack([cred_sign * mat[:, cred_j], sens_sign * mat[:, sens_j]]),
+    )
     meta = {
         "credibility_component": cred_j + 1,
         "credibility_sign": cred_sign,
@@ -757,9 +743,7 @@ def _recover_once(
 
     fit = fit_feature_pca(pool.matrix)
     scores = project(fit, pool.matrix)
-    aligned, align_meta = align_scores_to_axes(
-        scores, pool.post_ids(), pool.credibility, pool.sensationalism
-    )
+    aligned, align_meta = align_scores_to_axes(scores, pool.credibility, pool.sensationalism)
 
     def fit_spec(impressions, spec: DesignSpec) -> RegressionFit:
         return fit_design(build_design(impressions, aligned, spec), spec)

@@ -6,8 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from feedlab.data import _IMPRESSION_FIELDS, Impressions, Post, FEATURE_NAMES
-from feedlab.features import PostScore
+from feedlab.data import _IMPRESSION_FIELDS, FeatureMatrix, Impressions, Post, FEATURE_NAMES
 
 
 def make_impression(pid="p1", post="post_01", position=1, dwell=2.0, actions=0, adjusted=None):
@@ -108,10 +107,9 @@ def simulate_hierarchical_dwell(
 
 def pool_scores(pool):
     """A simulated pool's true (credibility, sensationalism) coordinates as scores."""
-    return [
-        PostScore(post_id=pid, pc_scores=(float(c), float(s)))
-        for pid, c, s in zip(pool.post_ids(), pool.credibility, pool.sensationalism)
-    ]
+    return FeatureMatrix(
+        pool.post_ids(), ("pc1", "pc2"), np.column_stack([pool.credibility, pool.sensationalism])
+    )
 
 
 def make_feature_post(post_id, values, category="true_news"):

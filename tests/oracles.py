@@ -111,15 +111,15 @@ def grid_search_logistic_mle(x, y, lo=-5.0, hi=5.0, step=1e-3):
     return c0, c1
 
 
-def comparison_sort_ranking(scores, component):
-    """Full selection-sort ranking by one component, ties by post_id."""
+def comparison_sort_ranking(scores):
+    """Full selection-sort ranking of (post_id, score) pairs, best first, ties by post_id."""
     items = list(scores)
     out = []
     while items:
         best = items[0]
         for cand in items[1:]:
-            key_best = (-best.pc_scores[component], best.post_id)
-            key_cand = (-cand.pc_scores[component], cand.post_id)
+            key_best = (-best[1], best[0])
+            key_cand = (-cand[1], cand[0])
             if key_cand < key_best:
                 best = cand
         out.append(best)

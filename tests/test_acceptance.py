@@ -399,7 +399,7 @@ class TestCriterion7ReleasedData:
         posts, _ = load_posts(posts_path)
         headlines = {p.post_id: p.headline for p in posts}
         scores = project(fit, matrix)
-        top2 = [headlines.get(s.post_id, "") for s in top_posts_fn(scores, 1, 2)]
+        top2 = [headlines.get(scores.post_ids[i], "") for i in top_posts_fn(scores, 1, 2)]
         ok = any("Euthanize Seniors" in h for h in top2) and any(
             "920 Women" in h for h in top2
         )

@@ -263,7 +263,7 @@ class TestPcaCommand:
         assert "top posts for pc1" in top
         assert "top posts for pc2" in top
         scores = load_scores(pca_out / "scores.csv")
-        assert all(s.mean_dwell is not None for s in scores)
+        assert scores.feature_names[-1] == "mean_dwell"
 
     def test_rerun_byte_identical(self, tmp_path, analysis_dirs):
         sim_out, clean_out, pca_out = analysis_dirs
@@ -427,15 +427,18 @@ class TestExperimentAndRecover:
         assert len(lines) == 1 + 3 * 4
 
     def test_experiment_rejects_unknown_policy(self, tmp_path, sim_config_path, capsys):
+        out = tmp_path / "exp2"
         code = run(
             [
                 "experiment",
                 "--config", sim_config_path,
-                "--output-dir", tmp_path / "exp2",
+                "--output-dir", out,
                 "--policies", "virality",
             ]
         )
         assert code == 2
+        assert "unknown policy 'virality'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_experiment_rejects_repeated_policy(self, tmp_path, sim_config_path, capsys):
         out = tmp_path / "exp3"

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from feedlab.data import FEATURE_NAMES, FeatureMatrix
 from feedlab.features import (
-    PostScore,
     attach_mean_dwell,
     component_scores,
     correlate,
@@ -264,7 +263,9 @@ class TestProject:
         matrix = matrix_from(rng)
         fit = fit_feature_pca(matrix)
         scores = project(fit, matrix)
-        mat = np.array([s.pc_scores for s in scores])
+        assert scores.post_ids == matrix.post_ids
+        assert scores.feature_names == tuple(f"pc{j}" for j in range(1, 9))
+        mat = scores.values
         assert np.allclose(mat.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(mat.std(axis=0, ddof=1), 1.0, atol=1e-10)
 
@@ -285,6 +286,21 @@ class TestProject:
         oracle = ((other.values - fit.means) / fit.sds) @ fit.loadings
         assert np.allclose(raw, oracle, atol=1e-12)
 
+    def test_reordered_feature_columns_rejected(self):
+        rng = np.random.default_rng(15)
+        matrix = matrix_from(rng)
+        fit = fit_feature_pca(matrix)
+        order = [1, 0, *range(2, 8)]
+        reordered = FeatureMatrix(
+            matrix.post_ids,
+            tuple(matrix.feature_names[j] for j in order),
+            matrix.values[:, order],
+        )
+        with pytest.raises(ValueError, match="feature columns .* are not the fit's") as err:
+            component_scores(fit, reordered)
+        assert str(list(fit.feature_names)) in str(err.value)
+        assert str(list(reordered.feature_names)) in str(err.value)
+
     def test_row_order_invariance(self):
         rng = np.random.default_rng(16)
         matrix = matrix_from(rng)
@@ -294,8 +310,10 @@ class TestProject:
             matrix.feature_names,
             matrix.values[perm],
         )
-        s1 = {s.post_id: s.pc_scores for s in project(fit_feature_pca(matrix), matrix)}
-        s2 = {s.post_id: s.pc_scores for s in project(fit_feature_pca(shuffled), shuffled)}
+        scores1 = project(fit_feature_pca(matrix), matrix)
+        scores2 = project(fit_feature_pca(shuffled), shuffled)
+        s1 = dict(zip(scores1.post_ids, scores1.values.tolist()))
+        s2 = dict(zip(scores2.post_ids, scores2.values.tolist()))
         for pid in s1:
             assert s1[pid] == pytest.approx(s2[pid], abs=1e-9)
 
@@ -307,16 +325,23 @@ class TestProject:
         matrix = FeatureMatrix(ids, ("a", "b", "c", "d"), vals)
         fit = fit_feature_pca(matrix)
         scores = project(fit, matrix)
-        mat = np.array([s.pc_scores for s in scores])
-        assert np.allclose(mat[:, 2:], 0.0, atol=1e-8)
+        assert np.allclose(scores.values[:, 2:], 0.0, atol=1e-8)
 
 
 class TestTopPosts:
     def _scores(self, values):
-        return [
-            PostScore(pid, (float(v), 0.0))
-            for pid, v in values
-        ]
+        return FeatureMatrix(
+            tuple(pid for pid, _ in values),
+            ("pc1", "pc2"),
+            np.array([[float(v), 0.0] for _, v in values]).reshape(-1, 2),
+        )
+
+    def _ranked_ids(self, scores, k):
+        return [scores.post_ids[i] for i in top_posts(scores, 0, k)]
+
+    def _oracle_ids(self, scores, k):
+        pairs = zip(scores.post_ids, scores.values[:, 0].tolist())
+        return [pid for pid, _ in comparison_sort_ranking(pairs)[:k]]
 
     def test_k_zero(self):
         assert top_posts(self._scores([("a", 1.0)]), 0, 0) == []
@@ -326,14 +351,12 @@ class TestTopPosts:
         scores = self._scores(
             [(f"post_{i}", float(v)) for i, v in enumerate(rng.standard_normal(5))]
         )
-        ranked = top_posts(scores, 0, 5)
-        oracle = comparison_sort_ranking(scores, 0)
-        assert [s.post_id for s in ranked] == [s.post_id for s in oracle]
+        assert self._ranked_ids(scores, 5) == self._oracle_ids(scores, 5)
 
     def test_ties_break_by_post_id(self):
         scores = self._scores([("b", 1.0), ("a", 1.0), ("c", 2.0)])
-        ranked = top_posts(scores, 0, 3)
-        assert [s.post_id for s in ranked] == ["c", "a", "b"]
+        assert self._ranked_ids(scores, 3) == ["c", "a", "b"]
+        assert self._oracle_ids(scores, 3) == ["c", "a", "b"]
 
     @given(seed=st.integers(0, 5000), k=st.integers(0, 8))
     @settings(max_examples=40)
@@ -342,9 +365,7 @@ class TestTopPosts:
         scores = self._scores(
             [(f"p{i}", float(rng.integers(-3, 4))) for i in range(8)]
         )
-        ranked = top_posts(scores, 0, k)
-        oracle = comparison_sort_ranking(scores, 0)[:k]
-        assert [s.post_id for s in ranked] == [s.post_id for s in oracle]
+        assert self._ranked_ids(scores, k) == self._oracle_ids(scores, k)
 
 
 class TestDwellCorrelations:
@@ -356,9 +377,14 @@ class TestDwellCorrelations:
         dwell = {pid: float(rng.uniform(1, 5)) for pid in matrix.post_ids[:-2]}
         with pytest.warns(UserWarning, match="omitted"):
             scored = attach_mean_dwell(scores, dwell)
-        assert len(scored) == 28
+        assert scored.post_ids == matrix.post_ids[:-2]
+        assert scored.feature_names == (*scores.feature_names, "mean_dwell")
+        assert np.array_equal(scored.values[:, :-1], scores.values[:-2])
+        assert scored.values[:, -1].tolist() == [dwell[pid] for pid in scored.post_ids]
         by_feature = feature_dwell_correlations(matrix, dwell)
         assert set(by_feature) == set(FEATURE_NAMES)
+        with pytest.raises(ValueError, match="mean dwell attached"):
+            score_dwell_correlations(scores)
         by_pc = score_dwell_correlations(scored)
         assert set(by_pc) == {f"pc{j}" for j in range(1, 9)}
         for res in by_pc.values():
@@ -367,11 +393,17 @@ class TestDwellCorrelations:
     def test_scores_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(20)
         matrix = matrix_from(rng, n=12)
-        scores = project(fit_feature_pca(matrix), matrix)
-        scores = attach_mean_dwell(scores, {pid: 2.0 for pid in matrix.post_ids})
-        save_scores(tmp_path / "s.csv", scores)
-        loaded = load_scores(tmp_path / "s.csv")
-        assert [s.post_id for s in loaded] == [s.post_id for s in scores]
-        for a, b in zip(loaded, scores):
-            assert a.pc_scores == pytest.approx(b.pc_scores, abs=0)
-            assert a.mean_dwell == b.mean_dwell
+        plain = project(fit_feature_pca(matrix), matrix)
+        dwell = {pid: float(rng.uniform(1, 5)) for pid in matrix.post_ids}
+        with_dwell = attach_mean_dwell(plain, dwell)
+        for name, scores in (("plain", plain), ("dwell", with_dwell)):
+            first, second = tmp_path / f"{name}1.csv", tmp_path / f"{name}2.csv"
+            save_scores(first, scores)
+            loaded = load_scores(first)
+            assert loaded.post_ids == scores.post_ids
+            assert loaded.feature_names == scores.feature_names
+            assert np.array_equal(loaded.values, scores.values)
+            save_scores(second, loaded)
+            assert second.read_bytes() == first.read_bytes()
+        assert with_dwell.feature_names[-1] == "mean_dwell"
+        assert "mean_dwell" not in plain.feature_names

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feedlab import pipeline
-from feedlab.features import PostScore, mean_dwell_by_post
+from feedlab.data import FeatureMatrix
+from feedlab.features import mean_dwell_by_post
 from feedlab.pipeline import (
     ExclusionRules,
     MovementModel,
@@ -350,7 +351,9 @@ class TestWholeParticipantDropped:
         assert cleaned.groups("participant")[0].tolist() == ["p1"]
         # posts without scores are fine once no row of theirs is left
         posts = sorted(set(cleaned.post_id.tolist()))
-        scores = [PostScore(p, (float(i), float(i % 3))) for i, p in enumerate(posts)]
+        scores = FeatureMatrix(
+            tuple(posts), ("pc1", "pc2"), [[float(i), float(i % 3)] for i in range(len(posts))]
+        )
         assert sorted(mean_dwell_by_post(cleaned)) == posts
         assert build_design(cleaned, scores, dwell_model_spec()).n == 14
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feedlab.features import PostScore
+from feedlab.data import FeatureMatrix
 from feedlab.regression import (
     DesignSpec,
     build_design,
@@ -23,7 +23,7 @@ from oracles import grid_search_logistic_mle, normal_equations_ols
 
 
 def scores_for(post_ids, cred=0.5, sens=-0.25):
-    return [PostScore(pid, (cred, sens)) for pid in post_ids]
+    return FeatureMatrix(tuple(post_ids), ("pc1", "pc2"), [[cred, sens]] * len(post_ids))
 
 
 class TestDesignSpec:
@@ -83,10 +83,7 @@ class TestBuildDesign:
         assert zs[2] == pytest.approx((2.0 - 1.0) / d.centering["log_dwell_sd"])
 
     def test_six_row_fixture_matches_hand_matrix(self):
-        scores = [
-            PostScore("a", (1.0, -1.0)),
-            PostScore("b", (0.0, 2.0)),
-        ]
+        scores = FeatureMatrix(("a", "b"), ("pc1", "pc2"), [[1.0, -1.0], [0.0, 2.0]])
         imps = as_table([
             make_impression("p1", "a", 1, 3.0, actions=0, adjusted=1.0),
             make_impression("p1", "b", 2, 3.0, actions=1, adjusted=2.0),
@@ -245,9 +242,11 @@ class TestFitLogistic:
 class TestFitDesignAndIO:
     def _fitted(self):
         rng = np.random.default_rng(28)
-        scores = [
-            PostScore(f"post_{i:02d}", tuple(rng.standard_normal(2))) for i in range(20)
-        ]
+        scores = FeatureMatrix(
+            tuple(f"post_{i:02d}" for i in range(20)),
+            ("pc1", "pc2"),
+            np.array([rng.standard_normal(2) for _ in range(20)]),
+        )
         imps = []
         for p in range(30):
             for pos in range(1, 11):

@@ -582,14 +582,11 @@ class TestAlignment:
         pool, _ = default_pool(pool_seed=9)
         fit = fit_feature_pca(pool.matrix)
         scores = project(fit, pool.matrix)
-        flipped = [
-            replace(s, pc_scores=tuple(-v for v in s.pc_scores)) for s in scores
-        ]
-        aligned, meta = align_scores_to_axes(
-            flipped, pool.post_ids(), pool.credibility, pool.sensationalism
-        )
-        cred = np.array([s.pc_scores[0] for s in aligned])
-        sens = np.array([s.pc_scores[1] for s in aligned])
+        flipped = replace(scores, values=-scores.values)
+        aligned, meta = align_scores_to_axes(flipped, pool.credibility, pool.sensationalism)
+        assert aligned.post_ids == pool.post_ids()
+        assert aligned.feature_names == ("pc1", "pc2")
+        cred, sens = aligned.values.T
         assert np.corrcoef(cred, pool.credibility)[0, 1] > 0.9
         assert np.corrcoef(sens, pool.sensationalism)[0, 1] > 0.9
         assert meta["credibility_abs_corr"] > 0.9
