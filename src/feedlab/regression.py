@@ -103,8 +103,13 @@ def build_design(
 ) -> Design:
     """Assemble the design matrix (intercept first, spec order) and response.
 
-    ``scores``' first two columns are each post's credibility and sensationalism.
+    ``scores``' first two columns, ``pc1`` and ``pc2``, are each post's
+    credibility and sensationalism.
     """
+    if scores.feature_names[:2] != ("pc1", "pc2"):
+        raise ValueError(
+            f"scores need pc1 and pc2 as their first columns, not {list(scores.feature_names)}"
+        )
     row_of = {pid: i for i, pid in enumerate(scores.post_ids)}
     post_ids, post_row, _ = impressions.groups("post")
     post_ids = post_ids.tolist()

@@ -333,7 +333,7 @@ class TestTopPosts:
         return FeatureMatrix(
             tuple(pid for pid, _ in values),
             ("pc1", "pc2"),
-            np.array([[float(v), 0.0] for _, v in values]).reshape(-1, 2),
+            [[float(v), 0.0] for _, v in values],
         )
 
     def _ranked_ids(self, scores, k):

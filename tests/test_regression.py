@@ -107,6 +107,13 @@ class TestBuildDesign:
         with pytest.raises(ValueError, match="ghost"):
             build_design(imps, scores_for(["a"]), dwell_model_spec())
 
+    def test_scores_need_pc1_and_pc2_first(self):
+        # a one-component scores.csv with mean_dwell loads as (pc1, mean_dwell)
+        imps = as_table([make_impression("p1", "a", 1, 3.0, adjusted=2.0)])
+        scores = FeatureMatrix(("a",), ("pc1", "mean_dwell"), [[0.5, 2.0]])
+        with pytest.raises(ValueError, match=r"pc1 and pc2 .*'mean_dwell'"):
+            build_design(imps, scores, dwell_model_spec())
+
     def test_requires_adjusted_dwell(self):
         imps = as_table([make_impression("p1", "a", 1, 3.0)])
         with pytest.raises(ValueError, match="pipeline"):
