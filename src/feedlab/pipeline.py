@@ -198,14 +198,19 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
     """
     if len(impressions) == 0:
         raise ValueError("fit_movement_model needs at least one impression")
-    # per-participant sufficient statistics, ordered by participant id
+    # per-participant sufficient statistics, ordered by participant id, held as
+    # rows: M = (n, sum a, sum a^2) and Y = (sum y, sum a*y). Each formula for a
+    # pair or a triple of per-participant terms is then one numpy call per
+    # operation on a block, in the same element-wise order as term by term
     pids, g, counts = impressions.groups("participant")
     y = impressions.dwell_raw
     a = impressions.action_count.astype(float)
-    n_i = counts.astype(float)
-    sum_a, sum_a2, sum_y, sum_y2, sum_ay = (
-        np.bincount(g, weights=w, minlength=len(pids)) for w in (a, a * a, y, y * y, a * y)
-    )
+    sums = [np.bincount(g, weights=w, minlength=len(pids)) for w in (a, a * a, y, a * y, y * y)]
+    M = np.stack([counts.astype(float), *sums[:2]])
+    Y = np.stack(sums[2:4])
+    n_i, sum_a, sum_a2 = M
+    sum_y, sum_ay = Y
+    sum_y2 = sums[4]
     slope_pinned = float(np.var(a)) == 0.0
     if slope_pinned:
         warnings.warn(
@@ -213,30 +218,26 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
             "is unidentifiable and has been set to 0"
         )
 
-    mu, sigma2 = _pooled_ols(n_i, sum_a, sum_a2, sum_y, sum_ay, sum_y2)
+    mu, sigma2 = _pooled_ols(*M, *Y, sum_y2)
     tau0 = max(0.1 * sigma2, 1e-6)
     tau2 = np.array([tau0, 0.0 if slope_pinned else tau0])
     N = float(n_i.sum())
     sxx = np.array([[n_i.sum(), sum_a.sum()], [sum_a.sum(), sum_a2.sum()]])
 
     def e_step(mu, tau2, sigma2):
-        """Posterior means/covariances of participant deviations + marginal LL."""
+        """Posterior means (m1, m2), covariances (s11, s12, s22) + marginal LL."""
         g1, g2 = tau2
         r12 = math.sqrt(g1 * g2)
         # posterior covariance via A = I + G^(1/2) H G^(1/2), H = S_xx / sigma2;
-        # stable as tau2 -> 0 (no explicit G inverse)
-        a11 = 1.0 + g1 * n_i / sigma2
-        a12 = r12 * sum_a / sigma2
-        a22 = 1.0 + g2 * sum_a2 / sigma2
+        # stable as tau2 -> 0 (no explicit G inverse); rows a11, a12, a22
+        A = np.array([g1, r12, g2])[:, None] * M / sigma2
+        A[::2] += 1.0
+        a11, a12, a22 = A
         det = a11 * a22 - a12 * a12
-        s11 = g1 * a22 / det
-        s12 = -r12 * a12 / det
-        s22 = g2 * a11 / det
-        # residual cross-moments against the population line
-        q1 = sum_y - (mu[0] * n_i + mu[1] * sum_a)
-        q2 = sum_ay - (mu[0] * sum_a + mu[1] * sum_a2)
-        m1 = (s11 * q1 + s12 * q2) / sigma2
-        m2 = (s12 * q1 + s22 * q2) / sigma2
+        S = np.array([g1, -r12, g2])[:, None] * A[::-1] / det
+        # residual cross-moments (q1, q2) against the population line
+        q = Y - (mu[0] * M[:2] + mu[1] * M[1:])
+        m = (S[:2] * q[0] + S[1:] * q[1]) / sigma2
         s_rr = (
             sum_y2
             - 2 * (mu[0] * sum_y + mu[1] * sum_ay)
@@ -244,18 +245,19 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
             + 2 * mu[0] * mu[1] * sum_a
             + mu[1] ** 2 * sum_a2
         )
-        quad = (s_rr - (q1 * m1 + q2 * m2)) / sigma2
+        qm = q * m
+        quad = (s_rr - (qm[0] + qm[1])) / sigma2
         ll = -0.5 * float(
             N * math.log(2 * math.pi)
             + np.sum(n_i * math.log(sigma2) + np.log(det) + quad)
         )
-        return m1, m2, s11, s12, s22, ll
+        return m, S, ll
 
     ll_prev = -np.inf
     iterations = 0
     converged = False
     for iterations in range(1, EM_MAX_ITER + 1):
-        m1, m2, s11, s12, s22, ll = e_step(mu, tau2, sigma2)
+        m, S, ll = e_step(mu, tau2, sigma2)
         if abs(ll - ll_prev) < EM_LL_RTOL * max(1.0, abs(ll_prev)):
             converged = True
             break
@@ -264,21 +266,14 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
         # M-step: random-effect variances, fixed effects, then the residual
         # variance at the new mu. With the slope pinned, m2 == 0 and S_xx is
         # singular: the intercept is the mean residual, the slope stays 0.
-        tau2 = np.array(
-            [
-                max(float(np.mean(m1 * m1 + s11)), _VAR_FLOOR),
-                max(float(np.mean(m2 * m2 + s22)), _VAR_FLOOR),
-            ]
-        )
-        rhs1 = float(np.sum(sum_y - (n_i * m1 + sum_a * m2)))
-        rhs2 = float(np.sum(sum_ay - (sum_a * m1 + sum_a2 * m2)))
+        tau2 = np.maximum(np.add.reduce(m * m + S[::2], axis=1) / len(pids), _VAR_FLOOR)
+        rhs = np.add.reduce(Y - (M[:2] * m[0] + M[1:] * m[1]), axis=1)
         if slope_pinned:
             tau2[1] = 0.0
-            mu = np.array([rhs1 / N, 0.0])
+            mu = np.array([rhs[0] / N, 0.0])
         else:
-            mu = np.linalg.solve(sxx, np.array([rhs1, rhs2]))
-        b1 = mu[0] + m1
-        b2 = mu[1] + m2
+            mu = np.linalg.solve(sxx, rhs)
+        b1, b2 = mu[:, None] + m
         resid = (
             sum_y2
             - 2 * (b1 * sum_y + b2 * sum_ay)
@@ -286,6 +281,7 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
             + 2 * b1 * b2 * sum_a
             + b2 * b2 * sum_a2
         )
+        s11, s12, s22 = S
         trace = s11 * n_i + 2 * s12 * sum_a + s22 * sum_a2
         sigma2 = max(float(np.sum(resid + trace)) / N, _VAR_FLOOR)
     if not converged:
@@ -295,10 +291,9 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
         )
 
     # posterior means consistent with the final parameter values
-    m1, m2, s11, s12, s22, ll = e_step(mu, tau2, sigma2)
-    participants = {
-        pid: (float(mu[0] + m1[i]), float(mu[1] + m2[i])) for i, pid in enumerate(pids.tolist())
-    }
+    m, _, ll = e_step(mu, tau2, sigma2)
+    b1, b2 = mu[:, None] + m
+    participants = dict(zip(pids.tolist(), zip(b1.tolist(), b2.tolist())))
     return MovementModel(
         mu_alpha=float(mu[0]),
         mu_beta=float(mu[1]),

@@ -3,18 +3,23 @@
 These deliberately avoid the library's code paths: means by explicit
 sum/count, OLS by normal equations, logistic ML by grid search, p-values by
 permutation, sorting by a plain comparison sort, the simulators one
-stream (participant or replication) at a time, and impressions.csv by one
-``%`` format over a list of every cell.
+stream (participant or replication) at a time, impressions.csv by one
+``%`` format over a list of every cell, the movement-time EM with one array
+per participant moment, and the IRLS logistic with ``logaddexp`` on a
+C-ordered design.
 """
 
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 from scipy import special
 
 from feedlab.data import _IMPRESSION_FIELDS, NEWS_CATEGORIES
+from feedlab.pipeline import _VAR_FLOOR, EM_LL_RTOL, MovementModel, _pooled_ols
+from feedlab.regression import IRLS_DEVIANCE_RTOL, IRLS_GRADIENT_TOL, SEPARATION_COEF_BOUND
 from feedlab.sim import (
     _GH_W,
     _GH_X,
@@ -146,6 +151,175 @@ def per_participant_ols(impressions):
         slope = ((a - a.mean()) * (y - y.mean())).sum() / sxx
         out[pid] = (y.mean() - slope * a.mean(), slope)
     return out
+
+
+def per_moment_movement_em(impressions, max_iter):
+    """The movement-time EM written term by term, one array per participant
+    moment, at most ``max_iter`` iterations, with the library's warnings.
+
+    ``pipeline.fit_movement_model`` holds the moments as row blocks and must
+    return a model equal to this one, bit for bit.
+    """
+    pids, g, counts = impressions.groups("participant")
+    y = impressions.dwell_raw
+    a = impressions.action_count.astype(float)
+    n_i = counts.astype(float)
+    sum_a, sum_a2, sum_y, sum_y2, sum_ay = (
+        np.bincount(g, weights=w, minlength=len(pids)) for w in (a, a * a, y, y * y, a * y)
+    )
+    slope_pinned = float(np.var(a)) == 0.0
+    if slope_pinned:
+        warnings.warn(
+            "action counts are constant across all impressions; movement slope "
+            "is unidentifiable and has been set to 0"
+        )
+
+    mu, sigma2 = _pooled_ols(n_i, sum_a, sum_a2, sum_y, sum_ay, sum_y2)
+    tau0 = max(0.1 * sigma2, 1e-6)
+    tau2 = np.array([tau0, 0.0 if slope_pinned else tau0])
+    N = float(n_i.sum())
+    sxx = np.array([[n_i.sum(), sum_a.sum()], [sum_a.sum(), sum_a2.sum()]])
+
+    def e_step(mu, tau2, sigma2):
+        g1, g2 = tau2
+        r12 = math.sqrt(g1 * g2)
+        a11 = 1.0 + g1 * n_i / sigma2
+        a12 = r12 * sum_a / sigma2
+        a22 = 1.0 + g2 * sum_a2 / sigma2
+        det = a11 * a22 - a12 * a12
+        s11 = g1 * a22 / det
+        s12 = -r12 * a12 / det
+        s22 = g2 * a11 / det
+        q1 = sum_y - (mu[0] * n_i + mu[1] * sum_a)
+        q2 = sum_ay - (mu[0] * sum_a + mu[1] * sum_a2)
+        m1 = (s11 * q1 + s12 * q2) / sigma2
+        m2 = (s12 * q1 + s22 * q2) / sigma2
+        s_rr = (
+            sum_y2
+            - 2 * (mu[0] * sum_y + mu[1] * sum_ay)
+            + mu[0] ** 2 * n_i
+            + 2 * mu[0] * mu[1] * sum_a
+            + mu[1] ** 2 * sum_a2
+        )
+        quad = (s_rr - (q1 * m1 + q2 * m2)) / sigma2
+        ll = -0.5 * float(
+            N * math.log(2 * math.pi)
+            + np.sum(n_i * math.log(sigma2) + np.log(det) + quad)
+        )
+        return m1, m2, s11, s12, s22, ll
+
+    ll_prev = -np.inf
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        m1, m2, s11, s12, s22, ll = e_step(mu, tau2, sigma2)
+        if abs(ll - ll_prev) < EM_LL_RTOL * max(1.0, abs(ll_prev)):
+            converged = True
+            break
+        ll_prev = ll
+        tau2 = np.array(
+            [
+                max(float(np.mean(m1 * m1 + s11)), _VAR_FLOOR),
+                max(float(np.mean(m2 * m2 + s22)), _VAR_FLOOR),
+            ]
+        )
+        rhs1 = float(np.sum(sum_y - (n_i * m1 + sum_a * m2)))
+        rhs2 = float(np.sum(sum_ay - (sum_a * m1 + sum_a2 * m2)))
+        if slope_pinned:
+            tau2[1] = 0.0
+            mu = np.array([rhs1 / N, 0.0])
+        else:
+            mu = np.linalg.solve(sxx, np.array([rhs1, rhs2]))
+        b1 = mu[0] + m1
+        b2 = mu[1] + m2
+        resid = (
+            sum_y2
+            - 2 * (b1 * sum_y + b2 * sum_ay)
+            + b1 * b1 * n_i
+            + 2 * b1 * b2 * sum_a
+            + b2 * b2 * sum_a2
+        )
+        trace = s11 * n_i + 2 * s12 * sum_a + s22 * sum_a2
+        sigma2 = max(float(np.sum(resid + trace)) / N, _VAR_FLOOR)
+    if not converged:
+        warnings.warn(
+            f"movement-time EM stopped at EM_MAX_ITER={max_iter} iterations "
+            "without converging; the fit may be unreliable"
+        )
+
+    m1, m2, s11, s12, s22, ll = e_step(mu, tau2, sigma2)
+    participants = {
+        pid: (float(mu[0] + m1[i]), float(mu[1] + m2[i])) for i, pid in enumerate(pids.tolist())
+    }
+    return MovementModel(
+        mu_alpha=float(mu[0]),
+        mu_beta=float(mu[1]),
+        tau_alpha=math.sqrt(float(tau2[0])),
+        tau_beta=math.sqrt(float(tau2[1])),
+        sigma_eps=math.sqrt(sigma2),
+        participants=participants,
+        log_likelihood=ll,
+        iterations=iterations,
+    )
+
+
+def logaddexp_irls(X, y, max_iter=100):
+    """Logistic ML by IRLS with step-halving on a C-ordered X, the deviance
+    summed with ``np.logaddexp``: ``regression.fit_logistic``'s iteration
+    without its rank check or its Fortran-ordered buffers.
+
+    Returns a dict of beta, se, deviance, iterations, converged and warnings.
+    """
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def deviance(eta):
+        return float(2.0 * np.sum(np.logaddexp(0.0, eta) - y * eta))
+
+    def sigmoid(eta):
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-eta))
+
+    beta = np.zeros(X.shape[1])
+    if np.all(X[:, 0] == 1.0):
+        pbar = min(max(y.mean(), 1e-6), 1 - 1e-6)
+        beta[0] = math.log(pbar / (1 - pbar))
+    eta = X @ beta
+    dev = deviance(eta)
+    p = sigmoid(eta)
+    grad = X.T @ (y - p)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        w = np.clip(p * (1.0 - p), 1e-12, None)
+        step = np.linalg.solve(X.T @ (w[:, None] * X), grad)
+        scale = 1.0
+        for _ in range(30):
+            candidate = beta + scale * step
+            cand_eta = X @ candidate
+            cand_dev = deviance(cand_eta)
+            if cand_dev <= dev + 1e-12:
+                break
+            scale *= 0.5
+        beta, eta = candidate, cand_eta
+        prev_dev, dev = dev, cand_dev
+        p = sigmoid(eta)
+        grad = X.T @ (y - p)
+        if (np.max(np.abs(grad)) < IRLS_GRADIENT_TOL
+                or abs(prev_dev - dev) < IRLS_DEVIANCE_RTOL * (abs(prev_dev) + 1e-30)):
+            converged = True
+            break
+    fit_warnings = []
+    if not converged:
+        fit_warnings.append(f"IRLS did not converge in {max_iter} iterations")
+    if np.max(np.abs(beta)) > SEPARATION_COEF_BOUND:
+        fit_warnings.append(
+            f"coefficient magnitude exceeds {SEPARATION_COEF_BOUND}; possible separation"
+        )
+    w = np.clip(p * (1.0 - p), 1e-12, None)
+    se = np.sqrt(np.diag(np.linalg.inv(X.T @ (w[:, None] * X))))
+    return {"beta": beta, "se": se, "deviance": dev, "iterations": iterations,
+            "converged": converged, "warnings": tuple(fit_warnings)}
 
 
 def per_row_dwell_pipeline(impressions, rules, slope):

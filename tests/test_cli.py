@@ -386,6 +386,29 @@ class TestFitCommand:
         assert code == 2
         assert "engage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, fit", [("dwell", "OLS"), ("engage", "logistic")])
+    def test_fewer_rows_than_columns_is_input_error(self, tmp_path, capsys, model, fit):
+        from feedlab.data import FeatureMatrix, save_impressions
+        from feedlab.features import save_scores
+        from conftest import as_table, make_impression
+
+        rows = [make_impression("p1", f"post_{i}", i, 2.0 + i, actions=i % 2, adjusted=1.5 + i)
+                for i in range(1, 4)]
+        save_impressions(tmp_path / "cleaned.csv", as_table(rows))
+        posts = tuple(f"post_{i}" for i in range(1, 4))
+        save_scores(tmp_path / "scores.csv", FeatureMatrix(posts, ("pc1", "pc2"), np.eye(3, 2)))
+        code = run(
+            [
+                "fit",
+                "--input", tmp_path / "cleaned.csv",
+                "--scores", tmp_path / "scores.csv",
+                "--model", model,
+                "--output-dir", tmp_path / "o",
+            ]
+        )
+        assert code == 2
+        assert f"need n > k for {fit} inference (n=3, k=6)" in capsys.readouterr().err
+
     def test_library_parity(self, tmp_path, analysis_dirs):
         # the subcommand is a thin shell: library calls produce the identical fit
         _, clean_out, pca_out = analysis_dirs

@@ -23,8 +23,9 @@ from feedlab.pipeline import (
     save_movement_model,
 )
 from feedlab.regression import build_design, dwell_model_spec
+from feedlab.sim import SimConfig, simulate_session
 from conftest import as_table, make_impression, rows_of, simulate_hierarchical_dwell
-from oracles import per_participant_ols, per_row_dwell_pipeline
+from oracles import per_moment_movement_em, per_participant_ols, per_row_dwell_pipeline
 
 
 def full_feed(pid, dwells, actions=None):
@@ -174,6 +175,54 @@ class TestMovementModel:
         with pytest.warns(UserWarning, match="EM_MAX_ITER=2"):
             model = fit_movement_model(imps)
         assert model.iterations == 2
+
+    @staticmethod
+    def _fit_both(imps, max_iter):
+        """The library fit and the per-moment oracle, with each one's warnings."""
+        fits, messages = [], []
+        for fit in (fit_movement_model, lambda t: per_moment_movement_em(t, max_iter)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fits.append(fit(imps))
+            messages.append([str(w.message) for w in caught])
+        return fits, messages
+
+    # participant counts on both sides of numpy's pairwise-sum blocks (8, 128)
+    @pytest.mark.parametrize("participants", [1, 2, 7, 8, 9, 127, 128, 129, 600])
+    def test_block_em_equals_per_moment_oracle(self, participants):
+        rng = np.random.default_rng(participants)
+        imps, _ = simulate_hierarchical_dwell(rng, n_participants=participants, n_per=30)
+        (model, want), (got_warned, want_warned) = self._fit_both(imps, pipeline.EM_MAX_ITER)
+        assert model == want
+        assert got_warned == want_warned
+
+    def test_block_em_equals_oracle_on_simulated_study(self):
+        # the simulator's stage-1 table takes the EM hundreds of iterations
+        config = SimConfig(participants=40, feed_length=120, news_per_feed=90, seed=42)
+        stage1, _ = apply_exclusions_stage1(simulate_session(config)[0], ExclusionRules())
+        (model, want), (got_warned, want_warned) = self._fit_both(stage1, pipeline.EM_MAX_ITER)
+        assert model == want and model.iterations > 100
+        assert got_warned == want_warned
+
+    def test_block_em_equals_oracle_with_pinned_slope(self):
+        rng = np.random.default_rng(12)
+        dwells = 3.0 + rng.standard_normal((8, 15)) + rng.standard_normal((8, 1))
+        imps = as_table(
+            imp
+            for i, row in enumerate(dwells)
+            for imp in full_feed(f"p{i}", list(row), [1] * len(row))
+        )
+        (model, want), (got_warned, want_warned) = self._fit_both(imps, pipeline.EM_MAX_ITER)
+        assert model == want and model.mu_beta == 0.0
+        assert got_warned == want_warned and "unidentifiable" in got_warned[0]
+
+    def test_block_em_equals_oracle_at_iteration_cap(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        imps, _ = simulate_hierarchical_dwell(rng, n_participants=30, n_per=40)
+        monkeypatch.setattr(pipeline, "EM_MAX_ITER", 2)
+        (model, want), (got_warned, want_warned) = self._fit_both(imps, 2)
+        assert model == want and model.iterations == 2
+        assert got_warned == want_warned and "EM_MAX_ITER=2" in got_warned[0]
 
     def test_recovery_and_shrinkage_beats_no_pooling(self):
         rng = np.random.default_rng(314)

@@ -1,12 +1,19 @@
 import ctypes
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from feedlab import sim
 from feedlab.data import FeatureMatrix
+from feedlab.features import fit_feature_pca, project
+from feedlab.pipeline import run_pipeline
 from feedlab.regression import (
+    _QR_BLOCK,
+    _check_rank,
+    _r_factor,
     DesignSpec,
     build_design,
     dwell_model_spec,
@@ -19,7 +26,21 @@ from feedlab.regression import (
     save_fit,
 )
 from conftest import as_table, make_impression
-from oracles import grid_search_logistic_mle, normal_equations_ols
+from oracles import grid_search_logistic_mle, logaddexp_irls, normal_equations_ols
+
+
+def step_halving_data():
+    rng = np.random.default_rng(26)
+    n = 200
+    X = np.column_stack([np.ones(n), 10.0 * rng.standard_normal(n)])
+    eta = X @ np.array([0.5, 2.0])
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    return X, y
+
+
+def separated_data():
+    x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+    return np.column_stack([np.ones(6), x]), (x > 0).astype(float)
 
 
 def scores_for(post_ids, cred=0.5, sens=-0.25):
@@ -211,11 +232,7 @@ class TestFitLogistic:
     def test_deviance_non_increasing(self):
         # step-halving accepts only non-increasing deviance; re-fit a hard
         # case and confirm the recorded deviance is a true optimum value
-        rng = np.random.default_rng(26)
-        n = 200
-        X = np.column_stack([np.ones(n), 10.0 * rng.standard_normal(n)])
-        eta = X @ np.array([0.5, 2.0])
-        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        X, y = step_halving_data()
         fit = fit_logistic(X, y, ["intercept", "x"])
         beta = np.array([t.estimate for t in fit.terms])
         eta_hat = X @ beta
@@ -223,12 +240,18 @@ class TestFitLogistic:
         assert fit.metadata["deviance"] == pytest.approx(dev_hat, rel=1e-12)
 
     def test_separation_warning(self):
-        x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-        y = (x > 0).astype(float)
-        X = np.column_stack([np.ones(6), x])
+        X, y = separated_data()
         fit = fit_logistic(X, y, ["intercept", "x"])
         assert fit.warnings
         assert "separation" in " ".join(fit.warnings)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_needs_more_rows_than_columns(self, n):
+        # with n < k the R factor has only n pivots, so the rank check alone passes
+        X = np.column_stack([np.ones(n), np.random.default_rng(n).standard_normal((n, 5))])
+        y = (np.arange(n) % 2).astype(float)
+        with pytest.raises(ValueError, match=rf"need n > k for logistic inference \(n={n}, k=6\)"):
+            fit_logistic(X, y, ["intercept", "a", "b", "c", "d", "e"])
 
     def test_binary_response_required(self):
         X = np.ones((5, 1))
@@ -244,6 +267,87 @@ class TestFitLogistic:
         f1 = fit_logistic(np.column_stack([np.ones(n), x]), y, ["intercept", "x"])
         f2 = fit_logistic(np.column_stack([np.ones(n), x + 5.0]), y, ["intercept", "x"])
         assert f1.term("x").estimate == pytest.approx(f2.term("x").estimate, abs=1e-8)
+
+
+def walkthrough_engagement_design():
+    """The stage-2 design of a simulated study at the walkthrough's size and seed."""
+    config = sim.SimConfig(participants=40, feed_length=120, news_per_feed=90, seed=42)
+    impressions, pool = sim.simulate_session(config)
+    cleaned = run_pipeline(impressions).impressions
+    scores = project(fit_feature_pca(pool.matrix), pool.matrix)
+    aligned, _ = sim.align_scores_to_axes(scores, pool.credibility, pool.sensationalism)
+    design = build_design(cleaned, aligned, engagement_model_spec())
+    return design.X, design.y, design.columns
+
+
+def large_eta_data():
+    # two far points on the fitted side put |eta| past 750, where exp(eta) overflows
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal(300)
+    y = (rng.random(300) < 1.0 / (1.0 + np.exp(-(0.5 + x)))).astype(float)
+    x, y = np.append(x, [800.0, -900.0]), np.append(y, [1.0, 0.0])
+    return np.column_stack([np.ones(302), x]), y, ("intercept", "x")
+
+
+class TestFitLogisticMatchesLogaddexpOracle:
+    """fit_logistic's deviance form, Fortran-ordered buffers and blocked rank
+    check change only rounding: estimates, SEs and deviance agree with the
+    C-ordered ``logaddexp`` IRLS to 1e-12, with the same iterations,
+    convergence and warnings. An estimate is compared relative to the largest
+    one, since the separated fit's intercept is zero up to rounding."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            walkthrough_engagement_design,
+            lambda: (*step_halving_data(), ("intercept", "x")),
+            lambda: (*separated_data(), ("intercept", "x")),
+            large_eta_data,
+        ],
+        ids=["walkthrough", "step_halving", "separation", "large_eta"],
+    )
+    def test_agrees(self, data):
+        X, y, columns = data()
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            fit = fit_logistic(X, y, columns)
+            want = logaddexp_irls(X, y)
+        got = np.array([[t.estimate, t.se] for t in fit.terms])
+        scale = np.max(np.abs(want["beta"]))
+        np.testing.assert_allclose(got[:, 0], want["beta"], rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(got[:, 1], want["se"], rtol=1e-12, atol=0)
+        assert fit.metadata["deviance"] == pytest.approx(want["deviance"], rel=1e-12)
+        assert fit.metadata["iterations"] == want["iterations"]
+        assert fit.metadata["converged"] == want["converged"]
+        assert fit.warnings == want["warnings"]
+
+
+class TestBlockedRFactor:
+    @pytest.mark.parametrize("n", [_QR_BLOCK - 1, _QR_BLOCK, _QR_BLOCK + 1, 3 * _QR_BLOCK + 5, 4])
+    def test_diag_matches_one_qr(self, n):
+        rng = np.random.default_rng(n)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 5)) * [1.0, 10.0, 0.1, 1e3, 1.0]])
+        got = np.abs(np.diag(_r_factor(X)))
+        want = np.abs(np.diag(np.linalg.qr(X, mode="r")))
+        assert got.shape == (min(n, 6),)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_column_zero_before_the_last_block_passes(self):
+        n = 3 * _QR_BLOCK + 5
+        rng = np.random.default_rng(30)
+        late = np.zeros(n)
+        late[-5:] = rng.standard_normal(5)
+        X = np.column_stack([np.ones(n), rng.standard_normal(n), late])
+        _check_rank(_r_factor(X), ["intercept", "x", "late"])
+
+    def test_multiple_of_another_column_is_named(self):
+        n = 3 * _QR_BLOCK + 5
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal(n)
+        X = np.column_stack([np.ones(n), x, rng.standard_normal(n), 2.5 * x])
+        y = (rng.random(n) < 0.3).astype(float)
+        with pytest.raises(ValueError, match=r"collinear column\(s\): x_copy$"):
+            fit_logistic(X, y, ["intercept", "x", "z", "x_copy"])
 
 
 class TestFitDesignAndIO:
