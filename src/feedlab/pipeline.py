@@ -205,12 +205,12 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
     pids, g, counts = impressions.groups("participant")
     y = impressions.dwell_raw
     a = impressions.action_count.astype(float)
-    sums = [np.bincount(g, weights=w, minlength=len(pids)) for w in (a, a * a, y, a * y, y * y)]
-    M = np.stack([counts.astype(float), *sums[:2]])
-    Y = np.stack(sums[2:4])
-    n_i, sum_a, sum_a2 = M
-    sum_y, sum_ay = Y
-    sum_y2 = sums[4]
+    n_i = counts.astype(float)
+    sum_a, sum_a2, sum_y, sum_y2, sum_ay = (
+        np.bincount(g, weights=w, minlength=len(pids)) for w in (a, a * a, y, y * y, a * y)
+    )
+    M = np.stack([n_i, sum_a, sum_a2])
+    Y = np.stack([sum_y, sum_ay])
     slope_pinned = float(np.var(a)) == 0.0
     if slope_pinned:
         warnings.warn(
@@ -218,7 +218,7 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
             "is unidentifiable and has been set to 0"
         )
 
-    mu, sigma2 = _pooled_ols(*M, *Y, sum_y2)
+    mu, sigma2 = _pooled_ols(n_i, sum_a, sum_a2, sum_y, sum_ay, sum_y2)
     tau0 = max(0.1 * sigma2, 1e-6)
     tau2 = np.array([tau0, 0.0 if slope_pinned else tau0])
     N = float(n_i.sum())

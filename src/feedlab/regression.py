@@ -286,7 +286,8 @@ def fit_logistic(
     if n <= k:
         raise ValueError(f"need n > k for logistic inference (n={n}, k={k})")
     _check_rank(_r_factor(X), columns)
-    # the loop works on one Fortran-ordered copy of X, in preallocated buffers
+    # the loop works in preallocated buffers on one Fortran-ordered copy of X,
+    # on which X @ beta and X.T @ r take about half their time on C-ordered X
     X = np.asfortranarray(X)
     eta, cand_eta, p, w, buf, tmp = (np.empty(n) for _ in range(6))
     wx = np.empty_like(X)
