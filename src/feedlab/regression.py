@@ -210,8 +210,6 @@ def _r_factor(X: np.ndarray) -> np.ndarray:
     On a tall X this takes a fraction of one QR's time, and ``|diag(R)|``
     agrees with ``np.linalg.qr``'s to rounding.
     """
-    if len(X) <= _QR_BLOCK:
-        return np.linalg.qr(X, mode="r")
     rs = [np.linalg.qr(X[i:i + _QR_BLOCK], mode="r") for i in range(0, len(X), _QR_BLOCK)]
     return np.linalg.qr(np.vstack(rs), mode="r")
 
