@@ -34,7 +34,7 @@ IRLS_MAX_ITER = 100
 IRLS_GRADIENT_TOL = 1e-8
 IRLS_DEVIANCE_RTOL = 1e-10
 SEPARATION_COEF_BOUND = 15.0
-_QR_BLOCK = 4096
+_ROW_BLOCK = 4096
 
 _MAIN_EFFECTS = ("engage", "credibility", "sensationalism", "dwell")
 
@@ -87,6 +87,7 @@ def engagement_model_spec() -> DesignSpec:
 
 @dataclass(frozen=True)
 class Design:
+    """Design matrix ``X`` (n x k, Fortran-ordered), response ``y`` and column names."""
     X: np.ndarray
     y: np.ndarray
     columns: tuple[str, ...]
@@ -155,7 +156,7 @@ def build_design(
         centering["log_dwell_sd"] = float(sd)
 
     names = spec.column_names()
-    X = np.empty((n, len(names)))
+    X = np.empty((n, len(names)), order="F")
     X[:, 0] = 1.0
     for j, name in enumerate(names[1:], start=1):
         if ":" in name:
@@ -204,13 +205,20 @@ def _check_rank(R: np.ndarray, columns: Sequence[str]) -> None:
         raise ValueError(f"design is rank deficient; collinear column(s): {', '.join(bad)}")
 
 
+def _check_finite(X: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> None:
+    bad = np.column_stack([~np.isfinite(X), ~np.isfinite(y)])
+    if bad.any():
+        where = np.array([*columns, "the response"])[bad.any(axis=0)]
+        raise ValueError(f"{bad.any(axis=1).sum()} row(s) hold NaN or inf, in {', '.join(where)}")
+
+
 def _r_factor(X: np.ndarray) -> np.ndarray:
-    """R of X's QR, from the QR of the stacked Rs of X's ``_QR_BLOCK``-row blocks.
+    """R of X's QR, from the QR of the stacked Rs of X's ``_ROW_BLOCK``-row blocks.
 
     On a tall X this takes a fraction of one QR's time, and ``|diag(R)|``
     agrees with ``np.linalg.qr``'s to rounding.
     """
-    rs = [np.linalg.qr(X[i:i + _QR_BLOCK], mode="r") for i in range(0, len(X), _QR_BLOCK)]
+    rs = [np.linalg.qr(X[i:i + _ROW_BLOCK], mode="r") for i in range(0, len(X), _ROW_BLOCK)]
     return np.linalg.qr(np.vstack(rs), mode="r")
 
 
@@ -220,18 +228,19 @@ def fit_ols(
     columns: Sequence[str],
     centering: dict | None = None,
 ) -> RegressionFit:
-    """Least squares via QR with classical SEs and two-sided t p-values."""
+    """Least squares with classical SEs and two-sided t p-values, from the R of
+    ``[X | y]``: it holds X's R, ``Q'y`` and the residual norm, so Q is never formed."""
     one_blas_thread()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, k = X.shape
     if n <= k:
         raise ValueError(f"need n > k for OLS inference (n={n}, k={k})")
-    Q, R = np.linalg.qr(X)
+    _check_finite(X, y, columns)
+    Ra = _r_factor(np.column_stack([X, y]))
+    R, qty, rss = Ra[:k, :k], Ra[:k, k], float(Ra[k, k] ** 2)
     _check_rank(R, columns)
-    beta = np.linalg.solve(R, Q.T @ y)
-    resid = y - X @ beta
-    rss = float(resid @ resid)
+    beta = np.linalg.solve(R, qty)
     sigma2 = rss / (n - k)
     Rinv = np.linalg.solve(R, np.eye(k))
     cov = sigma2 * (Rinv @ Rinv.T)
@@ -278,17 +287,19 @@ def fit_logistic(
     one_blas_thread()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    n, k = X.shape
+    _check_finite(X, y, columns)
     if set(np.unique(y)) - {0.0, 1.0}:
         raise ValueError("logistic response must be binary 0/1")
-    n, k = X.shape
     if n <= k:
         raise ValueError(f"need n > k for logistic inference (n={n}, k={k})")
     _check_rank(_r_factor(X), columns)
-    # the loop works in preallocated buffers on one Fortran-ordered copy of X,
-    # on which X @ beta and X.T @ r take about half their time on C-ordered X
+    # preallocated buffers on a Fortran-ordered X (build_design's is one, so nothing is
+    # copied), where X @ beta and X.T @ r take half their C-order time; the information
+    # is summed over _ROW_BLOCK-row blocks so that w * X stays in cache
     X = np.asfortranarray(X)
     eta, cand_eta, p, w, buf, tmp = (np.empty(n) for _ in range(6))
-    wx = np.empty_like(X)
+    wx = np.empty((min(n, _ROW_BLOCK), k), order="F")
 
     def deviance_at(eta):
         np.abs(eta, out=buf)
@@ -300,7 +311,11 @@ def fit_logistic(
 
     def information():
         np.maximum(np.multiply(np.subtract(1.0, p, out=w), p, out=w), 1e-12, out=w)
-        return X.T @ np.multiply(X, w[:, None], out=wx)
+        info = np.zeros((k, k))
+        for i in range(0, n, _ROW_BLOCK):
+            xb = X[i:i + _ROW_BLOCK]
+            info += xb.T @ np.multiply(xb, w[i:i + _ROW_BLOCK, None], out=wx[:len(xb)])
+        return info
 
     beta = np.zeros(k)
     # start the intercept at the empirical log odds when it is a constant column

@@ -1,12 +1,12 @@
 """Independent oracle implementations used to check the estimation code.
 
 These deliberately avoid the library's code paths: means by explicit
-sum/count, OLS by normal equations, logistic ML by grid search, p-values by
-permutation, sorting by a plain comparison sort, the simulators one
-stream (participant or replication) at a time, impressions.csv by one
-``%`` format over a list of every cell, the movement-time EM with one array
-per participant moment, and the IRLS logistic with ``logaddexp`` on a
-C-ordered design.
+sum/count, OLS by normal equations and by the full Q of one QR, logistic
+ML by grid search, p-values by permutation, sorting by a plain comparison
+sort, the simulators one stream (participant or replication) at a time,
+impressions.csv by one ``%`` format over a list of every cell, the
+movement-time EM with one array per participant moment, and the IRLS
+logistic with ``logaddexp`` on a C-ordered design.
 """
 
 import csv
@@ -57,6 +57,26 @@ def normal_equations_ols(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.linalg.solve(X.T @ X, X.T @ y)
+
+
+def q_residual_ols(X, y):
+    """OLS from the full Q of ``np.linalg.qr(X)``: beta = R^-1 Q'y, and the
+    residual sum of squares from the residual vector y - X beta.
+
+    Returns a dict of beta, se, r_squared, residual_sd and df_resid.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, k = X.shape
+    Q, R = np.linalg.qr(X)
+    beta = np.linalg.solve(R, Q.T @ y)
+    resid = y - X @ beta
+    rss = float(resid @ resid)
+    sigma2 = rss / (n - k)
+    Rinv = np.linalg.solve(R, np.eye(k))
+    tss = float(((y - y.mean()) ** 2).sum())
+    return {"beta": beta, "se": np.sqrt(np.diag(sigma2 * (Rinv @ Rinv.T))),
+            "r_squared": 1.0 - rss / tss, "residual_sd": math.sqrt(sigma2), "df_resid": n - k}
 
 
 def permutation_pearson_p(x, y, draws, seed):

@@ -11,7 +11,7 @@ from feedlab.data import FeatureMatrix
 from feedlab.features import fit_feature_pca, project
 from feedlab.pipeline import run_pipeline
 from feedlab.regression import (
-    _QR_BLOCK,
+    _ROW_BLOCK,
     _check_rank,
     _r_factor,
     DesignSpec,
@@ -26,7 +26,7 @@ from feedlab.regression import (
     save_fit,
 )
 from conftest import as_table, make_impression
-from oracles import grid_search_logistic_mle, logaddexp_irls, normal_equations_ols
+from oracles import grid_search_logistic_mle, logaddexp_irls, normal_equations_ols, q_residual_ols
 
 
 def step_halving_data():
@@ -121,6 +121,7 @@ class TestBuildDesign:
             [np.ones(6), eng, cred, sens, eng * cred, eng * sens]
         )
         assert np.allclose(d.X, expected, atol=0)
+        assert d.X.flags.f_contiguous
         assert np.allclose(d.y, np.log([1.0, 2.0, 4.0, 1.0, 0.5, 8.0]), atol=1e-15)
 
     def test_missing_scores_listed(self):
@@ -269,15 +270,37 @@ class TestFitLogistic:
         assert f1.term("x").estimate == pytest.approx(f2.term("x").estimate, abs=1e-8)
 
 
-def walkthrough_engagement_design():
-    """The stage-2 design of a simulated study at the walkthrough's size and seed."""
+def walkthrough_design(spec):
+    """The design for ``spec`` of a simulated study at the walkthrough's size and seed."""
     config = sim.SimConfig(participants=40, feed_length=120, news_per_feed=90, seed=42)
     impressions, pool = sim.simulate_session(config)
     cleaned = run_pipeline(impressions).impressions
     scores = project(fit_feature_pca(pool.matrix), pool.matrix)
     aligned, _ = sim.align_scores_to_axes(scores, pool.credibility, pool.sensationalism)
-    design = build_design(cleaned, aligned, engagement_model_spec())
+    design = build_design(cleaned, aligned, spec)
+    assert design.X.flags.f_contiguous
     return design.X, design.y, design.columns
+
+
+def walkthrough_engagement_design():
+    return walkthrough_design(engagement_model_spec())
+
+
+def logistic_rows(n):
+    rng = np.random.default_rng(n)
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+    eta = X @ np.array([-0.5, 0.8, -0.3, 0.2])
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    return X, y, ("intercept", "a", "b", "c")
+
+
+def ols_rows(n):
+    # columns on scales 1e-1 to 1e3; the signal is of the noise's size, so the
+    # oracle's residual pass loses no digits to cancellation
+    rng = np.random.default_rng(n)
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, 5)) * [1.0, 10.0, 0.1, 1e3, 1.0]])
+    y = X @ np.array([0.3, -1.0, 0.05, 2.0, 1e-3, 0.7]) + rng.standard_normal(n)
+    return X, y, ("intercept", "a", "b", "c", "d", "e")
 
 
 def large_eta_data():
@@ -290,8 +313,8 @@ def large_eta_data():
 
 
 class TestFitLogisticMatchesLogaddexpOracle:
-    """fit_logistic's deviance form, Fortran-ordered buffers and blocked rank
-    check change only rounding: estimates, SEs and deviance agree with the
+    """fit_logistic's deviance form, Fortran-ordered buffers, blocked rank
+    check and information summed per row block change only rounding: estimates, SEs and deviance agree with the
     C-ordered ``logaddexp`` IRLS to 1e-12, with the same iterations,
     convergence and warnings. An estimate is compared relative to the largest
     one, since the separated fit's intercept is zero up to rounding."""
@@ -303,8 +326,11 @@ class TestFitLogisticMatchesLogaddexpOracle:
             lambda: (*step_halving_data(), ("intercept", "x")),
             lambda: (*separated_data(), ("intercept", "x")),
             large_eta_data,
+            *(lambda n=n: logistic_rows(n)
+              for n in (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1)),
         ],
-        ids=["walkthrough", "step_halving", "separation", "large_eta"],
+        ids=["walkthrough", "step_halving", "separation", "large_eta",
+             "n4095", "n4096", "n4097", "n8193"],
     )
     def test_agrees(self, data):
         X, y, columns = data()
@@ -322,8 +348,69 @@ class TestFitLogisticMatchesLogaddexpOracle:
         assert fit.warnings == want["warnings"]
 
 
+class TestFitOlsMatchesQOracle:
+    """fit_ols takes beta, Q'y and the residual norm from the blocked R of
+    [X | y]; against the full-Q fit with a residual pass, estimates (relative
+    to the largest), SEs, r_squared and residual_sd agree to 1e-12."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            *(lambda n=n: ols_rows(n)
+              for n in (7, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5)),
+            lambda: walkthrough_design(dwell_model_spec()),
+            lambda: walkthrough_design(sim.STAGE1_RECOVERY_SPEC),
+        ],
+        ids=["n7", "n4095", "n4096", "n4097", "n12293", "walkthrough_dwell", "recovery_stage1"],
+    )
+    def test_agrees(self, data):
+        X, y, columns = data()
+        fit = fit_ols(X, y, columns)
+        want = q_residual_ols(X, y)
+        got = np.array([[t.estimate, t.se] for t in fit.terms])
+        scale = np.max(np.abs(want["beta"]))
+        np.testing.assert_allclose(got[:, 0], want["beta"], rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(got[:, 1], want["se"], rtol=1e-12, atol=0)
+        for name in ("r_squared", "residual_sd"):
+            assert fit.metadata[name] == pytest.approx(want[name], rel=1e-12, abs=0)
+        assert fit.metadata["df_resid"] == want["df_resid"]
+
+    def test_response_in_the_span_of_x_passes(self):
+        X, _, columns = ols_rows(3 * _ROW_BLOCK + 5)
+        beta = np.array([0.3, -1.0, 0.05, 2.0, 1e-3, 0.7])
+        fit = fit_ols(X, X @ beta, columns)
+        np.testing.assert_allclose([t.estimate for t in fit.terms], beta, rtol=1e-9)
+        assert fit.metadata["r_squared"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_collinear_column_is_named(self):
+        X, y, columns = ols_rows(3 * _ROW_BLOCK + 5)
+        X = np.column_stack([X, 2.5 * X[:, 1]])
+        with pytest.raises(ValueError, match=r"collinear column\(s\): a_copy$"):
+            fit_ols(X, y, [*columns, "a_copy"])
+
+
+@pytest.mark.parametrize("fit", [fit_ols, fit_logistic], ids=["ols", "logistic"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "rows_x, rows_y, message",
+    [
+        ([3, 17], [], r"2 row\(s\) hold NaN or inf, in b$"),
+        ([], [5], r"1 row\(s\) hold NaN or inf, in the response$"),
+        ([3, 4], [4, 9], r"3 row\(s\) hold NaN or inf, in b, the response$"),
+    ],
+    ids=["x", "y", "x_and_y"],
+)
+def test_non_finite_input_is_reported(fit, bad, rows_x, rows_y, message):
+    # NaN compares False, so the rank check alone lets a NaN through
+    X, y, _ = logistic_rows(50)
+    X[rows_x, 2] = bad
+    y[rows_y] = bad
+    with pytest.raises(ValueError, match=message):
+        fit(X, y, ["intercept", "a", "b", "c"])
+
+
 class TestBlockedRFactor:
-    @pytest.mark.parametrize("n", [_QR_BLOCK - 1, _QR_BLOCK, _QR_BLOCK + 1, 3 * _QR_BLOCK + 5, 4])
+    @pytest.mark.parametrize("n", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5, 4])
     def test_diag_matches_one_qr(self, n):
         rng = np.random.default_rng(n)
         X = np.column_stack([np.ones(n), rng.standard_normal((n, 5)) * [1.0, 10.0, 0.1, 1e3, 1.0]])
@@ -333,7 +420,7 @@ class TestBlockedRFactor:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_column_zero_before_the_last_block_passes(self):
-        n = 3 * _QR_BLOCK + 5
+        n = 3 * _ROW_BLOCK + 5
         rng = np.random.default_rng(30)
         late = np.zeros(n)
         late[-5:] = rng.standard_normal(5)
@@ -341,7 +428,7 @@ class TestBlockedRFactor:
         _check_rank(_r_factor(X), ["intercept", "x", "late"])
 
     def test_multiple_of_another_column_is_named(self):
-        n = 3 * _QR_BLOCK + 5
+        n = 3 * _ROW_BLOCK + 5
         rng = np.random.default_rng(31)
         x = rng.standard_normal(n)
         X = np.column_stack([np.ones(n), x, rng.standard_normal(n), 2.5 * x])
