@@ -287,16 +287,16 @@ def fit_logistic(
     one_blas_thread()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, k = X.shape
     _check_finite(X, y, columns)
     if set(np.unique(y)) - {0.0, 1.0}:
         raise ValueError("logistic response must be binary 0/1")
+    n, k = X.shape
     if n <= k:
         raise ValueError(f"need n > k for logistic inference (n={n}, k={k})")
     _check_rank(_r_factor(X), columns)
-    # preallocated buffers on a Fortran-ordered X (build_design's is one, so nothing is
-    # copied), where X @ beta and X.T @ r take half their C-order time; the information
-    # is summed over _ROW_BLOCK-row blocks so that w * X stays in cache
+    # the loop uses preallocated buffers and a Fortran-ordered X (build_design's X is
+    # one: no copy), on which X @ beta and X.T @ r take half their C-order time; the
+    # information is summed per _ROW_BLOCK rows so that w * X stays in cache
     X = np.asfortranarray(X)
     eta, cand_eta, p, w, buf, tmp = (np.empty(n) for _ in range(6))
     wx = np.empty((min(n, _ROW_BLOCK), k), order="F")
