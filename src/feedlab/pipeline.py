@@ -19,8 +19,10 @@ attentional component in four ordered steps:
 The mixed model is fit by deterministic EM to convergence (relative
 log-likelihood change < 1e-8, at most 500 iterations, with a warning if the
 cap is reached first); per-participant coefficients are empirical-Bayes
-posterior means given the estimated variance components. Identical inputs
-produce bit-identical fits.
+posterior means given the estimated variance components. Each iteration
+works on population totals and on per-participant blocks built once, so it
+costs a few numpy calls whatever the number of participants. Identical
+inputs produce bit-identical fits.
 """
 
 from __future__ import annotations
@@ -163,32 +165,37 @@ def apply_floor(
 # Movement-time model (random-intercept, random-slope EM)
 
 
-def _pooled_ols(n, sum_a, sum_a2, sum_y, sum_ay, sum_y2):
-    N = n.sum()
-    A = sum_a.sum()
-    A2 = sum_a2.sum()
-    Y = sum_y.sum()
-    AY = sum_ay.sum()
+def _rss_at(mu, tot):
+    """Sum over impressions of (y - mu[0] - mu[1] * a)^2, from the population
+    totals ``tot`` = (n, sum a, sum a^2, sum y, sum a*y, sum y^2)."""
+    N, A, A2, Y, AY, YY = tot
+    b0, b1 = mu
+    return YY - 2 * (b0 * Y + b1 * AY) + b0 * b0 * N + 2 * b0 * b1 * A + b1 * b1 * A2
+
+
+def _solve_sxx(tot, r0, r1):
+    """The mu with S_xx mu = (r0, r1), where S_xx = [[n, sum a], [sum a, sum a^2]]."""
+    N, A, A2 = tot[:3]
     det = N * A2 - A * A
-    if det <= 0:
-        # no action variation: intercept-only
-        mu = np.array([Y / N, 0.0])
-    else:
-        mu = np.array([(A2 * Y - A * AY) / det, (N * AY - A * Y) / det])
-    rss = (
-        sum_y2.sum()
-        - 2 * (mu[0] * Y + mu[1] * AY)
-        + mu[0] ** 2 * N
-        + 2 * mu[0] * mu[1] * A
-        + mu[1] ** 2 * A2
-    )
-    sigma2 = max(rss / max(N - 2, 1), _VAR_FLOOR)
-    return mu, sigma2
+    return (A2 * r0 - A * r1) / det, (N * r1 - A * r0) / det
+
+
+def _pooled_ols(tot):
+    N, A, A2, Y, AY, _ = tot
+    # no action variation: intercept-only
+    mu = (Y / N, 0.0) if N * A2 - A * A <= 0 else _solve_sxx(tot, Y, AY)
+    return mu, max(_rss_at(mu, tot) / max(N - 2, 1), _VAR_FLOOR)
 
 
 def fit_movement_model(impressions: Impressions) -> MovementModel:
     """Fit dwell_raw ~ intercept + slope * action_count with participant-level
     random intercepts and slopes, by EM on the marginal Gaussian likelihood.
+
+    Each iteration is a few numpy calls on blocks built once from the
+    per-participant moments. Every sum over participants (the log-likelihood,
+    the M-step's right-hand side, tau^2 and sigma^2) comes from population
+    totals, a matmul or a dot product, and mu from a closed-form 2x2 solve
+    against the constant S_xx.
 
     If action counts never vary (e.g. nobody engaged), the slope is
     unidentifiable: a warning is emitted and the slope mean and variance are
@@ -198,61 +205,57 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
     """
     if len(impressions) == 0:
         raise ValueError("fit_movement_model needs at least one impression")
-    # per-participant sufficient statistics, ordered by participant id, held as
-    # rows: M = (n, sum a, sum a^2) and Y = (sum y, sum a*y). Each formula for a
-    # pair or a triple of per-participant terms is then one numpy call per
-    # operation on a block, in the same element-wise order as term by term
+    # per-participant sufficient statistics, ordered by participant id
     pids, g, counts = impressions.groups("participant")
     y = impressions.dwell_raw
     a = impressions.action_count.astype(float)
     n_i = counts.astype(float)
-    sum_a, sum_a2, sum_y, sum_y2, sum_ay = (
-        np.bincount(g, weights=w, minlength=len(pids)) for w in (a, a * a, y, y * y, a * y)
+    P = len(pids)
+    stats = np.stack(
+        [n_i] + [np.bincount(g, weights=w, minlength=P) for w in (a, a * a, y, a * y, y * y)]
     )
-    M = np.stack([n_i, sum_a, sum_a2])
-    Y = np.stack([sum_y, sum_ay])
+    tot = stats.sum(axis=1).tolist()
+    n_i, sum_a, sum_a2, sum_y, sum_ay, _ = stats
+    N = tot[0]
     slope_pinned = float(np.var(a)) == 0.0
     if slope_pinned:
         warnings.warn(
             "action counts are constant across all impressions; movement slope "
             "is unidentifiable and has been set to 0"
         )
-
-    mu, sigma2 = _pooled_ols(n_i, sum_a, sum_a2, sum_y, sum_ay, sum_y2)
-    tau0 = max(0.1 * sigma2, 1e-6)
-    tau2 = np.array([tau0, 0.0 if slope_pinned else tau0])
-    N = float(n_i.sum())
-    sxx = np.array([[n_i.sum(), sum_a.sum()], [sum_a.sum(), sum_a2.sum()]])
+    # Blocks built once, one column per participant i. With c = g1*g2/sigma2,
+    # det(I + G^(1/2) S_xx,i G^(1/2) / sigma2) is 1 + (g1, g2, c) @ D / sigma2
+    # and the posterior covariance (s11, s12, s22) is ((g1, 0, g2) + c*C) / det:
+    # no G inverse, so both stay finite as tau2 -> 0. With Z = [[sum y | sum ay],
+    # [n | sum a], [sum a | sum a^2]], (1, -mu0, -mu1) @ Z is the residual
+    # cross-moments (q1 | q2), and Z @ (m1 | m2) is (sum of m.(sum y, sum ay),
+    # sum of S_xx,i m). T @ V sums m' S_xx,i m + trace(S_xx,i S).
+    D = np.stack([n_i, sum_a2, n_i * sum_a2 - sum_a * sum_a])
+    C = np.stack([sum_a2, -sum_a, n_i])
+    Z = np.stack([sum_y, sum_ay, n_i, sum_a, sum_a, sum_a2]).reshape(3, 2 * P)
+    V = np.concatenate([n_i, 2 * sum_a, sum_a2])
 
     def e_step(mu, tau2, sigma2):
-        """Posterior means (m1, m2), covariances (s11, s12, s22) + marginal LL."""
+        """Posterior means m = (m1, m2), covariances S = (s11, s12, s22) and the
+        marginal log-likelihood."""
         g1, g2 = tau2
-        r12 = math.sqrt(g1 * g2)
-        # posterior covariance via A = I + G^(1/2) H G^(1/2), H = S_xx / sigma2;
-        # stable as tau2 -> 0 (no explicit G inverse); rows a11, a12, a22
-        A = np.array([g1, r12, g2])[:, None] * M / sigma2
-        A[::2] += 1.0
-        a11, a12, a22 = A
-        det = a11 * a22 - a12 * a12
-        S = np.array([g1, -r12, g2])[:, None] * A[::-1] / det
-        # residual cross-moments (q1, q2) against the population line
-        q = Y - (mu[0] * M[:2] + mu[1] * M[1:])
-        m = (S[:2] * q[0] + S[1:] * q[1]) / sigma2
-        s_rr = (
-            sum_y2
-            - 2 * (mu[0] * sum_y + mu[1] * sum_ay)
-            + mu[0] ** 2 * n_i
-            + 2 * mu[0] * mu[1] * sum_a
-            + mu[1] ** 2 * sum_a2
-        )
-        qm = q * m
-        quad = (s_rr - (qm[0] + qm[1])) / sigma2
-        ll = -0.5 * float(
-            N * math.log(2 * math.pi)
-            + np.sum(n_i * math.log(sigma2) + np.log(det) + quad)
-        )
+        c = g1 * g2 / sigma2
+        det = 1.0 + np.array([g1, g2, c]) / sigma2 @ D
+        S = C * c
+        S[0] += g1
+        S[2] += g2
+        S /= det
+        q = np.array([1.0, -mu[0], -mu[1]]) / sigma2 @ Z
+        m = S[:2] * q[:P]
+        m += S[1:] * q[P:]
+        # sum over participants of (s_rr - q.m) / sigma2
+        quad = _rss_at(mu, tot) / sigma2 - q @ m.ravel()
+        ll = -0.5 * (N * math.log(2 * math.pi * sigma2) + float(np.log(det).sum()) + quad)
         return m, S, ll
 
+    mu, sigma2 = _pooled_ols(tot)
+    tau0 = max(0.1 * sigma2, 1e-6)
+    tau2 = (tau0, 0.0 if slope_pinned else tau0)
     ll_prev = -np.inf
     iterations = 0
     converged = False
@@ -264,41 +267,35 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
         ll_prev = ll
 
         # M-step: random-effect variances, fixed effects, then the residual
-        # variance at the new mu. With the slope pinned, m2 == 0 and S_xx is
-        # singular: the intercept is the mean residual, the slope stays 0.
-        tau2 = np.maximum(np.add.reduce(m * m + S[::2], axis=1) / len(pids), _VAR_FLOOR)
-        rhs = np.add.reduce(Y - (M[:2] * m[0] + M[1:] * m[1]), axis=1)
-        if slope_pinned:
-            tau2[1] = 0.0
-            mu = np.array([rhs[0] / N, 0.0])
-        else:
-            mu = np.linalg.solve(sxx, rhs)
-        b1, b2 = mu[:, None] + m
-        resid = (
-            sum_y2
-            - 2 * (b1 * sum_y + b2 * sum_ay)
-            + b1 * b1 * n_i
-            + 2 * b1 * b2 * sum_a
-            + b2 * b2 * sum_a2
-        )
-        s11, s12, s22 = S
-        trace = s11 * n_i + 2 * s12 * sum_a + s22 * sum_a2
-        sigma2 = max(float(np.sum(resid + trace)) / N, _VAR_FLOOR)
+        # variance at the new mu, with T = (m1^2, m1*m2, m2^2) + S. With the
+        # slope pinned, m2 == 0 and S_xx is singular: the intercept is the
+        # mean residual, the slope stays 0.
+        T = np.empty_like(S)
+        np.multiply(m[0], m, out=T[:2])
+        np.multiply(m[1], m[1], out=T[2])
+        T += S
+        t1, t2 = T[::2].sum(axis=1).tolist()
+        tau2 = (max(t1 / P, _VAR_FLOOR), 0.0 if slope_pinned else max(t2 / P, _VAR_FLOOR))
+        my, u0, u1 = (Z @ m.ravel()).tolist()
+        r0, r1 = tot[3] - u0, tot[4] - u1
+        mu = (r0 / N, 0.0) if slope_pinned else _solve_sxx(tot, r0, r1)
+        # sum of the residuals about mu + m, expanded around mu, plus the trace
+        ss = _rss_at(mu, tot) - 2 * (my - mu[0] * u0 - mu[1] * u1) + float(T.ravel() @ V)
+        sigma2 = max(ss / N, _VAR_FLOOR)
     if not converged:
         warnings.warn(
             f"movement-time EM stopped at EM_MAX_ITER={EM_MAX_ITER} iterations "
             "without converging; the fit may be unreliable"
         )
-
-    # posterior means consistent with the final parameter values
-    m, _, ll = e_step(mu, tau2, sigma2)
-    b1, b2 = mu[:, None] + m
+        # posterior means consistent with the final parameter values
+        m, _, ll = e_step(mu, tau2, sigma2)
+    b1, b2 = m[0] + mu[0], m[1] + mu[1]
     participants = dict(zip(pids.tolist(), zip(b1.tolist(), b2.tolist())))
     return MovementModel(
-        mu_alpha=float(mu[0]),
-        mu_beta=float(mu[1]),
-        tau_alpha=math.sqrt(float(tau2[0])),
-        tau_beta=math.sqrt(float(tau2[1])),
+        mu_alpha=mu[0],
+        mu_beta=mu[1],
+        tau_alpha=math.sqrt(tau2[0]),
+        tau_beta=math.sqrt(tau2[1]),
         sigma_eps=math.sqrt(sigma2),
         participants=participants,
         log_likelihood=ll,

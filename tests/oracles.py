@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from feedlab.data import _IMPRESSION_FIELDS, NEWS_CATEGORIES
-from feedlab.pipeline import _VAR_FLOOR, EM_LL_RTOL, MovementModel, _pooled_ols
+from feedlab.pipeline import _VAR_FLOOR, EM_LL_RTOL, MovementModel
 from feedlab.regression import IRLS_DEVIANCE_RTOL, IRLS_GRADIENT_TOL, SEPARATION_COEF_BOUND
 from feedlab.sim import (
     _GH_W,
@@ -173,12 +173,38 @@ def per_participant_ols(impressions):
     return out
 
 
+def pooled_ols_start(n, sum_a, sum_a2, sum_y, sum_ay, sum_y2):
+    """The EM's start values: the pooled OLS line through every impression
+    and its residual variance, from per-participant moment arrays."""
+    N = n.sum()
+    A = sum_a.sum()
+    A2 = sum_a2.sum()
+    Y = sum_y.sum()
+    AY = sum_ay.sum()
+    det = N * A2 - A * A
+    if det <= 0:
+        # no action variation: intercept-only
+        mu = np.array([Y / N, 0.0])
+    else:
+        mu = np.array([(A2 * Y - A * AY) / det, (N * AY - A * Y) / det])
+    rss = (
+        sum_y2.sum()
+        - 2 * (mu[0] * Y + mu[1] * AY)
+        + mu[0] ** 2 * N
+        + 2 * mu[0] * mu[1] * A
+        + mu[1] ** 2 * A2
+    )
+    sigma2 = max(rss / max(N - 2, 1), _VAR_FLOOR)
+    return mu, sigma2
+
+
 def per_moment_movement_em(impressions, max_iter):
     """The movement-time EM written term by term, one array per participant
     moment, at most ``max_iter`` iterations, with the library's warnings.
 
-    ``pipeline.fit_movement_model`` holds the moments as row blocks and must
-    return a model equal to this one, bit for bit.
+    ``pipeline.fit_movement_model`` sums over participants from population
+    totals and constant blocks, so its floats differ from these by rounding
+    only; its iteration count, warnings and participants must be equal.
     """
     pids, g, counts = impressions.groups("participant")
     y = impressions.dwell_raw
@@ -194,7 +220,7 @@ def per_moment_movement_em(impressions, max_iter):
             "is unidentifiable and has been set to 0"
         )
 
-    mu, sigma2 = _pooled_ols(n_i, sum_a, sum_a2, sum_y, sum_ay, sum_y2)
+    mu, sigma2 = pooled_ols_start(n_i, sum_a, sum_a2, sum_y, sum_ay, sum_y2)
     tau0 = max(0.1 * sigma2, 1e-6)
     tau2 = np.array([tau0, 0.0 if slope_pinned else tau0])
     N = float(n_i.sum())

@@ -37,7 +37,7 @@ SAVED_CONFIG = SimConfig(
 GOLDEN = {
     "clean/audit.json": "7b70a5d0c427964078568740bd9cb971d7dba7975a9c63b921a8eeb002a00134",
     "clean/cleaned.csv": "679b5d63a7792d8c44cd1b619c83bdd37e88040acfc37a1b43c9b43d465d5189",
-    "clean/movement_model.json": "e969231848be043aadddee06a49e8cd7aef985aba223c0a24235c88254e9c1d5",
+    "clean/movement_model.json": "933ad668c7410f242ad4d11d6dacf8be3780bc6cdeefb388e100c2f979d0a5cf",
     "exp/policy_outcomes.csv": "612ad9a705ee17c321741190ef3a65e42339087be8713250ee8eac45b845d955",
     "fit/fit_dwell.json": "14bb4627299f3649a70ac9b3f81165e112435f0e4de873db33f7350def432d73",
     "fit/fit_dwell.txt": "6a8a16eb9998a9634463602dc3180846356b4e37c1913230bc4543f149a75fbb",
@@ -51,7 +51,7 @@ GOLDEN = {
     "pca_plain/pca_fit.json": "878e2f4b5256bfbbe33fb11bde1f534234adcc3352f591a4bf43d525aaab4167",
     "pca_plain/scores.csv": "d7b7fd1860b9cc587efa5d1c5ff0f9bde9bf104d2c1bd4ce9da72c5c002a7605",
     "pca_plain/top_posts.txt": "c316880c6d337bd9276c4a3113cec6773a08a24c63bed6b39c1963af8a3f6113",
-    "rec/recovery_report.json": "076001e75c3f5123084e1ec7c441dc6dcc500544af6c5412d7a62d48ae8e3df7",
+    "rec/recovery_report.json": "a3041ea01dc8949de2b2a71ae8f56f2235e235a18418f5bee919f21c945d47b4",
     "saved_config.json": "150b1e3ff50f826a9d4be71ca0700ee38399a5bf10b117ca2dc98fa402f3c84a",
     "sim/dataset.json": "e5edd70c9a983fa5cd2a818ec3f9793cc3b2a4027423afbd8421a079129269cd",
     "sim/impressions.csv": "b383b3d34f7ea8a1685a42162382a16235031b5bd51f0436ddc443dc2533d65b",
