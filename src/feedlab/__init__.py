@@ -27,10 +27,8 @@ from .features import (
     PcaFit,
     correlate,
     fit_feature_pca,
-    fit_pca,
     mean_dwell_by_post,
     project,
-    standardize,
     top_posts,
 )
 from .pipeline import (

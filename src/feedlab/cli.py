@@ -148,11 +148,6 @@ def cmd_pca(args: argparse.Namespace) -> int:
             for j in range(i + 1, len(names)):
                 res = correlate(matrix.values[:, i], matrix.values[:, j])
                 rows.append([f"{names[i]}~{names[j]}", res.r, res.p, res.n])
-    _write_resolved_config(out, args)  # every input is read: nothing is written for a bad one
-    save_pca_fit(out / "pca_fit.json", fit)
-    write_csv(out / "correlations.csv", ["feature", "r", "p", "n"], rows)
-    save_scores(out / "scores.csv", scores)
-
     lines = [
         "variance fractions: " + " ".join(f"{v:.2f}" for v in fit.variance_fraction),
         "cumulative variance: " + " ".join(f"{v:.2f}" for v in fit.cumulative_variance()),
@@ -162,6 +157,11 @@ def cmd_pca(args: argparse.Namespace) -> int:
         for rank, i in enumerate(top_posts(scores, comp, args.top_k), start=1):
             label = headlines.get(scores.post_ids[i], scores.post_ids[i])
             lines.append(f"  {rank:2d}. [{scores.values[i, comp]:+.2f}] {label}")
+    # every input is read and every output built: nothing is written for a bad one
+    _write_resolved_config(out, args)
+    save_pca_fit(out / "pca_fit.json", fit)
+    write_csv(out / "correlations.csv", ["feature", "r", "p", "n"], rows)
+    save_scores(out / "scores.csv", scores)
     (out / "top_posts.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines[:2]))
     return EXIT_OK
@@ -210,7 +210,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "config_digest": config_digest(config),
         "impressions_sha256": file_digest(out / "impressions.csv"),
     }
-    save_dataset(out / "dataset.json", posts, provenance)
+    save_dataset(out / "dataset.json", posts, pool.matrix, provenance)
     print(
         f"simulated {len(impressions)} impressions "
         f"({config.participants} participants x {config.feed_length} posts)"

@@ -8,7 +8,7 @@ names are the record's field names):
     impressions.csv  participant_id,post_id,position,dwell_raw,shared,liked
                      (booleans as 0/1; dwell in seconds with 6 decimals;
                       cleaned files carry an extra dwell_adjusted column)
-    dataset.json     posts + provenance (impressions.csv's digest in place of its rows)
+    dataset.json     posts with their feature rows + provenance (impressions.csv by digest)
 
 Every artifact of every module is written by one of two writers:
 :func:`write_json` writes canonical JSON (sorted keys, 2-space indent,
@@ -42,6 +42,8 @@ with ``'%.6f' %``.
 In memory, impressions are one columnar :class:`Impressions` table (one
 array per column of impressions.csv, the ids as int32 codes into sorted
 vocabularies); every function that takes impressions takes that table.
+Per-post numbers are one :class:`FeatureMatrix`; a :class:`Post` is only
+posts.csv's metadata.
 
 Loaders collect malformed rows into an error report instead of aborting;
 semantic checks (referential integrity, position contiguity, dwell sign)
@@ -60,7 +62,7 @@ import warnings
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,25 +104,16 @@ class RowError:
 
 @dataclass(frozen=True)
 class Post:
-    """One content item; ``features`` holds the 8 mean ratings once attached."""
+    """One content item's metadata; its features are a :class:`FeatureMatrix` row."""
 
     post_id: str
     headline: str
     source: str
     category: str
-    features: dict[str, float] | None = None
 
     def __post_init__(self):
         if self.category not in CATEGORIES:
             raise ValueError(f"unknown category {self.category!r} for post {self.post_id!r}")
-        if self.features is not None:
-            if tuple(sorted(self.features)) != FEATURE_NAMES:
-                raise ValueError(
-                    f"post {self.post_id!r} must have exactly the 8 canonical features"
-                )
-            for name, value in self.features.items():
-                if not math.isfinite(value):
-                    raise ValueError(f"post {self.post_id!r} feature {name!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -250,7 +243,7 @@ class Impressions:
 
 # each CSV file's columns are its record's fields, the optional ones left out
 _RATINGS_HEADER = [f.name for f in fields(RatingRecord)]
-_POSTS_HEADER = [f.name for f in fields(Post)][:-1]
+_POSTS_HEADER = [f.name for f in fields(Post)]
 _IMPRESSION_HEADER = list(_IMPRESSION_FIELDS[:-1])
 
 
@@ -877,7 +870,15 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def save_dataset(path: str | Path, posts: Iterable[Post], provenance: dict) -> None:
-    """Write dataset.json: the posts and the provenance. The impressions are
-    impressions.csv's alone; the provenance may name that file's digest."""
-    write_json(path, {"posts": list(posts), "provenance": provenance})
+def save_dataset(
+    path: str | Path, posts: Sequence[Post], features: FeatureMatrix, provenance: dict
+) -> None:
+    """Write dataset.json: the posts, each with its row of ``features`` (the same
+    ids in the same order), and the provenance, which may name impressions.csv's digest."""
+    if tuple(p.post_id for p in posts) != features.post_ids:
+        raise ValueError("the posts and the feature rows are not the same ids in the same order")
+    rows = [
+        {**_jsonable(p), "features": dict(zip(features.feature_names, row))}
+        for p, row in zip(posts, features.values.tolist())
+    ]
+    write_json(path, {"posts": rows, "provenance": provenance})

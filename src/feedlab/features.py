@@ -1,9 +1,10 @@
-"""Feature-space analyses: standardization, correlations, PCA, scores, top posts.
+"""Feature-space analyses: correlations, PCA, scores, top posts.
 
 Every per-post table is a :class:`~feedlab.data.FeatureMatrix`: the rated
 features, and the component scores that :func:`project` returns (columns
 ``pc1..pcK``, plus a final ``mean_dwell`` column once
-:func:`attach_mean_dwell` has joined dwell on).
+:func:`attach_mean_dwell` has joined dwell on); :func:`fit_feature_pca` and
+:func:`project` take that table only.
 
 The component analysis is an eigendecomposition of the sample correlation
 matrix (features are z-scored first; the rating scales are heterogeneous, so
@@ -20,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -58,29 +59,6 @@ class PcaFit:
         return np.cumsum(self.variance_fraction)
 
 
-def standardize(
-    values: np.ndarray | FeatureMatrix, names: Sequence[str] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z-score each column (mean 0, sample SD 1 with the n-1 denominator).
-
-    Returns ``(z, means, sds)``. A constant column is an error naming the
-    column: downstream correlation PCA is undefined for it.
-    """
-    if isinstance(values, FeatureMatrix):
-        names = values.feature_names
-        values = values.values
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("standardize needs a 2-D matrix with at least 2 rows")
-    means = x.mean(axis=0)
-    sds = x.std(axis=0, ddof=1)
-    bad = np.flatnonzero(sds == 0)
-    if bad.size:
-        labels = [names[j] if names is not None else f"column {j}" for j in bad]
-        raise ValueError(f"constant column(s): {', '.join(map(str, labels))}")
-    return (x - means) / sds, means, sds
-
-
 def correlate(x: np.ndarray, y: np.ndarray) -> CorrelationResult:
     """Pearson correlation with a two-sided Student-t p-value (n-2 df)."""
     x = np.asarray(x, dtype=float)
@@ -112,21 +90,25 @@ def mean_dwell_by_post(impressions: Impressions) -> dict[str, float]:
     return dict(zip(post_ids.tolist(), (sums / counts).tolist()))
 
 
-def fit_pca(
-    z: np.ndarray,
-    feature_names: Sequence[str],
-    means: np.ndarray,
-    sds: np.ndarray,
-) -> PcaFit:
-    """Eigendecomposition of the sample correlation matrix of ``z``.
+def fit_feature_pca(matrix: FeatureMatrix) -> PcaFit:
+    """Eigendecomposition of the sample correlation matrix of a feature table.
 
-    ``z`` must already be standardized (see :func:`standardize`); the
-    correlation matrix is then z'z/(n-1). Rank-deficient input yields zero
-    eigenvalues rather than an error.
+    Each column is z-scored (mean 0, sample SD 1 with the n-1 denominator),
+    so the correlation matrix is z'z/(n-1). A constant column is an error
+    naming the column: correlation PCA is undefined for it. Rank-deficient
+    input yields zero eigenvalues rather than an error.
     """
-    z = np.asarray(z, dtype=float)
+    if matrix.n_posts < 2:
+        raise ValueError("the component fit needs at least 2 posts")
+    x = matrix.values
+    means = x.mean(axis=0)
+    sds = x.std(axis=0, ddof=1)
+    bad = np.flatnonzero(sds == 0)
+    if bad.size:
+        raise ValueError(f"constant column(s): {', '.join(matrix.feature_names[j] for j in bad)}")
+    z = (x - means) / sds
     if not np.all(np.isfinite(z)):
-        raise ValueError("fit_pca: non-finite input")
+        raise ValueError("fit_feature_pca: non-finite standardized values")
     n, p = z.shape
     corr = (z.T @ z) / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(corr)
@@ -134,53 +116,35 @@ def fit_pca(
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
     if np.any(eigvals < -1e-8):
-        raise ValueError("fit_pca: correlation matrix is not positive semidefinite")
+        raise ValueError("fit_feature_pca: correlation matrix is not positive semidefinite")
     eigvals = np.clip(eigvals, 0.0, None)
     flips = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(p)] < 0
     eigvecs[:, flips] = -eigvecs[:, flips]
     return PcaFit(
-        feature_names=tuple(feature_names),
-        means=np.array(means, dtype=float),
-        sds=np.array(sds, dtype=float),
+        feature_names=matrix.feature_names,
+        means=means,
+        sds=sds,
         loadings=eigvecs,
         variance_fraction=eigvals / p,
         flipped=tuple(flips.tolist()),
     )
 
 
-def fit_feature_pca(matrix: FeatureMatrix) -> PcaFit:
-    """Standardize a feature matrix and fit the component model."""
-    z, means, sds = standardize(matrix)
-    return fit_pca(z, matrix.feature_names, means, sds)
-
-
-def component_scores(fit: PcaFit, matrix: FeatureMatrix | np.ndarray) -> np.ndarray:
-    """Project rows onto the components using the fit's own means/SDs (pre-z).
-
-    A :class:`FeatureMatrix` must have the fit's feature columns, in the fit's order.
-    """
-    if isinstance(matrix, FeatureMatrix):
-        if matrix.feature_names != fit.feature_names:
-            raise ValueError(
-                f"feature columns {list(matrix.feature_names)} are not the fit's "
-                f"{list(fit.feature_names)}"
-            )
-        values = matrix.values
-    else:
-        values = np.asarray(matrix, dtype=float)
-    z = (values - fit.means) / fit.sds
-    return z @ fit.loadings
-
-
 def project(fit: PcaFit, matrix: FeatureMatrix) -> FeatureMatrix:
     """Standardize with the fit's constants, project, and z-score each column.
 
+    The matrix must have the fit's feature columns, in the fit's order.
     Returns the scores as a table with the matrix's posts and columns
     ``pc1..pcK``. Score columns with zero variance (e.g. null components of
     rank-deficient input) are left at their centered value of 0 instead of
     dividing by zero.
     """
-    raw = component_scores(fit, matrix)
+    if matrix.feature_names != fit.feature_names:
+        raise ValueError(
+            f"feature columns {list(matrix.feature_names)} are not the fit's "
+            f"{list(fit.feature_names)}"
+        )
+    raw = ((matrix.values - fit.means) / fit.sds) @ fit.loadings
     centered = raw - raw.mean(axis=0)
     sds = raw.std(axis=0, ddof=1) if raw.shape[0] > 1 else np.zeros(raw.shape[1])
     # a null component's scores are rounding noise around 0; scaling that

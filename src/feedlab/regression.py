@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -193,9 +193,6 @@ class RegressionFit:
                 return t
         raise KeyError(name)
 
-    def estimates(self) -> dict[str, float]:
-        return {t.term: t.estimate for t in self.terms}
-
 
 def _check_rank(R: np.ndarray, columns: Sequence[str]) -> None:
     diag = np.abs(np.diag(R))
@@ -226,7 +223,6 @@ def fit_ols(
     X: np.ndarray,
     y: np.ndarray,
     columns: Sequence[str],
-    centering: dict | None = None,
 ) -> RegressionFit:
     """Least squares with classical SEs and two-sided t p-values, from the R of
     ``[X | y]``: it holds X's R, ``Q'y`` and the residual norm, so Q is never formed."""
@@ -264,7 +260,6 @@ def fit_ols(
             "df_resid": n - k,
             "se_type": "classical (not clustered by participant)",
         },
-        centering=centering or {},
     )
 
 
@@ -272,7 +267,6 @@ def fit_logistic(
     X: np.ndarray,
     y: np.ndarray,
     columns: Sequence[str],
-    centering: dict | None = None,
 ) -> RegressionFit:
     """Logistic ML via iteratively reweighted least squares with step-halving.
 
@@ -377,15 +371,15 @@ def fit_logistic(
             "converged": converged,
             "se_type": "classical Wald (not clustered by participant)",
         },
-        centering=centering or {},
         warnings=tuple(fit_warnings),
     )
 
 
 def fit_design(design: Design, spec: DesignSpec) -> RegressionFit:
-    if spec.response == "log_dwell":
-        return fit_ols(design.X, design.y, design.columns, design.centering)
-    return fit_logistic(design.X, design.y, design.columns, design.centering)
+    fit = (fit_ols if spec.response == "log_dwell" else fit_logistic)(
+        design.X, design.y, design.columns
+    )
+    return replace(fit, centering=design.centering)
 
 
 # ---------------------------------------------------------------------------

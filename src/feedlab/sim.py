@@ -226,12 +226,10 @@ class PoolPosts:
         return self.matrix.post_ids
 
     def posts(self) -> tuple[Post, ...]:
-        """The pool as post records, features attached."""
-        names = self.matrix.feature_names
-        rows = zip(self.post_ids(), self.categories.tolist(), self.matrix.values.tolist())
+        """The pool's post records; the features are ``matrix``."""
         return tuple(
-            Post(pid, f"Synthetic headline {i + 1}", "synthetic", category, dict(zip(names, row)))
-            for i, (pid, category, row) in enumerate(rows)
+            Post(pid, f"Synthetic headline {i + 1}", "synthetic", category)
+            for i, (pid, category) in enumerate(zip(self.post_ids(), self.categories.tolist()))
         )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from feedlab.data import _IMPRESSION_FIELDS, FeatureMatrix, Impressions, Post, FEATURE_NAMES
+from feedlab.data import _IMPRESSION_FIELDS, FeatureMatrix, Impressions, Post
 
 
 def make_impression(pid="p1", post="post_01", position=1, dwell=2.0, actions=0, adjusted=None):
@@ -109,14 +109,4 @@ def pool_scores(pool):
     """A simulated pool's true (credibility, sensationalism) coordinates as scores."""
     return FeatureMatrix(
         pool.post_ids(), ("pc1", "pc2"), np.column_stack([pool.credibility, pool.sensationalism])
-    )
-
-
-def make_feature_post(post_id, values, category="true_news"):
-    return Post(
-        post_id,
-        f"headline {post_id}",
-        "src",
-        category,
-        features={f: float(v) for f, v in zip(FEATURE_NAMES, values)},
     )

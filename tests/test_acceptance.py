@@ -14,16 +14,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feedlab.data import FEATURE_NAMES, aggregate_ratings, load_impressions, load_ratings
+from feedlab.data import (
+    FEATURE_NAMES,
+    FeatureMatrix,
+    aggregate_ratings,
+    load_impressions,
+    load_ratings,
+)
 from feedlab.features import (
     correlate,
     fit_feature_pca,
-    fit_pca,
     mean_dwell_by_post,
     project,
     attach_mean_dwell,
     score_dwell_correlations,
-    standardize,
     top_posts,
 )
 from feedlab.pipeline import ExclusionRules, fit_movement_model, run_pipeline
@@ -105,11 +109,12 @@ class TestCriterion2Pca:
     def test_pca_properties_and_recovery(self):
         t0 = time.monotonic()
         rng = np.random.default_rng(2002)
+        ids = tuple(map(str, range(276)))
         worst_orth = worst_sum = worst_recon = 0.0
         for _ in range(100):
             x = rng.normal(3.0, 1.5, size=(276, 8))
-            z, means, sds = standardize(x)
-            fit = fit_pca(z, FEATURE_NAMES, means, sds)
+            fit = fit_feature_pca(FeatureMatrix(ids, FEATURE_NAMES, x))
+            z = (x - fit.means) / fit.sds
             gram = fit.loadings.T @ fit.loadings
             worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(8)))))
             worst_sum = max(worst_sum, abs(float(fit.variance_fraction.sum()) - 1.0))
@@ -126,8 +131,7 @@ class TestCriterion2Pca:
         lam = lam * (8.0 / lam.sum())
         L = np.linalg.cholesky(Q @ np.diag(lam) @ Q.T)
         xs = np.random.default_rng(20011).standard_normal((5000, 8)) @ L.T
-        z, means, sds = standardize(xs)
-        fit = fit_pca(z, FEATURE_NAMES, means, sds)
+        fit = fit_feature_pca(FeatureMatrix(tuple(map(str, range(5000))), FEATURE_NAMES, xs))
         worst_dev = max(
             min(
                 float(np.max(np.abs(fit.loadings[:, j] - Q[:, j]))),

@@ -296,6 +296,15 @@ class TestPcaCommand:
         assert f"error: {path}: line 3: field larger than field limit" in err
         assert not out.exists()
 
+    def test_negative_top_k_exit_2_writes_nothing(self, tmp_path, capsys, sim_config_path):
+        sim_out = tmp_path / "sim"
+        assert run(["simulate", "--config", sim_config_path, "--output-dir", sim_out]) == 0
+        out = tmp_path / "pca_neg"
+        args = ["pca", "--input", sim_out / "ratings.csv", "--output-dir", out, "--top-k", -1]
+        assert run(args) == 2
+        assert "k must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitCommand:
     def test_dwell_and_engage(self, tmp_path, analysis_dirs):

@@ -717,20 +717,34 @@ class TestValidation:
         assert any(v.kind == "duplicate_position" for v in violations)
 
 
+def features_of(posts, names=FEATURE_NAMES):
+    """One feature row per post, each the same values, cut to ``names``."""
+    row = (-0.0, 1e-07, 1e22, 2.123456789012345, 0, 1, 2, 3)[: len(names)]
+    values = np.tile(np.array(row, dtype=float), (len(posts), 1))
+    return FeatureMatrix(tuple(p.post_id for p in posts), tuple(names), values)
+
+
 class TestDatasetJson:
     def test_roundtrip_bytes(self, tmp_path, tiny_posts):
         imps = as_table([make_impression("p1", tiny_posts[0].post_id, 1, 2.0)])
         provenance = {"sources": {"r.csv": "0" * 64}, "ingested_at": "2024-01-01T00:00:00+00:00"}
+        features = features_of(tiny_posts)
         assert dataset_violations(tiny_posts, imps) == []
         path = tmp_path / "dataset.json"
-        save_dataset(path, tiny_posts, provenance)
+        save_dataset(path, tiny_posts, features, provenance)
         first = path.read_bytes()
-        # the file holds the posts and the provenance; the impressions are impressions.csv's
+        # the file holds the posts, each with its feature row, and the provenance;
+        # the impressions are impressions.csv's
         payload = json.loads(first)
+        rows = [d.pop("features") for d in payload["posts"]]
         posts = [from_fields(Post, d) for d in payload["posts"]]
         assert posts == tiny_posts
+        assert rows == [dict(zip(FEATURE_NAMES, r)) for r in features.values.tolist()]
         assert payload["provenance"] == provenance
-        save_dataset(path, posts, payload["provenance"])
+        loaded = FeatureMatrix(
+            tuple(p.post_id for p in posts), FEATURE_NAMES, [list(r.values()) for r in rows]
+        )
+        save_dataset(path, posts, loaded, payload["provenance"])
         assert path.read_bytes() == first
 
     ODD_IDS = ("péché", "日本😀", 'say "hi"', "back\\slash", "ctl\x00\x1f\t\n\x7f", "p,1")
@@ -738,37 +752,46 @@ class TestDatasetJson:
     @pytest.mark.parametrize("n_rows", [0, 1, 7])
     @pytest.mark.parametrize("with_features", [False, True])
     def test_rows_match_json_dumps(self, tmp_path, n_rows, with_features):
-        # the rows are the posts, one object each, a post's features left out when
-        # it has none
+        # the rows are the posts, one object each, with a features object of
+        # the table's columns (empty for a table of no columns)
         odd = self.ODD_IDS
-        features = dict(zip(FEATURE_NAMES, (-0.0, 1e-07, 1e22, 2.123456789012345, 0, 1, 2, 3)))
         posts = tuple(
             Post(odd[i % len(odd)], odd[-1 - i % len(odd)], odd[(i + 2) % len(odd)],
-                 CATEGORIES[i % len(CATEGORIES)], features if with_features and i % 2 else None)
+                 CATEGORIES[i % len(CATEGORIES)])
             for i in range(n_rows)
         )
+        features = features_of(posts, FEATURE_NAMES if with_features else ())
         provenance = {"sources": {odd[0]: odd[1]}, "impressions_sha256": "00", "seed": n_rows}
         path = tmp_path / "dataset.json"
-        save_dataset(path, posts, provenance)
+        save_dataset(path, posts, features, provenance)
         payload = {
-            "posts": [{k: v for k, v in asdict(p).items() if v is not None} for p in posts],
+            "posts": [
+                {**asdict(p), "features": dict(zip(features.feature_names, row))}
+                for p, row in zip(posts, features.values.tolist())
+            ],
             "provenance": provenance,
         }
         expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert path.read_text(encoding="utf-8") == expected
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ("post_02", "post_01", "post_03", "post_04", "post_05"),
+            ("post_01", "post_02", "post_03", "post_04"),
+            ("post_01", "post_02", "post_03", "post_04", "post_99"),
+        ],
+        ids=["reordered", "missing", "renamed"],
+    )
+    def test_posts_and_rows_must_match(self, tmp_path, tiny_posts, ids):
+        rows = FeatureMatrix(ids, FEATURE_NAMES, np.ones((len(ids), len(FEATURE_NAMES))))
+        path = tmp_path / "dataset.json"
+        with pytest.raises(ValueError, match="not the same ids in the same order"):
+            save_dataset(path, tiny_posts, rows, {})
+        assert not path.exists()
+
 
 class TestDomainTypes:
-    def test_post_requires_all_features(self):
-        with pytest.raises(ValueError, match="8 canonical"):
-            Post("a", "h", "s", "opinion", features={"truth": 1.0})
-
-    def test_post_rejects_non_finite_feature(self):
-        feats = {f: 1.0 for f in FEATURE_NAMES}
-        feats["truth"] = math.inf
-        with pytest.raises(ValueError, match="finite"):
-            Post("a", "h", "s", "opinion", features=feats)
-
     def test_rating_rejects_unknown_feature(self):
         with pytest.raises(ValueError, match="unknown feature"):
             RatingRecord("r", "p", "novelty", 1.0)

@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from feedlab.data import FEATURE_NAMES, FeatureMatrix
 from feedlab.features import (
     attach_mean_dwell,
-    component_scores,
     correlate,
     feature_dwell_correlations,
     fit_feature_pca,
-    fit_pca,
     load_pca_fit,
     load_scores,
     mean_dwell_by_post,
@@ -19,7 +17,6 @@ from feedlab.features import (
     save_pca_fit,
     save_scores,
     score_dwell_correlations,
-    standardize,
     top_posts,
 )
 from conftest import as_table, make_impression
@@ -39,38 +36,60 @@ def random_matrix(rng, n=50, p=3):
     return rng.normal(3.0, 2.0, size=(n, p))
 
 
+def as_matrix(x, names=FEATURE_NAMES):
+    """``x`` as a feature table: one post per row, one named column per feature."""
+    return FeatureMatrix(tuple(f"post_{i:03d}" for i in range(len(x))), tuple(names), x)
+
+
+def standardized(fit, x):
+    """``x`` z-scored with the fit's own means and SDs."""
+    return (x - fit.means) / fit.sds
+
+
 class TestStandardize:
     def test_two_point_column(self):
-        z, means, sds = standardize(np.array([[0.0], [2.0]]))
-        assert z[:, 0] == pytest.approx([-0.7071, 0.7071], abs=1e-4)
-        assert means[0] == 1.0
-        assert sds[0] == pytest.approx(math.sqrt(2.0))
+        matrix = as_matrix(np.array([[0.0], [2.0]]), ["x"])
+        fit = fit_feature_pca(matrix)
+        assert fit.means[0] == 1.0
+        assert fit.sds[0] == pytest.approx(math.sqrt(2.0))
+        assert project(fit, matrix).values[:, 0] == pytest.approx([-0.7071, 0.7071], abs=1e-4)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
-        z1, _, _ = standardize(random_matrix(rng))
-        z2, _, _ = standardize(z1)
-        assert np.allclose(z1, z2, atol=1e-10)
+        x = random_matrix(rng)
+        fit1 = fit_feature_pca(as_matrix(x, "abc"))
+        fit2 = fit_feature_pca(as_matrix(standardized(fit1, x), "abc"))
+        assert np.allclose(fit2.means, 0.0, atol=1e-10)
+        assert np.allclose(fit2.sds, 1.0, atol=1e-10)
+        assert np.allclose(fit2.loadings, fit1.loadings, atol=1e-10)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(2)
         x = random_matrix(rng, 50, 3)
-        z, means, sds = standardize(x)
+        fit = fit_feature_pca(as_matrix(x, "abc"))
         o_means, o_sds = two_pass_column_stats(x)
-        assert np.allclose(means, o_means, atol=1e-12)
-        assert np.allclose(sds, o_sds, atol=1e-12)
-        assert np.allclose(z, (x - o_means) / o_sds, atol=1e-12)
+        assert np.allclose(fit.means, o_means, atol=1e-12)
+        assert np.allclose(fit.sds, o_sds, atol=1e-12)
+        assert np.allclose(standardized(fit, x), (x - o_means) / o_sds, atol=1e-12)
 
     def test_post_conditions(self):
         rng = np.random.default_rng(3)
-        z, _, _ = standardize(random_matrix(rng, 40, 4))
+        x = random_matrix(rng, 40, 4)
+        fit = fit_feature_pca(as_matrix(x, "abcd"))
+        z = standardized(fit, x)
         assert np.allclose(z.mean(axis=0), 0.0, atol=1e-10)
         assert np.allclose(z.std(axis=0, ddof=1), 1.0, atol=1e-10)
+        # unit-variance columns: the correlation matrix's trace is the column count
+        assert abs(fit.variance_fraction.sum() - 1.0) < 1e-10
 
     def test_constant_column_named(self):
         x = np.column_stack([np.ones(10), np.arange(10.0)])
         with pytest.raises(ValueError, match="c0"):
-            standardize(x, names=["c0", "c1"])
+            fit_feature_pca(as_matrix(x, ["c0", "c1"]))
+
+    def test_needs_two_posts(self):
+        with pytest.raises(ValueError, match="at least 2 posts"):
+            fit_feature_pca(as_matrix(np.ones((1, 8))))
 
 
 class TestCorrelate:
@@ -175,8 +194,7 @@ class TestFitPca:
         L = np.linalg.cholesky(C)
         rng = np.random.default_rng(20011)
         X = rng.standard_normal((5000, 8)) @ L.T
-        z, means, sds = standardize(X)
-        fit = fit_pca(z, FEATURE_NAMES, means, sds)
+        fit = fit_feature_pca(as_matrix(X))
         for j in range(8):
             dev = min(
                 np.max(np.abs(fit.loadings[:, j] - Q[:, j])),
@@ -189,36 +207,33 @@ class TestFitPca:
         rng = np.random.default_rng(6)
         base = rng.standard_normal(40)
         x = np.column_stack([base, 2.0 * base + 1.0])
-        z, means, sds = standardize(x)
-        fit = fit_pca(z, ("a", "b"), means, sds)
+        fit = fit_feature_pca(as_matrix(x, ("a", "b")))
         assert fit.variance_fraction == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_orthonormal_loadings(self):
         rng = np.random.default_rng(7)
-        z, means, sds = standardize(rng.standard_normal((276, 8)))
-        fit = fit_pca(z, FEATURE_NAMES, means, sds)
+        fit = fit_feature_pca(as_matrix(rng.standard_normal((276, 8))))
         gram = fit.loadings.T @ fit.loadings
         assert np.max(np.abs(gram - np.eye(8))) < 1e-8
 
     def test_fractions_sorted_and_sum_to_one(self):
         rng = np.random.default_rng(8)
-        z, means, sds = standardize(rng.standard_normal((100, 8)))
-        fit = fit_pca(z, FEATURE_NAMES, means, sds)
+        fit = fit_feature_pca(as_matrix(rng.standard_normal((100, 8))))
         assert np.all(np.diff(fit.variance_fraction) <= 0)
         assert abs(fit.variance_fraction.sum() - 1.0) < 1e-10
 
     def test_reconstruction(self):
         rng = np.random.default_rng(9)
-        z, means, sds = standardize(rng.standard_normal((60, 8)))
-        fit = fit_pca(z, FEATURE_NAMES, means, sds)
+        x = rng.standard_normal((60, 8))
+        fit = fit_feature_pca(as_matrix(x))
+        z = standardized(fit, x)
         scores = z @ fit.loadings
         assert np.max(np.abs(scores @ fit.loadings.T - z)) < 1e-8
 
     def test_scores_mutually_uncorrelated(self):
         rng = np.random.default_rng(10)
-        z, means, sds = standardize(rng.standard_normal((200, 8)))
-        fit = fit_pca(z, FEATURE_NAMES, means, sds)
-        scores = z @ fit.loadings
+        matrix = as_matrix(rng.standard_normal((200, 8)))
+        scores = project(fit_feature_pca(matrix), matrix).values
         corr = (scores.T @ scores) / (len(scores) - 1)
         off = corr - np.diag(np.diag(corr))
         assert np.max(np.abs(off)) < 1e-8
@@ -226,24 +241,22 @@ class TestFitPca:
     def test_sign_canonicalization_stable_under_row_permutation(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((80, 8))
-        z, means, sds = standardize(x)
-        fit1 = fit_pca(z, FEATURE_NAMES, means, sds)
+        fit1 = fit_feature_pca(as_matrix(x))
         perm = rng.permutation(80)
-        z2, means2, sds2 = standardize(x[perm])
-        fit2 = fit_pca(z2, FEATURE_NAMES, means2, sds2)
+        fit2 = fit_feature_pca(as_matrix(x[perm]))
         assert np.allclose(fit1.loadings, fit2.loadings, atol=1e-9)
         assert np.allclose(fit1.variance_fraction, fit2.variance_fraction, atol=1e-12)
 
     def test_non_finite_rejected(self):
-        z = np.zeros((10, 3))
-        z[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            fit_pca(z, ("a", "b", "c"), np.zeros(3), np.ones(3))
+        # finite cells whose column mean overflows standardize to NaN
+        x = np.column_stack([[1e308, 1e308, 0.0], [0.0, 1.0, 2.0], [2.0, 0.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                fit_feature_pca(as_matrix(x, ("a", "b", "c")))
 
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(12)
-        z, means, sds = standardize(rng.standard_normal((40, 8)))
-        fit = fit_pca(z, FEATURE_NAMES, means, sds)
+        fit = fit_feature_pca(as_matrix(rng.standard_normal((40, 8))))
         save_pca_fit(tmp_path / "f.json", fit)
         loaded = load_pca_fit(tmp_path / "f.json")
         assert loaded.feature_names == fit.feature_names
@@ -252,9 +265,7 @@ class TestFitPca:
 
 
 def matrix_from(rng, n=40):
-    vals = rng.normal(3.0, 1.0, size=(n, 8))
-    ids = tuple(f"post_{i:03d}" for i in range(n))
-    return FeatureMatrix(ids, FEATURE_NAMES, vals)
+    return as_matrix(rng.normal(3.0, 1.0, size=(n, 8)))
 
 
 class TestProject:
@@ -273,18 +284,19 @@ class TestProject:
         rng = np.random.default_rng(14)
         matrix = matrix_from(rng)
         fit = fit_feature_pca(matrix)
-        at_means = fit.means.reshape(1, -1)
-        raw = component_scores(fit, at_means)
-        assert np.allclose(raw, 0.0, atol=1e-12)
+        # the training posts' raw scores average 0, so a post at the means
+        # scores 0 before and after project's z-scoring
+        with_means = as_matrix(np.vstack([matrix.values, fit.means]))
+        assert np.allclose(project(fit, with_means).values[-1], 0.0, atol=1e-12)
 
     def test_matches_matrix_product_oracle(self):
         rng = np.random.default_rng(15)
         matrix = matrix_from(rng)
         fit = fit_feature_pca(matrix)
         other = matrix_from(rng, n=17)
-        raw = component_scores(fit, other)
-        oracle = ((other.values - fit.means) / fit.sds) @ fit.loadings
-        assert np.allclose(raw, oracle, atol=1e-12)
+        raw = ((other.values - fit.means) / fit.sds) @ fit.loadings
+        oracle = (raw - raw.mean(axis=0)) / raw.std(axis=0, ddof=1)
+        assert np.allclose(project(fit, other).values, oracle, atol=1e-12)
 
     def test_reordered_feature_columns_rejected(self):
         rng = np.random.default_rng(15)
@@ -297,7 +309,7 @@ class TestProject:
             matrix.values[:, order],
         )
         with pytest.raises(ValueError, match="feature columns .* are not the fit's") as err:
-            component_scores(fit, reordered)
+            project(fit, reordered)
         assert str(list(fit.feature_names)) in str(err.value)
         assert str(list(reordered.feature_names)) in str(err.value)
 

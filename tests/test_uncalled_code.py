@@ -1,11 +1,13 @@
-"""Every top-level function and class in ``src/feedlab`` has a caller.
+"""Every top-level function and class in ``src/feedlab``, and every
+non-dunder method and property of a top-level class, has a caller.
 
 A definition passes when one of these holds:
 
 * its name is referenced (as a name or an attribute) somewhere in
   ``src/feedlab`` outside its own definition;
 * ``feedlab/__init__.py`` exports it;
-* the benchmark tracer wraps it (``LAYER_FUNCTIONS`` in ``perfbench/tracing.py``);
+* the benchmark tracer wraps it (``LAYER_FUNCTIONS`` in ``perfbench/tracing.py``,
+  which names a method ``Class.method`` and so exempts its class too);
 * it is one of the read-back functions kept for saved artifacts
   (``load_movement_model``, ``load_pca_fit``).
 
@@ -33,6 +35,22 @@ def _references(node: ast.AST) -> Counter:
     )
 
 
+def _definitions(tree: ast.Module):
+    """``(label, node)`` for each top-level function and class, and for each
+    non-dunder method or property of a top-level class, labelled ``Class.method``."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                (f"{node.name}.{m.name}", m)
+                for m in node.body
+                if isinstance(m, functions)
+                and not (m.name.startswith("__") and m.name.endswith("__"))
+            )
+
+
 def test_every_definition_has_a_caller():
     modules = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     referenced = sum(map(_references, modules.values()), Counter())
@@ -42,13 +60,17 @@ def test_every_definition_has_a_caller():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    traced = {func.split(".")[0] for funcs in layer_functions().values() for func in funcs}
+    traced = {
+        name
+        for funcs in layer_functions().values()
+        for func in funcs
+        for name in (func, func.split(".")[0])
+    }
     uncalled = [
-        f"{name}:{node.name}"
+        f"{name}:{label}"
         for name, tree in modules.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and referenced[node.name] <= _references(node)[node.name]
-        and node.name not in exported | traced | KEPT_READERS
+        for label, node in _definitions(tree)
+        if referenced[node.name] <= _references(node)[node.name]
+        and label not in exported | traced | KEPT_READERS
     ]
     assert uncalled == []
