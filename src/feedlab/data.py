@@ -16,7 +16,8 @@ trailing newline; a dataclass as its fields, a numpy array as a list), and
 :func:`write_csv` writes UTF-8 CSV with LF line endings
 (:func:`save_impressions` writes the same bytes with numpy). A ``save_*``
 function writes its dataclass; the matching ``load_*`` builds it from the
-file's fields (:func:`from_fields` for JSON).
+file's fields: :func:`read_json` reads a JSON file (a malformed one is a
+:class:`DataFormatError` naming it) and :func:`from_fields` builds its object.
 
 :func:`load_impressions` has two readers. A file in the canonical form that
 :func:`save_impressions` writes (UTF-8 with LF line ends and no '"', CR or
@@ -28,8 +29,9 @@ spaces or other number spellings, ragged rows, a header only) is read by the
 csv module in one pass over its rows, which reports each bad row: a
 well-formed one gives the table and errors that the same rows in the
 canonical form give, only more slowly.
-``_open_rows`` reads every other CSV file (ratings, posts, scores) row by row
-with the csv module.
+``_parse_rows`` reads those files and every other CSV file (ratings, posts,
+scores) with the csv module; a ratings or posts row's fields are checked by
+its record's constructor alone.
 
 :func:`save_impressions` builds the body of impressions.csv as a (rows,
 width) uint8 matrix and a mask of the bytes to write, with no Python object
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import operator
@@ -273,7 +274,7 @@ class FeatureMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Artifact formats: the two writers, the CSV reader and the JSON-object reader
+# Artifact formats: the two writers, the two readers and the JSON-object reader
 
 
 def _jsonable(obj):
@@ -290,6 +291,15 @@ def write_json(path: str | Path, payload) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def read_json(path: str | Path):
+    """The JSON value in ``path``; a file that is not UTF-8 JSON is a
+    :class:`DataFormatError` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def from_fields(cls, payload: dict, **decoded):
@@ -330,36 +340,33 @@ def _existing(path: str | Path) -> Path:
     return path
 
 
-def _read_text(path: str | Path) -> str:
-    """A UTF-8 file's text with its line endings as they are."""
+def _parse_rows(path: str | Path, headers, convert) -> tuple[list[str], list, list[RowError]]:
+    """A CSV file's header, its rows as ``convert`` returns them, and a :class:`RowError`
+    for each row that is not the header's width or that ``convert`` rejects with a
+    ValueError. A header not in ``headers`` (when given), or a cell over the csv
+    module's field limit, is a :class:`DataFormatError`."""
     with open(_existing(path), newline="", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _check_header(path: str | Path, rows: list[list[str]], headers) -> list[str]:
-    """``rows[0]``, if it is one of ``headers`` (any header when there are none)."""
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows or (headers and rows[0] not in headers):
         expected = " or ".join(repr(",".join(h)) for h in headers) or "row"
         raise DataFormatError(
             f"{path}: expected header {expected}, "
             f"got {','.join(rows[0]) if rows else '<empty file>'!r}"
         )
-    return rows[0]
-
-
-def _open_rows(path: str | Path, *headers: list[str]) -> tuple[list[str], list[list[str]]]:
-    """The header and data rows of a CSV file whose header is one of ``headers``.
-
-    With no ``headers`` any header is accepted and the caller checks it. A file
-    the csv module cannot read (a cell over its field limit) is a
-    :class:`DataFormatError` naming the line.
-    """
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    return _check_header(path, rows, headers), rows[1:]
+    header, kept, errors = rows[0], [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            errors.append(RowError(lineno, f"expected {len(header)} fields, got {len(row)}"))
+            continue
+        try:
+            kept.append(convert(row))
+        except ValueError as exc:
+            errors.append(RowError(lineno, str(exc)))
+    return header, kept, errors
 
 
 # ---------------------------------------------------------------------------
@@ -368,51 +375,17 @@ def _open_rows(path: str | Path, *headers: list[str]) -> tuple[list[str], list[l
 
 def load_ratings(path: str | Path) -> tuple[list[RatingRecord], list[RowError]]:
     """Parse ratings.csv; malformed rows are reported, not fatal."""
-    _, rows = _open_rows(path, _RATINGS_HEADER)
-    records: list[RatingRecord] = []
-    errors: list[RowError] = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 4:
-            errors.append(RowError(lineno, f"expected 4 fields, got {len(row)}"))
-            continue
-        rater_id, post_id, feature, raw_value = row
-        if feature not in FEATURE_NAMES:
-            errors.append(RowError(lineno, f"unknown feature {feature!r}"))
-            continue
-        try:
-            value = float(raw_value)
-        except ValueError:
-            errors.append(RowError(lineno, f"non-numeric value {raw_value!r}"))
-            continue
-        if not math.isfinite(value):
-            errors.append(RowError(lineno, f"non-finite value {raw_value!r}"))
-            continue
-        records.append(RatingRecord(rater_id, post_id, feature, value))
-    return records, errors
+    return _parse_rows(path, [_RATINGS_HEADER], lambda r: RatingRecord(*r[:3], float(r[3])))[1:]
 
 
 def load_posts(path: str | Path) -> tuple[list[Post], list[RowError]]:
-    _, rows = _open_rows(path, _POSTS_HEADER)
-    posts: list[Post] = []
-    errors: list[RowError] = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != 4:
-            errors.append(RowError(lineno, f"expected 4 fields, got {len(row)}"))
-            continue
-        post_id, headline, source, category = row
-        if category not in CATEGORIES:
-            errors.append(RowError(lineno, f"unknown category {category!r}"))
-            continue
-        posts.append(Post(post_id, headline, source, category))
-    return posts, errors
+    return _parse_rows(path, [_POSTS_HEADER], lambda r: Post(*r))[1:]
 
 
 def _parse_bool(raw: str) -> bool:
-    if raw == "0":
-        return False
-    if raw == "1":
-        return True
-    raise ValueError(f"expected 0/1 boolean, got {raw!r}")
+    if raw not in ("0", "1"):
+        raise ValueError(f"expected 0/1 boolean, got {raw!r}")
+    return raw == "1"
 
 
 _IMPRESSION_HEADERS = (_IMPRESSION_HEADER, list(_IMPRESSION_FIELDS))
@@ -441,19 +414,10 @@ def _csv_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
     the table leaves out; the table is then built with one array per column.
     A plain file's table has no dwell_adjusted, even when it has no rows.
     """
-    header, rows = _open_rows(path, *_IMPRESSION_HEADERS)
-    width = len(header)
-    kept: list[list] = []
-    errors: list[RowError] = []
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != width:
-            errors.append(RowError(lineno, f"expected {width} fields, got {len(row)}"))
-            continue
-        try:
-            kept.append(row[:2] + _impression_values(row))
-        except ValueError as exc:
-            errors.append(RowError(lineno, str(exc)))
-    columns = list(zip(*kept)) or [()] * width
+    header, kept, errors = _parse_rows(
+        path, _IMPRESSION_HEADERS, lambda r: r[:2] + _impression_values(r)
+    )
+    columns = list(zip(*kept)) or [()] * len(header)
     values = map(np.array, columns[2:], (np.int64, float, bool, bool, float))
     return Impressions._from_ids(*columns[:2], *values), errors
 

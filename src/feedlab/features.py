@@ -16,7 +16,6 @@ the orientation of a near-tied column is not meaningful.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,8 +29,9 @@ from .data import (
     DataFormatError,
     FeatureMatrix,
     Impressions,
-    _open_rows,
+    _parse_rows,
     from_fields,
+    read_json,
     write_csv,
     write_json,
 )
@@ -220,7 +220,7 @@ def save_pca_fit(path: str | Path, fit: PcaFit) -> None:
 
 
 def load_pca_fit(path: str | Path) -> PcaFit:
-    d = json.loads(Path(path).read_text())
+    d = read_json(path)
     tuples = ("feature_names", "flipped")
     return from_fields(PcaFit, {k: tuple(v) if k in tuples else np.array(v) for k, v in d.items()})
 
@@ -236,32 +236,32 @@ def save_scores(path: str | Path, scores: FeatureMatrix) -> None:
     )
 
 
+def _score_row(row: list[str]) -> tuple[str, list[float]]:
+    values = [float(v) for v in row[1:]]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value")
+    return row[0], values
+
+
 def load_scores(path: str | Path) -> FeatureMatrix:
-    """Parse scores.csv into its table; a blank, ragged or non-numeric row, or a
-    post_id on two rows, is a :class:`DataFormatError`."""
-    header, rows = _open_rows(path)
+    """Parse scores.csv into its table. A header other than post_id, pc1..pcK and an
+    optional mean_dwell is a :class:`DataFormatError`; then so is the first blank, ragged,
+    non-numeric or non-finite row, or a post_id already on an earlier line."""
+    header, rows, errors = _parse_rows(path, (), _score_row)
     has_dwell = header[-1] == "mean_dwell"
     n_comp = len(header) - 1 - has_dwell
     if n_comp < 1 or header[: n_comp + 1] != ["post_id"] + [f"pc{j + 1}" for j in range(n_comp)]:
         raise DataFormatError(f"{path}: not a scores file (header {','.join(header)!r})")
-    values = []
+    # the rows before the first rejected one are on lines 2, 3, ...
     first_line: dict[str, int] = {}
-    for lineno, row in enumerate(rows, start=2):
-        where = f"{path} line {lineno}"
-        if len(row) != len(header):
-            raise DataFormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
-        if row[0] in first_line:
+    for lineno, (post_id, _) in enumerate(rows[: errors[0].line - 2 if errors else None], start=2):
+        if post_id in first_line:
             raise DataFormatError(
-                f"{where}: post_id {row[0]!r} is also on line {first_line[row[0]]}"
+                f"{path} line {lineno}: post_id {post_id!r} is also on line {first_line[post_id]}"
             )
-        first_line[row[0]] = lineno
-        try:
-            values.append([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {exc}") from None
-        if not all(map(math.isfinite, values[-1])):
-            raise DataFormatError(f"{where}: non-finite value")
+        first_line[post_id] = lineno
+    if errors:
+        raise DataFormatError(f"{path} line {errors[0].line}: {errors[0].message}")
     columns = tuple(header[1:])
-    return FeatureMatrix(
-        tuple(first_line), columns, np.array(values, dtype=float).reshape(-1, len(columns))
-    )
+    values = np.array([v for _, v in rows], dtype=float).reshape(-1, len(columns))
+    return FeatureMatrix(tuple(first_line), columns, values)

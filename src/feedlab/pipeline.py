@@ -27,7 +27,6 @@ inputs produce bit-identical fits.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -35,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Impressions, from_fields, write_json
+from .data import Impressions, from_fields, read_json, write_json
 
 EM_MAX_ITER = 500
 EM_LL_RTOL = 1e-8
@@ -349,7 +348,7 @@ def save_movement_model(path: str | Path, model: MovementModel) -> None:
 
 
 def load_movement_model(path: str | Path) -> MovementModel:
-    d = json.loads(Path(path).read_text())
+    d = read_json(path)
     participants = {pid: (v["intercept"], v["slope"]) for pid, v in d["participants"].items()}
     return from_fields(MovementModel, d, participants=participants)
 

@@ -18,7 +18,6 @@ The OLS response is natural-log adjusted dwell (not z-scored).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._numeric import normal_sf_two_sided, one_blas_thread, sigmoid, t_sf_two_sided
-from .data import DataFormatError, FeatureMatrix, Impressions, from_fields, write_json
+from .data import DataFormatError, FeatureMatrix, Impressions, from_fields, read_json, write_json
 
 MAX_CONDITION = 1e10
 IRLS_MAX_ITER = 100
@@ -391,7 +390,7 @@ def save_fit(path: str | Path, fit: RegressionFit) -> None:
 
 
 def load_fit(path: str | Path) -> RegressionFit:
-    d = json.loads(Path(path).read_text())
+    d = read_json(path)
     if not isinstance(d, dict) or "terms" not in d or "model" not in d:
         raise DataFormatError(f"{path} is not a regression fit file")
     for name in ("terms", "warnings"):

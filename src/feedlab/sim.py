@@ -49,6 +49,7 @@ from .data import (
     NEWS_CATEGORIES,
     Post,
     from_fields,
+    read_json,
 )
 from .features import fit_feature_pca, project
 from .pipeline import ExclusionRules, raw_dwell_control, run_pipeline
@@ -66,6 +67,13 @@ _GH_X, _GH_W = np.polynomial.hermite.hermgauss(64)
 _GH_NODES = math.sqrt(2.0) * _GH_X
 
 POLICIES = ("dwell_opt", "engage_opt", "random", "chronological")
+
+
+def _check_finite(obj) -> None:
+    """A ValueError naming the first float field of dataclass ``obj`` that is not finite."""
+    for f in fields(obj):
+        if f.type == "float" and not math.isfinite(v := getattr(obj, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,7 @@ class GenerativeParams:
     like_given_engage: float = 0.5
 
     def __post_init__(self):
+        _check_finite(self)
         if self.dwell_noise_sd < 0 or self.motor_sd < 0:
             raise ValueError("noise SDs must be non-negative")
         if not 0.0 <= self.like_given_engage <= 1.0:
@@ -286,9 +295,12 @@ class SyntheticPool:
     feature_offset: float = 3.0
 
     def __post_init__(self):
+        _check_finite(self)
         for name in ("n_true_news", "n_false_news", "n_opinion", "n_mundane"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.feature_noise_sd < 0:
+            raise ValueError("feature_noise_sd must be non-negative")
 
     @property
     def size(self) -> int:
@@ -869,7 +881,7 @@ def _config_object(path: str | Path, name: str, cls, value) -> dict:
 def load_sim_config(path: str | Path) -> SimConfig:
     """Read sim_config.json; a missing or unknown field, or a value of the wrong
     JSON type, is a :class:`DataFormatError`."""
-    d = _config_object(path, "the config", SimConfig, json.loads(Path(path).read_text()))
+    d = _config_object(path, "the config", SimConfig, read_json(path))
     pool = dict(_config_object(path, "pool", SyntheticPool, d.get("pool", {"kind": "synthetic"})))
     params = _config_object(path, "params", GenerativeParams, d.get("params", {}))
     kind = pool.pop("kind", None)

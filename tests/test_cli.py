@@ -97,6 +97,34 @@ class TestSimulateCommand:
         assert f"error: {sim_config_path}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, field, value, message",
+        [
+            ("params", "dwell_intercept", float("nan"), "dwell_intercept must be finite, got nan"),
+            ("pool", "feature_noise_sd", float("inf"), "feature_noise_sd must be finite, got inf"),
+            ("pool", "feature_noise_sd", -0.1, "feature_noise_sd must be non-negative"),
+        ],
+        ids=["params_nan", "pool_inf", "pool_negative_sd"],
+    )
+    def test_bad_config_number_is_input_error(
+        self, tmp_path, sim_config_path, capsys, key, field, value, message
+    ):
+        # Python's json reads NaN and Infinity, so the dataclasses must reject them
+        config = json.loads(sim_config_path.read_text())
+        config[key][field] = value
+        sim_config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_json_config_names_its_path(self, tmp_path, sim_config_path, capsys):
+        sim_config_path.write_text('{"participants": 12,\n}\n')
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 2
+        assert f"error: {sim_config_path}: Expecting property name" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_pool_is_input_error(self, tmp_path, sim_config_path, capsys):
         config = json.loads(sim_config_path.read_text())
         config["pool"].update(n_true_news=0, n_false_news=0, n_opinion=0, n_mundane=0)
@@ -328,7 +356,9 @@ class TestFitCommand:
             assert (out / f"fit_{model}.txt").read_text().startswith("term")
 
     @pytest.mark.parametrize(
-        "bad_row", ["", "post_x,0.5", "post_x" + ",abc" * 9], ids=["blank", "ragged", "text"]
+        "bad_row",
+        ["", "post_x,0.5", "post_x" + ",abc" * 9, "post_x,nan" + ",0.5" * 8],
+        ids=["blank", "ragged", "text", "nonfinite"],
     )
     def test_malformed_scores_row_is_input_error(self, tmp_path, analysis_dirs, capsys, bad_row):
         _, clean_out, pca_out = analysis_dirs
@@ -544,6 +574,14 @@ class TestExperimentAndRecover:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "internal error" not in captured.err and captured.out == ""
+
+    def test_report_names_malformed_fit_file(self, tmp_path, capsys):
+        path = tmp_path / "fit_dwell.json"
+        path.write_text("")
+        assert run(["report", "--input", tmp_path]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: Expecting value" in captured.err
+        assert captured.out == ""
 
     def test_report_renders_fits(self, tmp_path, analysis_dirs, capsys):
         _, clean_out, pca_out = analysis_dirs

@@ -72,6 +72,30 @@ class TestLoadRatings:
         assert len(records) == 1
         assert errors[0].line == 2
 
+    def test_ragged_row_and_blank_line_rejected_with_line(self, tmp_path):
+        p = write(
+            tmp_path / "r.csv",
+            "rater_id,post_id,feature,value\n"
+            "r1,post_01,truth,4.0\n"
+            "r1,post_01,truth\n"
+            "\n"
+            "r2,post_01,truth,2.0,extra\n"
+            "r2,post_02,truth,3.0\n",
+        )
+        records, errors = load_ratings(p)
+        assert [r.post_id for r in records] == ["post_01", "post_02"]
+        assert [e.line for e in errors] == [3, 4, 5]
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_rejected(self, tmp_path, raw):
+        p = write(
+            tmp_path / "r.csv",
+            f"rater_id,post_id,feature,value\nr1,post_01,truth,{raw}\nr2,post_01,truth,3.0\n",
+        )
+        records, errors = load_ratings(p)
+        assert records == [RatingRecord("r2", "post_01", "truth", 3.0)]
+        assert [e.line for e in errors] == [2]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_ratings(tmp_path / "nope.csv")
@@ -677,6 +701,17 @@ class TestPostsIO:
         posts, errors = load_posts(p)
         assert posts == []
         assert "satire" in errors[0].message
+
+    def test_ragged_row_rejected_with_line(self, tmp_path):
+        p = write(
+            tmp_path / "p.csv",
+            "post_id,headline,source,category\na,h,s\nb,h,s,opinion\nc,h,s,mundane,x\n",
+        )
+        posts, errors = load_posts(p)
+        assert posts == [Post("b", "h", "s", "opinion")]
+        assert [(e.line, e.message) for e in errors] == [
+            (2, "expected 4 fields, got 3"), (4, "expected 4 fields, got 5"),
+        ]
 
 
 class TestValidation:
