@@ -54,6 +54,7 @@ from .regression import (
 )
 from .sim import (
     POLICIES,
+    POLICY_METRICS,
     SimConfig,
     config_digest,
     load_sim_config,
@@ -226,11 +227,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         config, policies, k=args.k, replications=args.replications, threads=args.threads
     )
     _write_resolved_config(out, args)
-    metrics = ("mean_credibility", "mean_sensationalism", "engagement_rate", "mean_dwell_seconds")
     write_csv(
         out / "policy_outcomes.csv",
         ["policy", "metric", "value", "se", "replications"],
-        ([o.policy, m, *o.metric(m), o.replications] for o in outcomes for m in metrics),
+        ([o.policy, m, *o.metric(m), o.replications] for o in outcomes for m in POLICY_METRICS),
     )
     for o in outcomes:
         print(

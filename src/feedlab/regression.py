@@ -3,6 +3,8 @@
 Both models are fixed-effects only (no random terms, no participant dummies)
 and report classical standard errors; output metadata flags that SEs are not
 clustered by participant. The intercept is always included and listed first.
+Both fits end in one inference tail, :func:`_fit`, which turns the estimates
+and their covariance into SEs, statistics, p-values and the terms.
 
 Coding conventions, applied by :func:`build_design`:
 
@@ -201,11 +203,33 @@ def _check_rank(R: np.ndarray, columns: Sequence[str]) -> None:
         raise ValueError(f"design is rank deficient; collinear column(s): {', '.join(bad)}")
 
 
-def _check_finite(X: np.ndarray, y: np.ndarray, columns: Sequence[str]) -> None:
+def _checked(X, y, columns: Sequence[str], model: str) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float arrays, once they hold no NaN or inf and n > k; BLAS is
+    held to one thread for the fit that follows."""
+    one_blas_thread()
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     bad = np.column_stack([~np.isfinite(X), ~np.isfinite(y)])
     if bad.any():
         where = np.array([*columns, "the response"])[bad.any(axis=0)]
         raise ValueError(f"{bad.any(axis=1).sum()} row(s) hold NaN or inf, in {', '.join(where)}")
+    n, k = X.shape
+    if n <= k:
+        raise ValueError(f"need n > k for {model} inference (n={n}, k={k})")
+    return X, y
+
+
+def _fit(model, columns, beta, cov, n, p_value, metadata, warnings) -> RegressionFit:
+    """The fit whose terms are ``beta`` with the SEs of covariance ``cov``, the
+    statistics ``beta / se`` and their two-sided p-values ``p_value(statistic)``."""
+    se = np.sqrt(np.diag(cov))
+    # a perfect OLS fit has zero residual variance and zero SEs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = np.where(se == 0, np.where(beta == 0, 0.0, np.copysign(np.inf, beta)), beta / se)
+    p = np.where(se == 0, np.where(beta == 0, 1.0, 0.0), p_value(stat))
+    rows = zip(columns, beta.tolist(), se.tolist(), stat.tolist(), p.tolist())
+    terms = tuple(TermEstimate(*r) for r in rows)
+    return RegressionFit(model, terms, n, metadata, warnings=warnings)
 
 
 def _r_factor(X: np.ndarray) -> np.ndarray:
@@ -225,41 +249,23 @@ def fit_ols(
 ) -> RegressionFit:
     """Least squares with classical SEs and two-sided t p-values, from the R of
     ``[X | y]``: it holds X's R, ``Q'y`` and the residual norm, so Q is never formed."""
-    one_blas_thread()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = _checked(X, y, columns, "OLS")
     n, k = X.shape
-    if n <= k:
-        raise ValueError(f"need n > k for OLS inference (n={n}, k={k})")
-    _check_finite(X, y, columns)
     Ra = _r_factor(np.column_stack([X, y]))
     R, qty, rss = Ra[:k, :k], Ra[:k, k], float(Ra[k, k] ** 2)
     _check_rank(R, columns)
     beta = np.linalg.solve(R, qty)
     sigma2 = rss / (n - k)
     Rinv = np.linalg.solve(R, np.eye(k))
-    cov = sigma2 * (Rinv @ Rinv.T)
-    se = np.sqrt(np.diag(cov))
-    # a perfect fit has zero residual variance and zero SEs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstat = np.where(se > 0, beta / se, np.where(beta == 0, 0.0, np.copysign(np.inf, beta)))
-    pvals = np.where(se > 0, t_sf_two_sided(tstat, n - k), np.where(beta == 0, 1.0, 0.0))
     tss = float(((y - y.mean()) ** 2).sum())
-    terms = tuple(
-        TermEstimate(columns[j], float(beta[j]), float(se[j]), float(tstat[j]), float(pvals[j]))
-        for j in range(k)
-    )
-    return RegressionFit(
-        model="ols",
-        terms=terms,
-        n=n,
-        metadata={
-            "r_squared": 1.0 - rss / tss if tss > 0 else float("nan"),
-            "residual_sd": math.sqrt(sigma2),
-            "df_resid": n - k,
-            "se_type": "classical (not clustered by participant)",
-        },
-    )
+    metadata = {
+        "r_squared": 1.0 - rss / tss if tss > 0 else float("nan"),
+        "residual_sd": math.sqrt(sigma2),
+        "df_resid": n - k,
+        "se_type": "classical (not clustered by participant)",
+    }
+    p_value = lambda t: t_sf_two_sided(t, n - k)
+    return _fit("ols", columns, beta, sigma2 * (Rinv @ Rinv.T), n, p_value, metadata, ())
 
 
 def fit_logistic(
@@ -277,15 +283,10 @@ def fit_logistic(
     (non-convergence or huge coefficients) is reported as a warning on the
     fit, not an exception.
     """
-    one_blas_thread()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _check_finite(X, y, columns)
+    X, y = _checked(X, y, columns, "logistic")
     if set(np.unique(y)) - {0.0, 1.0}:
         raise ValueError("logistic response must be binary 0/1")
     n, k = X.shape
-    if n <= k:
-        raise ValueError(f"need n > k for logistic inference (n={n}, k={k})")
     _check_rank(_r_factor(X), columns)
     # the loop uses preallocated buffers and a Fortran-ordered X (build_design's X is
     # one: no copy), on which X @ beta and X.T @ r take half their C-order time; the
@@ -351,26 +352,16 @@ def fit_logistic(
             f"coefficient magnitude exceeds {SEPARATION_COEF_BOUND}; possible separation"
         )
 
-    cov = np.linalg.inv(information())
-    se = np.sqrt(np.diag(cov))
-    zstat = beta / se
-    pvals = normal_sf_two_sided(zstat)
-    terms = tuple(
-        TermEstimate(columns[j], float(beta[j]), float(se[j]), float(zstat[j]), float(pvals[j]))
-        for j in range(k)
-    )
-    return RegressionFit(
-        model="logistic",
-        terms=terms,
-        n=n,
-        metadata={
-            "log_likelihood": -deviance / 2.0,
-            "deviance": deviance,
-            "iterations": iterations,
-            "converged": converged,
-            "se_type": "classical Wald (not clustered by participant)",
-        },
-        warnings=tuple(fit_warnings),
+    metadata = {
+        "log_likelihood": -deviance / 2.0,
+        "deviance": deviance,
+        "iterations": iterations,
+        "converged": converged,
+        "se_type": "classical Wald (not clustered by participant)",
+    }
+    return _fit(
+        "logistic", columns, beta, np.linalg.inv(information()), n, normal_sf_two_sided,
+        metadata, tuple(fit_warnings),
     )
 
 
@@ -396,6 +387,13 @@ def load_fit(path: str | Path) -> RegressionFit:
     for name in ("terms", "warnings"):
         if not isinstance(d.get(name, []), list):
             raise DataFormatError(f"{path}: {name} must be a JSON list, got {d[name]!r}")
+    numbers = ("estimate", "se", "statistic", "p")
+    for i, t in enumerate(d["terms"]):
+        # a number is an int or a float (Infinity included), not a bool or null
+        if not isinstance(t, dict) or any(type(t.get(f)) not in (int, float) for f in numbers):
+            raise DataFormatError(
+                f"{path}: term {i} needs numbers for {', '.join(numbers)}, got {t!r}"
+            )
     terms = tuple(from_fields(TermEstimate, t) for t in d["terms"])
     return from_fields(RegressionFit, d, terms=terms, warnings=tuple(d.get("warnings", ())))
 

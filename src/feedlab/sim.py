@@ -32,8 +32,9 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -67,13 +68,24 @@ _GH_X, _GH_W = np.polynomial.hermite.hermgauss(64)
 _GH_NODES = math.sqrt(2.0) * _GH_X
 
 POLICIES = ("dwell_opt", "engage_opt", "random", "chronological")
+# the across-replication metrics of a PolicyOutcome, in policy_outcomes.csv's order
+POLICY_METRICS = (
+    "mean_credibility", "mean_sensationalism", "engagement_rate", "mean_dwell_seconds"
+)
+
+
+def _check_policy(policy: str) -> None:
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
 
 
 def _check_finite(obj) -> None:
-    """A ValueError naming the first float field of dataclass ``obj`` that is not finite."""
+    """A ValueError naming the first float field of dataclass ``obj`` that is not a
+    finite float: NaN, ±inf, or an int too large to convert to one."""
     for f in fields(obj):
-        if f.type == "float" and not math.isfinite(v := getattr(obj, f.name)):
-            raise ValueError(f"{f.name} must be finite, got {v!r}")
+        if f.type == "float" and not abs(v := getattr(obj, f.name)) <= sys.float_info.max:
+            got = repr(v) if isinstance(v, float) else "an integer too large for a float"
+            raise ValueError(f"{f.name} must be finite, got {got}")
 
 
 @dataclass(frozen=True)
@@ -514,8 +526,7 @@ def rank_feed(
     Score ties break by post id; ``engage_opt`` scores against the pool's
     :func:`log_dwell_marginal`, ``chronological`` takes the first k rows.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
+    _check_policy(policy)
     if k < 0 or k > pool.size:
         raise ValueError(f"k must be in 0..{pool.size}")
     if policy == "chronological":
@@ -572,12 +583,9 @@ class PolicyOutcome:
     replications: int
 
     def metric(self, name: str) -> tuple[float, float]:
-        return {
-            "mean_credibility": (self.mean_credibility, self.se_credibility),
-            "mean_sensationalism": (self.mean_sensationalism, self.se_sensationalism),
-            "engagement_rate": (self.engagement_rate, self.se_engagement_rate),
-            "mean_dwell_seconds": (self.mean_dwell_seconds, self.se_mean_dwell),
-        }[name]
+        """The mean and SE of one of ``POLICY_METRICS``."""
+        values, j = astuple(self), 1 + 2 * POLICY_METRICS.index(name)
+        return values[j], values[j + 1]
 
 
 def run_policy_experiment(
@@ -609,8 +617,7 @@ def run_policy_experiment(
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
     for policy in policies:
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
+        _check_policy(policy)
     repeated = sorted({p for p in policies if policies.count(p) > 1})
     if repeated:
         raise ValueError(f"policies named more than once: {repeated}")
@@ -678,42 +685,26 @@ def align_scores_to_axes(
 
     Component order and sign are not identified by the component fit alone
     (close eigenvalues can swap; orientation is a convention), so recovery
-    matches each axis to the estimated component that correlates with it
-    most strongly, flipping signs to positive correlation. ``scores``' rows
-    are the posts of ``credibility``/``sensationalism``, in that order.
-    Returns the scores table with columns ``pc1``, ``pc2`` = (credibility,
-    sensationalism) plus the mapping metadata.
+    matches each axis in turn, credibility first, to the estimated component
+    that correlates with it most strongly in absolute value (the lowest
+    index among ties); when credibility has already taken that component,
+    sensationalism takes its next-best one. Signs flip to positive
+    correlation. ``scores``' rows are the posts of
+    ``credibility``/``sensationalism``, in that order. Returns the scores
+    table with columns ``pc1``, ``pc2`` = (credibility, sensationalism) plus
+    the mapping metadata.
     """
     mat = scores.values
-    n_comp = mat.shape[1]
-    targets = {"credibility": np.asarray(credibility), "sensationalism": np.asarray(sensationalism)}
-    corr = {
-        axis: np.array(
-            [np.corrcoef(mat[:, j], vec)[0, 1] for j in range(n_comp)]
-        )
-        for axis, vec in targets.items()
-    }
-    cred_j = int(np.argmax(np.abs(corr["credibility"])))
-    sens_j = int(np.argmax(np.abs(corr["sensationalism"])))
-    if cred_j == sens_j:
-        # extremely degenerate fit: force distinct components
-        order = np.argsort(-np.abs(corr["sensationalism"]))
-        sens_j = int(order[1]) if int(order[0]) == cred_j else int(order[0])
-    cred_sign = 1.0 if corr["credibility"][cred_j] >= 0 else -1.0
-    sens_sign = 1.0 if corr["sensationalism"][sens_j] >= 0 else -1.0
-    aligned = FeatureMatrix(
-        scores.post_ids,
-        ("pc1", "pc2"),
-        np.column_stack([cred_sign * mat[:, cred_j], sens_sign * mat[:, sens_j]]),
-    )
-    meta = {
-        "credibility_component": cred_j + 1,
-        "credibility_sign": cred_sign,
-        "credibility_abs_corr": float(abs(corr["credibility"][cred_j])),
-        "sensationalism_component": sens_j + 1,
-        "sensationalism_sign": sens_sign,
-        "sensationalism_abs_corr": float(abs(corr["sensationalism"][sens_j])),
-    }
+    columns, meta, taken = [], {}, set()
+    for axis, vec in (("credibility", credibility), ("sensationalism", sensationalism)):
+        r = np.array([np.corrcoef(mat[:, j], vec)[0, 1] for j in range(mat.shape[1])])
+        j = next(int(j) for j in np.argsort(-np.abs(r), kind="stable") if j not in taken)
+        taken.add(j)
+        sign = 1.0 if r[j] >= 0 else -1.0
+        columns.append(sign * mat[:, j])
+        meta[f"{axis}_component"], meta[f"{axis}_sign"] = j + 1, sign
+        meta[f"{axis}_abs_corr"] = float(abs(r[j]))
+    aligned = FeatureMatrix(scores.post_ids, ("pc1", "pc2"), np.column_stack(columns))
     return aligned, meta
 
 
@@ -723,12 +714,14 @@ STAGE1_RECOVERY_SPEC = DesignSpec(
 )
 
 
-_STAGE1_TARGETS = {"credibility": "dwell_credibility", "sensationalism": "dwell_sensationalism"}
-_STAGE2_TARGETS = {
-    "dwell": "engage_dwell",
-    "credibility": "engage_credibility",
-    "sensationalism": "engage_sensationalism",
-    "dwell:sensationalism": "engage_dwell_sensationalism",
+# the GenerativeParams field that each recovered (stage, term) estimates
+_TARGETS = {
+    ("stage1", "credibility"): "dwell_credibility",
+    ("stage1", "sensationalism"): "dwell_sensationalism",
+    ("stage2", "dwell"): "engage_dwell",
+    ("stage2", "credibility"): "engage_credibility",
+    ("stage2", "sensationalism"): "engage_sensationalism",
+    ("stage2", "dwell:sensationalism"): "engage_dwell_sensationalism",
 }
 
 
@@ -758,31 +751,19 @@ def _recover_once(
     def fit_spec(impressions, spec: DesignSpec) -> RegressionFit:
         return fit_design(build_design(impressions, aligned, spec), spec)
 
-    stage2_spec = engagement_model_spec()
-    s1_fit = fit_spec(cleaned.impressions, STAGE1_RECOVERY_SPEC)
-    s2_fit = fit_spec(cleaned.impressions, stage2_spec)
+    specs = {"stage1": STAGE1_RECOVERY_SPEC, "stage2": engagement_model_spec()}
+    fits = {stage: fit_spec(cleaned.impressions, spec) for stage, spec in specs.items()}
+    rep = {"stage1": {}, "stage2": {}, "alignment": align_meta, "n_analysis_rows": fits["stage2"].n}
     # the no-adjustment control needs only the stage-2 dwell coefficient
-    s2_raw_fit = fit_spec(raw_kept, stage2_spec)
-
-    def capture(fit_: RegressionFit, targets: dict[str, str]) -> dict:
-        rows = {}
-        for term, attr in targets.items():
-            t, generating = fit_.term(term), getattr(config.params, attr)
-            rows[term] = {
-                "generating": generating,
-                "estimate": t.estimate,
-                "se": t.se,
-                "within_3se": bool(abs(t.estimate - generating) <= 3 * t.se),
-            }
-        return rows
-
-    rep = {
-        "stage1": capture(s1_fit, _STAGE1_TARGETS),
-        "stage2": capture(s2_fit, _STAGE2_TARGETS),
-        "stage2_raw_dwell_estimate": s2_raw_fit.term("dwell").estimate,
-        "alignment": align_meta,
-        "n_analysis_rows": s2_fit.n,
-    }
+    rep["stage2_raw_dwell_estimate"] = fit_spec(raw_kept, specs["stage2"]).term("dwell").estimate
+    for (stage, term), attr in _TARGETS.items():
+        t, generating = fits[stage].term(term), getattr(config.params, attr)
+        rep[stage][term] = {
+            "generating": generating,
+            "estimate": t.estimate,
+            "se": t.se,
+            "within_3se": bool(abs(t.estimate - generating) <= 3 * t.se),
+        }
     return rep
 
 
@@ -804,10 +785,9 @@ def parameter_recovery(
     work = lambda _, sq: _recover_once(config, rules, sq)
     reps = _map_replications(work, config.seed, replications, threads)
 
-    all_terms = [("stage1", t) for t in _STAGE1_TARGETS] + [("stage2", t) for t in _STAGE2_TARGETS]
+    generating = {f"{st}.{t}": getattr(config.params, a) for (st, t), a in _TARGETS.items()}
     summary: dict = {"coefficients": {}}
-    for stage, term in all_terms:
-        gen = reps[0][stage][term]["generating"]
+    for (stage, term), gen in zip(_TARGETS, generating.values()):
         ests = np.array([r[stage][term]["estimate"] for r in reps])
         cover = np.mean([r[stage][term]["within_3se"] for r in reps])
         summary["coefficients"][f"{stage}.{term}"] = {
@@ -817,18 +797,12 @@ def parameter_recovery(
             "sd_estimate": float(ests.std(ddof=1)) if len(reps) > 1 else 0.0,
             "coverage_3se": float(cover),
         }
-    all_within = [all(r[stage][term]["within_3se"] for stage, term in all_terms) for r in reps]
-    gen_dwell = reps[0]["stage2"]["dwell"]["generating"]
-    adj_ests = np.array([r["stage2"]["dwell"]["estimate"] for r in reps])
+    all_within = [all(r[stage][term]["within_3se"] for stage, term in _TARGETS) for r in reps]
     raw_ests = np.array([r["stage2_raw_dwell_estimate"] for r in reps])
     summary["fraction_replications_all_within_3se"] = float(np.mean(all_within))
-    summary["stage2_dwell_bias_adjusted"] = float(abs(adj_ests.mean() - gen_dwell))
-    summary["stage2_dwell_bias_raw"] = float(abs(raw_ests.mean() - gen_dwell))
+    summary["stage2_dwell_bias_adjusted"] = abs(summary["coefficients"]["stage2.dwell"]["bias"])
+    summary["stage2_dwell_bias_raw"] = float(abs(raw_ests.mean() - generating["stage2.dwell"]))
 
-    params = config.params
-    generating = {
-        f"stage1.{t}": getattr(params, a) for t, a in _STAGE1_TARGETS.items()
-    } | {f"stage2.{t}": getattr(params, a) for t, a in _STAGE2_TARGETS.items()}
     metadata = {
         "replications": replications,
         "participants": config.participants,

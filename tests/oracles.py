@@ -4,6 +4,7 @@ These deliberately avoid the library's code paths: means by explicit
 sum/count, OLS by normal equations and by the full Q of one QR, logistic
 ML by grid search, p-values by permutation, sorting by a plain comparison
 sort, the simulators one stream (participant or replication) at a time,
+the axis alignment with one branch per axis,
 impressions.csv by one ``%`` format over a list of every cell, the
 movement-time EM with one array per participant moment, and the IRLS
 logistic with ``logaddexp`` on a C-ordered design.
@@ -17,7 +18,7 @@ import warnings
 import numpy as np
 from scipy import special
 
-from feedlab.data import _IMPRESSION_FIELDS, NEWS_CATEGORIES
+from feedlab.data import _IMPRESSION_FIELDS, NEWS_CATEGORIES, FeatureMatrix
 from feedlab.pipeline import _VAR_FLOOR, EM_LL_RTOL, MovementModel
 from feedlab.regression import IRLS_DEVIANCE_RTOL, IRLS_GRADIENT_TOL, SEPARATION_COEF_BOUND
 from feedlab.sim import (
@@ -567,3 +568,44 @@ def percent_format_impressions(path, table):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_IMPRESSION_FIELDS[:width]) + "\n")
         fh.write(line * len(table) % tuple(cells))
+
+
+def two_branch_align_scores_to_axes(
+    scores: FeatureMatrix,
+    credibility: np.ndarray,
+    sensationalism: np.ndarray,
+) -> tuple[FeatureMatrix, dict]:
+    """The axis alignment with one branch per axis: credibility takes its
+    ``argmax`` component, sensationalism its own unless credibility took it,
+    then its next-best one in ``np.argsort`` order."""
+    mat = scores.values
+    n_comp = mat.shape[1]
+    targets = {"credibility": np.asarray(credibility), "sensationalism": np.asarray(sensationalism)}
+    corr = {
+        axis: np.array(
+            [np.corrcoef(mat[:, j], vec)[0, 1] for j in range(n_comp)]
+        )
+        for axis, vec in targets.items()
+    }
+    cred_j = int(np.argmax(np.abs(corr["credibility"])))
+    sens_j = int(np.argmax(np.abs(corr["sensationalism"])))
+    if cred_j == sens_j:
+        # extremely degenerate fit: force distinct components
+        order = np.argsort(-np.abs(corr["sensationalism"]))
+        sens_j = int(order[1]) if int(order[0]) == cred_j else int(order[0])
+    cred_sign = 1.0 if corr["credibility"][cred_j] >= 0 else -1.0
+    sens_sign = 1.0 if corr["sensationalism"][sens_j] >= 0 else -1.0
+    aligned = FeatureMatrix(
+        scores.post_ids,
+        ("pc1", "pc2"),
+        np.column_stack([cred_sign * mat[:, cred_j], sens_sign * mat[:, sens_j]]),
+    )
+    meta = {
+        "credibility_component": cred_j + 1,
+        "credibility_sign": cred_sign,
+        "credibility_abs_corr": float(abs(corr["credibility"][cred_j])),
+        "sensationalism_component": sens_j + 1,
+        "sensationalism_sign": sens_sign,
+        "sensationalism_abs_corr": float(abs(corr["sensationalism"][sens_j])),
+    }
+    return aligned, meta

@@ -103,8 +103,16 @@ class TestSimulateCommand:
             ("params", "dwell_intercept", float("nan"), "dwell_intercept must be finite, got nan"),
             ("pool", "feature_noise_sd", float("inf"), "feature_noise_sd must be finite, got inf"),
             ("pool", "feature_noise_sd", -0.1, "feature_noise_sd must be non-negative"),
+            (
+                "params", "dwell_intercept", 10**400,
+                "dwell_intercept must be finite, got an integer too large for a float",
+            ),
+            (
+                "pool", "credibility_strength", -(10**400),
+                "credibility_strength must be finite, got an integer too large for a float",
+            ),
         ],
-        ids=["params_nan", "pool_inf", "pool_negative_sd"],
+        ids=["params_nan", "pool_inf", "pool_negative_sd", "params_huge_int", "pool_huge_int"],
     )
     def test_bad_config_number_is_input_error(
         self, tmp_path, sim_config_path, capsys, key, field, value, message
@@ -574,6 +582,31 @@ class TestExperimentAndRecover:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "internal error" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"term": "x", "estimate": None, "se": 1.0, "statistic": 1.0, "p": 0.5},
+            {"term": "x", "estimate": 1.0, "se": True, "statistic": 1.0, "p": 0.5},
+            "x",
+        ],
+        ids=["null_estimate", "bool_se", "string_term"],
+    )
+    def test_report_rejects_term_that_is_not_numbers(self, tmp_path, capsys, term):
+        path = tmp_path / "fit_dwell.json"
+        path.write_text(json.dumps({"model": "ols", "n": 10, "terms": [term]}))
+        assert run(["report", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: term 0 needs numbers for estimate, se, statistic, p" in captured.err
+        assert captured.out == ""
+
+    def test_report_renders_infinite_statistic(self, tmp_path, capsys):
+        # a perfect OLS fit has zero SEs, and its saved t statistic is Infinity
+        term = {"term": "x", "estimate": 4, "se": 0.0, "statistic": float("inf"), "p": 0.0}
+        path = tmp_path / "fit_dwell.json"
+        path.write_text(json.dumps({"model": "ols", "n": 10, "terms": [term]}))
+        assert run(["report", "--input", path]) == 0
+        assert "x     4.000     0.000  inf      0.000" in capsys.readouterr().out
 
     def test_report_names_malformed_fit_file(self, tmp_path, capsys):
         path = tmp_path / "fit_dwell.json"

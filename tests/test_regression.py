@@ -409,6 +409,24 @@ def test_non_finite_input_is_reported(fit, bad, rows_x, rows_y, message):
         fit(X, y, ["intercept", "a", "b", "c"])
 
 
+@pytest.mark.parametrize(
+    "fit, y, message",
+    [
+        (fit_ols, [np.nan, 1.0, 2.0], r"1 row\(s\) hold NaN or inf, in the response$"),
+        (fit_logistic, [np.nan, 1.0, 0.0], r"1 row\(s\) hold NaN or inf, in the response$"),
+        (fit_logistic, [2.0, 1.0, 0.0], r"need n > k for logistic inference \(n=3, k=4\)$"),
+        (fit_ols, [0.5, 1.0, 2.0], r"need n > k for OLS inference \(n=3, k=4\)$"),
+    ],
+    ids=["ols_nan", "logistic_nan", "logistic_non_binary", "ols_short"],
+)
+def test_non_finite_input_is_reported_before_n_le_k(fit, y, message):
+    # three rows and four columns: every case has n <= k, which is reported
+    # after NaN or inf and before a logistic response that is not 0/1
+    X = np.column_stack([np.ones(3), np.arange(9.0).reshape(3, 3) ** 2])
+    with pytest.raises(ValueError, match=message):
+        fit(X, np.array(y), ["intercept", "a", "b", "c"])
+
+
 class TestBlockedRFactor:
     @pytest.mark.parametrize("n", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5, 4])
     def test_diag_matches_one_qr(self, n):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from feedlab._numeric import sigmoid
@@ -35,6 +36,7 @@ from feedlab.sim import (
 from feedlab.features import fit_feature_pca, project
 from oracles import (
     expit_expected_engagement,
+    two_branch_align_scores_to_axes,
     mean_var_marginal,
     per_participant_session,
     per_replication_policy_experiment,
@@ -577,19 +579,83 @@ class TestDescriptiveRefit:
         assert fit.term("credibility").estimate < 0
 
 
+def swapped_and_flipped(scores):
+    """``scores`` with pc1 and pc2 swapped and every sign flipped."""
+    order = [1, 0, *range(2, len(scores.feature_names))]
+    return replace(scores, values=-scores.values[:, order])
+
+
+def score_table(columns):
+    """A scores table of the given (posts, components) values, columns pc1..pcK."""
+    names = tuple(f"pc{j + 1}" for j in range(columns.shape[1]))
+    return FeatureMatrix(tuple(f"post_{i}" for i in range(len(columns))), names, columns)
+
+
 class TestAlignment:
     def test_alignment_fixes_sign_and_order(self):
         pool, _ = default_pool(pool_seed=9)
-        fit = fit_feature_pca(pool.matrix)
-        scores = project(fit, pool.matrix)
-        flipped = replace(scores, values=-scores.values)
-        aligned, meta = align_scores_to_axes(flipped, pool.credibility, pool.sensationalism)
+        scores = project(fit_feature_pca(pool.matrix), pool.matrix)
+        axes = pool.credibility, pool.sensationalism
+        straight, straight_meta = align_scores_to_axes(scores, *axes)
+        assert (straight_meta["credibility_component"], straight_meta["sensationalism_component"]) == (1, 2)
+        aligned, meta = align_scores_to_axes(swapped_and_flipped(scores), *axes)
         assert aligned.post_ids == pool.post_ids()
         assert aligned.feature_names == ("pc1", "pc2")
         cred, sens = aligned.values.T
         assert np.corrcoef(cred, pool.credibility)[0, 1] > 0.9
         assert np.corrcoef(sens, pool.sensationalism)[0, 1] > 0.9
         assert meta["credibility_abs_corr"] > 0.9
+        assert (meta["credibility_component"], meta["sensationalism_component"]) == (2, 1)
+        for axis in ("credibility", "sensationalism"):
+            assert meta[f"{axis}_sign"] == -straight_meta[f"{axis}_sign"]
+        np.testing.assert_array_equal(aligned.values, straight.values)
+
+    @staticmethod
+    def assert_matches_two_branch_oracle(scores, cred, sens):
+        aligned, meta = align_scores_to_axes(scores, cred, sens)
+        want, want_meta = two_branch_align_scores_to_axes(scores, cred, sens)
+        assert np.array_equal(aligned.values, want.values)
+        assert (aligned.post_ids, aligned.feature_names) == (want.post_ids, want.feature_names)
+        assert meta == want_meta
+        return meta
+
+    def test_matches_two_branch_oracle_on_built_cases(self):
+        rng = np.random.default_rng(31)
+        cred, sens, noise = rng.standard_normal((3, 40))
+        pool, _ = default_pool(pool_seed=9)
+        scores = project(fit_feature_pca(pool.matrix), pool.matrix)
+        meta = self.assert_matches_two_branch_oracle(
+            swapped_and_flipped(scores), pool.credibility, pool.sensationalism
+        )
+        assert (meta["credibility_component"], meta["sensationalism_component"]) == (2, 1)
+        # pc1 is the best component for both axes: sensationalism takes its next best, pc3
+        both = np.column_stack([cred + sens, cred + 2 * noise, sens + 3 * noise])
+        meta = self.assert_matches_two_branch_oracle(score_table(both), cred, sens)
+        assert (meta["credibility_component"], meta["sensationalism_component"]) == (1, 3)
+        # exact ties: the lowest index wins, and a taken column's twin is next best
+        twins = np.column_stack([cred + sens, cred + sens, sens + 3 * noise])
+        meta = self.assert_matches_two_branch_oracle(score_table(twins), cred, sens)
+        assert (meta["credibility_component"], meta["sensationalism_component"]) == (1, 2)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(4, 30), st.integers(2, 6)),
+        both=st.booleans(),
+        twin=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_two_branch_oracle(self, seed, shape, both, twin):
+        rng = np.random.default_rng(seed)
+        n, k = shape
+        cred, sens = rng.standard_normal((2, n))
+        columns = rng.standard_normal((n, k)) + rng.standard_normal(k) * cred[:, None]
+        columns += rng.standard_normal(k) * sens[:, None]
+        j, other = rng.choice(k, size=2, replace=False)
+        if both:
+            columns[:, j] = cred + sens
+        if twin:
+            columns[:, other] = columns[:, j]
+        self.assert_matches_two_branch_oracle(score_table(columns), cred, sens)
 
 
 class TestParameterRecovery:
