@@ -302,14 +302,15 @@ def read_json(path: str | Path):
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def from_fields(cls, payload: dict, **decoded):
+def from_fields(cls, payload: dict, source: str | Path, **decoded):
     """Build dataclass ``cls`` from a file's JSON object, ``decoded`` replacing the
-    fields that need converting; a missing or unknown field is a :class:`DataFormatError`.
+    fields that need converting; a missing or unknown field is a :class:`DataFormatError`
+    that starts with ``source``, the file (and the place in it) the object comes from.
     """
     try:
         return cls(**dict(payload, **decoded))
     except TypeError as exc:
-        raise DataFormatError(f"not a {cls.__name__}: {exc}") from None
+        raise DataFormatError(f"{source}: not a {cls.__name__}: {exc}") from None
 
 
 def _csv_writer(fh):

@@ -222,7 +222,9 @@ def save_pca_fit(path: str | Path, fit: PcaFit) -> None:
 def load_pca_fit(path: str | Path) -> PcaFit:
     d = read_json(path)
     tuples = ("feature_names", "flipped")
-    return from_fields(PcaFit, {k: tuple(v) if k in tuples else np.array(v) for k, v in d.items()})
+    return from_fields(
+        PcaFit, {k: tuple(v) if k in tuples else np.array(v) for k, v in d.items()}, path
+    )
 
 
 def save_scores(path: str | Path, scores: FeatureMatrix) -> None:

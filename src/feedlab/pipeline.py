@@ -350,7 +350,7 @@ def save_movement_model(path: str | Path, model: MovementModel) -> None:
 def load_movement_model(path: str | Path) -> MovementModel:
     d = read_json(path)
     participants = {pid: (v["intercept"], v["slope"]) for pid, v in d["participants"].items()}
-    return from_fields(MovementModel, d, participants=participants)
+    return from_fields(MovementModel, d, path, participants=participants)
 
 
 def save_audit(path: str | Path, audit: PipelineAudit) -> None:

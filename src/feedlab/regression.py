@@ -394,8 +394,10 @@ def load_fit(path: str | Path) -> RegressionFit:
             raise DataFormatError(
                 f"{path}: term {i} needs numbers for {', '.join(numbers)}, got {t!r}"
             )
-    terms = tuple(from_fields(TermEstimate, t) for t in d["terms"])
-    return from_fields(RegressionFit, d, terms=terms, warnings=tuple(d.get("warnings", ())))
+    terms = tuple(
+        from_fields(TermEstimate, t, f"{path}: term {i}") for i, t in enumerate(d["terms"])
+    )
+    return from_fields(RegressionFit, d, path, terms=terms, warnings=tuple(d.get("warnings", ())))
 
 
 def render_fit_table(fit: RegressionFit) -> str:

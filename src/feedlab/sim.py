@@ -229,28 +229,33 @@ def simulate_impressions(
 
 @dataclass(frozen=True)
 class PoolPosts:
-    """A realized post pool: features, categories, and true score coordinates.
+    """A realized post pool: feature values, categories, and true score coordinates.
 
-    Row ``i`` of every array is the post ``matrix.post_ids[i]``.
+    Row ``i`` of every array is the post ``post_ids[i]``; ``values`` has one column
+    per ``FEATURE_NAMES`` entry.
     """
 
-    matrix: FeatureMatrix
+    post_ids: tuple[str, ...]
+    values: np.ndarray
     categories: np.ndarray
     credibility: np.ndarray
     sensationalism: np.ndarray
 
+    @functools.cached_property
+    def matrix(self) -> FeatureMatrix:
+        """The features as a checked table, built when first read: the policy
+        experiment realizes a pool per replication and never reads it."""
+        return FeatureMatrix(self.post_ids, FEATURE_NAMES, self.values)
+
     @property
     def size(self) -> int:
-        return self.matrix.n_posts
-
-    def post_ids(self) -> tuple[str, ...]:
-        return self.matrix.post_ids
+        return len(self.post_ids)
 
     def posts(self) -> tuple[Post, ...]:
         """The pool's post records; the features are ``matrix``."""
         return tuple(
             Post(pid, f"Synthetic headline {i + 1}", "synthetic", category)
-            for i, (pid, category) in enumerate(zip(self.post_ids(), self.categories.tolist()))
+            for i, (pid, category) in enumerate(zip(self.post_ids, self.categories.tolist()))
         )
 
 
@@ -323,8 +328,8 @@ class SyntheticPool:
 
         The feature values are ``offset + cred_strength * outer(cred, pattern)
         + sens_strength * outer(sens, pattern) + noise_sd * noise``, summed left
-        to right in place. Every pool of one composition shares its post ids
-        and its read-only categories array.
+        to right in place and then made read-only. Every pool of one composition
+        shares its post ids and its read-only categories array.
         """
         n = self.size
         cred = rng.standard_normal(n)
@@ -338,10 +343,11 @@ class SyntheticPool:
         values += sens_part
         noise *= self.feature_noise_sd
         values += noise
+        values.flags.writeable = False
         categories = _categories(
             self.n_true_news, self.n_false_news, self.n_opinion, self.n_mundane
         )
-        return PoolPosts(FeatureMatrix(_post_ids(n), FEATURE_NAMES, values), categories, cred, sens)
+        return PoolPosts(_post_ids(n), values, categories, cred, sens)
 
 
 @dataclass(frozen=True)
@@ -429,7 +435,7 @@ def simulate_session(
     impressions = Impressions(
         participant_vocab=np.array([f"p_{u + 1:0{width}d}" for u in range(n)], dtype=str),
         participant_code=np.repeat(np.arange(n, dtype=np.int32), length),
-        post_vocab=np.array(pool.post_ids(), dtype=str),
+        post_vocab=np.array(pool.post_ids, dtype=str),
         post_code=feeds.ravel().astype(np.int32),
         position=np.tile(np.arange(1, length + 1), n),
         dwell_raw=out["dwell_observed"].ravel(),
@@ -537,7 +543,7 @@ def rank_feed(
         return rng.permutation(pool.size)[:k]
     c, s = pool.credibility, pool.sensationalism
     marginal = log_dwell_marginal(params, c, s)
-    return _rank_rows(policy, params, c, s, *marginal, _id_order(pool.post_ids()), k)
+    return _rank_rows(policy, params, c, s, *marginal, _id_order(pool.post_ids), k)
 
 
 # ---------------------------------------------------------------------------
@@ -864,6 +870,7 @@ def load_sim_config(path: str | Path) -> SimConfig:
     return from_fields(
         SimConfig,
         d,
-        pool=from_fields(SyntheticPool, pool),
-        params=from_fields(GenerativeParams, params),
+        path,
+        pool=from_fields(SyntheticPool, pool, path),
+        params=from_fields(GenerativeParams, params, path),
     )

@@ -108,5 +108,5 @@ def simulate_hierarchical_dwell(
 def pool_scores(pool):
     """A simulated pool's true (credibility, sensationalism) coordinates as scores."""
     return FeatureMatrix(
-        pool.post_ids(), ("pc1", "pc2"), np.column_stack([pool.credibility, pool.sensationalism])
+        pool.post_ids, ("pc1", "pc2"), np.column_stack([pool.credibility, pool.sensationalism])
     )

@@ -524,7 +524,7 @@ def per_replication_policy_experiment(config, policies, k, replications):
                     scores = expected_dwell(params, c, s)
                 else:
                     scores = expit_expected_engagement(params, c, s, loc, scale)
-                idx = np.lexsort((np.array(pool.post_ids()), -scores))[:k]
+                idx = np.lexsort((np.array(pool.post_ids), -scores))[:k]
             engaged, _, dwell = per_stream_impressions(c[idx], s[idx], params, loc, scale, rng)
             out[policy] = (
                 float(c[idx].mean()),
@@ -591,7 +591,7 @@ def two_branch_align_scores_to_axes(
     sens_j = int(np.argmax(np.abs(corr["sensationalism"])))
     if cred_j == sens_j:
         # extremely degenerate fit: force distinct components
-        order = np.argsort(-np.abs(corr["sensationalism"]))
+        order = np.argsort(-np.abs(corr["sensationalism"]), kind="stable")
         sens_j = int(order[1]) if int(order[0]) == cred_j else int(order[0])
     cred_sign = 1.0 if corr["credibility"][cred_j] >= 0 else -1.0
     sens_sign = 1.0 if corr["sensationalism"][sens_j] >= 0 else -1.0

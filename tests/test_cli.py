@@ -561,7 +561,16 @@ class TestExperimentAndRecover:
         path = tmp_path / "fit_dwell.json"
         path.write_text(json.dumps({"model": "ols", "terms": [term], **fields}))
         assert run(["report", "--input", path]) == 2
-        assert "error: not a RegressionFit" in capsys.readouterr().err
+        assert f"error: {path}: not a RegressionFit" in capsys.readouterr().err
+
+    def test_report_names_file_and_term_with_unknown_field(self, tmp_path, capsys):
+        term = {"term": "x", "estimate": 1.0, "se": 0.1, "statistic": 10.0, "p": 0.0, "extra": 1}
+        path = tmp_path / "fit_dwell.json"
+        path.write_text(json.dumps({"model": "ols", "n": 10, "terms": [term]}))
+        assert run(["report", "--input", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: term 0: not a TermEstimate: "
+        )
 
     @pytest.mark.parametrize(
         "payload, message",
@@ -691,50 +700,53 @@ class TestOutputDirIsAFile:
         assert a_file.read_text() == "kept\n"
 
 
-# Runs CLI commands in one fresh process and prints, after the import and after
-# each command, whether any scipy module has been loaded.
-_SCIPY_PROBE = """
+# Runs CLI commands in one fresh process in which importing scipy raises
+# ImportError, and prints each command's exit code and any scipy module loaded.
+_NO_SCIPY_PROBE = """
 import json, sys
 
-def scipy_loaded():
-    return any(name.split(".")[0] == "scipy" for name in sys.modules)
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
 
-import feedlab
-loaded = {"import": scipy_loaded()}
+sys.meta_path.insert(0, BlockScipy())
 from feedlab.cli import main
-for name, argv in json.loads(sys.argv[1]):
-    if main(argv) != 0:
-        raise SystemExit(f"{name} failed")
-    loaded[name] = scipy_loaded()
-print(json.dumps(loaded))
+codes = {name: main(argv) for name, argv in json.loads(sys.argv[1])}
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def _scipy_probe(commands) -> dict[str, bool]:
-    argv = json.dumps([[name, [str(a) for a in args]] for name, args in commands])
+def test_no_command_loads_scipy(tmp_path, sim_config_path):
+    # p-values are computed with numpy and math alone, so scipy is not a runtime
+    # dependency: every command runs with it unimportable
+    sim_out, clean_out, pca_out, fit_out = (tmp_path / d for d in ("sim", "clean", "pca", "fit"))
+    fit = ["fit", "--input", clean_out / "cleaned.csv", "--scores", pca_out / "scores.csv",
+           "--output-dir", fit_out]
+    commands = {
+        "simulate": ["simulate", "--config", sim_config_path, "--output-dir", sim_out],
+        "preprocess": ["preprocess", "--input", sim_out / "impressions.csv",
+                       "--output-dir", clean_out],
+        "pca": ["pca", "--input", sim_out / "ratings.csv", "--impressions",
+                clean_out / "cleaned.csv", "--posts", sim_out / "posts.csv",
+                "--output-dir", pca_out],
+        "fit dwell": [*fit, "--model", "dwell"],
+        "fit engage": [*fit, "--model", "engage"],
+        "report": ["report", "--input", fit_out],
+        "experiment": ["experiment", "--config", sim_config_path, "--replications", 2,
+                       "--output-dir", tmp_path / "exp"],
+        "recover": ["recover", "--config", sim_config_path, "--replications", 2,
+                    "--output-dir", tmp_path / "rec"],
+    }
+    argv = json.dumps([[name, [str(a) for a in args]] for name, args in commands.items()])
     path = [str(Path(feedlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, argv],
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_scipy_is_loaded_only_for_p_values(tmp_path, sim_config_path):
-    # importing scipy.special is about half of a short process's start-up; only
-    # the commands that compute p-values load it
-    sim_out, clean_out, pca_out, fit_out = (tmp_path / d for d in ("sim", "clean", "pca", "fit"))
-    assert _scipy_probe([
-        ("simulate", ["simulate", "--config", sim_config_path, "--output-dir", sim_out]),
-        ("preprocess", ["preprocess", "--input", sim_out / "impressions.csv",
-                        "--output-dir", clean_out]),
-        ("experiment", ["experiment", "--config", sim_config_path, "--replications", 2,
-                        "--output-dir", tmp_path / "exp"]),
-    ]) == {"import": False, "simulate": False, "preprocess": False, "experiment": False}
-    assert run(["pca", "--input", sim_out / "ratings.csv", "--output-dir", pca_out]) == 0
-    fit = ["fit", "--input", clean_out / "cleaned.csv", "--scores", pca_out / "scores.csv"]
-    assert run([*fit, "--model", "dwell", "--output-dir", fit_out]) == 0
-    assert _scipy_probe([
-        ("report", ["report", "--input", fit_out]),
-        ("fit", [*fit, "--model", "engage", "--output-dir", tmp_path / "fit2"]),
-    ]) == {"import": False, "report": False, "fit": True}
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "codes": dict.fromkeys(commands, 0), "scipy": []
+    }, proc.stderr
+    assert (fit_out / "fit_dwell.json").is_file() and (fit_out / "fit_engage.json").is_file()

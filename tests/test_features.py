@@ -1,10 +1,12 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feedlab.data import FEATURE_NAMES, FeatureMatrix
+from feedlab.data import FEATURE_NAMES, DataFormatError, FeatureMatrix
 from feedlab.features import (
     attach_mean_dwell,
     correlate,
@@ -262,6 +264,16 @@ class TestFitPca:
         assert loaded.feature_names == fit.feature_names
         assert np.array_equal(loaded.loadings, fit.loadings)
         assert loaded.flipped == fit.flipped
+
+    def test_missing_field_names_the_file(self, tmp_path):
+        fit = fit_feature_pca(as_matrix(np.random.default_rng(12).standard_normal((40, 8))))
+        path = tmp_path / "f.json"
+        save_pca_fit(path, fit)
+        payload = json.loads(path.read_text())
+        del payload["flipped"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not a PcaFit"):
+            load_pca_fit(path)
 
 
 def matrix_from(rng, n=40):

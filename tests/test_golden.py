@@ -39,15 +39,15 @@ GOLDEN = {
     "clean/cleaned.csv": "679b5d63a7792d8c44cd1b619c83bdd37e88040acfc37a1b43c9b43d465d5189",
     "clean/movement_model.json": "933ad668c7410f242ad4d11d6dacf8be3780bc6cdeefb388e100c2f979d0a5cf",
     "exp/policy_outcomes.csv": "612ad9a705ee17c321741190ef3a65e42339087be8713250ee8eac45b845d955",
-    "fit/fit_dwell.json": "14bb4627299f3649a70ac9b3f81165e112435f0e4de873db33f7350def432d73",
+    "fit/fit_dwell.json": "ce302fc8972f9fbd19ba14b145bbeb551962f314e6755cc6542a13c2c92af46a",
     "fit/fit_dwell.txt": "6a8a16eb9998a9634463602dc3180846356b4e37c1913230bc4543f149a75fbb",
-    "fit/fit_engage.json": "d946a08d345f57b3ad5c41fbcfd04b7abf3c045f8bb3fa3ab779f91db8925226",
+    "fit/fit_engage.json": "e9f19556cd1176df466a2ac7fd68776e80720b486fcbaeeed07eb49762ba0444",
     "fit/fit_engage.txt": "f4270e6995e6d8c600a5e950f666cf00739be055c9f334331b7e372ec892d00c",
-    "pca/correlations.csv": "139f008616aa23690f21a9821e61279eb702bcebf402fff233f5b549855a3ac6",
+    "pca/correlations.csv": "d818bf992a44ba1abc2f0385f9612a4296fa20526a3b6618cddc3c0a719f4f77",
     "pca/pca_fit.json": "878e2f4b5256bfbbe33fb11bde1f534234adcc3352f591a4bf43d525aaab4167",
     "pca/scores.csv": "4dad81efb8146b8b6a5f77a886c0ae122b17060bc51bbde6890d505ae342e0a5",
     "pca/top_posts.txt": "723f056b3f4a7f94004bb5b64c669cae86aa598230222dbc5ca01ecff51d9fa9",
-    "pca_plain/correlations.csv": "b9bd48e7b95a86a29bf28460a593e045a32a230e10f57f77855ed2c469580bee",
+    "pca_plain/correlations.csv": "17e1469e96289f1e30f314e5d56fdde8d89d80da8d2f90a7cf6f1808d02dbd6b",
     "pca_plain/pca_fit.json": "878e2f4b5256bfbbe33fb11bde1f534234adcc3352f591a4bf43d525aaab4167",
     "pca_plain/scores.csv": "d7b7fd1860b9cc587efa5d1c5ff0f9bde9bf104d2c1bd4ce9da72c5c002a7605",
     "pca_plain/top_posts.txt": "c316880c6d337bd9276c4a3113cec6773a08a24c63bed6b39c1963af8a3f6113",

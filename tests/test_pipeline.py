@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feedlab import pipeline
-from feedlab.data import FeatureMatrix
+from feedlab.data import DataFormatError, FeatureMatrix
 from feedlab.features import mean_dwell_by_post
 from feedlab.pipeline import (
     ExclusionRules,
@@ -323,6 +325,15 @@ class TestMovementModel:
         save_movement_model(path, model)
         loaded = load_movement_model(path)
         assert loaded == model
+
+    def test_unknown_field_names_the_file(self, tmp_path):
+        rng = np.random.default_rng(10)
+        imps, _ = simulate_hierarchical_dwell(rng, n_participants=5, n_per=20)
+        path = tmp_path / "movement_model.json"
+        save_movement_model(path, fit_movement_model(imps))
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), extra=1)))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not a MovementModel"):
+            load_movement_model(path)
 
 
 class TestRunPipeline:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -205,7 +206,7 @@ class TestRankFeed:
         )
         top = rank_feed("dwell_opt", clone, PARAMS, 5)
         assert top.dtype.kind == "i"
-        assert [clone.post_ids()[j] for j in top] == sorted(clone.post_ids())[:5]
+        assert [clone.post_ids[j] for j in top] == sorted(clone.post_ids)[:5]
 
     def test_chronological_and_random_rows(self):
         pool, _ = default_pool()
@@ -219,12 +220,12 @@ class TestRankFeed:
         tied = replace(
             pool, credibility=np.round(pool.credibility), sensationalism=np.zeros(pool.size)
         )
-        ids = tuple(np.random.default_rng(4).permutation(pool.post_ids()).tolist())
-        shuffled = replace(tied, matrix=replace(pool.matrix, post_ids=ids))
+        ids = tuple(np.random.default_rng(4).permutation(pool.post_ids).tolist())
+        shuffled = replace(tied, post_ids=ids)
         # alternate the two id orders, so a ranking cannot reuse the other's
         scorers = {"dwell_opt": expected_dwell, "engage_opt": engagement_scores}
         for candidate in (shuffled, tied, shuffled):
-            names = candidate.post_ids()
+            names = candidate.post_ids
             for policy, score in scorers.items():
                 scores = score(PARAMS, candidate.credibility, candidate.sensationalism)
                 expected = np.lexsort((np.array(names), -scores))[:40]
@@ -234,9 +235,8 @@ class TestRankFeed:
         pool, _ = default_pool()
         two = replace(
             pool,
-            matrix=FeatureMatrix(
-                pool.matrix.post_ids[:2], pool.matrix.feature_names, pool.matrix.values[:2]
-            ),
+            post_ids=pool.post_ids[:2],
+            values=pool.values[:2],
             categories=pool.categories[:2],
             credibility=np.array([0.0, 0.0]),
             sensationalism=np.array([0.0, 1.0]),
@@ -286,7 +286,7 @@ class TestRankFeed:
             PARAMS.dwell_credibility * pool.credibility
             + PARAMS.dwell_sensationalism * pool.sensationalism
         )
-        ids = pool.post_ids()
+        ids = pool.post_ids
         assert top.tolist() == sorted(range(pool.size), key=lambda j: (-lin[j], ids[j]))
 
     def test_monotone_in_sensationalism_coefficient(self):
@@ -326,7 +326,7 @@ class TestExpectedEngagementQuadrature:
             pool, _ = default_pool(seed)
             c, s = pool.credibility, pool.sensationalism
             scores = expit_expected_engagement(PARAMS, c, s, *mean_var_marginal(PARAMS, c, s))
-            expected = np.lexsort((np.array(pool.post_ids()), -scores))
+            expected = np.lexsort((np.array(pool.post_ids), -scores))
             top = rank_feed("engage_opt", pool, PARAMS, pool.size)
             assert np.array_equal(top, expected), seed
 
@@ -599,7 +599,7 @@ class TestAlignment:
         straight, straight_meta = align_scores_to_axes(scores, *axes)
         assert (straight_meta["credibility_component"], straight_meta["sensationalism_component"]) == (1, 2)
         aligned, meta = align_scores_to_axes(swapped_and_flipped(scores), *axes)
-        assert aligned.post_ids == pool.post_ids()
+        assert aligned.post_ids == pool.post_ids
         assert aligned.feature_names == ("pc1", "pc2")
         cred, sens = aligned.values.T
         assert np.corrcoef(cred, pool.credibility)[0, 1] > 0.9
@@ -730,6 +730,21 @@ class TestConfigIO:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"participants": 10, "seeds": 5}))
         with pytest.raises(DataFormatError, match="seeds"):
+            load_sim_config(path)
+
+    @pytest.mark.parametrize(
+        "payload, cls",
+        [
+            ({"participants": 10, "seeds": 5}, "SimConfig"),
+            ({"pool": {"kind": "synthetic", "n_posts": 5}}, "SyntheticPool"),
+            ({"params": {"motor": 0.5}}, "GenerativeParams"),
+        ],
+        ids=["top_level", "pool", "params"],
+    )
+    def test_unknown_field_names_the_file(self, tmp_path, payload, cls):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not a {cls}: "):
             load_sim_config(path)
 
     def test_policies_constant(self):
