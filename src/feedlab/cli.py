@@ -268,8 +268,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not targets:
         print(f"error: no fit_*.json under {path}", file=sys.stderr)
         return EXIT_INPUT
-    for target in targets:
-        fit = load_fit(target)
+    # every fit is loaded before any is printed: a bad one prints nothing
+    for target, fit in [(t, load_fit(t)) for t in targets]:
         print(f"== {target.name} ==")
         print(render_fit_table(fit))
         print()

@@ -17,7 +17,10 @@ trailing newline; a dataclass as its fields, a numpy array as a list), and
 (:func:`save_impressions` writes the same bytes with numpy). A ``save_*``
 function writes its dataclass; the matching ``load_*`` builds it from the
 file's fields: :func:`read_json` reads a JSON file (a malformed one is a
-:class:`DataFormatError` naming it) and :func:`from_fields` builds its object.
+:class:`DataFormatError` naming it) and :func:`from_fields`, the one check of a
+JSON object's fields, builds its object: the value must be an object, each int,
+float or str field a value of that type, no field missing or unknown, and each
+nested value one that its decoder accepts, or the error names the file.
 
 :func:`load_impressions` has two readers. A file in the canonical form that
 :func:`save_impressions` writes (UTF-8 with LF line ends and no '"', CR or
@@ -59,6 +62,7 @@ import hashlib
 import json
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -302,15 +306,53 @@ def read_json(path: str | Path):
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def from_fields(cls, payload: dict, source: str | Path, **decoded):
-    """Build dataclass ``cls`` from a file's JSON object, ``decoded`` replacing the
-    fields that need converting; a missing or unknown field is a :class:`DataFormatError`
-    that starts with ``source``, the file (and the place in it) the object comes from.
-    """
+# the JSON values that a field annotated with the key's type accepts (a bool is no number)
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def from_fields(cls, obj, source: str | Path, name: str, **decode):
+    """Build dataclass ``cls`` from a file's JSON object ``obj``: the one check of an
+    artifact's fields. A :class:`DataFormatError` starting with ``source`` (the file, and
+    the place in it) is raised when ``obj`` (``name`` in the messages) is not a JSON object,
+    a field annotated ``int``, ``float`` or ``str`` holds no value of that type (an integer
+    for ``int``; a bool is no number), a field is missing or unknown, or ``decode[field]``,
+    which converts that field's JSON value, rejects it with a TypeError saying what it must be."""
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{source}: {name} must be a JSON object, got {type(obj).__name__}")
+    values = dict(obj)
+    for f in (f for f in fields(cls) if f.name in obj):
+        v, kinds = obj[f.name], _JSON_TYPES.get(f.type)
+        try:
+            if f.name in decode:
+                values[f.name] = decode[f.name](v)
+            elif kinds and type(v) not in kinds:
+                raise TypeError(f"must be {f.type}, got {v!r}")
+        except TypeError as exc:
+            raise DataFormatError(f"{source}: {name} field {f.name} {exc}") from None
     try:
-        return cls(**dict(payload, **decoded))
+        return cls(**values)
     except TypeError as exc:
         raise DataFormatError(f"{source}: not a {cls.__name__}: {exc}") from None
+
+
+def json_list(value) -> tuple:
+    """A JSON list as a tuple, for :func:`from_fields`."""
+    if not isinstance(value, list):
+        raise TypeError(f"must be a JSON list, got {value!r}")
+    return tuple(value)
+
+
+def float_array(value) -> np.ndarray:
+    """A JSON list (of equal-length lists) of finite numbers as an array, for ``from_fields``."""
+    array = np.array(json_list(value), dtype=object)  # a ragged list gives an array of lists
+    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in array.flat):
+        raise TypeError(f"must be a JSON list of finite numbers, got {value!r}")
+    return array.astype(float)
+
+
+def id_list(ids: Sequence[str], limit: int = 10) -> str:
+    """The first ``limit`` of ``ids``, comma-separated, then ``...`` if there are more."""
+    return ", ".join(ids[:limit]) + ("..." if len(ids) > limit else "")
 
 
 def _csv_writer(fh):
@@ -333,20 +375,12 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
         w.writerows(rows)
 
 
-def _existing(path: str | Path) -> Path:
-    """``path`` as a Path; a missing file is a FileNotFoundError naming it."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    return path
-
-
 def _parse_rows(path: str | Path, headers, convert) -> tuple[list[str], list, list[RowError]]:
     """A CSV file's header, its rows as ``convert`` returns them, and a :class:`RowError`
     for each row that is not the header's width or that ``convert`` rejects with a
     ValueError. A header not in ``headers`` (when given), or a cell over the csv
     module's field limit, is a :class:`DataFormatError`."""
-    with open(_existing(path), newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             rows = list(reader)
@@ -575,7 +609,7 @@ def load_impressions(path: str | Path) -> tuple[Impressions, list[RowError]]:
     module (``_csv_impressions``), which gives any file the canonical reader
     reads the same table, only more slowly.
     """
-    table = _canonical_impressions(_existing(path).read_bytes())
+    table = _canonical_impressions(Path(path).read_bytes())
     return (table, []) if table is not None else _csv_impressions(path)
 
 
@@ -762,8 +796,7 @@ def aggregate_ratings(records: list[RatingRecord]) -> FeatureMatrix:
     if dropped:
         warnings.warn(
             f"aggregate_ratings: dropped {len(dropped)} post(s) with incomplete "
-            f"feature coverage: {', '.join(dropped[:10])}"
-            + ("..." if len(dropped) > 10 else "")
+            f"feature coverage: {id_list(dropped)}"
         )
     # sum each cell in sorted order so the mean is invariant to row order
     values = np.array(

@@ -26,14 +26,8 @@ import numpy as np
 
 from ._numeric import t_sf_two_sided
 from .data import (
-    DataFormatError,
-    FeatureMatrix,
-    Impressions,
-    _parse_rows,
-    from_fields,
-    read_json,
-    write_csv,
-    write_json,
+    DataFormatError, FeatureMatrix, Impressions, _parse_rows, float_array, from_fields, id_list,
+    json_list, read_json, write_csv, write_json,
 )
 
 
@@ -164,8 +158,7 @@ def attach_mean_dwell(
     if missing:
         warnings.warn(
             f"{len(missing)} post(s) have no retained impressions and were "
-            f"omitted from dwell analyses: {', '.join(missing[:10])}"
-            + ("..." if len(missing) > 10 else "")
+            f"omitted from dwell analyses: {id_list(missing)}"
         )
     rows = [i for i, pid in enumerate(scores.post_ids) if pid in dwell_by_post]
     post_ids = tuple(scores.post_ids[i] for i in rows)
@@ -220,10 +213,10 @@ def save_pca_fit(path: str | Path, fit: PcaFit) -> None:
 
 
 def load_pca_fit(path: str | Path) -> PcaFit:
-    d = read_json(path)
-    tuples = ("feature_names", "flipped")
     return from_fields(
-        PcaFit, {k: tuple(v) if k in tuples else np.array(v) for k, v in d.items()}, path
+        PcaFit, read_json(path), path, "the component fit",
+        feature_names=json_list, flipped=json_list, means=float_array, sds=float_array,
+        loadings=float_array, variance_fraction=float_array,
     )
 
 

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import Impressions, from_fields, read_json, write_json
+from .data import Impressions, from_fields, id_list, read_json, write_json
 
 EM_MAX_ITER = 500
 EM_LL_RTOL = 1e-8
@@ -94,6 +94,13 @@ class PipelineOrderError(RuntimeError):
 # Exclusion stages
 
 
+def _drop(impressions: Impressions, **removed: np.ndarray) -> tuple[Impressions, PipelineAudit]:
+    """The rows that none of the disjoint masks ``removed`` marks, and the audit of each rule."""
+    kept = impressions[~np.logical_or.reduce(list(removed.values()))]
+    counts = {rule: int(mask.sum()) for rule, mask in removed.items()}
+    return kept, PipelineAudit(len(impressions), counts, len(kept))
+
+
 def apply_exclusions_stage1(
     impressions: Impressions, rules: ExclusionRules
 ) -> tuple[Impressions, PipelineAudit]:
@@ -106,21 +113,14 @@ def apply_exclusions_stage1(
     if short:
         warnings.warn(
             f"{len(short)} participant(s) have feeds of <= {2 * rules.edge_trim} posts; "
-            f"all their impressions fall in the trimmed edges: {', '.join(short[:5])}"
-            + ("..." if len(short) > 5 else "")
+            f"all their impressions fall in the trimmed edges: {id_list(short, 5)}"
         )
     over = impressions.dwell_raw > rules.max_dwell
     edge = ~over & (
         (impressions.position <= rules.edge_trim)
         | (impressions.position > lengths[group] - rules.edge_trim)
     )
-    kept = impressions[~over & ~edge]
-    audit = PipelineAudit(
-        input_count=len(impressions),
-        removed={"over_max_dwell": int(over.sum()), "edge_positions": int(edge.sum())},
-        retained_count=len(kept),
-    )
-    return kept, audit
+    return _drop(impressions, over_max_dwell=over, edge_positions=edge)
 
 
 def adjust_dwell(impressions: Impressions, model: MovementModel) -> Impressions:
@@ -151,13 +151,7 @@ def apply_floor(
     if impressions.dwell_adjusted is None:
         raise PipelineOrderError("apply_floor requires adjusted impressions")
     below = impressions.dwell_adjusted < rules.min_adjusted_dwell
-    kept = impressions[~below]
-    audit = PipelineAudit(
-        input_count=len(impressions),
-        removed={"below_min_adjusted": int(below.sum())},
-        retained_count=len(kept),
-    )
-    return kept, audit
+    return _drop(impressions, below_min_adjusted=below)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +305,7 @@ class PipelineResult:
     impressions: Impressions
     model: MovementModel
     audit: PipelineAudit
+    stage1: Impressions  # the rows past the stage-1 exclusions: the movement model's data
 
 
 def run_pipeline(impressions: Impressions, rules: ExclusionRules | None = None) -> PipelineResult:
@@ -321,36 +316,48 @@ def run_pipeline(impressions: Impressions, rules: ExclusionRules | None = None) 
     empty_model = MovementModel(0.0, 0.0, 0.0, 0.0, 0.0, {})
     model = fit_movement_model(stage1) if len(stage1) else empty_model
     cleaned, audit2 = apply_floor(adjust_dwell(stage1, model), rules)
-    audit = PipelineAudit(
-        input_count=len(impressions),
-        removed=dict(audit1.removed, **audit2.removed),
-        retained_count=len(cleaned),
-    )
-    return PipelineResult(cleaned, model, audit)
+    audit = PipelineAudit(len(impressions), dict(audit1.removed, **audit2.removed), len(cleaned))
+    return PipelineResult(cleaned, model, audit, stage1)
 
 
-def raw_dwell_control(impressions: Impressions, rules: ExclusionRules) -> Impressions:
-    """The no-adjustment control of :func:`run_pipeline`: the same stage-1
-    exclusions and floor, with raw dwell carried through as the adjusted dwell."""
-    stage1, _ = apply_exclusions_stage1(impressions, rules)
-    kept, _ = apply_floor(replace(stage1, dwell_adjusted=stage1.dwell_raw), rules)
-    return kept
+def raw_dwell_control(result: PipelineResult, rules: ExclusionRules) -> Impressions:
+    """The no-adjustment control of a :func:`run_pipeline` result: its stage-1 rows
+    through the same floor, with raw dwell carried through as the adjusted dwell."""
+    stage1 = result.stage1
+    return apply_floor(replace(stage1, dwell_adjusted=stage1.dwell_raw), rules)[0]
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 
 
+@dataclass(frozen=True)
+class ParticipantFit:
+    """One participant's entry in movement_model.json."""
+
+    intercept: float
+    slope: float
+
+
 def save_movement_model(path: str | Path, model: MovementModel) -> None:
     """Write movement_model.json; each participant is {"intercept", "slope"}."""
-    participants = {pid: {"intercept": a, "slope": b} for pid, (a, b) in model.participants.items()}
+    participants = {pid: ParticipantFit(a, b) for pid, (a, b) in model.participants.items()}
     write_json(path, replace(model, participants=participants))
 
 
 def load_movement_model(path: str | Path) -> MovementModel:
-    d = read_json(path)
-    participants = {pid: (v["intercept"], v["slope"]) for pid, v in d["participants"].items()}
-    return from_fields(MovementModel, d, path, participants=participants)
+    def participants(value) -> dict[str, tuple[float, float]]:
+        if not isinstance(value, dict):
+            raise TypeError(f"must be a JSON object, got {type(value).__name__}")
+        where = f"{path}: participant"
+        return {
+            pid: astuple(from_fields(ParticipantFit, v, f"{where} {pid!r}", "the participant"))
+            for pid, v in value.items()
+        }
+
+    return from_fields(
+        MovementModel, read_json(path), path, "the movement model", participants=participants
+    )
 
 
 def save_audit(path: str | Path, audit: PipelineAudit) -> None:

@@ -28,7 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from ._numeric import normal_sf_two_sided, one_blas_thread, sigmoid, t_sf_two_sided
-from .data import DataFormatError, FeatureMatrix, Impressions, from_fields, read_json, write_json
+from .data import (
+    FeatureMatrix, Impressions, from_fields, id_list, json_list, read_json, write_json
+)
 
 MAX_CONDITION = 1e10
 IRLS_MAX_ITER = 100
@@ -118,11 +120,7 @@ def build_design(
     post_ids = post_ids.tolist()
     missing = [pid for pid in post_ids if pid not in row_of]
     if missing:
-        raise ValueError(
-            f"{len(missing)} post(s) lack component scores: "
-            + ", ".join(missing[:10])
-            + ("..." if len(missing) > 10 else "")
-        )
+        raise ValueError(f"{len(missing)} post(s) lack component scores: {id_list(missing)}")
     n = len(impressions)
     if n == 0:
         raise ValueError("no impressions in analysis sample")
@@ -381,23 +379,13 @@ def save_fit(path: str | Path, fit: RegressionFit) -> None:
 
 
 def load_fit(path: str | Path) -> RegressionFit:
-    d = read_json(path)
-    if not isinstance(d, dict) or "terms" not in d or "model" not in d:
-        raise DataFormatError(f"{path} is not a regression fit file")
-    for name in ("terms", "warnings"):
-        if not isinstance(d.get(name, []), list):
-            raise DataFormatError(f"{path}: {name} must be a JSON list, got {d[name]!r}")
-    numbers = ("estimate", "se", "statistic", "p")
-    for i, t in enumerate(d["terms"]):
-        # a number is an int or a float (Infinity included), not a bool or null
-        if not isinstance(t, dict) or any(type(t.get(f)) not in (int, float) for f in numbers):
-            raise DataFormatError(
-                f"{path}: term {i} needs numbers for {', '.join(numbers)}, got {t!r}"
-            )
-    terms = tuple(
-        from_fields(TermEstimate, t, f"{path}: term {i}") for i, t in enumerate(d["terms"])
+    return from_fields(
+        RegressionFit, read_json(path), path, "the fit", warnings=json_list,
+        terms=lambda value: tuple(
+            from_fields(TermEstimate, t, f"{path}: term {i}", "the term")
+            for i, t in enumerate(json_list(value))
+        ),
     )
-    return from_fields(RegressionFit, d, path, terms=terms, warnings=tuple(d.get("warnings", ())))
 
 
 def render_fit_table(fit: RegressionFit) -> str:

@@ -43,7 +43,6 @@ import numpy as np
 from ._numeric import sigmoid
 from .data import (
     CATEGORIES,
-    DataFormatError,
     FeatureMatrix,
     FEATURE_NAMES,
     Impressions,
@@ -748,7 +747,7 @@ def _recover_once(
     impressions, pool = simulate_session(config, seed_seq)
 
     cleaned = run_pipeline(impressions, rules)
-    raw_kept = raw_dwell_control(impressions, rules)
+    raw_kept = raw_dwell_control(cleaned, rules)
 
     fit = fit_feature_pca(pool.matrix)
     scores = project(fit, pool.matrix)
@@ -840,37 +839,15 @@ def config_digest(config: SimConfig) -> str:
     ).hexdigest()
 
 
-# the JSON values that a config field annotated with the key's type accepts
-_JSON_NUMBERS = {"int": (int,), "float": (int, float)}
-
-
-def _config_object(path: str | Path, name: str, cls, value) -> dict:
-    """``value``, if it is a JSON object whose number fields of ``cls`` hold numbers
-    of their type (an integer for an int field, no bool for either); otherwise a
-    :class:`DataFormatError`."""
-    if not isinstance(value, dict):
-        raise DataFormatError(f"{path}: {name} must be a JSON object, got {type(value).__name__}")
-    for f in fields(cls):
-        kinds = _JSON_NUMBERS.get(f.type)
-        v = value.get(f.name)
-        if kinds and f.name in value and (isinstance(v, bool) or not isinstance(v, kinds)):
-            raise DataFormatError(f"{path}: {name} field {f.name} must be {f.type}, got {v!r}")
-    return value
-
-
 def load_sim_config(path: str | Path) -> SimConfig:
-    """Read sim_config.json; a missing or unknown field, or a value of the wrong
-    JSON type, is a :class:`DataFormatError`."""
-    d = _config_object(path, "the config", SimConfig, read_json(path))
-    pool = dict(_config_object(path, "pool", SyntheticPool, d.get("pool", {"kind": "synthetic"})))
-    params = _config_object(path, "params", GenerativeParams, d.get("params", {}))
-    kind = pool.pop("kind", None)
-    if kind != "synthetic":
-        raise ValueError(f"unsupported pool kind {kind!r}")
+    """Read sim_config.json, whose pool must be of kind ``"synthetic"``."""
+
+    def pool(value) -> SyntheticPool:
+        if isinstance(value, dict) and (kind := value.pop("kind", None)) != "synthetic":
+            raise TypeError(f"must be of kind 'synthetic', got {kind!r}")
+        return from_fields(SyntheticPool, value, path, "pool")
+
     return from_fields(
-        SimConfig,
-        d,
-        path,
-        pool=from_fields(SyntheticPool, pool, path),
-        params=from_fields(GenerativeParams, params, path),
+        SimConfig, read_json(path), path, "the config",
+        pool=pool, params=lambda value: from_fields(GenerativeParams, value, path, "params"),
     )

@@ -80,8 +80,12 @@ class TestSimulateCommand:
             ("participants", 2.5, "the config field participants must be int, got 2.5"),
             ("params", [], "params must be a JSON object, got list"),
             ("params", {"motor_sd": "0.4"}, "params field motor_sd must be float, got '0.4'"),
+            ("pool", {}, "the config field pool must be of kind 'synthetic', got None"),
         ],
-        ids=["top_level_list", "pool_int", "participants_float", "params_list", "param_text"],
+        ids=[
+            "top_level_list", "pool_int", "participants_float", "params_list", "param_text",
+            "pool_without_kind",
+        ],
     )
     def test_malformed_config_is_input_error(
         self, tmp_path, sim_config_path, capsys, key, value, message
@@ -210,8 +214,10 @@ class TestPreprocessCommand:
         assert run(["preprocess", "--input", empty, "--output-dir", tmp_path / "o"]) == 2
         assert "header" in capsys.readouterr().err
 
-    def test_missing_file_exit_2(self, tmp_path):
-        assert run(["preprocess", "--input", tmp_path / "nope.csv", "--output-dir", tmp_path]) == 2
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nope.csv"
+        assert run(["preprocess", "--input", path, "--output-dir", tmp_path]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_duplicate_position_exit_2(self, tmp_path, capsys):
         path = tmp_path / "impressions.csv"
@@ -550,9 +556,10 @@ class TestExperimentAndRecover:
         out = tmp_path / "rec"
         run(["recover", "--config", sim_config_path, "--output-dir", out, "--replications", 2])
         capsys.readouterr()
-        assert run(["report", "--input", out / "recovery_report.json"]) == 2
+        path = out / "recovery_report.json"
+        assert run(["report", "--input", path]) == 2
         captured = capsys.readouterr()
-        assert "not a regression fit file" in captured.err
+        assert f"error: {path}: not a RegressionFit: " in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("fields", [{"n": 3, "note": "x"}, {}], ids=["unknown", "missing"])
@@ -575,38 +582,54 @@ class TestExperimentAndRecover:
     @pytest.mark.parametrize(
         "payload, message",
         [
-            (5, "not a regression fit file"),
-            ({"model": "ols", "terms": 5}, "terms must be a JSON list, got 5"),
+            (5, "the fit must be a JSON object, got int"),
+            ({"model": "ols", "terms": 5}, "the fit field terms must be a JSON list, got 5"),
             (
                 {"model": "ols", "terms": [], "n": 3, "warnings": 5},
-                "warnings must be a JSON list, got 5",
+                "the fit field warnings must be a JSON list, got 5",
             ),
+            ({"model": "ols", "terms": [], "n": "x"}, "the fit field n must be int, got 'x'"),
+            ({"model": "ols", "terms": [], "n": 2.5}, "the fit field n must be int, got 2.5"),
+            ({"model": "ols", "terms": [], "n": True}, "the fit field n must be int, got True"),
+            ({"model": 5, "terms": [], "n": 3}, "the fit field model must be str, got 5"),
         ],
-        ids=["top_level_int", "terms_int", "warnings_int"],
+        ids=[
+            "top_level_int", "terms_int", "warnings_int", "n_text", "n_float", "n_bool", "model_int",
+        ],
     )
     def test_report_rejects_malformed_fit_shapes(self, tmp_path, capsys, payload, message):
         path = tmp_path / "fit_dwell.json"
         path.write_text(json.dumps(payload))
         assert run(["report", "--input", path]) == 2
         captured = capsys.readouterr()
-        assert message in captured.err
+        assert f"error: {path}: {message}" in captured.err
         assert "internal error" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
-        "term",
+        "term, message",
         [
-            {"term": "x", "estimate": None, "se": 1.0, "statistic": 1.0, "p": 0.5},
-            {"term": "x", "estimate": 1.0, "se": True, "statistic": 1.0, "p": 0.5},
-            "x",
+            (
+                {"term": "x", "estimate": None, "se": 1.0, "statistic": 1.0, "p": 0.5},
+                "the term field estimate must be float, got None",
+            ),
+            (
+                {"term": "x", "estimate": 1.0, "se": True, "statistic": 1.0, "p": 0.5},
+                "the term field se must be float, got True",
+            ),
+            ("x", "the term must be a JSON object, got str"),
+            (
+                {"term": 7, "estimate": 1.0, "se": 1.0, "statistic": 1.0, "p": 0.5},
+                "the term field term must be str, got 7",
+            ),
         ],
-        ids=["null_estimate", "bool_se", "string_term"],
+        ids=["null_estimate", "bool_se", "string_term", "int_term_name"],
     )
-    def test_report_rejects_term_that_is_not_numbers(self, tmp_path, capsys, term):
+    def test_report_rejects_term_that_is_not_numbers(self, tmp_path, capsys, term, message):
         path = tmp_path / "fit_dwell.json"
         path.write_text(json.dumps({"model": "ols", "n": 10, "terms": [term]}))
         assert run(["report", "--input", path]) == 2
         captured = capsys.readouterr()
-        assert f"error: {path}: term 0 needs numbers for estimate, se, statistic, p" in captured.err
+        assert f"error: {path}: term 0: {message}" in captured.err
         assert captured.out == ""
 
     def test_report_renders_infinite_statistic(self, tmp_path, capsys):
@@ -623,6 +646,16 @@ class TestExperimentAndRecover:
         assert run(["report", "--input", tmp_path]) == 2
         captured = capsys.readouterr()
         assert f"error: {path}: Expecting value" in captured.err
+        assert captured.out == ""
+
+    def test_report_prints_nothing_when_a_later_fit_is_bad(self, tmp_path, capsys):
+        # fit_a.json sorts first and is good; fit_b.json is not a fit
+        term = {"term": "x", "estimate": 1.0, "se": 0.1, "statistic": 10.0, "p": 0.0}
+        (tmp_path / "fit_a.json").write_text(json.dumps({"model": "ols", "n": 10, "terms": [term]}))
+        (tmp_path / "fit_b.json").write_text(json.dumps({"model": "ols", "n": "x", "terms": []}))
+        assert run(["report", "--input", tmp_path]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {tmp_path / 'fit_b.json'}: the fit field n must be int" in captured.err
         assert captured.out == ""
 
     def test_report_renders_fits(self, tmp_path, analysis_dirs, capsys):

@@ -772,7 +772,7 @@ class TestDatasetJson:
         # the impressions are impressions.csv's
         payload = json.loads(first)
         rows = [d.pop("features") for d in payload["posts"]]
-        posts = [from_fields(Post, d, path) for d in payload["posts"]]
+        posts = [from_fields(Post, d, path, "the post") for d in payload["posts"]]
         assert posts == tiny_posts
         assert rows == [dict(zip(FEATURE_NAMES, r)) for r in features.values.tolist()]
         assert payload["provenance"] == provenance

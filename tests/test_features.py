@@ -275,6 +275,59 @@ class TestFitPca:
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not a PcaFit"):
             load_pca_fit(path)
 
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        fit = fit_feature_pca(as_matrix(np.random.default_rng(12).standard_normal((40, 8))))
+        path = tmp_path / "f.json"
+        save_pca_fit(path, fit)
+        first = path.read_bytes()
+        save_pca_fit(path, load_pca_fit(path))
+        assert path.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(flipped=5), "field flipped must be a JSON list, got 5"),
+            (
+                lambda d: d.update(means=["x"]),
+                "field means must be a JSON list of finite numbers, got ['x']",
+            ),
+            (
+                lambda d: d.update(sds=[True]),
+                "field sds must be a JSON list of finite numbers, got [True]",
+            ),
+            (
+                lambda d: d.update(sds=[float("nan")]),
+                "field sds must be a JSON list of finite numbers, got [nan]",
+            ),
+            (
+                lambda d: d.update(sds=[10**400]),
+                f"field sds must be a JSON list of finite numbers, got [{10**400}]",
+            ),
+            (
+                lambda d: d.update(loadings=[[1.0], [1.0, 2.0]]),
+                "field loadings must be a JSON list of finite numbers, got [[1.0], [1.0, 2.0]]",
+            ),
+            (None, "must be a JSON object, got list"),
+        ],
+        ids=[
+            "int_flipped", "text_means", "bool_sds", "nan_sds", "huge_int_sds", "ragged_loadings",
+            "top_level_list",
+        ],
+    )
+    def test_malformed_file_names_the_file(self, tmp_path, edit, message):
+        fit = fit_feature_pca(as_matrix(np.random.default_rng(12).standard_normal((40, 8))))
+        path = tmp_path / "f.json"
+        save_pca_fit(path, fit)
+        payload = json.loads(path.read_text())
+        if edit is None:
+            payload = [payload]
+        else:
+            edit(payload)
+        path.write_text(json.dumps(payload))
+        message = f"{path}: the component fit {message}"
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+            load_pca_fit(path)
+
 
 def matrix_from(rng, n=40):
     return as_matrix(rng.normal(3.0, 1.0, size=(n, 8)))

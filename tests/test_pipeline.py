@@ -335,6 +335,59 @@ class TestMovementModel:
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not a MovementModel"):
             load_movement_model(path)
 
+    # a saved model: odd floats, an integer slope and the default NaN log-likelihood
+    MODEL = MovementModel(
+        0.1 + 0.2, 1.2345678901234567, 1e-300, 0.0, 2.5, {"p0": (-0.5, 3), "p1": (1e22, 0.7)},
+    )
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        path = tmp_path / "movement_model.json"
+        save_movement_model(path, self.MODEL)
+        first = path.read_bytes()
+        save_movement_model(path, load_movement_model(path))
+        assert path.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("participants"), "not a MovementModel: "),
+            (
+                lambda d: d.update(participants=[1.0, 2.0]),
+                "the movement model field participants must be a JSON object, got list",
+            ),
+            (
+                lambda d: d["participants"]["p0"].pop("slope"),
+                "participant 'p0': not a ParticipantFit: ",
+            ),
+            (
+                lambda d: d["participants"]["p0"].update(slope=None),
+                "participant 'p0': the participant field slope must be float, got None",
+            ),
+            (
+                lambda d: d.update(mu_alpha="x"),
+                "the movement model field mu_alpha must be float, got 'x'",
+            ),
+            (
+                lambda d: d.update(iterations=True),
+                "the movement model field iterations must be int, got True",
+            ),
+            (None, "the movement model must be a JSON object, got list"),
+        ],
+        ids=["no_participants", "participants_list", "no_slope", "null_slope", "text_mu_alpha",
+             "bool_iterations", "top_level_list"],
+    )
+    def test_malformed_file_names_the_file(self, tmp_path, edit, message):
+        path = tmp_path / "movement_model.json"
+        save_movement_model(path, self.MODEL)
+        payload = json.loads(path.read_text())
+        if edit is None:
+            payload = [payload]
+        else:
+            edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_movement_model(path)
+
 
 class TestRunPipeline:
     def test_fixture_audit_counts_exact(self, pipeline_fixture_10):
@@ -370,7 +423,8 @@ class TestRunPipeline:
 
     def test_raw_dwell_control(self, pipeline_fixture_10):
         # stage 1 keeps positions 4, 6 and 7; the floor drops 6 (0.10 s raw)
-        kept = raw_dwell_control(pipeline_fixture_10, ExclusionRules())
+        rules = ExclusionRules()
+        kept = raw_dwell_control(run_pipeline(pipeline_fixture_10, rules), rules)
         assert kept.position.tolist() == [4, 7]
         assert kept.dwell_adjusted.tolist() == [2.0, 5.0]
         # the rows of stage 1 whose raw dwell reaches the floor, raw dwell as adjusted
@@ -379,7 +433,9 @@ class TestRunPipeline:
         rules = ExclusionRules(min_adjusted_dwell=3.0)
         stage1, _ = apply_exclusions_stage1(imps, rules)
         expected = stage1[stage1.dwell_raw >= rules.min_adjusted_dwell]
-        kept = raw_dwell_control(imps, rules)
+        result = run_pipeline(imps, rules)
+        assert result.stage1 == stage1
+        kept = raw_dwell_control(result, rules)
         assert 0 < len(kept) < len(stage1)
         assert kept == replace(expected, dwell_adjusted=expected.dwell_raw)
 

@@ -489,6 +489,10 @@ class TestFitDesignAndIO:
             save_fit(tmp_path / "fit.json", fit)
             loaded = load_fit(tmp_path / "fit.json")
             assert loaded == fit
+            # and the loaded fit saves the same bytes
+            first = (tmp_path / "fit.json").read_bytes()
+            save_fit(tmp_path / "fit.json", loaded)
+            assert (tmp_path / "fit.json").read_bytes() == first
 
     def test_render_table_aligned(self):
         imps, scores = self._fitted()

@@ -683,7 +683,7 @@ class TestParameterRecovery:
         imps, pool = simulate_session(cfg)
         rules = ExclusionRules()
         adjusted = run_pipeline(imps, rules)
-        raw_rows = raw_dwell_control(imps, rules)
+        raw_rows = raw_dwell_control(adjusted, rules)
         spec = engagement_model_spec()
         scores = pool_scores(pool)
         fit_adj = fit_design(build_design(adjusted.impressions, scores, spec), spec)
@@ -724,6 +724,10 @@ class TestConfigIO:
         write_json(tmp_path / "cfg.json", config_to_dict(cfg))
         loaded = load_sim_config(tmp_path / "cfg.json")
         assert loaded == cfg
+        # and the loaded config saves the same bytes
+        first = (tmp_path / "cfg.json").read_bytes()
+        write_json(tmp_path / "cfg.json", config_to_dict(loaded))
+        assert (tmp_path / "cfg.json").read_bytes() == first
 
     def test_unknown_field_rejected(self, tmp_path):
         # a misspelt key used to be ignored, so the run silently used the default
