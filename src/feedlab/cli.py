@@ -223,9 +223,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     config = _sim_config_from_args(args)
     policies = args.policies.split(",")
-    outcomes = run_policy_experiment(
-        config, policies, k=args.k, replications=args.replications, threads=args.threads
-    )
+    outcomes = run_policy_experiment(config, policies, k=args.k, replications=args.replications)
     _write_resolved_config(out, args)
     write_csv(
         out / "policy_outcomes.csv",
@@ -245,9 +243,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     config = _sim_config_from_args(args)
     rules = _rules_from_args(args)
-    report = parameter_recovery(
-        config, rules, replications=args.replications, threads=args.threads
-    )
+    report = parameter_recovery(config, rules, replications=args.replications)
     _write_resolved_config(out, args)
     write_json(out / "recovery_report.json", report.to_dict())
     s = report.summary
@@ -323,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=20)
     p.add_argument("--replications", type=int, default=100)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("recover", help="simulate -> preprocess -> refit study")
@@ -331,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", required=True)
     p.add_argument("--replications", type=int, default=20)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
     add_rules(p)
     p.set_defaults(func=cmd_recover)
 

@@ -19,8 +19,9 @@ function writes its dataclass; the matching ``load_*`` builds it from the
 file's fields: :func:`read_json` reads a JSON file (a malformed one is a
 :class:`DataFormatError` naming it) and :func:`from_fields`, the one check of a
 JSON object's fields, builds its object: the value must be an object, each int,
-float or str field a value of that type, no field missing or unknown, and each
-nested value one that its decoder accepts, or the error names the file.
+float or str field a value of that type (for a float field, a number that
+converts to a float), no field missing or unknown, and each nested value one
+that its decoder accepts, or the error names the file.
 
 :func:`load_impressions` has two readers. A file in the canonical form that
 :func:`save_impressions` writes (UTF-8 with LF line ends and no '"', CR or
@@ -306,6 +307,12 @@ def read_json(path: str | Path):
         raise DataFormatError(f"{path}: {exc}") from None
 
 
+def _is_float(v) -> bool:
+    """Whether JSON value ``v`` converts to a float: a float, or an int no larger in
+    size than the largest float (a bool is no number)."""
+    return type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+
+
 # the JSON values that a field annotated with the key's type accepts (a bool is no number)
 _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
@@ -315,8 +322,9 @@ def from_fields(cls, obj, source: str | Path, name: str, **decode):
     artifact's fields. A :class:`DataFormatError` starting with ``source`` (the file, and
     the place in it) is raised when ``obj`` (``name`` in the messages) is not a JSON object,
     a field annotated ``int``, ``float`` or ``str`` holds no value of that type (an integer
-    for ``int``; a bool is no number), a field is missing or unknown, or ``decode[field]``,
-    which converts that field's JSON value, rejects it with a TypeError saying what it must be."""
+    for ``int``, a number that converts to a float for ``float``; a bool is no number), a
+    field is missing or unknown, or ``decode[field]``, which converts that field's JSON
+    value, rejects it with a TypeError saying what it must be."""
     if not isinstance(obj, dict):
         raise DataFormatError(f"{source}: {name} must be a JSON object, got {type(obj).__name__}")
     values = dict(obj)
@@ -327,6 +335,8 @@ def from_fields(cls, obj, source: str | Path, name: str, **decode):
                 values[f.name] = decode[f.name](v)
             elif kinds and type(v) not in kinds:
                 raise TypeError(f"must be {f.type}, got {v!r}")
+            elif f.type == "float" and not _is_float(v):
+                raise TypeError("must be float, got an integer too large for a float")
         except TypeError as exc:
             raise DataFormatError(f"{source}: {name} field {f.name} {exc}") from None
     try:
@@ -345,7 +355,7 @@ def json_list(value) -> tuple:
 def float_array(value) -> np.ndarray:
     """A JSON list (of equal-length lists) of finite numbers as an array, for ``from_fields``."""
     array = np.array(json_list(value), dtype=object)  # a ragged list gives an array of lists
-    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in array.flat):
+    if not all(_is_float(x) and math.isfinite(x) for x in array.flat):
         raise TypeError(f"must be a JSON list of finite numbers, got {value!r}")
     return array.astype(float)
 

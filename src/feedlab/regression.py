@@ -396,7 +396,7 @@ def render_fit_table(fit: RegressionFit) -> str:
         [t.term, f"{t.estimate:.3f}", f"{t.se:.3f}", f"{t.statistic:.3f}", f"{t.p:.3f}"]
         for t in fit.terms
     ]
-    widths = [max(len(header[j]), *(len(r[j]) for r in rows)) for j in range(5)]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     rule = ["-" * w for w in widths]
     lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in [header, rule, *rows]]
     lines += [f"n = {fit.n}  model = {fit.model}", *(f"warning: {w}" for w in fit.warnings)]

@@ -18,8 +18,7 @@ reverse) is a modeling commitment recorded in experiment metadata; the
 descriptive association between engagement and dwell emerges from it.
 
 Determinism: every run is seeded, with replication-indexed substreams
-(`numpy` SeedSequence spawn keys), so results are bit-identical regardless
-of thread count.
+(`numpy` SeedSequence spawn keys) run one after another in index order.
 
 Default intercepts, noise scales, and the like/share split are calibration
 constants chosen for a plausible feed (base engagement rate near 10%); they
@@ -33,10 +32,9 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -549,17 +547,12 @@ def rank_feed(
 # Replications
 
 
-def _map_replications(work: Callable, seed: int, replications: int, threads: int) -> list:
-    """Run ``work(index, seed_seq)`` once per replication on its own SeedSequence substream.
-
-    Results come back in replication-index order whatever ``threads`` is, so
-    a run is bit-identical at any thread count.
-    """
-    seqs = np.random.SeedSequence(seed).spawn(replications)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            return list(executor.map(work, range(replications), seqs))
-    return [work(r, sq) for r, sq in enumerate(seqs)]
+def _replication_streams(seed: int, replications: int) -> list[np.random.SeedSequence]:
+    """One SeedSequence substream per replication, in index order. Callers run the
+    replications one after another in the calling thread."""
+    if replications < 1:
+        raise ValueError("need at least one replication")
+    return np.random.SeedSequence(seed).spawn(replications)
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +607,10 @@ def run_policy_experiment(
     rows, and one :func:`_two_stage` call evaluates the whole (policies,
     replications, k) block. Every value is bit-identical to ranking and
     simulating one replication at a time. Each policy must be one of
-    ``POLICIES``, named once, and k must be in 1..pool size.
+    ``POLICIES``, named once, and k must be in 1..pool size. ``threads`` is
+    accepted and unused; it stays only because ``perfbench/workloads.py`` passes it.
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    streams = _replication_streams(config.seed, replications)
     n = config.pool.size
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
@@ -633,7 +626,7 @@ def run_policy_experiment(
     loc, scale = np.empty((replications, 1)), np.empty((replications, 1))
     variates = np.empty((4, *block))
 
-    def draw(r: int, seed_seq: np.random.SeedSequence) -> None:
+    for r, seed_seq in enumerate(streams):
         rng = np.random.default_rng(seed_seq)
         pool = config.pool.realize(rng)
         cred[r], sens[r] = pool.credibility, pool.sensationalism
@@ -643,8 +636,6 @@ def run_policy_experiment(
                 top = rank_feed(policy, pool, params, k, rng=rng)
                 c[j, r], s[j, r] = pool.credibility[top], pool.sensationalism[top]
             _draw_variates(rng, *variates[:, j, r])
-
-    _map_replications(draw, config.seed, replications, threads)
     by_id = _id_order(_post_ids(n))
     for j, policy in enumerate(policies):
         if policy == "chronological":
@@ -782,13 +773,12 @@ def parameter_recovery(
 
     Reports per-coefficient bias and 3-SE coverage across replications, and
     compares the stage-2 dwell coefficient with and without the motor-time
-    adjustment (identical exclusions either way).
+    adjustment (identical exclusions either way). ``threads`` is accepted and
+    unused; it stays only because ``perfbench/workloads.py`` passes it.
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    streams = _replication_streams(config.seed, replications)
     rules = rules or ExclusionRules()
-    work = lambda _, sq: _recover_once(config, rules, sq)
-    reps = _map_replications(work, config.seed, replications, threads)
+    reps = [_recover_once(config, rules, seed_seq) for seed_seq in streams]
 
     generating = {f"{st}.{t}": getattr(config.params, a) for (st, t), a in _TARGETS.items()}
     summary: dict = {"coefficients": {}}

@@ -109,11 +109,13 @@ class TestSimulateCommand:
             ("pool", "feature_noise_sd", -0.1, "feature_noise_sd must be non-negative"),
             (
                 "params", "dwell_intercept", 10**400,
-                "dwell_intercept must be finite, got an integer too large for a float",
+                "{path}: params field dwell_intercept must be float, "
+                "got an integer too large for a float",
             ),
             (
                 "pool", "credibility_strength", -(10**400),
-                "credibility_strength must be finite, got an integer too large for a float",
+                "{path}: pool field credibility_strength must be float, "
+                "got an integer too large for a float",
             ),
         ],
         ids=["params_nan", "pool_inf", "pool_negative_sd", "params_huge_int", "pool_huge_int"],
@@ -127,7 +129,7 @@ class TestSimulateCommand:
         sim_config_path.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {message.format(path=sim_config_path)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_json_config_names_its_path(self, tmp_path, sim_config_path, capsys):
@@ -537,6 +539,15 @@ class TestExperimentAndRecover:
         assert run(argv + ["--config", sim_config_path, "--output-dir", out]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["experiment", "recover"])
+    def test_threads_flag_is_gone(self, tmp_path, sim_config_path, capsys, command):
+        out = tmp_path / "threaded"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", sim_config_path, "--output-dir", out, "--threads", 2])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_recover_outputs(self, tmp_path, sim_config_path):
         out = tmp_path / "rec"
         code = run(
@@ -621,8 +632,12 @@ class TestExperimentAndRecover:
                 {"term": 7, "estimate": 1.0, "se": 1.0, "statistic": 1.0, "p": 0.5},
                 "the term field term must be str, got 7",
             ),
+            (
+                {"term": "x", "estimate": 10**400, "se": 1.0, "statistic": 1.0, "p": 0.5},
+                "the term field estimate must be float, got an integer too large for a float",
+            ),
         ],
-        ids=["null_estimate", "bool_se", "string_term", "int_term_name"],
+        ids=["null_estimate", "bool_se", "string_term", "int_term_name", "huge_int_estimate"],
     )
     def test_report_rejects_term_that_is_not_numbers(self, tmp_path, capsys, term, message):
         path = tmp_path / "fit_dwell.json"
@@ -639,6 +654,18 @@ class TestExperimentAndRecover:
         path.write_text(json.dumps({"model": "ols", "n": 10, "terms": [term]}))
         assert run(["report", "--input", path]) == 0
         assert "x     4.000     0.000  inf      0.000" in capsys.readouterr().out
+
+    def test_report_renders_fit_without_terms(self, tmp_path, capsys):
+        path = tmp_path / "fit_dwell.json"
+        path.write_text(json.dumps({"model": "ols", "n": 3, "terms": []}))
+        assert run(["report", "--input", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "== fit_dwell.json ==",
+            "term  estimate  SE  t value  p",
+            "----  --------  --  -------  -",
+            "n = 3  model = ols",
+            "",
+        ]
 
     def test_report_names_malformed_fit_file(self, tmp_path, capsys):
         path = tmp_path / "fit_dwell.json"
@@ -747,14 +774,16 @@ class BlockScipy:
 sys.meta_path.insert(0, BlockScipy())
 from feedlab.cli import main
 codes = {name: main(argv) for name, argv in json.loads(sys.argv[1])}
-scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": scipy}))
+loaded = {top: sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
+          for top in ("scipy", "concurrent.futures")}
+print(json.dumps({"codes": codes, **loaded}))
 """
 
 
 def test_no_command_loads_scipy(tmp_path, sim_config_path):
     # p-values are computed with numpy and math alone, so scipy is not a runtime
-    # dependency: every command runs with it unimportable
+    # dependency: every command runs with it unimportable. Replications run in the
+    # calling thread, so no command loads a thread pool either
     sim_out, clean_out, pca_out, fit_out = (tmp_path / d for d in ("sim", "clean", "pca", "fit"))
     fit = ["fit", "--input", clean_out / "cleaned.csv", "--scores", pca_out / "scores.csv",
            "--output-dir", fit_out]
@@ -780,6 +809,6 @@ def test_no_command_loads_scipy(tmp_path, sim_config_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "codes": dict.fromkeys(commands, 0), "scipy": []
+        "codes": dict.fromkeys(commands, 0), "scipy": [], "concurrent.futures": []
     }, proc.stderr
     assert (fit_out / "fit_dwell.json").is_file() and (fit_out / "fit_engage.json").is_file()

@@ -364,6 +364,11 @@ class TestMovementModel:
                 "participant 'p0': the participant field slope must be float, got None",
             ),
             (
+                lambda d: d["participants"]["p0"].update(slope=10**400),
+                "participant 'p0': the participant field slope must be float, "
+                "got an integer too large for a float",
+            ),
+            (
                 lambda d: d.update(mu_alpha="x"),
                 "the movement model field mu_alpha must be float, got 'x'",
             ),
@@ -373,8 +378,8 @@ class TestMovementModel:
             ),
             (None, "the movement model must be a JSON object, got list"),
         ],
-        ids=["no_participants", "participants_list", "no_slope", "null_slope", "text_mu_alpha",
-             "bool_iterations", "top_level_list"],
+        ids=["no_participants", "participants_list", "no_slope", "null_slope", "huge_int_slope",
+             "text_mu_alpha", "bool_iterations", "top_level_list"],
     )
     def test_malformed_file_names_the_file(self, tmp_path, edit, message):
         path = tmp_path / "movement_model.json"

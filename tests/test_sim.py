@@ -424,6 +424,7 @@ class TestPolicyExperiment:
         assert len(creds) == 1 and len(senss) == 1
 
     def test_threaded_matches_serial(self):
+        """The ``threads`` keyword that the benchmark harness passes changes nothing."""
         cfg = SimConfig(participants=1, seed=31)
         serial = run_policy_experiment(cfg, k=10, replications=12, threads=1)
         threaded = run_policy_experiment(cfg, k=10, replications=12, threads=4)
@@ -533,6 +534,7 @@ class TestBatchedSimulatorMatchesPerStreamLoops:
         ],
     )
     def test_policy_experiment(self, config, policies, k, replications, threads):
+        # threads, which the benchmark harness passes, is accepted and changes nothing
         expected = per_replication_policy_experiment(config, policies, k, replications)
         assert run_policy_experiment(config, policies, k, replications, threads) == expected
 
@@ -693,6 +695,7 @@ class TestParameterRecovery:
         )
 
     def test_threaded_matches_serial(self):
+        """The ``threads`` keyword that the benchmark harness passes changes nothing."""
         cfg = SimConfig(participants=60, seed=2024)
         serial = parameter_recovery(cfg, ExclusionRules(), replications=3, threads=1)
         threaded = parameter_recovery(cfg, ExclusionRules(), replications=3, threads=2)
@@ -750,6 +753,19 @@ class TestConfigIO:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not a {cls}: "):
             load_sim_config(path)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GenerativeParams(dwell_intercept=10**400),
+            lambda: SyntheticPool(credibility_strength=-(10**400)),
+        ],
+        ids=["params", "pool"],
+    )
+    def test_huge_int_rejected_in_code(self, build):
+        # a config file's huge integer stops in from_fields; one built in code stops here
+        with pytest.raises(ValueError, match="must be finite, got an integer too large for a float"):
+            build()
 
     def test_policies_constant(self):
         assert POLICIES == ("dwell_opt", "engage_opt", "random", "chronological")

@@ -1,17 +1,24 @@
-"""The benchmark tracer's layer functions exist where it looks them up.
+"""The benchmark harness's references into feedlab resolve.
 
 ``perfbench/tracing.py`` wraps every name in its ``LAYER_FUNCTIONS`` in the
 module ``feedlab.<layer>``: a function through the module's attribute, a
-``Class.method`` through the class ``__dict__``. Renaming or removing one of
-them fails here, not only in the slower ``perfbench/test_smoke.py``.
+``Class.method`` through the class ``__dict__``. ``perfbench/workloads.py``
+and ``perfbench/loop.py`` import names from feedlab and call its modules'
+functions with keywords. Renaming or removing any of them, or a keyword
+parameter they pass, fails here, not only in the slower
+``perfbench/test_smoke.py``.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+HARNESS = (PERFBENCH / "workloads.py", PERFBENCH / "loop.py")
 
 
 def layer_functions() -> dict[str, tuple[str, ...]]:
@@ -40,3 +47,51 @@ def test_every_traced_function_resolves():
             if not callable(target):
                 missing.append(f"feedlab.{layer}.{func}")
     assert missing == []
+
+
+def feedlab_imports(tree: ast.Module, problems: list[str]) -> dict:
+    """Local name -> object for each ``from feedlab[.module] import name`` in ``tree``;
+    a name that does not resolve goes into ``problems``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "feedlab":
+            home = importlib.import_module(node.module)
+            for alias in node.names:
+                target = getattr(home, alias.name, None)
+                if target is None:  # ``from package import submodule`` imports it
+                    try:
+                        target = importlib.import_module(f"{node.module}.{alias.name}")
+                    except ModuleNotFoundError:
+                        problems.append(f"line {node.lineno}: {node.module}.{alias.name}")
+                        continue
+                bound[alias.asname or alias.name] = target
+    return bound
+
+
+def harness_problems(path: Path) -> list[str]:
+    """Each name imported from feedlab, ``module.attribute`` read from an imported feedlab
+    module, or keyword passed to a call of one, in ``path`` that does not resolve."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    problems = []
+    modules = {
+        local: m for local, m in feedlab_imports(tree, problems).items() if inspect.ismodule(m)
+    }
+    reads = {
+        node: getattr(modules[node.value.id], node.attr, None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    problems += [f"line {n.lineno}: {n.value.id}.{n.attr}" for n, t in reads.items() if t is None]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and reads.get(node.func) is not None:
+            params = inspect.signature(reads[node.func]).parameters
+            problems += [
+                f"line {node.lineno}: {node.func.value.id}.{node.func.attr}(..., {kw.arg}=...)"
+                for kw in node.keywords if kw.arg and kw.arg not in params
+            ]
+    return [f"{path.name} {p}" for p in problems]
+
+
+def test_harness_references_resolve():
+    assert [p for path in HARNESS for p in harness_problems(path)] == []
