@@ -86,6 +86,16 @@ def _sim_config_from_args(args: argparse.Namespace) -> SimConfig:
     return config
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as numpy's SeedSequence takes."""
+    try:
+        if (seed := int(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def _report_row_errors(label: str, errors) -> None:
     for e in errors[:20]:
         print(f"warning: {label} line {e.line}: {e.message}", file=sys.stderr)
@@ -309,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.add_argument("--config", required=True, help="sim_config.json")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_seed, help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("experiment", help="ranking-policy ecosystem comparison")
@@ -318,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", default=",".join(POLICIES))
     p.add_argument("-k", type=int, default=20)
     p.add_argument("--replications", type=int, default=100)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("recover", help="simulate -> preprocess -> refit study")
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", required=True)
     p.add_argument("--replications", type=int, default=20)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     add_rules(p)
     p.set_defaults(func=cmd_recover)
 

@@ -20,8 +20,9 @@ file's fields: :func:`read_json` reads a JSON file (a malformed one is a
 :class:`DataFormatError` naming it) and :func:`from_fields`, the one check of a
 JSON object's fields, builds its object: the value must be an object, each int,
 float or str field a value of that type (for a float field, a number that
-converts to a float), no field missing or unknown, and each nested value one
-that its decoder accepts, or the error names the file.
+converts to a float), no field missing or unknown, each nested value one that
+its decoder accepts, and every value one that the dataclass accepts, or the
+error names the file.
 
 :func:`load_impressions` has two readers. A file in the canonical form that
 :func:`save_impressions` writes (UTF-8 with LF line ends and no '"', CR or
@@ -323,8 +324,9 @@ def from_fields(cls, obj, source: str | Path, name: str, **decode):
     the place in it) is raised when ``obj`` (``name`` in the messages) is not a JSON object,
     a field annotated ``int``, ``float`` or ``str`` holds no value of that type (an integer
     for ``int``, a number that converts to a float for ``float``; a bool is no number), a
-    field is missing or unknown, or ``decode[field]``, which converts that field's JSON
-    value, rejects it with a TypeError saying what it must be."""
+    field is missing or unknown, ``decode[field]``, which converts that field's JSON
+    value, rejects it with a TypeError saying what it must be, or ``cls`` rejects a
+    value with a ValueError (``{source}: {name}: {message}``)."""
     if not isinstance(obj, dict):
         raise DataFormatError(f"{source}: {name} must be a JSON object, got {type(obj).__name__}")
     values = dict(obj)
@@ -343,6 +345,8 @@ def from_fields(cls, obj, source: str | Path, name: str, **decode):
         return cls(**values)
     except TypeError as exc:
         raise DataFormatError(f"{source}: not a {cls.__name__}: {exc}") from None
+    except ValueError as exc:
+        raise DataFormatError(f"{source}: {name}: {exc}") from None
 
 
 def json_list(value) -> tuple:

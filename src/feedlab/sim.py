@@ -59,10 +59,13 @@ from .regression import (
     fit_design,
 )
 
-# Gauss-Hermite nodes and weights for expected_engagement, computed once;
-# the nodes are scaled to a standard-normal variable
+# the 64-node Gauss-Hermite rule, computed once (tests/oracles.py's reference),
+# and the nodes with a normalised weight over 1e-17 that expected_engagement
+# sums, scaled to a standard-normal variable
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(64)
-_GH_NODES = math.sqrt(2.0) * _GH_X
+_GH_KEPT = _GH_W / math.sqrt(math.pi) > 1e-17
+_GH_NODES = math.sqrt(2.0) * _GH_X[_GH_KEPT]
+_GH_WEIGHTS = _GH_W[_GH_KEPT]
 
 POLICIES = ("dwell_opt", "engage_opt", "random", "chronological")
 # the across-replication metrics of a PolicyOutcome, in policy_outcomes.csv's order
@@ -226,22 +229,44 @@ def simulate_impressions(
 
 @dataclass(frozen=True)
 class PoolPosts:
-    """A realized post pool: feature values, categories, and true score coordinates.
+    """A realized post pool: categories, true score coordinates and the feature noise.
 
-    Row ``i`` of every array is the post ``post_ids[i]``; ``values`` has one column
-    per ``FEATURE_NAMES`` entry.
+    Row ``i`` of every array is the post ``post_ids[i]``. ``noise`` is the
+    (posts, 8) standard-normal feature noise that ``source`` drew, from which
+    ``values`` builds the features when first read.
     """
 
     post_ids: tuple[str, ...]
-    values: np.ndarray
     categories: np.ndarray
     credibility: np.ndarray
     sensationalism: np.ndarray
+    noise: np.ndarray
+    source: SyntheticPool
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The read-only feature values, one column per ``FEATURE_NAMES`` entry,
+        built when first read: the policy experiment realizes a pool per
+        replication and never reads them.
+
+        They are ``offset + cred_strength * outer(cred, pattern) + sens_strength
+        * outer(sens, pattern) + noise_sd * noise`` under ``source``'s
+        settings, summed left to right in place.
+        """
+        src = self.source
+        values = np.multiply.outer(self.credibility, _CRED_PATTERN)
+        values *= src.credibility_strength
+        values += src.feature_offset
+        sens_part = np.multiply.outer(self.sensationalism, _SENS_PATTERN)
+        sens_part *= src.sensationalism_strength
+        values += sens_part
+        values += self.noise * src.feature_noise_sd
+        values.flags.writeable = False
+        return values
 
     @functools.cached_property
     def matrix(self) -> FeatureMatrix:
-        """The features as a checked table, built when first read: the policy
-        experiment realizes a pool per replication and never reads it."""
+        """The features as a checked table, built when first read."""
         return FeatureMatrix(self.post_ids, FEATURE_NAMES, self.values)
 
     @property
@@ -323,28 +348,23 @@ class SyntheticPool:
     def realize(self, rng: np.random.Generator) -> PoolPosts:
         """Draw one pool: credibility, sensationalism, then the feature noise.
 
-        The feature values are ``offset + cred_strength * outer(cred, pattern)
-        + sens_strength * outer(sens, pattern) + noise_sd * noise``, summed left
-        to right in place and then made read-only. Every pool of one composition
-        shares its post ids and its read-only categories array.
+        The 10 normals per post come from one ``standard_normal`` call, the
+        same stream (and generator state after it) as drawing n, n and (n, 8)
+        in turn. They are made read-only, so the features that
+        :attr:`PoolPosts.values` builds when first read are those of the draw.
+        Every pool of one composition shares its post ids and its read-only
+        categories array.
         """
         n = self.size
-        cred = rng.standard_normal(n)
-        sens = rng.standard_normal(n)
-        noise = rng.standard_normal((n, 8))
-        values = np.multiply.outer(cred, _CRED_PATTERN)
-        values *= self.credibility_strength
-        values += self.feature_offset
-        sens_part = np.multiply.outer(sens, _SENS_PATTERN)
-        sens_part *= self.sensationalism_strength
-        values += sens_part
-        noise *= self.feature_noise_sd
-        values += noise
-        values.flags.writeable = False
+        draws = rng.standard_normal(10 * n)
+        draws.flags.writeable = False
         categories = _categories(
             self.n_true_news, self.n_false_news, self.n_opinion, self.n_mundane
         )
-        return PoolPosts(_post_ids(n), values, categories, cred, sens)
+        return PoolPosts(
+            _post_ids(n), categories, draws[:n], draws[n : 2 * n], draws[2 * n :].reshape(n, 8),
+            self,
+        )
 
 
 @dataclass(frozen=True)
@@ -359,6 +379,8 @@ class SimConfig:
     def __post_init__(self):
         if self.participants < 0:
             raise ValueError("participants must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.pool.size < 1:
             raise ValueError("the post pool must hold at least one post")
         if self.feed_length > self.pool.size:
@@ -471,11 +493,15 @@ def expected_engagement(
     and each row is bit-identical to the call on that pool alone. Where the
     scale is not positive, the dwell noise does not move the score.
 
-    The logistic at the (..., posts, 64) nodes is the one that
-    :func:`engage_probability` uses (``_numeric.sigmoid``), evaluated in one
-    buffer. A score can differ from one computed with scipy's ``expit`` in
-    its last bits and from one CPU to another; the scores only rank posts,
-    and rankings and every output built on them do not change.
+    The sum runs over the 42 of the 64 Gauss-Hermite nodes whose normalised
+    weight exceeds 1e-17 (``_GH_NODES``); the dropped 22 weigh 2.7e-18 in
+    all, so a score is within 3e-18 of the full rule's, plus the last bits
+    of the product's summation order. The logistic at the (..., posts, 42)
+    nodes is the one that :func:`engage_probability` uses
+    (``_numeric.sigmoid``), evaluated in one buffer. A score can differ from
+    one computed with scipy's ``expit`` in its last bits and from one CPU to
+    another; the scores only rank posts, and rankings and every output built
+    on them do not change.
     """
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -493,7 +519,7 @@ def expected_engagement(
     eta += a[..., None]
     # matmul makes one matrix-vector product per pool of a block, so each row is
     # that pool's product alone
-    return (sigmoid(eta, out=eta) @ _GH_W) / math.sqrt(math.pi)
+    return (sigmoid(eta, out=eta) @ _GH_WEIGHTS) / math.sqrt(math.pi)
 
 
 def _id_order(ids: Sequence[str]) -> np.ndarray:
@@ -559,9 +585,10 @@ def _replication_streams(seed: int, replications: int) -> list[np.random.SeedSeq
 # Policy experiments
 
 # replications that run_policy_experiment ranks per expected_engagement call:
-# four 276-post pools make a 0.57 MB quadrature buffer, inside a 2 MB L2 cache.
-# At 250 replications on a 2-vCPU Xeon, chunks of 4 to 16 ran alike and 1 or 2
-# slower; the whole block in one call needs 35 MB (141 MB at 1000) and ran slower.
+# four 276-post pools at 42 nodes make a 0.37 MB quadrature buffer, inside a
+# 2 MB L2 cache. At 250 replications on a 2-vCPU Xeon, chunks of 4 to 16 ran
+# alike and 1 or 2 slower; the whole block in one call needs 23 MB (93 MB at
+# 1000) and ran slower.
 _RANK_CHUNK = 4
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the library's code paths: means by explicit
 sum/count, OLS by normal equations and by the full Q of one QR, logistic
 ML by grid search, p-values by permutation, sorting by a plain comparison
 sort, the simulators one stream (participant or replication) at a time,
-the axis alignment with one branch per axis,
+the axis alignment with one branch per axis, a pool's features drawn in three
+calls and built at once,
 impressions.csv by one ``%`` format over a list of every cell, the
 movement-time EM with one array per participant moment, and the IRLS
 logistic with ``logaddexp`` on a C-ordered design.
@@ -22,8 +23,10 @@ from feedlab.data import _IMPRESSION_FIELDS, NEWS_CATEGORIES, FeatureMatrix
 from feedlab.pipeline import _VAR_FLOOR, EM_LL_RTOL, MovementModel
 from feedlab.regression import IRLS_DEVIANCE_RTOL, IRLS_GRADIENT_TOL, SEPARATION_COEF_BOUND
 from feedlab.sim import (
+    _CRED_PATTERN,
     _GH_W,
     _GH_X,
+    _SENS_PATTERN,
     PolicyOutcome,
     expected_dwell,
 )
@@ -425,6 +428,24 @@ def expit_expected_engagement(params, c, s, loc, scale):
         b = slope * params.dwell_noise_sd / scale
     eta = a[:, None] + b[:, None] * (math.sqrt(2.0) * _GH_X)[None, :]
     return (special.expit(eta) @ _GH_W) / math.sqrt(math.pi)
+
+
+def three_call_pool(pool, rng):
+    """A synthetic pool's draw in three calls (credibility, sensationalism, the
+    (n, 8) noise) and its feature values built at once from them, summed left
+    to right in place: ``(cred, sens, noise, values)``."""
+    n = pool.size
+    cred = rng.standard_normal(n)
+    sens = rng.standard_normal(n)
+    noise = rng.standard_normal((n, 8))
+    values = np.multiply.outer(cred, _CRED_PATTERN)
+    values *= pool.credibility_strength
+    values += pool.feature_offset
+    sens_part = np.multiply.outer(sens, _SENS_PATTERN)
+    sens_part *= pool.sensationalism_strength
+    values += sens_part
+    values += noise * pool.feature_noise_sd
+    return cred, sens, noise, values
 
 
 def choice_sample_feed(news_idx, other_idx, config, rng):

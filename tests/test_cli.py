@@ -104,9 +104,15 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "key, field, value, message",
         [
-            ("params", "dwell_intercept", float("nan"), "dwell_intercept must be finite, got nan"),
-            ("pool", "feature_noise_sd", float("inf"), "feature_noise_sd must be finite, got inf"),
-            ("pool", "feature_noise_sd", -0.1, "feature_noise_sd must be non-negative"),
+            (
+                "params", "dwell_intercept", float("nan"),
+                "{path}: params: dwell_intercept must be finite, got nan",
+            ),
+            (
+                "pool", "feature_noise_sd", float("inf"),
+                "{path}: pool: feature_noise_sd must be finite, got inf",
+            ),
+            ("pool", "feature_noise_sd", -0.1, "{path}: pool: feature_noise_sd must be non-negative"),
             (
                 "params", "dwell_intercept", 10**400,
                 "{path}: params field dwell_intercept must be float, "
@@ -146,7 +152,8 @@ class TestSimulateCommand:
         sim_config_path.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 2
-        assert "error: the post pool must hold at least one post" in capsys.readouterr().err
+        message = "the config: the post pool must hold at least one post"
+        assert f"error: {sim_config_path}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_post_count_is_input_error(self, tmp_path, sim_config_path, capsys):
@@ -155,7 +162,29 @@ class TestSimulateCommand:
         sim_config_path.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert run(["simulate", "--config", sim_config_path, "--output-dir", out]) == 2
-        assert "error: n_true_news must be >= 0" in capsys.readouterr().err
+        assert f"error: {sim_config_path}: pool: n_true_news must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment", "recover"])
+    def test_negative_config_seed_names_the_file(self, tmp_path, sim_config_path, capsys, command):
+        config = json.loads(sim_config_path.read_text())
+        config["seed"] = -1
+        sim_config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run([command, "--config", sim_config_path, "--output-dir", out]) == 2
+        message = "the config: seed must be >= 0, got -1"
+        assert f"error: {sim_config_path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment", "recover"])
+    @pytest.mark.parametrize("seed", ["-5", "five"])
+    def test_bad_seed_flag_is_named(self, tmp_path, sim_config_path, capsys, command, seed):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", sim_config_path, "--output-dir", out, "--seed", seed])
+        assert exc.value.code == 2
+        message = f"argument --seed: must be a non-negative integer, got '{seed}'"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 

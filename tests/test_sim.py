@@ -19,6 +19,8 @@ from feedlab.sim import (
     POLICIES,
     SimConfig,
     SyntheticPool,
+    _GH_NODES,
+    _GH_W,
     _RANK_CHUNK,
     _two_stage,
     align_scores_to_axes,
@@ -42,6 +44,7 @@ from oracles import (
     per_participant_session,
     per_replication_policy_experiment,
     per_stream_impressions,
+    three_call_pool,
 )
 from conftest import pool_scores
 
@@ -91,6 +94,49 @@ class TestLogDwellMarginal:
         params = GenerativeParams(dwell_noise_sd=0.0)
         c, s = np.full(n, 0.1), np.full(n, -0.7)
         assert log_dwell_marginal(params, c, s) == mean_var_marginal(params, c, s)
+
+
+# default and edge settings of a synthetic pool: no noise, no offset, one
+# category only, a single post
+POOL_SETTINGS = [
+    SyntheticPool(),
+    SyntheticPool(feature_noise_sd=0.0, feature_offset=0.0),
+    SyntheticPool(
+        n_true_news=7, n_false_news=0, n_opinion=0, n_mundane=0,
+        credibility_strength=-1.5, sensationalism_strength=2.25,
+    ),
+    SyntheticPool(n_true_news=0, n_false_news=0, n_opinion=1, n_mundane=0),
+]
+
+
+class TestRealize:
+    """The one-call draw and the features built on first read, against three
+    draws and the features built at once: exact equality."""
+
+    @pytest.mark.parametrize("settings", POOL_SETTINGS)
+    def test_one_draw_is_the_three_call_stream(self, settings):
+        for seed in range(20):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            pool = settings.realize(rng)
+            cred, sens, noise, _ = three_call_pool(settings, reference)
+            assert np.array_equal(pool.credibility, cred)
+            assert np.array_equal(pool.sensationalism, sens)
+            assert np.array_equal(pool.noise, noise)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.standard_normal() == reference.standard_normal()
+
+    @pytest.mark.parametrize("settings", POOL_SETTINGS)
+    def test_values_are_the_eager_formula_and_read_only(self, settings):
+        for seed in range(20):
+            pool = settings.realize(np.random.default_rng(seed))
+            *_, expected = three_call_pool(settings, np.random.default_rng(seed))
+            assert pool.values.shape == expected.shape == (settings.size, 8)
+            assert pool.values.tobytes() == expected.tobytes()
+            assert pool.values is pool.values and pool.matrix.values is pool.values
+            for array in (pool.values, pool.credibility, pool.sensationalism, pool.noise):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
 
 
 class TestSimulateImpression:
@@ -191,6 +237,10 @@ class TestSimulateDataset:
         se = math.sqrt(expected * (1 - expected) / len(imps))
         assert abs(rate - expected) < max(3 * se, 0.01)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SimConfig(participants=1, seed=-1)
+
     def test_feed_length_cannot_exceed_pool(self):
         with pytest.raises(ValueError, match="pool size"):
             SimConfig(participants=1, feed_length=300)
@@ -236,10 +286,10 @@ class TestRankFeed:
         two = replace(
             pool,
             post_ids=pool.post_ids[:2],
-            values=pool.values[:2],
             categories=pool.categories[:2],
             credibility=np.array([0.0, 0.0]),
             sensationalism=np.array([0.0, 1.0]),
+            noise=pool.noise[:2],
         )
         # noiseless stage 1 scored against an explicit log-dwell marginal (the
         # marginal of a 2-post noiseless pool is degenerate)
@@ -377,6 +427,58 @@ class TestExpectedEngagementQuadrature:
         np.testing.assert_allclose(block[2], expit(a), rtol=1e-14, atol=0)
 
 
+class TestPrunedQuadrature:
+    """The 42 kept nodes against the full 64-node rule (the ``expit`` oracle)."""
+
+    # the dropped nodes' normalised weight (2.7e-18) bounds the pruning; the
+    # relative part covers the logistics' last bits and the summation order
+    ATOL, RTOL = 3e-18, 1e-14
+
+    def check(self, params, c, s, loc, scale):
+        got = expected_engagement(params, c, s, loc, scale)
+        full = expit_expected_engagement(params, c, s, loc, scale)
+        np.testing.assert_allclose(got, full, rtol=self.RTOL, atol=self.ATOL)
+
+    def test_the_kept_nodes(self):
+        kept = _GH_W / math.sqrt(math.pi) > 1e-17
+        assert kept.sum() == _GH_NODES.size == 42
+        assert np.array_equal(_GH_NODES, -_GH_NODES[::-1])
+        assert (_GH_W[~kept] / math.sqrt(math.pi)).sum() < 2.7e-18
+
+    def test_realized_pools(self):
+        for seed in range(30):
+            pool, marginal = default_pool(seed)
+            self.check(PARAMS, pool.credibility, pool.sensationalism, *marginal)
+
+    def test_noiseless_dwell_and_zero_scale(self):
+        pool, (loc, scale) = default_pool(3)
+        c, s = pool.credibility, pool.sensationalism
+        noiseless = GenerativeParams(dwell_noise_sd=0.0)
+        self.check(noiseless, c, s, *log_dwell_marginal(noiseless, c, s))
+        self.check(PARAMS, c, s, loc, 0.0)
+
+    def test_steep_dwell_slope(self):
+        # a dwell slope of 400 puts the dropped tail nodes' logistic near 1
+        # where the kept nodes' is near 0, and the reverse
+        params = GenerativeParams(engage_dwell=400.0)
+        for intercept in (-60.0, -2.2, 0.0, 60.0):
+            steep = replace(params, engage_intercept=intercept)
+            c, s = np.linspace(-3, 3, 61), np.linspace(2, -2, 61)
+            self.check(steep, c, s, math.log(2.5), 0.9)
+
+    def test_score_held_by_the_dropped_tail(self):
+        # at c = s = 0, loc = b0 and scale = noise SD, eta = g0 + g_dwell * node:
+        # every kept node's eta is below -46 and the dropped upper tail's above
+        # 46, so the full rule's score is that tail's weight, 1.3e-18
+        params = GenerativeParams(engage_intercept=-1731.0, engage_dwell=200.0)
+        zeros = np.zeros(1)
+        marginal = (params.dwell_intercept, params.dwell_noise_sd)
+        full = expit_expected_engagement(params, zeros, zeros, *marginal)[0]
+        assert 1.3e-18 < full < 1.4e-18
+        assert expected_engagement(params, zeros, zeros, *marginal)[0] < 1e-30
+        self.check(params, zeros, zeros, *marginal)
+
+
 class TestLogistic:
     """The one numpy logistic that the simulator and the quadrature use."""
 
@@ -460,6 +562,18 @@ class TestPolicyExperiment:
             run_policy_experiment(
                 SimConfig(participants=1, seed=17), ("random", "dwell_opt", "random"), k=5
             )
+
+    def test_never_builds_the_pool_features(self, monkeypatch):
+        realize, pools = SyntheticPool.realize, []
+
+        def recording_realize(self, rng):
+            pools.append(realize(self, rng))
+            return pools[-1]
+
+        monkeypatch.setattr(SyntheticPool, "realize", recording_realize)
+        run_policy_experiment(SimConfig(participants=1, seed=31), k=10, replications=6)
+        assert len(pools) == 6
+        assert not any({"values", "matrix"} & vars(pool).keys() for pool in pools)
 
     def test_outcome_metric_accessor(self):
         cfg = SimConfig(participants=1, seed=31)
