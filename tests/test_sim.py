@@ -458,12 +458,11 @@ class TestPrunedQuadrature:
         self.check(PARAMS, c, s, loc, 0.0)
 
     def test_steep_dwell_slope(self):
-        # a dwell slope of 400 puts the dropped tail nodes' logistic near 1
-        # where the kept nodes' is near 0, and the reverse
-        params = GenerativeParams(engage_dwell=400.0)
+        # a dwell slope of 400 spreads each post's nodes over both signs of
+        # eta, saturated in both tails
+        c, s = np.linspace(-3, 3, 61), np.linspace(2, -2, 61)
         for intercept in (-60.0, -2.2, 0.0, 60.0):
-            steep = replace(params, engage_intercept=intercept)
-            c, s = np.linspace(-3, 3, 61), np.linspace(2, -2, 61)
+            steep = GenerativeParams(engage_intercept=intercept, engage_dwell=400.0)
             self.check(steep, c, s, math.log(2.5), 0.9)
 
     def test_score_held_by_the_dropped_tail(self):
