@@ -96,6 +96,13 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
+def _replications(args: argparse.Namespace) -> int:
+    """The ``--replications`` count of a study, which must be at least one."""
+    if args.replications < 1:
+        raise ValueError(f"--replications {args.replications}: must be at least 1")
+    return args.replications
+
+
 def _report_row_errors(label: str, errors) -> None:
     for e in errors[:20]:
         print(f"warning: {label} line {e.line}: {e.message}", file=sys.stderr)
@@ -232,8 +239,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     config = _sim_config_from_args(args)
+    replications = _replications(args)
+    if not 1 <= args.k <= config.pool.size:
+        raise ValueError(f"-k {args.k}: must be in 1..{config.pool.size}, the config's pool size")
     policies = args.policies.split(",")
-    outcomes = run_policy_experiment(config, policies, k=args.k, replications=args.replications)
+    outcomes = run_policy_experiment(config, policies, k=args.k, replications=replications)
     _write_resolved_config(out, args)
     write_csv(
         out / "policy_outcomes.csv",
@@ -253,7 +263,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     config = _sim_config_from_args(args)
     rules = _rules_from_args(args)
-    report = parameter_recovery(config, rules, replications=args.replications)
+    report = parameter_recovery(config, rules, replications=_replications(args))
     _write_resolved_config(out, args)
     write_json(out / "recovery_report.json", report.to_dict())
     s = report.summary

@@ -61,11 +61,17 @@ from .regression import (
 
 # the 64-node Gauss-Hermite rule, computed once (tests/oracles.py's reference),
 # and the nodes with a normalised weight over 1e-17 that expected_engagement
-# sums, scaled to a standard-normal variable
+# sums, scaled to a standard-normal variable, with their normalised weights
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(64)
 _GH_KEPT = _GH_W / math.sqrt(math.pi) > 1e-17
 _GH_NODES = math.sqrt(2.0) * _GH_X[_GH_KEPT]
-_GH_WEIGHTS = _GH_W[_GH_KEPT]
+_GH_WEIGHTS = _GH_W[_GH_KEPT] / math.sqrt(math.pi)
+# the bound of _engagement_bounds: the kept rule's total weight W, half its
+# second moment M2 times the logistic's largest curvature max|s''| = 1/(6 sqrt 3),
+# and an absolute margin far above the rounding of the node sum and the centre
+_GH_MASS = float(_GH_WEIGHTS.sum())
+_GH_CURVATURE = 0.5 * float(_GH_WEIGHTS @ _GH_NODES**2) / (6.0 * math.sqrt(3.0))
+_BOUND_MARGIN = 1e-9
 
 POLICIES = ("dwell_opt", "engage_opt", "random", "chronological")
 # the across-replication metrics of a PolicyOutcome, in policy_outcomes.csv's order
@@ -227,13 +233,14 @@ def simulate_impressions(
 # Post pools
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoolPosts:
     """A realized post pool: categories, true score coordinates and the feature noise.
 
     Row ``i`` of every array is the post ``post_ids[i]``. ``noise`` is the
     (posts, 8) standard-normal feature noise that ``source`` drew, from which
-    ``values`` builds the features when first read.
+    ``values`` builds the features when first read. A pool equals only itself
+    and hashes by identity, as field-wise equality over arrays has no truth value.
     """
 
     post_ids: tuple[str, ...]
@@ -475,33 +482,15 @@ def expected_dwell(params: GenerativeParams, c: np.ndarray, s: np.ndarray) -> np
     )
 
 
-def expected_engagement(
-    params: GenerativeParams,
-    c: np.ndarray,
-    s: np.ndarray,
-    loc: float | np.ndarray,
-    scale: float | np.ndarray,
-) -> np.ndarray:
-    """Engagement probability marginalized over stage-1 dwell noise, log dwell
-    z-scored against the marginal ``loc``/``scale``.
+def _logit_terms(params: GenerativeParams, c, s, loc, scale) -> tuple[np.ndarray, np.ndarray]:
+    """The terms ``a``, ``b`` of each post's stage-2 logit ``a + b z`` at the
+    standard-normal dwell noise ``z``, log dwell z-scored against ``loc``/``scale``.
 
-    Gauss-Hermite quadrature over the dwell noise; exact (to quadrature
-    accuracy) counterpart of simulating many impressions per post.
-
-    ``c``/``s`` may be one pool's posts or a ``(pools, posts)`` block; then
-    ``loc``/``scale`` may be ``(pools, 1)`` columns, one marginal per pool,
-    and each row is bit-identical to the call on that pool alone. Where the
-    scale is not positive, the dwell noise does not move the score.
-
-    The sum runs over the 42 of the 64 Gauss-Hermite nodes whose normalised
-    weight exceeds 1e-17 (``_GH_NODES``); the dropped 22 weigh 2.7e-18 in
-    all, so a score is within 3e-18 of the full rule's, plus the last bits
-    of the product's summation order. The logistic at the (..., posts, 42)
-    nodes is the one that :func:`engage_probability` uses
-    (``_numeric.sigmoid``), evaluated in one buffer. A score can differ from
-    one computed with scipy's ``expit`` in its last bits and from one CPU to
-    another; the scores only rank posts, and rankings and every output built
-    on them do not change.
+    ``a`` is ``g0 + g_cred*c + g_sens*s + slope * (mean log dwell - loc) / scale``
+    and ``b`` is ``slope * noise_sd / scale``, where ``slope = g_dwell +
+    g_dwell_sens*s``; where the scale is not positive, both dwell parts are 0.
+    Every operation is element by element, so a post's terms do not depend on
+    where it sits in ``c``.
     """
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -515,11 +504,96 @@ def expected_engagement(
     spread = np.asarray(scale) > 0
     a += np.divide(slope * (mean_log - loc), scale, out=np.zeros_like(a), where=spread)
     b = np.divide(slope * params.dwell_noise_sd, scale, out=np.zeros_like(a), where=spread)
+    return a, b
+
+
+def _node_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The kept nodes' weighted sum of the logistic at ``a + b z``, per post."""
     eta = np.multiply.outer(b, _GH_NODES)
     eta += a[..., None]
-    # matmul makes one matrix-vector product per pool of a block, so each row is
-    # that pool's product alone
-    return (sigmoid(eta, out=eta) @ _GH_WEIGHTS) / math.sqrt(math.pi)
+    sigmoid(eta, out=eta)
+    eta *= _GH_WEIGHTS
+    # a reduction along the contiguous node axis adds every post's 42 terms in
+    # one order, wherever the post sits and however many there are
+    return eta.sum(axis=-1)
+
+
+def _engagement_bounds(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(centre, half_width)`` such that :func:`_node_sum` at ``a``, ``b`` lies
+    in ``centre +- half_width``.
+
+    The kept nodes and weights are symmetric about 0, so the first-order term
+    of the logistic's Taylor expansion about ``a`` cancels, and the sum is
+    within ``max|s''| / 2 * M2 * b**2`` of ``W * s(a)``; ``_BOUND_MARGIN`` covers
+    the rounding of both sums.
+    """
+    centre = sigmoid(a) * _GH_MASS
+    with np.errstate(over="ignore"):
+        half_width = b * b
+    half_width *= _GH_CURVATURE
+    half_width += _BOUND_MARGIN
+    return centre, half_width
+
+
+def expected_engagement(
+    params: GenerativeParams,
+    c: np.ndarray,
+    s: np.ndarray,
+    loc: float | np.ndarray,
+    scale: float | np.ndarray,
+) -> np.ndarray:
+    """Engagement probability marginalized over stage-1 dwell noise, log dwell
+    z-scored against the marginal ``loc``/``scale``.
+
+    Gauss-Hermite quadrature over the dwell noise; exact (to quadrature
+    accuracy) counterpart of simulating many impressions per post.
+
+    ``c``/``s`` may be one pool's posts, a ``(pools, posts)`` block or any
+    gathered posts; ``loc``/``scale`` broadcast against them: a scalar, a
+    ``(pools, 1)`` column (one marginal per pool) or one value per post. A
+    post's score is bit-identical wherever it sits and whatever else is
+    scored with it: every step is element by element, and the node sum adds
+    each post's terms in one order. Where the scale is not positive, the
+    dwell noise does not move the score.
+
+    The sum runs over the 42 of the 64 Gauss-Hermite nodes whose normalised
+    weight exceeds 1e-17 (``_GH_NODES``); the dropped 22 weigh 2.7e-18 in
+    all, so a score is within 3e-18 of the full rule's, plus the last bits
+    of the sum's order. The logistic at the (..., posts, 42) nodes is the
+    one that :func:`engage_probability` uses (``_numeric.sigmoid``),
+    evaluated in one buffer. A score can differ from one computed with
+    scipy's ``expit`` in its last bits and from one CPU to another; the
+    scores only rank posts, and rankings and every output built on them do
+    not change.
+    """
+    return _node_sum(*_logit_terms(params, c, s, loc, scale))
+
+
+def _top_k_engagement(params: GenerativeParams, c, s, loc, scale, k: int) -> np.ndarray:
+    """Per pool of ``c``/``s``: :func:`expected_engagement` at each post that can
+    reach the pool's top k, and -inf at the others.
+
+    A post is left out when its upper bound (:func:`_engagement_bounds`) is
+    below the k-th largest lower bound in its pool: k posts then score more,
+    so it is not in the top k, whatever the ties. The candidates (about 31
+    of 276 at the default params) are gathered and scored in one
+    ``expected_engagement`` call, each to the same bits as in a call on its
+    whole pool, so the top k and its order are those of scoring every post.
+    """
+    c = np.asarray(c, dtype=float)
+    s = np.asarray(s, dtype=float)
+    centre, half_width = _engagement_bounds(*_logit_terms(params, c, s, loc, scale))
+    kth_lower = np.partition(centre - half_width, -k, axis=-1)[..., -k, None]
+    candidate = centre + half_width >= kth_lower
+    scores = np.full(c.shape, -np.inf)
+    scores[candidate] = expected_engagement(
+        params,
+        c[candidate],
+        s[candidate],
+        np.broadcast_to(loc, c.shape)[candidate],
+        np.broadcast_to(scale, c.shape)[candidate],
+    )
+    return scores
 
 
 def _id_order(ids: Sequence[str]) -> np.ndarray:
@@ -534,12 +608,14 @@ def _rank_rows(
     posts under ``dwell_opt`` or ``engage_opt``, best first.
 
     ``loc``/``scale`` are each pool's log-dwell marginal, and ``by_id`` the
-    posts' id order, in which score ties break.
+    posts' id order, in which score ties break. ``engage_opt`` scores only
+    the posts that can reach the top k (:func:`_top_k_engagement`); the
+    others sort last and are never kept.
     """
     if policy == "dwell_opt":
         scores = expected_dwell(params, c, s)
     else:
-        scores = expected_engagement(params, c, s, loc, scale)
+        scores = _top_k_engagement(params, c, s, loc, scale, k)
     return by_id[np.argsort(-scores[..., by_id], axis=-1, kind="stable")[..., :k]]
 
 
@@ -584,12 +660,13 @@ def _replication_streams(seed: int, replications: int) -> list[np.random.SeedSeq
 # ---------------------------------------------------------------------------
 # Policy experiments
 
-# replications that run_policy_experiment ranks per expected_engagement call:
-# four 276-post pools at 42 nodes make a 0.37 MB quadrature buffer, inside a
-# 2 MB L2 cache. At 250 replications on a 2-vCPU Xeon, chunks of 4 to 16 ran
-# alike and 1 or 2 slower; the whole block in one call needs 23 MB (93 MB at
-# 1000) and ran slower.
-_RANK_CHUNK = 4
+# replications that run_policy_experiment ranks per _rank_rows call. The
+# bounds leave ~31 of 276 posts per pool to the quadrature, so a chunk's
+# buffers are small and larger chunks spread the calls' fixed cost: at 250
+# replications (k = 20, 2-vCPU Xeon, median of 9) chunks of 8, 16, 32 and 64
+# ran 36.8, 34.9, 33.8 and 34.4 ms, and the whole block in one call 34.1 ms,
+# with a traced peak of 29 MB at 1000 replications (9.8 MB at 32)
+_RANK_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -630,7 +707,8 @@ def run_policy_experiment(
     permutation through :func:`rank_feed` (for that policy only) and the
     four variate rows of :func:`simulate_impressions`. After the loop,
     ``dwell_opt`` and ``engage_opt`` rank the block ``_RANK_CHUNK``
-    replications at a time, ``chronological`` takes each pool's first k
+    replications at a time (``engage_opt`` scoring only the posts that can
+    reach the top k), ``chronological`` takes each pool's first k
     rows, and one :func:`_two_stage` call evaluates the whole (policies,
     replications, k) block. Every value is bit-identical to ranking and
     simulating one replication at a time. Each policy must be one of

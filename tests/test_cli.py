@@ -568,6 +568,21 @@ class TestExperimentAndRecover:
         assert run(argv + ["--config", sim_config_path, "--output-dir", out]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["experiment", "-k", 0], "-k 0: must be in 1..80, the config's pool size"),
+            (["experiment", "-k", 81], "-k 81: must be in 1..80, the config's pool size"),
+            (["experiment", "--replications", -2], "--replications -2: must be at least 1"),
+            (["recover", "--replications", 0], "--replications 0: must be at least 1"),
+        ],
+    )
+    def test_degenerate_size_names_its_flag(self, tmp_path, sim_config_path, capsys, argv, message):
+        out = tmp_path / "degenerate"
+        assert run(argv + ["--config", sim_config_path, "--output-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["experiment", "recover"])
     def test_threads_flag_is_gone(self, tmp_path, sim_config_path, capsys, command):
         out = tmp_path / "threaded"

@@ -22,6 +22,10 @@ from feedlab.sim import (
     _GH_NODES,
     _GH_W,
     _RANK_CHUNK,
+    _engagement_bounds,
+    _logit_terms,
+    _node_sum,
+    _top_k_engagement,
     _two_stage,
     align_scores_to_axes,
     config_to_dict,
@@ -137,6 +141,15 @@ class TestRealize:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
+
+    def test_pools_compare_and_hash_by_identity(self):
+        # two pools of one draw hold equal arrays, which have no truth value
+        first, second = (SyntheticPool().realize(np.random.default_rng(4)) for _ in range(2))
+        assert first == first and first != second
+        assert len({first, second, first}) == 2 and hash(first) == hash(first)
+        # the features are still built once, on first read
+        assert first.matrix.values is first.values
+        assert first.values.tobytes() == second.values.tobytes()
 
 
 class TestSimulateImpression:
@@ -478,6 +491,82 @@ class TestPrunedQuadrature:
         self.check(params, zeros, zeros, *marginal)
 
 
+class TestEngagementBounds:
+    """The bound on each score, and the candidates that engage_opt scores."""
+
+    @given(
+        a=st.floats(-40, 40),
+        b=st.one_of(st.just(0.0), st.floats(-50, 50)),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_score_lies_within_the_bound(self, a, b):
+        a, b = np.array([a]), np.array([b])
+        score = _node_sum(a, b)
+        centre, half_width = _engagement_bounds(a, b)
+        assert centre - half_width <= score <= centre + half_width
+
+    @given(
+        c=st.floats(-5, 5),
+        s=st.floats(-5, 5),
+        scale=st.sampled_from([0.0, -1.0, -1e-300]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_spread_is_within_the_bound(self, c, s, scale):
+        # without spread the dwell noise has no weight: b is 0, the bound its margin
+        c, s = np.array([c]), np.array([s])
+        a, b = _logit_terms(PARAMS, c, s, 1.0, scale)
+        assert b[0] == 0.0
+        centre, half_width = _engagement_bounds(a, b)
+        score = expected_engagement(PARAMS, c, s, 1.0, scale)
+        assert centre - half_width <= score <= centre + half_width
+
+    @pytest.mark.parametrize("k", [1, 20, 276])
+    def test_candidates_score_as_on_the_whole_pool(self, k):
+        # a chunk of pools, one marginal each: every candidate's score has the
+        # bits of the whole-pool call, and no left-out post reaches the top k
+        pools = [default_pool(seed) for seed in range(8)]
+        c = np.stack([pool.credibility for pool, _ in pools])
+        s = np.stack([pool.sensationalism for pool, _ in pools])
+        loc = np.array([[marginal[0]] for _, marginal in pools])
+        scale = np.array([[marginal[1]] for _, marginal in pools])
+        full = expected_engagement(PARAMS, c, s, loc, scale)
+        scores = _top_k_engagement(PARAMS, c, s, loc, scale, k)
+        scored = np.isfinite(scores)
+        assert np.all(scores[~scored] == -np.inf)
+        assert scores[scored].tobytes() == full[scored].tobytes()
+        kth = np.sort(full, axis=1)[:, -k, None]
+        assert np.all(full[~scored] < np.broadcast_to(kth, full.shape)[~scored])
+        if k < 276:
+            assert scored.sum() < c.size / 4
+
+    def test_curvature_keeps_a_post_whose_centre_is_low(self):
+        # with loc = b0 and scale = noise SD = 1, post 0 has a = -3, b = 0 and
+        # post 1 a = -4, b = 3: post 1's centre, W * s(-4) = 0.018, is below
+        # post 0's score s(-3) = 0.047, yet its dwell spread lifts it to ~0.13
+        params = GenerativeParams(
+            dwell_credibility=0.0, dwell_sensationalism=0.0, dwell_noise_sd=1.0,
+            engage_intercept=0.0, engage_dwell=0.0, engage_credibility=1.0,
+            engage_sensationalism=0.0, engage_dwell_sensationalism=3.0,
+        )
+        c, s = np.array([-3.0, -4.0]), np.array([0.0, 1.0])
+        centre, _ = _engagement_bounds(*_logit_terms(params, c, s, params.dwell_intercept, 1.0))
+        full = expected_engagement(params, c, s, params.dwell_intercept, 1.0)
+        assert centre[1] < full[0] < full[1]
+        scores = _top_k_engagement(params, c, s, params.dwell_intercept, 1.0, 1)
+        assert scores.tobytes() == full.tobytes()
+
+    def test_flat_scores_make_every_post_a_candidate(self):
+        # equal inputs give equal scores, so every post ties and ranks by id
+        params, pool = FLAT_SCORES_CONFIG.params, FLAT_SCORES_CONFIG.pool
+        pool = pool.realize(np.random.default_rng(FLAT_SCORES_CONFIG.seed))
+        c, s = pool.credibility, pool.sensationalism
+        marginal = log_dwell_marginal(params, c, s)
+        scores = _top_k_engagement(params, c, s, *marginal, 20)
+        assert np.all(scores == scores[0]) and np.isfinite(scores[0])
+        by_id = sorted(range(pool.size), key=lambda j: pool.post_ids[j])
+        assert rank_feed("engage_opt", pool, params, 20).tolist() == by_id[:20]
+
+
 class TestLogistic:
     """The one numpy logistic that the simulator and the quadrature use."""
 
@@ -542,8 +631,8 @@ class TestPolicyExperiment:
             run_policy_experiment(cfg, (policy,), k=cfg.pool.size + 24, replications=2)
 
     def test_peak_memory_is_bounded(self):
-        # the (replications, pool) block is ranked in chunks: a quadrature
-        # over the whole block would hold ~141 MB here
+        # the (replications, pool) block is ranked in chunks: ranking the whole
+        # block in one call held ~29 MB here (its bounds and gathered candidates)
         tracemalloc.start()
         try:
             run_policy_experiment(SimConfig(participants=1), k=20, replications=1000)

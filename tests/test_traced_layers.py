@@ -6,7 +6,9 @@ module ``feedlab.<layer>``: a function through the module's attribute, a
 and ``perfbench/loop.py`` import names from feedlab and call its modules'
 functions with keywords. Renaming or removing any of them, or a keyword
 parameter they pass, fails here, not only in the slower
-``perfbench/test_smoke.py``.
+``perfbench/test_smoke.py``. A traced function that the code no longer
+calls through its module attribute reads 0 s in every traced run; the
+policy experiment's quadrature is checked for that here too.
 """
 
 import ast
@@ -15,6 +17,10 @@ import importlib.util
 import inspect
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from feedlab import sim
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -95,3 +101,19 @@ def harness_problems(path: Path) -> list[str]:
 
 def test_harness_references_resolve():
     assert [p for path in HARNESS for p in harness_problems(path)] == []
+
+
+def test_policy_experiment_scores_through_the_traced_function(monkeypatch):
+    # the tracer wraps the module attribute sim.expected_engagement, so the
+    # quadrature must be reached through it; the bounds leave it a few rows
+    config, replications = sim.SimConfig(participants=1, seed=29), 40
+    expected = sim.run_policy_experiment(config, k=20, replications=replications)
+    quadrature, rows = sim.expected_engagement, []
+
+    def counting(params, c, s, loc, scale):
+        rows.append(np.size(c))
+        return quadrature(params, c, s, loc, scale)
+
+    monkeypatch.setattr(sim, "expected_engagement", counting)
+    assert sim.run_policy_experiment(config, k=20, replications=replications) == expected
+    assert rows and sum(rows) < 0.25 * replications * config.pool.size
