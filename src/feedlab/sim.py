@@ -663,10 +663,11 @@ def _replication_streams(seed: int, replications: int) -> list[np.random.SeedSeq
 # replications that run_policy_experiment ranks per _rank_rows call. The
 # bounds leave ~31 of 276 posts per pool to the quadrature, so a chunk's
 # buffers are small and larger chunks spread the calls' fixed cost: at 250
-# replications (k = 20, 2-vCPU Xeon, median of 9) chunks of 8, 16, 32 and 64
-# ran 36.8, 34.9, 33.8 and 34.4 ms, and the whole block in one call 34.1 ms,
-# with a traced peak of 29 MB at 1000 replications (9.8 MB at 32)
-_RANK_CHUNK = 32
+# replications (k = 20, 2-vCPU Xeon, median of 9) chunks of 4, 8, 16, 32 and
+# 64 ran 38.8, 36.8, 34.9, 33.8 and 34.4 ms, and the whole block in one call
+# 34.1 ms, with a traced peak of 29 MB at 1000 replications. 16 keeps the
+# benchmark's peak RSS where chunks of 4 left it; 32 read 0.6 MB above.
+_RANK_CHUNK = 16
 
 
 @dataclass(frozen=True)
