@@ -151,18 +151,31 @@ def log_dwell_marginal(
     return loc, scale
 
 
-def engage_probability(
-    params: GenerativeParams, c: np.ndarray, s: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    eta = np.asarray(
+def _logit_terms(params: GenerativeParams, c, s, loc, scale) -> tuple[np.ndarray, np.ndarray]:
+    """The terms ``a``, ``b`` of each post's stage-2 logit ``a + b z`` at the
+    standard-normal dwell noise ``z``, log dwell z-scored against ``loc``/``scale``:
+    the one logit that the simulator (:func:`_two_stage`) draws engagement from
+    and the quadrature (:func:`expected_engagement`) integrates.
+
+    ``a`` is ``g0 + g_cred*c + g_sens*s + slope * (mean log dwell - loc) / scale``
+    and ``b`` is ``slope * noise_sd / scale``, where ``slope = g_dwell +
+    g_dwell_sens*s``; where the scale is not positive, both dwell parts are 0.
+    Every operation is element by element, so a post's terms do not depend on
+    where it sits in ``c``.
+    """
+    c = np.asarray(c, dtype=float)
+    s = np.asarray(s, dtype=float)
+    mean_log = _mean_log_dwell(params, c, s)
+    slope = params.engage_dwell + params.engage_dwell_sensationalism * s
+    a = (
         params.engage_intercept
-        + params.engage_dwell * z
         + params.engage_credibility * c
         + params.engage_sensationalism * s
-        + params.engage_dwell_sensationalism * z * s,
-        dtype=float,
     )
-    return sigmoid(eta, out=eta)
+    spread = np.asarray(scale) > 0
+    a += np.divide(slope * (mean_log - loc), scale, out=np.zeros_like(a), where=spread)
+    b = np.divide(slope * params.dwell_noise_sd, scale, out=np.zeros_like(a), where=spread)
+    return a, b
 
 
 def _draw_variates(rng: np.random.Generator, eps, u_engage, u_like, motor_eps) -> None:
@@ -180,14 +193,15 @@ def _two_stage(
     broadcast shape; it draws nothing.
 
     ``loc``/``scale`` are the log-dwell marginal, which may broadcast against
-    the block (one marginal per replication); where the scale is not
-    positive, z is 0. Every step is elementwise, so a block's cells are
+    the block (one marginal per replication). The engagement probability is
+    the logistic of ``a + b * eps``, the stage-2 logit of :func:`_logit_terms`
+    at the dwell noise ``eps``, the one that :func:`expected_engagement`
+    integrates. Every step is elementwise, so a block's cells are
     bit-identical to the same posts and variates evaluated one stream at a time.
     """
-    log_dwell = _mean_log_dwell(params, c, s) + params.dwell_noise_sd * eps
-    dwell_attention = np.exp(log_dwell)
-    z = np.divide(log_dwell - loc, scale, out=np.zeros_like(log_dwell), where=scale > 0)
-    p_engage = engage_probability(params, c, s, z)
+    dwell_attention = np.exp(_mean_log_dwell(params, c, s) + params.dwell_noise_sd * eps)
+    a, b = _logit_terms(params, c, s, loc, scale)
+    p_engage = sigmoid(a + b * eps)
     engaged = u_engage < p_engage
     shared = engaged
     liked = engaged & (u_like < params.like_given_engage)
@@ -221,6 +235,8 @@ def simulate_impressions(
     output depends only on the generator state on entry. That order is the
     contract the batched simulators keep: each stream draws its four rows in
     its own loop, and one :func:`_two_stage` call evaluates all of them.
+    Engagement is drawn from the stage-2 logit of :func:`_logit_terms`, the
+    one :func:`expected_engagement` integrates.
     """
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -482,31 +498,6 @@ def expected_dwell(params: GenerativeParams, c: np.ndarray, s: np.ndarray) -> np
     )
 
 
-def _logit_terms(params: GenerativeParams, c, s, loc, scale) -> tuple[np.ndarray, np.ndarray]:
-    """The terms ``a``, ``b`` of each post's stage-2 logit ``a + b z`` at the
-    standard-normal dwell noise ``z``, log dwell z-scored against ``loc``/``scale``.
-
-    ``a`` is ``g0 + g_cred*c + g_sens*s + slope * (mean log dwell - loc) / scale``
-    and ``b`` is ``slope * noise_sd / scale``, where ``slope = g_dwell +
-    g_dwell_sens*s``; where the scale is not positive, both dwell parts are 0.
-    Every operation is element by element, so a post's terms do not depend on
-    where it sits in ``c``.
-    """
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    mean_log = _mean_log_dwell(params, c, s)
-    slope = params.engage_dwell + params.engage_dwell_sensationalism * s
-    a = (
-        params.engage_intercept
-        + params.engage_credibility * c
-        + params.engage_sensationalism * s
-    )
-    spread = np.asarray(scale) > 0
-    a += np.divide(slope * (mean_log - loc), scale, out=np.zeros_like(a), where=spread)
-    b = np.divide(slope * params.dwell_noise_sd, scale, out=np.zeros_like(a), where=spread)
-    return a, b
-
-
 def _node_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The kept nodes' weighted sum of the logistic at ``a + b z``, per post."""
     eta = np.multiply.outer(b, _GH_NODES)
@@ -559,12 +550,12 @@ def expected_engagement(
     The sum runs over the 42 of the 64 Gauss-Hermite nodes whose normalised
     weight exceeds 1e-17 (``_GH_NODES``); the dropped 22 weigh 2.7e-18 in
     all, so a score is within 3e-18 of the full rule's, plus the last bits
-    of the sum's order. The logistic at the (..., posts, 42) nodes is the
-    one that :func:`engage_probability` uses (``_numeric.sigmoid``),
-    evaluated in one buffer. A score can differ from one computed with
-    scipy's ``expit`` in its last bits and from one CPU to another; the
-    scores only rank posts, and rankings and every output built on them do
-    not change.
+    of the sum's order. The logit at each node is the simulator's
+    (:func:`_logit_terms`, as in :func:`_two_stage`), and its logistic is
+    ``_numeric.sigmoid`` over one (..., posts, 42) buffer. A score can differ
+    from one computed with scipy's ``expit`` in its last bits and from one
+    CPU to another; the scores only rank posts, and rankings and every
+    output built on them do not change.
     """
     return _node_sum(*_logit_terms(params, c, s, loc, scale))
 
@@ -605,13 +596,15 @@ def _rank_rows(
     policy: str, params: GenerativeParams, c, s, loc, scale, by_id: np.ndarray, k: int
 ) -> np.ndarray:
     """Per row of a pool or a ``(pools, posts)`` block: the rows of its top k
-    posts under ``dwell_opt`` or ``engage_opt``, best first.
+    posts under a deterministic policy, best first, as a new int array.
 
-    ``loc``/``scale`` are each pool's log-dwell marginal, and ``by_id`` the
-    posts' id order, in which score ties break. ``engage_opt`` scores only
-    the posts that can reach the top k (:func:`_top_k_engagement`); the
-    others sort last and are never kept.
+    ``chronological`` keeps the first k rows. ``loc``/``scale`` are each
+    pool's log-dwell marginal, and ``by_id`` the posts' id order, in which
+    score ties break. ``engage_opt`` scores only the posts that can reach the
+    top k (:func:`_top_k_engagement`); the others sort last and are never kept.
     """
+    if policy == "chronological":
+        return np.tile(np.arange(k), (*np.shape(c)[:-1], 1))
     if policy == "dwell_opt":
         scores = expected_dwell(params, c, s)
     else:
@@ -628,14 +621,14 @@ def rank_feed(
 ) -> np.ndarray:
     """The pool rows of the top k posts under a ranking policy, best first.
 
-    Score ties break by post id; ``engage_opt`` scores against the pool's
-    :func:`log_dwell_marginal`, ``chronological`` takes the first k rows.
+    ``random`` is a permutation drawn from ``rng``; the other policies are
+    ranked by :func:`_rank_rows`: score ties break by post id, ``engage_opt``
+    scores against the pool's :func:`log_dwell_marginal` and
+    ``chronological`` takes the first k rows. The array is new and writable.
     """
     _check_policy(policy)
     if k < 0 or k > pool.size:
         raise ValueError(f"k must be in 0..{pool.size}")
-    if policy == "chronological":
-        return np.arange(k)
     if policy == "random":
         if rng is None:
             raise ValueError("random policy needs an rng")
@@ -704,15 +697,14 @@ def run_policy_experiment(
     Each replication is one stream on its own spawned generator. It realizes
     the pool, works out its :func:`log_dwell_marginal` and keeps the pool's
     credibility and sensationalism as one row of a (replications, pool)
-    block; then, per policy in argument order, it draws the ``random``
-    permutation through :func:`rank_feed` (for that policy only) and the
-    four variate rows of :func:`simulate_impressions`. After the loop,
-    ``dwell_opt`` and ``engage_opt`` rank the block ``_RANK_CHUNK``
-    replications at a time (``engage_opt`` scoring only the posts that can
-    reach the top k), ``chronological`` takes each pool's first k
-    rows, and one :func:`_two_stage` call evaluates the whole (policies,
-    replications, k) block. Every value is bit-identical to ranking and
-    simulating one replication at a time. Each policy must be one of
+    block; then, per policy in argument order, it draws the ``random`` rows
+    through :func:`rank_feed` (for that policy only) and the four variate
+    rows of :func:`simulate_impressions`. After the loop, :func:`_rank_rows`
+    picks every other policy's rows, ``_RANK_CHUNK`` replications at a time,
+    into the same (policies, replications, k) block of pool rows; their
+    credibility and sensationalism are gathered once, and one
+    :func:`_two_stage` call evaluates the whole block. Every value is
+    bit-identical to ranking and simulating one replication at a time. Each policy must be one of
     ``POLICIES``, named once, and k must be in 1..pool size. ``threads`` is
     accepted and unused; it stays only because ``perfbench/workloads.py`` passes it.
     """
@@ -727,7 +719,7 @@ def run_policy_experiment(
         raise ValueError(f"policies named more than once: {repeated}")
     params = config.params
     block = (len(policies), replications, k)
-    c, s = np.empty(block), np.empty(block)
+    rows = np.empty(block, dtype=np.intp)
     cred, sens = np.empty((replications, n)), np.empty((replications, n))
     loc, scale = np.empty((replications, 1)), np.empty((replications, 1))
     variates = np.empty((4, *block))
@@ -739,21 +731,18 @@ def run_policy_experiment(
         loc[r], scale[r] = log_dwell_marginal(params, pool.credibility, pool.sensationalism)
         for j, policy in enumerate(policies):
             if policy == "random":
-                top = rank_feed(policy, pool, params, k, rng=rng)
-                c[j, r], s[j, r] = pool.credibility[top], pool.sensationalism[top]
+                rows[j, r] = rank_feed(policy, pool, params, k, rng=rng)
             _draw_variates(rng, *variates[:, j, r])
     by_id = _id_order(_post_ids(n))
     for j, policy in enumerate(policies):
-        if policy == "chronological":
-            c[j], s[j] = cred[:, :k], sens[:, :k]
-        elif policy != "random":
+        if policy != "random":
             for start in range(0, replications, _RANK_CHUNK):
                 chunk = slice(start, start + _RANK_CHUNK)
-                top = _rank_rows(
+                rows[j, chunk] = _rank_rows(
                     policy, params, cred[chunk], sens[chunk], loc[chunk], scale[chunk], by_id, k
                 )
-                c[j, chunk] = np.take_along_axis(cred[chunk], top, axis=1)
-                s[j, chunk] = np.take_along_axis(sens[chunk], top, axis=1)
+    c = np.take_along_axis(cred[None], rows, axis=2)
+    s = np.take_along_axis(sens[None], rows, axis=2)
     # the two-stage model needs only the top k rows: free the pool block first
     del cred, sens
     sim = _two_stage(c, s, params, loc, scale, *variates)

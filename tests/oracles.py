@@ -466,7 +466,7 @@ def choice_sample_feed(news_idx, other_idx, config, rng):
 def per_stream_impressions(c, s, params, loc, scale, rng):
     """One stream's two-stage draw: four variate arrays in order, then the model.
 
-    Returns engaged, liked and observed dwell.
+    Returns engaged, liked, observed dwell and the engagement probability.
     """
     n = c.size
     eps = rng.standard_normal(n)
@@ -494,7 +494,7 @@ def per_stream_impressions(c, s, params, loc, scale, rng):
     liked = engaged & (u_like < params.like_given_engage)
     action_count = engaged.astype(int) + liked.astype(int)
     motor = np.maximum(0.0, params.motor_mean + params.motor_sd * motor_eps)
-    return engaged, liked, np.exp(log_dwell) + action_count * motor
+    return engaged, liked, np.exp(log_dwell) + action_count * motor, p_engage
 
 
 def per_participant_session(config):
@@ -516,7 +516,7 @@ def per_participant_session(config):
     for u in range(n):
         rng = np.random.default_rng(user_seqs[u])
         feeds[u] = choice_sample_feed(news_idx, other_idx, config, rng)
-        shared[u], liked[u], dwell[u] = per_stream_impressions(
+        shared[u], liked[u], dwell[u], _ = per_stream_impressions(
             pool.credibility[feeds[u]], pool.sensationalism[feeds[u]], params, loc, scale, rng
         )
     return feeds, dwell, shared, liked
@@ -546,7 +546,7 @@ def per_replication_policy_experiment(config, policies, k, replications):
                 else:
                     scores = expit_expected_engagement(params, c, s, loc, scale)
                 idx = np.lexsort((np.array(pool.post_ids), -scores))[:k]
-            engaged, _, dwell = per_stream_impressions(c[idx], s[idx], params, loc, scale, rng)
+            engaged, _, dwell, _ = per_stream_impressions(c[idx], s[idx], params, loc, scale, rng)
             out[policy] = (
                 float(c[idx].mean()),
                 float(s[idx].mean()),

@@ -29,7 +29,6 @@ from feedlab.sim import (
     _two_stage,
     align_scores_to_axes,
     config_to_dict,
-    engage_probability,
     expected_dwell,
     expected_engagement,
     load_sim_config,
@@ -273,7 +272,10 @@ class TestRankFeed:
 
     def test_chronological_and_random_rows(self):
         pool, _ = default_pool()
-        assert np.array_equal(rank_feed("chronological", pool, PARAMS, 7), np.arange(7))
+        for k in (0, 7, pool.size):
+            rows = rank_feed("chronological", pool, PARAMS, k)
+            assert rows.dtype.kind == "i" and rows.flags.writeable
+            assert np.array_equal(rows, np.arange(k))
         top = rank_feed("random", pool, PARAMS, 7, rng=np.random.default_rng(3))
         assert np.array_equal(top, np.random.default_rng(3).permutation(pool.size)[:7])
 
@@ -590,8 +592,8 @@ class TestLogistic:
         c = np.array([-1.0, -0.75, 0.0, 0.75, 1.0])  # eta = 1000 c, past |eta| = 745 at the ends
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = engage_probability(params, c, np.zeros(5), np.zeros(5))
-        assert p.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+            out = simulate_impressions(c, np.zeros(5), params, 0.0, 1.0, np.random.default_rng(0))
+        assert out["p_engage"].tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
 
 
 class TestPolicyExperiment:
@@ -745,10 +747,23 @@ class TestBatchedSimulatorMatchesPerStreamLoops:
         c, s = np.linspace(-2, 2, 50), np.linspace(1, -1, 50)
         out = simulate_impressions(c, s, PARAMS, *marginal, np.random.default_rng(12))
         expected = per_stream_impressions(c, s, PARAMS, *marginal, np.random.default_rng(12))
-        engaged, liked, dwell = expected
+        engaged, liked, dwell, _ = expected
         assert np.array_equal(out["engaged"], engaged)
         assert np.array_equal(out["liked"], liked)
         assert np.array_equal(out["dwell_observed"], dwell)
+
+    def test_two_stage_matches_the_five_term_logit(self):
+        # a + b eps rounds apart from the z-scored five-term logit; over 250k
+        # impressions the probabilities agree to 1e-15 and no engagement draw flips
+        _, (loc, scale) = default_pool()
+        rng = np.random.default_rng(14)
+        c, s = 2 * rng.standard_normal((2, 250_000))
+        out = simulate_impressions(c, s, PARAMS, loc, scale, np.random.default_rng(15))
+        engaged, _, _, p_engage = per_stream_impressions(
+            c, s, PARAMS, loc, scale, np.random.default_rng(15)
+        )
+        np.testing.assert_allclose(out["p_engage"], p_engage, rtol=0, atol=1e-15)
+        assert np.array_equal(out["engaged"], engaged)
 
     def test_two_stage_block_matches_rows_with_per_row_marginals(self):
         # one marginal per row, one of them with scale 0 (z = 0 in that row only)
