@@ -29,11 +29,12 @@ error names the file.
 NUL; every row with the header's field count; positions of at most 18 ASCII
 digits; dwells matching ``[0-9]+[.][0-9]+`` with at most 15 digits; bools the
 one byte 0 or 1; ids of any length) is read from its bytes with numpy, with
-no Python object per row or cell. Any other file (quoted ids, CR line ends,
-spaces or other number spellings, ragged rows, a header only) is read by the
-csv module in one pass over its rows, which reports each bad row: a
-well-formed one gives the table and errors that the same rows in the
-canonical form give, only more slowly.
+no Python object per row or cell but a bytes slice and a dict key per id
+cell longer than 8 bytes, which make long ids ~10x slower to read. Any other
+file (quoted ids, CR line ends, spaces or other number spellings, ragged
+rows, a header only) is read by the csv module in one pass over its rows,
+which reports each bad row: a well-formed one gives the table and errors
+that the same rows in the canonical form give, only more slowly.
 ``_parse_rows`` reads those files and every other CSV file (ratings, posts,
 scores) with the csv module; a ratings or posts row's fields are checked by
 its record's constructor alone.
@@ -181,19 +182,16 @@ class Impressions:
 
     @classmethod
     def _from_ids(cls, participant_id, post_id, *values: np.ndarray) -> Impressions:
-        """The table of two id sequences, each coded in one pass, and the other columns;
-        only the distinct ids are sorted, so a vocabulary is what ``np.unique`` gives."""
+        """The table of two id sequences, each coded by ``np.unique``, and the other
+        columns: the coder of the csv module's reader."""
         coded = {}
         for key, ids in (("participant", participant_id), ("post", post_id)):
-            distinct = dict.fromkeys(ids)
-            lost = next((i for i in distinct if i.endswith("\0")), None)
+            lost = next((i for i in ids if i.endswith("\0")), None)
             if lost is not None:
                 # a numpy str array drops trailing NULs, which would rename or merge the id
                 raise ValueError(f"{key} id {lost!r} ends in a NUL character")
-            vocab, rank = np.unique(np.array(list(distinct), dtype=str), return_inverse=True)
-            code = dict(zip(distinct, rank.tolist())).__getitem__
-            coded[f"{key}_vocab"] = vocab
-            coded[f"{key}_code"] = np.fromiter(map(code, ids), np.int32, len(ids))
+            vocab, code = np.unique(np.array(ids, dtype=str), return_inverse=True)
+            coded[f"{key}_vocab"], coded[f"{key}_code"] = vocab, code.astype(np.int32)
         return cls(**coded, **dict(zip(_VALUE_FIELDS, values)))
 
     def _values(self) -> tuple:
@@ -562,8 +560,9 @@ def _canonical_ids(data: bytes, words: np.ndarray, start, end) -> tuple[np.ndarr
         index = {}
         keys = [index.setdefault(key, len(index)) for key in zip(label[long].tolist(), tails)]
         label[long] = len(heads) + np.array(keys)
-    distinct, code = np.unique(label, return_inverse=True)
-    first = np.empty(len(distinct), np.intp)
+    present = np.bincount(label) > 0
+    code = (np.cumsum(present) - 1)[label]  # ranked among those in use, as in groups()
+    first = np.empty(np.count_nonzero(present), np.intp)
     first[code] = np.arange(len(code))  # a row of each distinct id
     ids = [data[i:j].decode() for i, j in zip(start[first].tolist(), end[first].tolist())]
     vocab, rank = np.unique(np.array(ids, dtype=str), return_inverse=True)
@@ -576,7 +575,8 @@ def _canonical_impressions(data: bytes) -> Impressions | None:
 
     Every field is found with one ``np.flatnonzero`` over commas and line
     feeds, and each column is converted from the bytes between them, so no
-    Python object is made per row or per cell. The bytes are read in place:
+    Python object is made per row or per cell, except in :func:`_canonical_ids`
+    for each id cell longer than 8 bytes. The bytes are read in place:
     the header counts as one more row of fields, so every position is an
     offset into ``data``, and a column's cell bounds are strided views of
     the field ends.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,24 +66,26 @@ class PipelineAudit:
 
 
 @dataclass(frozen=True)
-class MovementModel:
-    """Population and per-participant movement-time coefficients.
+class ParticipantFit:
+    """One participant's intercept and slope, the motor seconds per engagement action."""
 
-    ``participants`` maps participant_id -> (intercept, slope); the slope is
-    that participant's estimated motor seconds per engagement action.
-    """
+    intercept: float
+    slope: float
+
+
+@dataclass(frozen=True)
+class MovementModel:
+    """Population and per-participant movement-time coefficients, as movement_model.json
+    holds them: ``participants`` maps each participant id to its :class:`ParticipantFit`."""
 
     mu_alpha: float
     mu_beta: float
     tau_alpha: float
     tau_beta: float
     sigma_eps: float
-    participants: dict[str, tuple[float, float]]
+    participants: dict[str, ParticipantFit]
     log_likelihood: float = float("nan")
     iterations: int = 0
-
-    def slope(self, participant_id: str) -> float:
-        return self.participants[participant_id][1]
 
 
 class PipelineOrderError(RuntimeError):
@@ -137,7 +139,7 @@ def adjust_dwell(impressions: Impressions, model: MovementModel) -> Impressions:
             f"participant {missing[0]!r} missing from movement model; "
             "adjust_dwell must run on the impressions the model was fit to"
         )
-    slope = np.array([model.slope(pid) for pid in pids.tolist()], dtype=float)
+    slope = np.array([model.participants[pid].slope for pid in pids.tolist()], dtype=float)
     a = impressions.action_count
     y = impressions.dwell_raw
     value = np.where(a == 0, y, np.maximum(0.0, y - slope[group] * a))
@@ -250,12 +252,9 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
     tau0 = max(0.1 * sigma2, 1e-6)
     tau2 = (tau0, 0.0 if slope_pinned else tau0)
     ll_prev = -np.inf
-    iterations = 0
-    converged = False
     for iterations in range(1, EM_MAX_ITER + 1):
         m, S, ll = e_step(mu, tau2, sigma2)
         if abs(ll - ll_prev) < EM_LL_RTOL * max(1.0, abs(ll_prev)):
-            converged = True
             break
         ll_prev = ll
 
@@ -275,7 +274,7 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
         # sum of the residuals about mu + m, expanded around mu, plus the trace
         ss = _rss_at(mu, tot) - 2 * (my - mu[0] * u0 - mu[1] * u1) + float(T.ravel() @ V)
         sigma2 = max(ss / N, _VAR_FLOOR)
-    if not converged:
+    else:
         warnings.warn(
             f"movement-time EM stopped at EM_MAX_ITER={EM_MAX_ITER} iterations "
             "without converging; the fit may be unreliable"
@@ -283,7 +282,7 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
         # posterior means consistent with the final parameter values
         m, _, ll = e_step(mu, tau2, sigma2)
     b1, b2 = m[0] + mu[0], m[1] + mu[1]
-    participants = dict(zip(pids.tolist(), zip(b1.tolist(), b2.tolist())))
+    participants = dict(zip(pids.tolist(), map(ParticipantFit, b1.tolist(), b2.tolist())))
     return MovementModel(
         mu_alpha=mu[0],
         mu_beta=mu[1],
@@ -331,27 +330,17 @@ def raw_dwell_control(result: PipelineResult, rules: ExclusionRules) -> Impressi
 # Persistence
 
 
-@dataclass(frozen=True)
-class ParticipantFit:
-    """One participant's entry in movement_model.json."""
-
-    intercept: float
-    slope: float
-
-
 def save_movement_model(path: str | Path, model: MovementModel) -> None:
     """Write movement_model.json; each participant is {"intercept", "slope"}."""
-    participants = {pid: ParticipantFit(a, b) for pid, (a, b) in model.participants.items()}
-    write_json(path, replace(model, participants=participants))
+    write_json(path, model)
 
 
 def load_movement_model(path: str | Path) -> MovementModel:
-    def participants(value) -> dict[str, tuple[float, float]]:
+    def participants(value) -> dict[str, ParticipantFit]:
         if not isinstance(value, dict):
             raise TypeError(f"must be a JSON object, got {type(value).__name__}")
-        where = f"{path}: participant"
         return {
-            pid: astuple(from_fields(ParticipantFit, v, f"{where} {pid!r}", "the participant"))
+            pid: from_fields(ParticipantFit, v, f"{path}: participant {pid!r}", "the participant")
             for pid, v in value.items()
         }
 

@@ -157,12 +157,10 @@ def build_design(
     names = spec.column_names()
     X = np.empty((n, len(names)), order="F")
     X[:, 0] = 1.0
-    for j, name in enumerate(names[1:], start=1):
-        if ":" in name:
-            a, b = name.split(":")
-            X[:, j] = columns[a] * columns[b]
-        else:
-            X[:, j] = columns[name]
+    for j, name in enumerate(spec.predictors, start=1):
+        X[:, j] = columns[name]
+    for j, (a, b) in enumerate(spec.interactions, start=1 + len(spec.predictors)):
+        X[:, j] = columns[a] * columns[b]
 
     y = log_dwell if spec.response == "log_dwell" else engaged
     return Design(X=X, y=y, columns=names, centering=centering)

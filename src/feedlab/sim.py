@@ -255,7 +255,7 @@ class PoolPosts:
 
     Row ``i`` of every array is the post ``post_ids[i]``. ``noise`` is the
     (posts, 8) standard-normal feature noise that ``source`` drew, from which
-    ``values`` builds the features when first read. A pool equals only itself
+    ``matrix`` builds the features when first read. A pool equals only itself
     and hashes by identity, as field-wise equality over arrays has no truth value.
     """
 
@@ -267,14 +267,12 @@ class PoolPosts:
     source: SyntheticPool
 
     @functools.cached_property
-    def values(self) -> np.ndarray:
-        """The read-only feature values, one column per ``FEATURE_NAMES`` entry,
+    def matrix(self) -> FeatureMatrix:
+        """The features as a checked table, one column per ``FEATURE_NAMES`` entry,
         built when first read: the policy experiment realizes a pool per
-        replication and never reads them.
-
-        They are ``offset + cred_strength * outer(cred, pattern) + sens_strength
-        * outer(sens, pattern) + noise_sd * noise`` under ``source``'s
-        settings, summed left to right in place.
+        replication and never reads them. The values are ``offset + cred_strength *
+        outer(cred, pattern) + sens_strength * outer(sens, pattern) + noise_sd *
+        noise`` under ``source``'s settings, summed left to right in place.
         """
         src = self.source
         values = np.multiply.outer(self.credibility, _CRED_PATTERN)
@@ -284,13 +282,7 @@ class PoolPosts:
         sens_part *= src.sensationalism_strength
         values += sens_part
         values += self.noise * src.feature_noise_sd
-        values.flags.writeable = False
-        return values
-
-    @functools.cached_property
-    def matrix(self) -> FeatureMatrix:
-        """The features as a checked table, built when first read."""
-        return FeatureMatrix(self.post_ids, FEATURE_NAMES, self.values)
+        return FeatureMatrix(self.post_ids, FEATURE_NAMES, values)
 
     @property
     def size(self) -> int:
@@ -322,10 +314,11 @@ _SENS_PATTERN = np.array([_SENS_SIGNS[f] for f in FEATURE_NAMES]) / math.sqrt(8)
 
 
 @functools.cache
-def _post_ids(n: int) -> tuple[str, ...]:
-    """The ids of a pool of ``n`` posts, zero-padded so that they sort in pool order."""
+def _padded_ids(prefix: str, n: int) -> tuple[str, ...]:
+    """The synthetic ids of ``n`` rows, ``prefix`` then 1..n zero-padded to one width.
+    They sort in row order, so a row's index is its code into their sorted vocabulary."""
     width = len(str(n))
-    return tuple(f"post_{i + 1:0{width}d}" for i in range(n))
+    return tuple(f"{prefix}{i + 1:0{width}d}" for i in range(n))
 
 
 @functools.cache
@@ -374,7 +367,7 @@ class SyntheticPool:
         The 10 normals per post come from one ``standard_normal`` call, the
         same stream (and generator state after it) as drawing n, n and (n, 8)
         in turn. They are made read-only, so the features that
-        :attr:`PoolPosts.values` builds when first read are those of the draw.
+        :attr:`PoolPosts.matrix` builds when first read are those of the draw.
         Every pool of one composition shares its post ids and its read-only
         categories array.
         """
@@ -385,8 +378,8 @@ class SyntheticPool:
             self.n_true_news, self.n_false_news, self.n_opinion, self.n_mundane
         )
         return PoolPosts(
-            _post_ids(n), categories, draws[:n], draws[n : 2 * n], draws[2 * n :].reshape(n, 8),
-            self,
+            _padded_ids("post_", n), categories, draws[:n], draws[n : 2 * n],
+            draws[2 * n :].reshape(n, 8), self,
         )
 
 
@@ -471,11 +464,8 @@ def simulate_session(
     out = _two_stage(
         pool.credibility[feeds], pool.sensationalism[feeds], config.params, loc, scale, *variates
     )
-    # zero-padded ids are generated in sorted order, so a participant's index
-    # and a feed's pool indices are the codes
-    width = len(str(max(n, 1)))
     impressions = Impressions(
-        participant_vocab=np.array([f"p_{u + 1:0{width}d}" for u in range(n)], dtype=str),
+        participant_vocab=np.array(_padded_ids("p_", n), dtype=str),
         participant_code=np.repeat(np.arange(n, dtype=np.int32), length),
         post_vocab=np.array(pool.post_ids, dtype=str),
         post_code=feeds.ravel().astype(np.int32),
@@ -621,10 +611,10 @@ def rank_feed(
 ) -> np.ndarray:
     """The pool rows of the top k posts under a ranking policy, best first.
 
-    ``random`` is a permutation drawn from ``rng``; the other policies are
-    ranked by :func:`_rank_rows`: score ties break by post id, ``engage_opt``
-    scores against the pool's :func:`log_dwell_marginal` and
-    ``chronological`` takes the first k rows. The array is new and writable.
+    ``random`` is a permutation drawn from ``rng``; the other policies are ranked by
+    :func:`_rank_rows`: score ties break by post id, ``engage_opt`` scores against the
+    pool's :func:`log_dwell_marginal` and ``chronological`` takes the first k rows. At
+    k = 0 none is scored, as an empty pool has no marginal. The array is new and writable.
     """
     _check_policy(policy)
     if k < 0 or k > pool.size:
@@ -633,6 +623,8 @@ def rank_feed(
         if rng is None:
             raise ValueError("random policy needs an rng")
         return rng.permutation(pool.size)[:k]
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
     c, s = pool.credibility, pool.sensationalism
     marginal = log_dwell_marginal(params, c, s)
     return _rank_rows(policy, params, c, s, *marginal, _id_order(pool.post_ids), k)
@@ -733,7 +725,7 @@ def run_policy_experiment(
             if policy == "random":
                 rows[j, r] = rank_feed(policy, pool, params, k, rng=rng)
             _draw_variates(rng, *variates[:, j, r])
-    by_id = _id_order(_post_ids(n))
+    by_id = _id_order(_padded_ids("post_", n))
     for j, policy in enumerate(policies):
         if policy != "random":
             for start in range(0, replications, _RANK_CHUNK):

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from feedlab.data import _IMPRESSION_FIELDS, NEWS_CATEGORIES, FeatureMatrix
-from feedlab.pipeline import _VAR_FLOOR, EM_LL_RTOL, MovementModel
+from feedlab.pipeline import _VAR_FLOOR, EM_LL_RTOL, MovementModel, ParticipantFit
 from feedlab.regression import IRLS_DEVIANCE_RTOL, IRLS_GRADIENT_TOL, SEPARATION_COEF_BOUND
 from feedlab.sim import (
     _CRED_PATTERN,
@@ -299,7 +299,8 @@ def per_moment_movement_em(impressions, max_iter):
 
     m1, m2, s11, s12, s22, ll = e_step(mu, tau2, sigma2)
     participants = {
-        pid: (float(mu[0] + m1[i]), float(mu[1] + m2[i])) for i, pid in enumerate(pids.tolist())
+        pid: ParticipantFit(float(mu[0] + m1[i]), float(mu[1] + m2[i]))
+        for i, pid in enumerate(pids.tolist())
     }
     return MovementModel(
         mu_alpha=float(mu[0]),

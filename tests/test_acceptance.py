@@ -197,7 +197,7 @@ class TestCriterion4MovementRecovery:
             oracle = per_participant_ols(imps)
             em_rmse = math.sqrt(
                 np.mean(
-                    [(model.participants[p][1] - t) ** 2 for p, t in true_slopes.items()]
+                    [(model.participants[p].slope - t) ** 2 for p, t in true_slopes.items()]
                 )
             )
             np_rmse = math.sqrt(

@@ -1,7 +1,7 @@
 import json
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from feedlab.features import mean_dwell_by_post
 from feedlab.pipeline import (
     ExclusionRules,
     MovementModel,
+    ParticipantFit,
     PipelineAudit,
     PipelineOrderError,
     adjust_dwell,
@@ -85,7 +86,7 @@ class TestStage1:
 
 class TestAdjustAndFloor:
     def _model(self, slope):
-        return MovementModel(2.0, slope, 0.0, 0.0, 0.1, {"p1": (2.0, slope)})
+        return MovementModel(2.0, slope, 0.0, 0.0, 0.1, {"p1": ParticipantFit(2.0, slope)})
 
     def test_zero_action_identity_exact(self):
         imps = as_table([make_impression("p1", "a", 1, 4.2, 0)])
@@ -110,7 +111,7 @@ class TestAdjustAndFloor:
             rows_of(imps), out.dwell_adjusted.tolist()
         ):
             a = int(shared) + int(liked)
-            expected = dwell if a == 0 else max(0.0, dwell - model.slope(pid) * a)
+            expected = dwell if a == 0 else max(0.0, dwell - model.participants[pid].slope * a)
             assert adjusted == expected
 
     def test_unknown_participant_is_hard_error(self):
@@ -142,7 +143,7 @@ class TestMovementModel:
         model = fit_movement_model(imps)
         assert model.mu_alpha == pytest.approx(3.0, abs=1e-9)
         assert model.mu_beta == pytest.approx(1.5, abs=1e-9)
-        assert model.participants["p1"][1] == pytest.approx(1.5, abs=1e-9)
+        assert model.participants["p1"].slope == pytest.approx(1.5, abs=1e-9)
 
     def test_zero_engagement_pins_slope(self):
         imps = as_table(full_feed("p1", [2.0, 2.5, 3.0, 2.2, 2.8]))
@@ -150,7 +151,7 @@ class TestMovementModel:
             model = fit_movement_model(imps)
         assert model.mu_beta == 0.0
         assert model.tau_beta == 0.0
-        assert all(b == 0.0 for _, b in model.participants.values())
+        assert all(p.slope == 0.0 for p in model.participants.values())
 
     def test_constant_nonzero_actions_pin_slope(self):
         # every impression has one action: the slope is unidentifiable, and
@@ -166,7 +167,7 @@ class TestMovementModel:
             model = fit_movement_model(imps)
         assert model.mu_beta == 0.0
         assert model.tau_beta == 0.0
-        assert all(b == 0.0 for _, b in model.participants.values())
+        assert all(p.slope == 0.0 for p in model.participants.values())
         assert model.mu_alpha == pytest.approx(dwells.mean(), rel=1e-12)
         assert model.tau_alpha > 0.0
 
@@ -201,7 +202,9 @@ class TestMovementModel:
             [getattr(model, f) for f in fields], [getattr(want, f) for f in fields], rtol=1e-12
         )
         np.testing.assert_allclose(
-            list(model.participants.values()), list(want.participants.values()), rtol=1e-12
+            [astuple(p) for p in model.participants.values()],
+            [astuple(p) for p in want.participants.values()],
+            rtol=1e-12,
         )
 
     # participant counts on both sides of numpy's pairwise-sum blocks (8, 128)
@@ -253,7 +256,7 @@ class TestMovementModel:
         assert model.mu_beta == pytest.approx(1.2, rel=0.10)
         oracle = per_participant_ols(imps)
         em_rmse = np.sqrt(
-            np.mean([(model.participants[p][1] - t) ** 2 for p, t in true_slopes.items()])
+            np.mean([(model.participants[p].slope - t) ** 2 for p, t in true_slopes.items()])
         )
         np_rmse = np.sqrt(
             np.mean([(oracle[p][1] - true_slopes[p]) ** 2 for p in oracle])
@@ -277,14 +280,14 @@ class TestMovementModel:
             d = np.array([a0 - model.mu_alpha, b0 - model.mu_beta])
             m = np.array(
                 [
-                    model.participants[pid][0] - model.mu_alpha,
-                    model.participants[pid][1] - model.mu_beta,
+                    model.participants[pid].intercept - model.mu_alpha,
+                    model.participants[pid].slope - model.mu_beta,
                 ]
             )
             assert m @ H @ m <= d @ H @ d + 1e-9
             n_defined += 1
             lo, hi = sorted([b0, model.mu_beta])
-            if lo - 1e-9 <= model.participants[pid][1] <= hi + 1e-9:
+            if lo - 1e-9 <= model.participants[pid].slope <= hi + 1e-9:
                 n_between += 1
         assert n_defined > 50
         assert n_between / n_defined >= 0.9
@@ -300,7 +303,7 @@ class TestMovementModel:
             rmses.append(
                 np.sqrt(
                     np.mean(
-                        [(model.participants[p][1] - t) ** 2 for p, t in true_slopes.items()]
+                        [(model.participants[p].slope - t) ** 2 for p, t in true_slopes.items()]
                     )
                 )
             )
@@ -337,7 +340,8 @@ class TestMovementModel:
 
     # a saved model: odd floats, an integer slope and the default NaN log-likelihood
     MODEL = MovementModel(
-        0.1 + 0.2, 1.2345678901234567, 1e-300, 0.0, 2.5, {"p0": (-0.5, 3), "p1": (1e22, 0.7)},
+        0.1 + 0.2, 1.2345678901234567, 1e-300, 0.0, 2.5,
+        {"p0": ParticipantFit(-0.5, 3), "p1": ParticipantFit(1e22, 0.7)},
     )
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
@@ -481,7 +485,9 @@ class TestWholeParticipantDropped:
             stage1, _ = apply_exclusions_stage1(rows, rules)
         short = [str(w.message) for w in caught if "trimmed edges" in str(w.message)]
         assert len(short) == 2 and all(m.endswith(": p2") for m in short)
-        pids, adjusted, removed = per_row_dwell_pipeline(rows, rules, result.model.slope)
+        pids, adjusted, removed = per_row_dwell_pipeline(
+            rows, rules, lambda pid: result.model.participants[pid].slope
+        )
         assert pids == ["p1", "p4"]
         assert list(result.model.participants) == pids
         assert adjust_dwell(stage1, result.model).dwell_adjusted.tolist() == adjusted

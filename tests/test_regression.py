@@ -124,6 +124,38 @@ class TestBuildDesign:
         assert d.X.flags.f_contiguous
         assert np.allclose(d.y, np.log([1.0, 2.0, 4.0, 1.0, 0.5, 8.0]), atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "spec, hand_columns",
+        [
+            (sim.STAGE1_RECOVERY_SPEC, lambda e, c, s: [c, s]),
+            (
+                DesignSpec(
+                    response="log_dwell",
+                    predictors=("sensationalism", "engage", "credibility"),
+                    interactions=(("credibility", "engage"),),
+                ),
+                lambda e, c, s: [s, e, c, c * e],
+            ),
+        ],
+        ids=["stage1_recovery", "reordered"],
+    )
+    def test_columns_follow_the_spec_order(self, spec, hand_columns):
+        scores = FeatureMatrix(
+            ("a", "b", "c"), ("pc1", "pc2"), [[1.0, -1.0], [0.0, 2.0], [-3.0, 0.5]]
+        )
+        imps = as_table([
+            make_impression("p1", "a", 1, 3.0, actions=0, adjusted=1.0),
+            make_impression("p1", "b", 2, 3.0, actions=1, adjusted=2.0),
+            make_impression("p2", "c", 1, 3.0, actions=2, adjusted=4.0),
+            make_impression("p2", "a", 2, 3.0, actions=0, adjusted=0.5),
+        ])
+        d = build_design(imps, scores, spec)
+        eng = np.array([-0.5, 0.5, 0.5, -0.5])
+        cred = np.array([1.0, 0.0, -3.0, 1.0])
+        sens = np.array([-1.0, 2.0, 0.5, -1.0])
+        assert d.columns == spec.column_names()
+        assert np.array_equal(d.X, np.column_stack([np.ones(4), *hand_columns(eng, cred, sens)]))
+
     def test_missing_scores_listed(self):
         imps = as_table([make_impression("p1", "ghost", 1, 3.0, adjusted=2.0)])
         with pytest.raises(ValueError, match="ghost"):

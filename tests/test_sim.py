@@ -133,10 +133,11 @@ class TestRealize:
         for seed in range(20):
             pool = settings.realize(np.random.default_rng(seed))
             *_, expected = three_call_pool(settings, np.random.default_rng(seed))
-            assert pool.values.shape == expected.shape == (settings.size, 8)
-            assert pool.values.tobytes() == expected.tobytes()
-            assert pool.values is pool.values and pool.matrix.values is pool.values
-            for array in (pool.values, pool.credibility, pool.sensationalism, pool.noise):
+            values = pool.matrix.values
+            assert values.shape == expected.shape == (settings.size, 8)
+            assert values.tobytes() == expected.tobytes()
+            assert pool.matrix is pool.matrix
+            for array in (values, pool.credibility, pool.sensationalism, pool.noise):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
@@ -147,8 +148,8 @@ class TestRealize:
         assert first == first and first != second
         assert len({first, second, first}) == 2 and hash(first) == hash(first)
         # the features are still built once, on first read
-        assert first.matrix.values is first.values
-        assert first.values.tobytes() == second.values.tobytes()
+        assert first.matrix is first.matrix
+        assert first.matrix.values.tobytes() == second.matrix.values.tobytes()
 
 
 class TestSimulateImpression:
@@ -278,6 +279,15 @@ class TestRankFeed:
             assert np.array_equal(rows, np.arange(k))
         top = rank_feed("random", pool, PARAMS, 7, rng=np.random.default_rng(3))
         assert np.array_equal(top, np.random.default_rng(3).permutation(pool.size)[:7])
+
+    def test_deterministic_policies_at_k_zero_score_nothing(self):
+        # an empty pool has no log-dwell marginal: its mean would divide by 0 and warn
+        empty = SyntheticPool(0, 0, 0, 0).realize(np.random.default_rng(0))
+        for pool in (empty, default_pool()[0]):
+            for policy in ("chronological", "dwell_opt", "engage_opt"):
+                rows = rank_feed(policy, pool, PARAMS, 0)
+                assert rows.shape == (0,) and rows.dtype.kind == "i" and rows.flags.writeable
+                assert rows is not rank_feed(policy, pool, PARAMS, 0)
 
     def test_ties_break_by_id_in_any_row_order(self):
         # rounded credibility and no sensationalism: five score levels, many ties
