@@ -86,14 +86,25 @@ def _sim_config_from_args(args: argparse.Namespace) -> SimConfig:
     return config
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: a non-negative integer, as numpy's SeedSequence takes."""
-    try:
-        if (seed := int(text)) >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+def _above(convert, low: int, kind: str):
+    """An argparse type: ``convert(text)`` if it is above ``low`` (NaN never is),
+    else an error naming the value, which argparse prefixes with the flag."""
+
+    def value(text: str):
+        try:
+            if (number := convert(text)) > low:
+                return number
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
+
+    return value
+
+
+# a --seed is what numpy's SeedSequence takes; --top-k may be 0
+_non_negative_int = _above(int, -1, "a non-negative integer")
+_positive_int = _above(int, 0, "a positive integer")
+_positive = _above(float, 0, "a positive number")  # inf is one
 
 
 def _replications(args: argparse.Namespace) -> int:
@@ -301,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_rules(p):
-        p.add_argument("--rules.max-dwell", dest="rules_max_dwell", type=float, default=30.0)
-        p.add_argument("--rules.edge-trim", dest="rules_edge_trim", type=int, default=3)
-        p.add_argument("--rules.min-dwell", dest="rules_min_dwell", type=float, default=0.15)
+        p.add_argument("--rules.max-dwell", dest="rules_max_dwell", type=_positive, default=30.0)
+        p.add_argument("--rules.edge-trim", dest="rules_edge_trim", type=_positive_int, default=3)
+        p.add_argument("--rules.min-dwell", dest="rules_min_dwell", type=_positive, default=0.15)
 
     p = sub.add_parser("preprocess", help="exclusions + movement-time adjustment")
     p.add_argument("--input", required=True, help="impressions.csv")
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--impressions", help="cleaned.csv for dwell correlations")
     p.add_argument("--posts", help="posts.csv for headlines in top_posts.txt")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--top-k", type=_non_negative_int, default=10)
     p.set_defaults(func=cmd_pca)
 
     p = sub.add_parser("fit", help="dwell (OLS) or engagement (logistic) model")
@@ -329,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.add_argument("--config", required=True, help="sim_config.json")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--seed", type=_seed, help="override the config seed")
+    p.add_argument("--seed", type=_non_negative_int, help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("experiment", help="ranking-policy ecosystem comparison")
@@ -338,14 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", default=",".join(POLICIES))
     p.add_argument("-k", type=int, default=20)
     p.add_argument("--replications", type=int, default=100)
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=_non_negative_int)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("recover", help="simulate -> preprocess -> refit study")
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", required=True)
     p.add_argument("--replications", type=int, default=20)
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=_non_negative_int)
     add_rules(p)
     p.set_defaults(func=cmd_recover)
 

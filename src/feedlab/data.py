@@ -29,12 +29,12 @@ error names the file.
 NUL; every row with the header's field count; positions of at most 18 ASCII
 digits; dwells matching ``[0-9]+[.][0-9]+`` with at most 15 digits; bools the
 one byte 0 or 1; ids of any length) is read from its bytes with numpy, with
-no Python object per row or cell but a bytes slice and a dict key per id
-cell longer than 8 bytes, which make long ids ~10x slower to read. Any other
-file (quoted ids, CR line ends, spaces or other number spellings, ragged
-rows, a header only) is read by the csv module in one pass over its rows,
-which reports each bad row: a well-formed one gives the table and errors
-that the same rows in the canonical form give, only more slowly.
+no Python object per row or cell: an id column is coded by one sort of its
+cells' 8-byte words, and one cell per distinct id is decoded. Any other file
+(quoted ids, CR line ends, spaces or other number spellings, ragged rows, a
+header only) is read by the csv module in one pass over its rows, which
+reports each bad row: a well-formed one gives the table and errors that the
+same rows in the canonical form give, only more slowly.
 ``_parse_rows`` reads those files and every other CSV file (ratings, posts,
 scores) with the csv module; a ratings or posts row's fields are checked by
 its record's constructor alone.
@@ -542,31 +542,36 @@ _CANONICAL_PARSERS = (
 _TOP_BYTES = np.array([2**64 - 2 ** (64 - 8 * t) for t in range(9)], np.uint64)
 
 
-def _canonical_ids(data: bytes, words: np.ndarray, start, end) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_ids(data: bytes, words: np.ndarray, start, end):
     """The vocabulary and codes of the id cells ``data[start:end]``, as
-    :meth:`Impressions._from_ids` gives them; ``words[i]`` is the eight bytes of
-    ``data`` from ``i`` as a big-endian uint64.
-
-    Equal ids are found on their bytes: ``np.unique`` over integers ranks the
-    ids by their first eight bytes, and an id longer than that is keyed by
-    (that rank, the rest of its bytes). Only the distinct ids are decoded and
-    sorted as str.
+    :meth:`Impressions._from_ids` gives them, from one sort of the cells keyed by
+    their big-endian 8-byte ``words`` (``words[i]`` starts at ``data[i]``), zeroed
+    past each cell's end. With no NUL in the file, equal keys are equal ids, and
+    UTF-8's byte order is the code-point order of numpy's str sort. One cell per
+    distinct id is decoded. None if one is not UTF-8, or if the keys would take
+    over 8 bytes per byte of the file (a few ids far longer than the rest).
     """
     length = end - start
-    heads, label = np.unique(words[start] & _TOP_BYTES[np.minimum(length, 8)], return_inverse=True)
-    long = np.flatnonzero(length > 8)
-    if long.size:
-        tails = [data[i:j] for i, j in zip((start[long] + 8).tolist(), end[long].tolist())]
-        index = {}
-        keys = [index.setdefault(key, len(index)) for key in zip(label[long].tolist(), tails)]
-        label[long] = len(heads) + np.array(keys)
-    present = np.bincount(label) > 0
-    code = (np.cumsum(present) - 1)[label]  # ranked among those in use, as in groups()
-    first = np.empty(np.count_nonzero(present), np.intp)
-    first[code] = np.arange(len(code))  # a row of each distinct id
-    ids = [data[i:j].decode() for i, j in zip(start[first].tolist(), end[first].tolist())]
-    vocab, rank = np.unique(np.array(ids, dtype=str), return_inverse=True)
-    return vocab, rank[code].astype(np.int32)
+    offsets = range(0, max(int(length.max()), 1), 8)
+    if len(offsets) * len(start) > len(data):
+        return None
+    # clipped in the view: once the value cells parse, only words masked to 0 need it
+    keys = np.array([
+        words[np.minimum(start + k, len(words) - 1)] & _TOP_BYTES[np.clip(length - k, 0, 8)]
+        for k in offsets
+    ])
+    # on one word, np.lexsort took ~6x np.argsort's time (72k shuffled post ids)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    ranked = keys[:, order]
+    new = np.concatenate(([True], (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)))
+    code = np.empty(len(order), np.int32)
+    code[order] = np.cumsum(new, dtype=np.int32) - 1
+    first = order[new]
+    try:
+        ids = [data[i:j].decode() for i, j in zip(start[first].tolist(), end[first].tolist())]
+    except UnicodeDecodeError:
+        return None
+    return np.array(ids, dtype=str), code
 
 
 def _canonical_impressions(data: bytes) -> Impressions | None:
@@ -575,20 +580,15 @@ def _canonical_impressions(data: bytes) -> Impressions | None:
 
     Every field is found with one ``np.flatnonzero`` over commas and line
     feeds, and each column is converted from the bytes between them, so no
-    Python object is made per row or per cell, except in :func:`_canonical_ids`
-    for each id cell longer than 8 bytes. The bytes are read in place:
-    the header counts as one more row of fields, so every position is an
-    offset into ``data``, and a column's cell bounds are strided views of
-    the field ends.
+    Python object is made per row or per cell, only one per distinct id. The
+    bytes are read in place: the header counts as one more row of fields, so
+    every position is an offset into ``data``, and a column's cell bounds are
+    strided views of the field ends. Every non-ASCII byte of a canonical file
+    lies in an id cell, so decoding the distinct ids checks that it is UTF-8.
     """
     width = _CANONICAL_HEADERS.get(data[: data.find(b"\n")])
     if width is None or not data.endswith(b"\n") or any(data.find(c) >= 0 for c in b'"\r\0'):
         return None
-    if not data.isascii():  # the header is ASCII, so this checks the body
-        try:
-            data.decode()
-        except UnicodeDecodeError:
-            return None
     buf = np.frombuffer(data, np.uint8)
     line_end = buf == ord("\n")
     ends = np.flatnonzero(line_end | (buf == ord(",")))
@@ -605,13 +605,12 @@ def _canonical_impressions(data: bytes) -> Impressions | None:
         values.append(parse(buf, start, end))
         if values[-1] is None:
             return None
-    # No pad is needed to read eight bytes from an id cell's start: the row's cells
-    # have parsed, so at least 11 bytes (a position digit, a dwell of three bytes or
-    # more, two bools, their commas and the line feed) follow every id cell.
     words = np.ndarray((len(buf) - 7,), ">u8", buf, strides=(1,))
     ids = {}
     for key, (start, end) in zip(("participant", "post"), columns):
-        ids[f"{key}_vocab"], ids[f"{key}_code"] = _canonical_ids(data, words, start, end)
+        if (coded := _canonical_ids(data, words, start, end)) is None:
+            return None
+        ids[f"{key}_vocab"], ids[f"{key}_code"] = coded
     return Impressions(**ids, **dict(zip(_VALUE_FIELDS, values)))
 
 

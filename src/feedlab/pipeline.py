@@ -48,8 +48,9 @@ class ExclusionRules:
     min_adjusted_dwell: float = 0.15
 
     def __post_init__(self):
-        if self.max_dwell <= 0 or self.edge_trim <= 0 or self.min_adjusted_dwell <= 0:
-            raise ValueError("exclusion rule thresholds must be positive")
+        for name, value in vars(self).items():
+            if not value > 0:  # NaN is not > 0
+                raise ValueError(f"exclusion rule {name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)

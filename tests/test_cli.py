@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -374,8 +375,10 @@ class TestPcaCommand:
         assert run(["simulate", "--config", sim_config_path, "--output-dir", sim_out]) == 0
         out = tmp_path / "pca_neg"
         args = ["pca", "--input", sim_out / "ratings.csv", "--output-dir", out, "--top-k", -1]
-        assert run(args) == 2
-        assert "k must be >= 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+        assert "argument --top-k: must be a non-negative integer, got '-1'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -582,6 +585,32 @@ class TestExperimentAndRecover:
         assert run(argv + ["--config", sim_config_path, "--output-dir", out]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["preprocess", "--rules.max-dwell", "nan"], "must be a positive number, got 'nan'"),
+            (["preprocess", "--rules.min-dwell", "nan"], "must be a positive number, got 'nan'"),
+            (["preprocess", "--rules.min-dwell", "0"], "must be a positive number, got '0'"),
+            (["preprocess", "--rules.edge-trim", "0"], "must be a positive integer, got '0'"),
+            (["recover", "--rules.max-dwell", "-1"], "must be a positive number, got '-1'"),
+            (["recover", "--rules.edge-trim", "2.5"], "must be a positive integer, got '2.5'"),
+            (["pca", "--top-k", "-1"], "must be a non-negative integer, got '-1'"),
+        ],
+    )
+    def test_bad_flag_value_is_named(self, tmp_path, sim_config_path, capsys, argv, message):
+        # argparse rejects the value before any input is read
+        out = tmp_path / "degenerate"
+        inputs = ["--config", sim_config_path] if argv[0] == "recover" else ["--input", "absent.csv"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + inputs + ["--output-dir", out])
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_max_dwell_is_allowed(self):
+        argv = ["preprocess", "--input", "i.csv", "--output-dir", "out", "--rules.max-dwell", "inf"]
+        assert cli.build_parser().parse_args(argv).rules_max_dwell == math.inf
 
     @pytest.mark.parametrize("command", ["experiment", "recover"])
     def test_threads_flag_is_gone(self, tmp_path, sim_config_path, capsys, command):

@@ -514,6 +514,94 @@ class TestImpressionsCodec:
             assert path.read_bytes() == first
 
 
+# ids for the canonical reader's one sort of id bytes: 0, 7, 8, 9, 16 and 17 bytes,
+# each a byte prefix of the next; ids sharing their first 8 or 16 bytes; 2-, 3- and
+# 4-byte UTF-8 characters, alone, across a word boundary, and after ASCII bytes
+# they sort above ("~", DEL); the short ones fit one 8-byte word
+SHORT_EDGE_IDS = ("", "a" * 7, "a" * 8, "a", "ab", "~", "\x7f", "é", "ÿ", "Ā", "€", "\ufffd",
+                  "😀", "aé", "a€", "a😀", "abcdefg", "abcdefgh", "abcdefg~", "abcdeé", "\t x.")
+LONG_EDGE_IDS = SHORT_EDGE_IDS + (
+    "a" * 9, "a" * 16, "a" * 17, "abcdefgh~", "abcdefghé", "abcdefgh€x", "abcdefgh😀",
+    "abcdefgé", "abcdefghijklmno😀", "abcdefghijklmnop", "abcdefghijklmnopq",
+    "abcdefghijklmnop~", "abcdefghijklmnopé", "abcdefghijklmnop😀", "abcdefghijklmnopé" + "z" * 39,
+    "z" * 56 + "a", "z" * 56 + "b",  # the longest, 57 bytes, differ in their 8th word only
+)
+
+
+def edge_table(rng, ids, n_rows, adjusted):
+    """``n_rows`` rows whose participant and post ids are drawn from ``ids``, with
+    dwells of 6 decimals, which a save and a load keep exactly."""
+    pick = np.array(ids, dtype=object)
+    values = [rng.integers(0, 200, n_rows), rng.integers(0, 6 * 10**7, n_rows) / 1e6,
+              rng.random(n_rows) < 0.5, rng.random(n_rows) < 0.5]
+    if adjusted:
+        values.append(rng.integers(0, 6 * 10**7, n_rows) / 1e6)
+    drawn = (pick[rng.integers(len(ids), size=n_rows)].tolist() for _ in range(2))
+    return Impressions._from_ids(*drawn, *values)
+
+
+class TestIdCoder:
+    @pytest.mark.parametrize("ids", [SHORT_EDGE_IDS, LONG_EDGE_IDS], ids=["one_word", "many_words"])
+    def test_edge_ids_against_csv_reader(self, tmp_path, ids):
+        lengths = {len(i.encode()) for i in ids}
+        assert max(lengths) <= 8 if ids is SHORT_EDGE_IDS else {0, 7, 8, 9, 16, 17} <= lengths
+        rng = np.random.default_rng(33)
+        path = tmp_path / "i.csv"
+        for adjusted in (False, True):
+            table = edge_table(rng, ids, 1200, adjusted)
+            # the vocabulary is in code-point order, so ASCII comes before any other
+            for vocab in (table.participant_vocab, table.post_vocab):
+                assert vocab.tolist() == sorted(ids)
+            save_impressions(path, table)
+            data = path.read_bytes()
+            from_bytes = data_module._canonical_impressions(data)
+            reference, errors = data_module._csv_impressions(path)
+            assert from_bytes is not None and not errors
+            for loaded in (from_bytes, reference):
+                assert loaded == table
+                for key in ("participant", "post"):
+                    vocab, code = (getattr(loaded, f"{key}_{k}") for k in ("vocab", "code"))
+                    assert vocab.tolist() == getattr(table, f"{key}_vocab").tolist()
+                    assert code.dtype == np.int32
+                    assert np.array_equal(code, getattr(table, f"{key}_code"))
+            save_impressions(path, from_bytes)
+            assert path.read_bytes() == data
+
+    def test_one_far_longer_id_is_left_to_csv_reader(self, tmp_path):
+        # 2000 cells keyed by the 2500 words of one 20000-byte id would take 40 MB,
+        # over 8 bytes per byte of the file: the csv module reads it instead
+        rng = np.random.default_rng(9)
+        short = edge_table(rng, ("p1", "p2", "p3"), 2000, False)
+        participant = short.participant_id.tolist()
+        participant[1234] = "x" * 20000
+        table = Impressions._from_ids(participant, short.post_id.tolist(), *short._values())
+        path = tmp_path / "i.csv"
+        save_impressions(path, table)
+        assert data_module._canonical_impressions(path.read_bytes()) is None
+        loaded, errors = load_impressions(path)
+        assert loaded == table and not errors
+
+    @pytest.mark.parametrize("rows", ["one_row", "every_row"])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"])
+    def test_invalid_utf8_in_long_id_as_csv_reader(self, tmp_path, rows, bad):
+        # after the 8th byte (and after the 16th) of a long id: a stray, a truncated,
+        # a surrogate and an overlong sequence; the first 8 bytes equal a valid id's
+        rng = np.random.default_rng(7)
+        ids = ("abcdefghij", "abcdefghijklmnopqr", "post")
+        path = tmp_path / "i.csv"
+        save_impressions(path, edge_table(rng, ids, 400, False))
+        data = path.read_bytes()
+        for good in (b"abcdefghij,", b"abcdefghijklmnopqr,"):
+            broken = good[:-2] + bad + good[-2:]
+            variant = data.replace(good, broken, 1 if rows == "one_row" else -1)
+            assert variant.count(broken) == (1 if rows == "one_row" else data.count(good)) > 0
+            path.write_bytes(variant)
+            assert data_module._canonical_impressions(variant) is None
+            expected = outcome(data_module._csv_impressions, path)
+            assert expected[0] is UnicodeDecodeError
+            assert outcome(load_impressions, path) == expected
+
+
 # ids of 0-40 bytes: the canonical stems and tails above, and characters the csv
 # module quotes or that only a byte-length mask keeps (an inner NUL)
 WRITER_ID_TAILS = ID_TAILS + QUOTED_TAILS + ("\n", "\0x", "a\0\0b")

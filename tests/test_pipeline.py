@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from dataclasses import astuple, replace
@@ -453,6 +454,15 @@ class TestRunPipeline:
             ExclusionRules(max_dwell=-1)
         with pytest.raises(ValueError):
             ExclusionRules(edge_trim=0)
+
+    @pytest.mark.parametrize("field", ["max_dwell", "edge_trim", "min_adjusted_dwell"])
+    def test_nan_threshold_is_named(self, field):
+        # nan <= 0 is False, so a sign test alone would let NaN through
+        with pytest.raises(ValueError, match=f"exclusion rule {field} must be positive, got nan"):
+            ExclusionRules(**{field: float("nan")})
+
+    def test_infinite_max_dwell_is_a_rule(self):
+        assert ExclusionRules(max_dwell=math.inf).max_dwell == math.inf
 
     def test_audit_must_conserve(self):
         with pytest.raises(ValueError, match="conserve"):
