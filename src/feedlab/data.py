@@ -29,8 +29,9 @@ error names the file.
 NUL; every row with the header's field count; positions of at most 18 ASCII
 digits; dwells matching ``[0-9]+[.][0-9]+`` with at most 15 digits; bools the
 one byte 0 or 1; ids of any length) is read from its bytes with numpy, with
-no Python object per row or cell: an id column is coded by one sort of its
-cells' 8-byte words, and one cell per distinct id is decoded. Any other file
+no Python object per row or cell: an id column is coded by a sort of its
+cells on their first 8-byte word, then of each run of equal cells holding a
+longer id on its next word, and one cell per distinct id is decoded. Any other file
 (quoted ids, CR line ends, spaces or other number spellings, ragged rows, a
 header only) is read by the csv module in one pass over its rows, which
 reports each bad row: a well-formed one gives the table and errors that the
@@ -544,27 +545,42 @@ _TOP_BYTES = np.array([2**64 - 2 ** (64 - 8 * t) for t in range(9)], np.uint64)
 
 def _canonical_ids(data: bytes, words: np.ndarray, start, end):
     """The vocabulary and codes of the id cells ``data[start:end]``, as
-    :meth:`Impressions._from_ids` gives them, from one sort of the cells keyed by
-    their big-endian 8-byte ``words`` (``words[i]`` starts at ``data[i]``), zeroed
-    past each cell's end. With no NUL in the file, equal keys are equal ids, and
-    UTF-8's byte order is the code-point order of numpy's str sort. One cell per
-    distinct id is decoded. None if one is not UTF-8, or if the keys would take
-    over 8 bytes per byte of the file (a few ids far longer than the rest).
+    :meth:`Impressions._from_ids` gives them, from a sort of the cells on their
+    bytes as big-endian 8-byte ``words`` (``words[i]`` starts at ``data[i]``),
+    zeroed past each cell's end: all cells on their first word, then each run of
+    equal cells that holds a longer one on its next word, and so on. With no NUL
+    in the file, equal words are equal ids, and UTF-8's byte order is numpy's str
+    order. One cell per distinct id is decoded; None if one is not UTF-8.
     """
-    length = end - start
-    offsets = range(0, max(int(length.max()), 1), 8)
-    if len(offsets) * len(start) > len(data):
-        return None
-    # clipped in the view: once the value cells parse, only words masked to 0 need it
-    keys = np.array([
-        words[np.minimum(start + k, len(words) - 1)] & _TOP_BYTES[np.clip(length - k, 0, 8)]
-        for k in offsets
-    ])
-    # on one word, np.lexsort took ~6x np.argsort's time (72k shuffled post ids)
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    ranked = keys[:, order]
-    new = np.concatenate(([True], (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)))
-    code = np.empty(len(order), np.int32)
+    length, last = end - start, len(words) - 1
+    # each read is clipped in the view: once the value cells parse, only words masked to 0 need it
+    key = words[np.minimum(start, last)] & _TOP_BYTES[np.minimum(length, 8)]
+    order = np.argsort(key)  # the cells sorted on the words read so far
+    key = key[order]
+    new = np.concatenate(([True], key[1:] != key[:-1]))  # where each run of equal cells starts
+    tied = np.arange(len(start)) if length.max() > 8 else order[:0]  # the runs' places in order
+    offset = 8
+    while len(tied):
+        cells, head = order[tied], new[tied]
+        rest = length[cells] - offset  # each cell's bytes from the word to read
+        first = np.flatnonzero(head)
+        size = np.diff(np.append(first, len(tied)))
+        # keep the runs of more than one cell in which a cell has bytes left
+        keep = (size > 1) & np.logical_or.reduceat(rest > 0, first)
+        if not keep.all():
+            keep = np.repeat(keep, size)
+            tied, cells, head, rest = tied[keep], cells[keep], head[keep], rest[keep]
+        key = words[np.minimum(start[cells] + offset, last)] & _TOP_BYTES[np.clip(rest, 0, 8)]
+        offset += 8
+        one_run = not head[1:].any()
+        if one_run and (key == key[:1]).all():
+            continue  # a word that every tied cell shares (or no cell left) splits nothing
+        # on one word of 72k shuffled post ids, np.lexsort took ~6x np.argsort's time
+        sort = np.argsort(key) if one_run else np.lexsort((key, np.cumsum(head)))
+        order[tied], key = cells[sort], key[sort]
+        head[1:] |= key[1:] != key[:-1]
+        new[tied] = head
+    code = np.empty(len(start), np.int32)
     code[order] = np.cumsum(new, dtype=np.int32) - 1
     first = order[new]
     try:

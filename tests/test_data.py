@@ -514,15 +514,16 @@ class TestImpressionsCodec:
             assert path.read_bytes() == first
 
 
-# ids for the canonical reader's one sort of id bytes: 0, 7, 8, 9, 16 and 17 bytes,
-# each a byte prefix of the next; ids sharing their first 8 or 16 bytes; 2-, 3- and
-# 4-byte UTF-8 characters, alone, across a word boundary, and after ASCII bytes
-# they sort above ("~", DEL); the short ones fit one 8-byte word
+# ids for the canonical reader's sort of id bytes: 0, 7, 8, 9, 16 and 17 bytes,
+# each a byte prefix of the next; ids sharing their first 8 or 16 bytes, some then
+# going on with a byte below the "," after a cell; 2-, 3- and 4-byte UTF-8
+# characters, alone, across a word boundary, and after ASCII bytes they sort above
+# ("~", DEL); the short ones fit one 8-byte word
 SHORT_EDGE_IDS = ("", "a" * 7, "a" * 8, "a", "ab", "~", "\x7f", "é", "ÿ", "Ā", "€", "\ufffd",
                   "😀", "aé", "a€", "a😀", "abcdefg", "abcdefgh", "abcdefg~", "abcdeé", "\t x.")
 LONG_EDGE_IDS = SHORT_EDGE_IDS + (
-    "a" * 9, "a" * 16, "a" * 17, "abcdefgh~", "abcdefghé", "abcdefgh€x", "abcdefgh😀",
-    "abcdefgé", "abcdefghijklmno😀", "abcdefghijklmnop", "abcdefghijklmnopq",
+    "a" * 9, "a" * 16, "a" * 17, "abcdefgh~", "abcdefgh x", "abcdefghé", "abcdefgh€x", "abcdefgh😀",
+    "abcdefgé", "abcdefghijklmno😀", "abcdefghijklmnop", "abcdefghijklmnopq", "abcdefghijklmnop\t",
     "abcdefghijklmnop~", "abcdefghijklmnopé", "abcdefghijklmnop😀", "abcdefghijklmnopé" + "z" * 39,
     "z" * 56 + "a", "z" * 56 + "b",  # the longest, 57 bytes, differ in their 8th word only
 )
@@ -567,19 +568,31 @@ class TestIdCoder:
             save_impressions(path, from_bytes)
             assert path.read_bytes() == data
 
-    def test_one_far_longer_id_is_left_to_csv_reader(self, tmp_path):
-        # 2000 cells keyed by the 2500 words of one 20000-byte id would take 40 MB,
-        # over 8 bytes per byte of the file: the csv module reads it instead
+    def test_ids_over_the_csv_field_limit_are_read_from_bytes(self, tmp_path, monkeypatch):
+        # one 140000-byte id, and two 20000-byte ids equal but for their last byte, among
+        # 600 rows of short ids: the csv module rejects a cell this long, and only the
+        # long cells' further words are read. The columns are compared coded, as
+        # decoding them would make 600 cells of 140000 characters.
         rng = np.random.default_rng(9)
-        short = edge_table(rng, ("p1", "p2", "p3"), 2000, False)
-        participant = short.participant_id.tolist()
-        participant[1234] = "x" * 20000
-        table = Impressions._from_ids(participant, short.post_id.tolist(), *short._values())
+        short = edge_table(rng, ("p1", "p2", "p3", "y" * 9), 600, False)
+        long = np.array(["x" * 140000, "y" * 19999 + "a", "y" * 19999 + "b"])
+        vocab = np.union1d(long, short.participant_vocab)
+        code = np.searchsorted(vocab, short.participant_vocab)[short.participant_code]
+        code[123] = np.searchsorted(vocab, long[0])
+        code[::100] = np.searchsorted(vocab, long[[1, 2] * 3])
+        table = replace(short, participant_vocab=vocab, participant_code=code.astype(np.int32))
         path = tmp_path / "i.csv"
         save_impressions(path, table)
-        assert data_module._canonical_impressions(path.read_bytes()) is None
+        data = path.read_bytes()
+        assert outcome(data_module._csv_impressions, path)[0] is DataFormatError
+        monkeypatch.setattr(data_module, "_csv_impressions", lambda p: pytest.fail(f"{p} read by csv"))
         loaded, errors = load_impressions(path)
-        assert loaded == table and not errors
+        assert not errors
+        for name in TABLE_COLUMNS:
+            a, b = getattr(loaded, name), getattr(table, name)
+            assert a is b is None if name == "dwell_adjusted" else np.array_equal(a, b)
+        save_impressions(path, loaded)
+        assert path.read_bytes() == data
 
     @pytest.mark.parametrize("rows", ["one_row", "every_row"])
     @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"])
