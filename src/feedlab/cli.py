@@ -107,13 +107,6 @@ _positive_int = _above(int, 0, "a positive integer")
 _positive = _above(float, 0, "a positive number")  # inf is one
 
 
-def _replications(args: argparse.Namespace) -> int:
-    """The ``--replications`` count of a study, which must be at least one."""
-    if args.replications < 1:
-        raise ValueError(f"--replications {args.replications}: must be at least 1")
-    return args.replications
-
-
 def _report_row_errors(label: str, errors) -> None:
     for e in errors[:20]:
         print(f"warning: {label} line {e.line}: {e.message}", file=sys.stderr)
@@ -250,11 +243,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     config = _sim_config_from_args(args)
-    replications = _replications(args)
     if not 1 <= args.k <= config.pool.size:
         raise ValueError(f"-k {args.k}: must be in 1..{config.pool.size}, the config's pool size")
     policies = args.policies.split(",")
-    outcomes = run_policy_experiment(config, policies, k=args.k, replications=replications)
+    outcomes = run_policy_experiment(config, policies, k=args.k, replications=args.replications)
     _write_resolved_config(out, args)
     write_csv(
         out / "policy_outcomes.csv",
@@ -274,7 +266,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     config = _sim_config_from_args(args)
     rules = _rules_from_args(args)
-    report = parameter_recovery(config, rules, replications=_replications(args))
+    report = parameter_recovery(config, rules, replications=args.replications)
     _write_resolved_config(out, args)
     write_json(out / "recovery_report.json", report.to_dict())
     s = report.summary
@@ -348,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", required=True)
     p.add_argument("--policies", default=",".join(POLICIES))
     p.add_argument("-k", type=int, default=20)
-    p.add_argument("--replications", type=int, default=100)
+    p.add_argument("--replications", type=_positive_int, default=100)
     p.add_argument("--seed", type=_non_negative_int)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("recover", help="simulate -> preprocess -> refit study")
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--replications", type=int, default=20)
+    p.add_argument("--replications", type=_positive_int, default=20)
     p.add_argument("--seed", type=_non_negative_int)
     add_rules(p)
     p.set_defaults(func=cmd_recover)

@@ -41,12 +41,13 @@ scores) with the csv module; a ratings or posts row's fields are checked by
 its record's constructor alone.
 
 :func:`save_impressions` builds the body of impressions.csv as a (rows,
-width) uint8 matrix and a mask of the bytes to write, with no Python object
-per row: each distinct id is quoted once and gathered by its code, integers
-are written as digits, and a dwell as the exact fixed-point integer
-rint(|v| * 1e6). Only a dwell that fixed point would not write exactly (NaN,
-+-inf, |v| >= 2**23, at or near a rounding tie) is formatted by itself,
-with ``'%.6f' %``.
+width) uint8 matrix, each cell padded with a byte that no UTF-8 text holds
+and that is dropped in one pass, with no Python object per row: each
+distinct id is quoted once and gathered by its code, integers are written
+as digits, and a dwell as the exact fixed-point integer rint(|v| * 1e6).
+Only a dwell that fixed point would not write exactly (NaN, +-inf,
+|v| >= 2**23, at or near a rounding tie) is formatted by itself, with
+``'%.6f' %``.
 
 In memory, impressions are one columnar :class:`Impressions` table (one
 array per column of impressions.csv, the ids as int32 codes into sorted
@@ -661,57 +662,53 @@ def _csv_fields(values: list[str]) -> list[str]:
     return [line[:-2] for line in lines]
 
 
-# save_impressions builds each block of rows as one uint8 matrix and one mask of the
-# bytes to write. A block's matrix holds about this many bytes (the ids' padded
-# widths plus 128 a row for the numbers), so the writer's memory stays small however
-# many rows the table has, and one long id does not widen a matrix of every row.
+# save_impressions builds each block of rows as one uint8 matrix. A block's matrix
+# holds about this many bytes (the ids' padded widths plus 128 a row for the numbers),
+# so the writer's memory stays small however many rows the table has, and one long
+# id does not widen a matrix of every row.
 _BLOCK_BYTES = 2**21
 # a dwell below this is written as a fixed-point integer when that is exact (_dwell_cells)
 _FIXED_POINT_LIMIT = 2.0**23
+# the byte that pads a cell to its column's width: no UTF-8 text holds it, so _lines
+# drops every one of them and keeps every byte of a cell, an inner NUL included
+_PAD = 0xFF
 
-# The cell writers below give a column as a (width, rows) uint8 matrix of bytes and
-# a same-shape mask of the bytes to write: stored that way, each matrix row is
-# contiguous, and the body matrix of a block stacks them.
+# The cell writers below give a column as a (width, rows) uint8 matrix of bytes,
+# each cell padded with _PAD: stored that way, each matrix row is contiguous, and
+# the body matrix of a block stacks them.
 
 
-def _padded(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``strings`` UTF-8 encoded as the columns of a NUL-padded (width, len(strings))
-    matrix, and each one's length in bytes, which says where it ends (it may hold a NUL)."""
+def _padded(strings: list[str]) -> np.ndarray:
+    """``strings`` UTF-8 encoded as the columns of a (width, len(strings)) matrix,
+    each padded with ``_PAD`` to the longest."""
     encoded = [s.encode() for s in strings]
-    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
-    width = max(int(lengths.max(initial=0)), 1)
-    matrix = np.array(encoded, f"S{width}").view(np.uint8).reshape(len(encoded), width)
-    return np.ascontiguousarray(matrix.T), lengths
-
-
-def _first(lengths: np.ndarray, width: int) -> np.ndarray:
-    """The mask of the first ``lengths[i]`` of ``width`` bytes of each column."""
-    return np.arange(width)[:, None] < lengths
+    width = max(map(len, encoded), default=0)
+    padded = b"".join(e.ljust(width, bytes([_PAD])) for e in encoded)
+    return np.frombuffer(padded, np.uint8).reshape(len(encoded), width).T.copy()
 
 
 def _number_cells(
     negative: np.ndarray, magnitude: np.ndarray, least: int = 1, decimals: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Cells of a '-' where ``negative``, then the decimal digits of uint64
     ``magnitude`` with no leading zeros beyond the last ``least``, and a point
     before the last ``decimals`` digits when ``decimals`` is not 0."""
     digits = max(len(str(int(magnitude.max()))), least)
     width = 1 + digits + bool(decimals)
     matrix = np.full((width, len(magnitude)), ord("."), np.uint8)
-    shown = np.ones(matrix.shape, bool)
-    matrix[0], shown[0] = ord("-"), negative
+    matrix[0] = np.where(negative, ord("-"), _PAD)
     rest, ten = magnitude, np.uint64(10)
     for j in range(digits):  # the j-th digit from the right
         row = width - 1 - j - (0 < decimals <= j)
-        if j >= least:
-            shown[row] = rest > 0
         quotient = rest // ten
         matrix[row] = rest - quotient * ten + ord("0")
+        if j >= least:
+            np.copyto(matrix[row], _PAD, where=rest == 0)
         rest = quotient
-    return matrix, shown
+    return matrix
 
 
-def _integer_cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _integer_cells(column: np.ndarray) -> np.ndarray:
     """An integer or bool column as ``%d`` writes each cell."""
     if column.dtype.kind in "bu":
         return _number_cells(np.zeros(len(column), bool), column.astype(np.uint64))
@@ -726,7 +723,7 @@ def _percent_dwell(values: list[float]) -> list[str]:
     return [f"%.{DWELL_DECIMALS}f" % v for v in values]
 
 
-def _dwell_cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dwell_cells(column: np.ndarray) -> np.ndarray:
     """A dwell column as ``'%.6f' %`` writes each cell.
 
     A cell v is written from x = |v| * 1e6 as the integer rint(x) with a
@@ -746,32 +743,29 @@ def _dwell_cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.where(small, np.abs(v), 0.0) * 10.0**DWELL_DECIMALS
     exact = small & (np.abs(x - np.floor(x) - 0.5) > 2 * np.spacing(x))
     magnitude = np.rint(np.where(exact, x, 0.0)).astype(np.uint64)
-    matrix, shown = _number_cells(np.signbit(v), magnitude, 1 + DWELL_DECIMALS, DWELL_DECIMALS)
-    shown &= exact
+    matrix = _number_cells(np.signbit(v), magnitude, 1 + DWELL_DECIMALS, DWELL_DECIMALS)
     slow = np.flatnonzero(~exact)
     if slow.size:
-        cells, lengths = _padded(_percent_dwell(v[slow].tolist()))
-        more = np.zeros((len(cells), len(v)), np.uint8)
-        more_shown = np.zeros(more.shape, bool)
-        more[:, slow], more_shown[:, slow] = cells, _first(lengths, len(cells))
-        matrix, shown = np.vstack([matrix, more]), np.vstack([shown, more_shown])
-    return matrix, shown
+        cells = _padded(_percent_dwell(v[slow].tolist()))
+        more = np.full((len(cells), len(v)), _PAD, np.uint8)
+        matrix[:, slow], more[:, slow] = _PAD, cells
+        matrix = np.vstack([matrix, more])
+    return matrix
 
 
 # one writer per impressions.csv column after the two ids, in file order
 _CELL_WRITERS = (_integer_cells, _dwell_cells, _integer_cells, _integer_cells, _dwell_cells)
 
 
-def _lines(cells: list[tuple[np.ndarray, np.ndarray]]) -> bytes:
-    """The CSV lines of columns given as (byte matrix, mask) pairs: the bytes that the
-    mask keeps of the (rows, width) body matrix, read row by row."""
-    rows = cells[0][0].shape[1]
-    parts, shown = [], []
-    for i, (matrix, mask) in enumerate(cells):
+def _lines(cells: list[np.ndarray]) -> bytes:
+    """The CSV lines of columns given as padded byte matrices: the (rows, width) body
+    matrix read row by row, without its ``_PAD`` bytes."""
+    rows = cells[0].shape[1]
+    parts = []
+    for i, matrix in enumerate(cells):
         end = ord("\n") if i == len(cells) - 1 else ord(",")
         parts += [matrix, np.full((1, rows), end, np.uint8)]
-        shown += [mask, np.ones((1, rows), bool)]
-    return np.vstack(parts).T[np.vstack(shown).T].tobytes()
+    return np.vstack(parts).T.tobytes().translate(None, bytes([_PAD]))
 
 
 def save_impressions(path: str | Path, impressions: Impressions) -> None:
@@ -780,10 +774,10 @@ def save_impressions(path: str | Path, impressions: Impressions) -> None:
     The file is what :func:`write_csv` writes, in the canonical form that
     :func:`load_impressions` reads from its bytes, and each dwell is written
     as ``'%.6f' %`` writes it. The body is built as a (rows, width) uint8
-    matrix and a mask of the bytes to write, each column a fixed span of
-    matrix columns: each distinct id is quoted once, as the csv module quotes
-    it, and gathered by code; integers and bools are written as digits; a
-    dwell as the exact fixed-point integer rint(|v| * 1e6). Only a dwell that
+    matrix, each column a fixed span of matrix columns and each cell padded
+    with ``_PAD``, which is then dropped: each distinct id is quoted once, as
+    the csv module quotes it, and gathered by code; integers and bools are
+    written as digits; a dwell as the exact fixed-point integer rint(|v| * 1e6). Only a dwell that
     this would not write exactly (NaN, +-inf, 2**23 or more, at or near a
     rounding tie) is formatted alone, by ``'%.6f' %``. An empty table writes
     the plain header.
@@ -794,12 +788,12 @@ def save_impressions(path: str | Path, impressions: Impressions) -> None:
          getattr(impressions, f"{key}_code"))
         for key in ("participant", "post")
     ]
-    step = max(1, _BLOCK_BYTES // (sum(len(matrix) for (matrix, _), _ in ids) + 128))
+    step = max(1, _BLOCK_BYTES // (sum(len(matrix) for matrix, _ in ids) + 128))
     with open(path, "wb") as fh:
         fh.write((",".join(_IMPRESSION_FIELDS[: 2 + len(values)]) + "\n").encode())
         for start in range(0, len(impressions), step):
             rows = slice(start, start + step)
-            cells = [(m.take(code[rows], 1), _first(n[code[rows]], len(m))) for (m, n), code in ids]
+            cells = [matrix.take(code[rows], 1) for matrix, code in ids]
             cells += [write(c[rows]) for write, c in zip(_CELL_WRITERS, values)]
             fh.write(_lines(cells))
 

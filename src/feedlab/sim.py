@@ -128,14 +128,14 @@ def _mean_log_dwell(params: GenerativeParams, c, s):
     return params.dwell_intercept + params.dwell_credibility * c + params.dwell_sensationalism * s
 
 
-def log_dwell_marginal(
-    params: GenerativeParams, credibility: np.ndarray, sensationalism: np.ndarray
-) -> tuple[float, float]:
+def log_dwell_marginal(params: GenerativeParams, credibility, sensationalism):
     """The log-dwell marginal ``(loc, scale)`` of a pool: mean and SD over its
-    posts, stage-1 noise included.
+    posts (the last axis), stage-1 noise included.
 
     The stage-2 dwell predictor is standardized against this marginal, the
     generative counterpart of z-scoring log dwell over the analysis sample.
+    One pool gives two floats; a ``(pools, posts)`` block gives two
+    ``(pools, 1)`` columns, each row bit-identical to a call on that pool alone.
     The reductions are called directly, without the wrappers of
     ``ndarray.mean``/``var``; they sum in the same order, so the bits are the same.
     """
@@ -143,19 +143,22 @@ def log_dwell_marginal(
         params.dwell_credibility * np.asarray(credibility, dtype=float)
         + params.dwell_sensationalism * np.asarray(sensationalism, dtype=float)
     )
-    mean = np.add.reduce(lin) / lin.size
+    n = lin.shape[-1]
+    mean = np.add.reduce(lin, axis=-1, keepdims=True) / n
     x = lin - mean
     x *= x
-    loc = params.dwell_intercept + float(mean)
-    scale = math.sqrt(float(np.add.reduce(x) / lin.size) + params.dwell_noise_sd**2)
+    loc = params.dwell_intercept + mean
+    scale = np.sqrt(np.add.reduce(x, axis=-1, keepdims=True) / n + params.dwell_noise_sd**2)
+    if lin.ndim == 1:
+        return float(loc[0]), float(scale[0])
     return loc, scale
 
 
 def _logit_terms(params: GenerativeParams, c, s, loc, scale) -> tuple[np.ndarray, np.ndarray]:
     """The terms ``a``, ``b`` of each post's stage-2 logit ``a + b z`` at the
     standard-normal dwell noise ``z``, log dwell z-scored against ``loc``/``scale``:
-    the one logit that the simulator (:func:`_two_stage`) draws engagement from
-    and the quadrature (:func:`expected_engagement`) integrates.
+    the one logit that the simulator (:func:`simulate_impressions`) draws
+    engagement from and the quadrature (:func:`expected_engagement`) integrates.
 
     ``a`` is ``g0 + g_cred*c + g_sens*s + slope * (mean log dwell - loc) / scale``
     and ``b`` is ``slope * noise_sd / scale``, where ``slope = g_dwell +
@@ -179,18 +182,19 @@ def _logit_terms(params: GenerativeParams, c, s, loc, scale) -> tuple[np.ndarray
 
 
 def _draw_variates(rng: np.random.Generator, eps, u_engage, u_like, motor_eps) -> None:
-    """Fill one stream's four variate rows, in the model's fixed order."""
+    """Fill one stream's four variate rows for :func:`simulate_impressions`, in the
+    model's fixed order: dwell noise, engage uniform, like uniform, motor noise."""
     rng.standard_normal(out=eps)
     rng.random(out=u_engage)
     rng.random(out=u_like)
     rng.standard_normal(out=motor_eps)
 
 
-def _two_stage(
+def simulate_impressions(
     c, s, params: GenerativeParams, loc, scale, eps, u_engage, u_like, motor_eps
 ) -> dict[str, np.ndarray]:
     """The two-stage model on posts' scores and their variates, arrays of any one
-    broadcast shape; it draws nothing.
+    broadcast shape; it draws nothing (:func:`_draw_variates` draws a stream's).
 
     ``loc``/``scale`` are the log-dwell marginal, which may broadcast against
     the block (one marginal per replication). The engagement probability is
@@ -217,32 +221,6 @@ def _two_stage(
         "action_count": action_count,
         "dwell_observed": dwell_observed,
     }
-
-
-def simulate_impressions(
-    c: np.ndarray,
-    s: np.ndarray,
-    params: GenerativeParams,
-    loc: float,
-    scale: float,
-    rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    """Vectorized two-stage draw for a block of posts, z-scoring log dwell
-    against the marginal ``loc``/``scale``.
-
-    Exactly four variate arrays of ``c``'s size are drawn, in a fixed order
-    (dwell noise, engage uniform, like uniform, motor noise), so a block's
-    output depends only on the generator state on entry. That order is the
-    contract the batched simulators keep: each stream draws its four rows in
-    its own loop, and one :func:`_two_stage` call evaluates all of them.
-    Engagement is drawn from the stage-2 logit of :func:`_logit_terms`, the
-    one :func:`expected_engagement` integrates.
-    """
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    variates = np.empty((4, c.size))
-    _draw_variates(rng, *variates)
-    return _two_stage(c, s, params, loc, scale, *variates)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +421,8 @@ def simulate_session(
 
     Log dwell is z-scored against the pool's :func:`log_dwell_marginal`.
     Each participant is one stream on its own spawned generator, which draws
-    the feed and then the four variate rows of :func:`simulate_impressions`.
-    The loop only draws; one :func:`_two_stage` call then evaluates the whole
+    the feed and then its four variate rows (:func:`_draw_variates`). The loop
+    only draws; one :func:`simulate_impressions` call then evaluates the whole
     (participants, feed_length) block, bit-identical to one call per participant.
     """
     if seed_seq is None:
@@ -461,7 +439,7 @@ def simulate_session(
         rng = np.random.default_rng(user_seq)
         feeds[u] = _sample_feed(news_idx, other_idx, config, rng)
         _draw_variates(rng, *variates[:, u])
-    out = _two_stage(
+    out = simulate_impressions(
         pool.credibility[feeds], pool.sensationalism[feeds], config.params, loc, scale, *variates
     )
     impressions = Impressions(
@@ -541,7 +519,7 @@ def expected_engagement(
     weight exceeds 1e-17 (``_GH_NODES``); the dropped 22 weigh 2.7e-18 in
     all, so a score is within 3e-18 of the full rule's, plus the last bits
     of the sum's order. The logit at each node is the simulator's
-    (:func:`_logit_terms`, as in :func:`_two_stage`), and its logistic is
+    (:func:`_logit_terms`, as in :func:`simulate_impressions`), and its logistic is
     ``_numeric.sigmoid`` over one (..., posts, 42) buffer. A score can differ
     from one computed with scipy's ``expit`` in its last bits and from one
     CPU to another; the scores only rank posts, and rankings and every
@@ -687,18 +665,19 @@ def run_policy_experiment(
     and aggregate ecosystem metrics across seeded replications.
 
     Each replication is one stream on its own spawned generator. It realizes
-    the pool, works out its :func:`log_dwell_marginal` and keeps the pool's
-    credibility and sensationalism as one row of a (replications, pool)
-    block; then, per policy in argument order, it draws the ``random`` rows
-    through :func:`rank_feed` (for that policy only) and the four variate
-    rows of :func:`simulate_impressions`. After the loop, :func:`_rank_rows`
-    picks every other policy's rows, ``_RANK_CHUNK`` replications at a time,
+    the pool and keeps its credibility and sensationalism as one row of a
+    (replications, pool) block; then, per policy in argument order, it draws
+    the ``random`` rows through :func:`rank_feed` (for that policy only) and
+    its four variate rows (:func:`_draw_variates`). After the loop, each chunk
+    of ``_RANK_CHUNK`` replications gets its :func:`log_dwell_marginal` in one
+    call, and :func:`_rank_rows` picks every other policy's rows of the chunk
     into the same (policies, replications, k) block of pool rows; their
     credibility and sensationalism are gathered once, and one
-    :func:`_two_stage` call evaluates the whole block. Every value is
-    bit-identical to ranking and simulating one replication at a time. Each policy must be one of
-    ``POLICIES``, named once, and k must be in 1..pool size. ``threads`` is
-    accepted and unused; it stays only because ``perfbench/workloads.py`` passes it.
+    :func:`simulate_impressions` call evaluates the whole block. Every value
+    is bit-identical to ranking and simulating one replication at a time.
+    Each policy must be one of ``POLICIES``, named once, and k must be in
+    1..pool size. ``threads`` is accepted and unused; it stays only because
+    ``perfbench/workloads.py`` passes it.
     """
     streams = _replication_streams(config.seed, replications)
     n = config.pool.size
@@ -720,16 +699,16 @@ def run_policy_experiment(
         rng = np.random.default_rng(seed_seq)
         pool = config.pool.realize(rng)
         cred[r], sens[r] = pool.credibility, pool.sensationalism
-        loc[r], scale[r] = log_dwell_marginal(params, pool.credibility, pool.sensationalism)
         for j, policy in enumerate(policies):
             if policy == "random":
                 rows[j, r] = rank_feed(policy, pool, params, k, rng=rng)
             _draw_variates(rng, *variates[:, j, r])
     by_id = _id_order(_padded_ids("post_", n))
-    for j, policy in enumerate(policies):
-        if policy != "random":
-            for start in range(0, replications, _RANK_CHUNK):
-                chunk = slice(start, start + _RANK_CHUNK)
+    for start in range(0, replications, _RANK_CHUNK):
+        chunk = slice(start, start + _RANK_CHUNK)
+        loc[chunk], scale[chunk] = log_dwell_marginal(params, cred[chunk], sens[chunk])
+        for j, policy in enumerate(policies):
+            if policy != "random":
                 rows[j, chunk] = _rank_rows(
                     policy, params, cred[chunk], sens[chunk], loc[chunk], scale[chunk], by_id, k
                 )
@@ -737,7 +716,7 @@ def run_policy_experiment(
     s = np.take_along_axis(sens[None], rows, axis=2)
     # the two-stage model needs only the top k rows: free the pool block first
     del cred, sens
-    sim = _two_stage(c, s, params, loc, scale, *variates)
+    sim = simulate_impressions(c, s, params, loc, scale, *variates)
     # (policies, replications, metric), each metric a mean over the k posts of a row
     metrics = (c, s, sim["engaged"], sim["dwell_observed"])
     per_rep = np.stack([m.mean(axis=2) for m in metrics], axis=2)

@@ -567,8 +567,13 @@ class TestExperimentAndRecover:
         ],
     )
     def test_degenerate_sizes_are_input_errors(self, tmp_path, sim_config_path, argv):
+        # argparse exits 2 on a bad --replications; the command returns 2 on a bad -k
         out = tmp_path / "degenerate"
-        assert run(argv + ["--config", sim_config_path, "--output-dir", out]) == 2
+        try:
+            code = run(argv + ["--config", sim_config_path, "--output-dir", out])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -576,8 +581,6 @@ class TestExperimentAndRecover:
         [
             (["experiment", "-k", 0], "-k 0: must be in 1..80, the config's pool size"),
             (["experiment", "-k", 81], "-k 81: must be in 1..80, the config's pool size"),
-            (["experiment", "--replications", -2], "--replications -2: must be at least 1"),
-            (["recover", "--replications", 0], "--replications 0: must be at least 1"),
         ],
     )
     def test_degenerate_size_names_its_flag(self, tmp_path, sim_config_path, capsys, argv, message):
@@ -596,12 +599,15 @@ class TestExperimentAndRecover:
             (["recover", "--rules.max-dwell", "-1"], "must be a positive number, got '-1'"),
             (["recover", "--rules.edge-trim", "2.5"], "must be a positive integer, got '2.5'"),
             (["pca", "--top-k", "-1"], "must be a non-negative integer, got '-1'"),
+            (["experiment", "--replications", "-2"], "must be a positive integer, got '-2'"),
+            (["recover", "--replications", "0"], "must be a positive integer, got '0'"),
         ],
     )
     def test_bad_flag_value_is_named(self, tmp_path, sim_config_path, capsys, argv, message):
         # argparse rejects the value before any input is read
         out = tmp_path / "degenerate"
-        inputs = ["--config", sim_config_path] if argv[0] == "recover" else ["--input", "absent.csv"]
+        studies = ("experiment", "recover")
+        inputs = ["--config", sim_config_path] if argv[0] in studies else ["--input", "absent.csv"]
         with pytest.raises(SystemExit) as exc:
             run(argv + inputs + ["--output-dir", out])
         assert exc.value.code == 2

@@ -615,9 +615,10 @@ class TestIdCoder:
             assert outcome(load_impressions, path) == expected
 
 
-# ids of 0-40 bytes: the canonical stems and tails above, and characters the csv
-# module quotes or that only a byte-length mask keeps (an inner NUL)
-WRITER_ID_TAILS = ID_TAILS + QUOTED_TAILS + ("\n", "\0x", "a\0\0b")
+# ids of 0-40 bytes: the canonical stems and tails above, characters the csv
+# module quotes, an inner NUL, and the characters whose UTF-8 bytes come closest
+# to the writer's 0xFF pad (C3 BF, EF BF BF, F4 8F BF BF)
+WRITER_ID_TAILS = ID_TAILS + QUOTED_TAILS + ("\n", "\0x", "a\0\0b", "ÿ", "\uffff", "\U0010ffff")
 WRITER_INTEGERS = (-3, -1, 0, 1, 7, 120, 10**17, 10**18 + 1, -(2**63), 2**63 - 1)
 WRITER_DWELLS = (-0.0, -1e-9, 5e-324, 122.0703125, 2.0**23, np.nextafter(2.0**23, 0),
                  np.nextafter(2.0**23, np.inf), 1e300, math.nan, math.inf, -math.inf, 0.5e-6)
@@ -676,8 +677,9 @@ class TestImpressionsWriter:
     ), min_size=1, max_size=20))
     @example([-0.0, -1e-9, 5e-324, 122.0703125, 2.0**23, 1e300, math.nan, math.inf, -math.inf])
     def test_dwell_cells_equal_percent_format(self, values):
-        matrix, shown = data_module._dwell_cells(np.array(values))
-        cells = [matrix[:, i][shown[:, i]].tobytes().decode() for i in range(len(values))]
+        matrix = data_module._dwell_cells(np.array(values))
+        pad = bytes([data_module._PAD])
+        cells = [matrix[:, i].tobytes().translate(None, pad).decode() for i in range(len(values))]
         assert cells == ["%.6f" % v for v in values]
 
     def test_walkthrough_dwells_are_written_without_fallback(self, tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
+from feedlab import sim as sim_module
 from feedlab._numeric import sigmoid
 from feedlab.data import DataFormatError, FeatureMatrix, dataset_violations, save_impressions, write_json
 from feedlab.pipeline import ExclusionRules, raw_dwell_control, run_pipeline
@@ -22,11 +23,11 @@ from feedlab.sim import (
     _GH_NODES,
     _GH_W,
     _RANK_CHUNK,
+    _draw_variates,
     _engagement_bounds,
     _logit_terms,
     _node_sum,
     _top_k_engagement,
-    _two_stage,
     align_scores_to_axes,
     config_to_dict,
     expected_dwell,
@@ -59,6 +60,13 @@ def default_pool(pool_seed=5):
     """A realized default pool and its log-dwell marginal ``(loc, scale)`` under PARAMS."""
     pool = SyntheticPool().realize(np.random.default_rng(pool_seed))
     return pool, log_dwell_marginal(PARAMS, pool.credibility, pool.sensationalism)
+
+
+def draw_impressions(c, s, params, loc, scale, rng):
+    """simulate_impressions on four variate rows that ``rng`` draws first, in the model's order."""
+    variates = np.empty((4, *np.shape(c)))
+    _draw_variates(rng, *variates)
+    return simulate_impressions(c, s, params, loc, scale, *variates)
 
 
 def engagement_scores(params, c, s):
@@ -97,6 +105,17 @@ class TestLogDwellMarginal:
         params = GenerativeParams(dwell_noise_sd=0.0)
         c, s = np.full(n, 0.1), np.full(n, -0.7)
         assert log_dwell_marginal(params, c, s) == mean_var_marginal(params, c, s)
+
+    @pytest.mark.parametrize("n", [1, 7, 276, 1000])
+    def test_block_rows_equal_per_row_calls(self, n):
+        # a (rows, posts) block reduces over its last axis: (rows, 1) columns whose
+        # rows are the bits of one call per pool
+        rng = np.random.default_rng(n)
+        c, s = rng.standard_normal((2, 300, n))
+        loc, scale = log_dwell_marginal(PARAMS, c, s)
+        assert loc.shape == scale.shape == (300, 1)
+        rows = [log_dwell_marginal(PARAMS, c[r], s[r]) for r in range(300)]
+        assert np.column_stack([loc, scale]).tolist() == [list(row) for row in rows]
 
 
 # default and edge settings of a synthetic pool: no noise, no offset, one
@@ -169,7 +188,7 @@ class TestSimulateImpression:
         )
         marginal = log_dwell_marginal(params, np.zeros(4), np.zeros(4))
         rng = np.random.default_rng(0)
-        out = simulate_impressions(np.zeros(10_000), np.zeros(10_000), params, *marginal, rng)
+        out = draw_impressions(np.zeros(10_000), np.zeros(10_000), params, *marginal, rng)
         assert np.all(out["dwell_observed"] == 2.0)
         rate = out["engaged"].mean()
         assert rate == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(10_000))
@@ -178,8 +197,8 @@ class TestSimulateImpression:
         params = GenerativeParams(dwell_noise_sd=0.0, motor_mean=0.0, motor_sd=0.0)
         marginal = log_dwell_marginal(params, np.zeros(2), np.array([0.0, 1.0]))
         rng = np.random.default_rng(0)
-        d0 = simulate_impressions(np.array([0.0]), np.array([0.0]), params, *marginal, rng)
-        d1 = simulate_impressions(np.array([0.0]), np.array([1.0]), params, *marginal, rng)
+        d0 = draw_impressions(np.array([0.0]), np.array([0.0]), params, *marginal, rng)
+        d1 = draw_impressions(np.array([0.0]), np.array([1.0]), params, *marginal, rng)
         ratio = d1["dwell_attention"][0] / d0["dwell_attention"][0]
         assert ratio == pytest.approx(math.exp(0.038), rel=1e-12)
 
@@ -189,7 +208,7 @@ class TestSimulateImpression:
         p_closed = float(expected_engagement(PARAMS, np.array([c]), np.array([s]), *marginal)[0])
         rng = np.random.default_rng(42)
         n = 1_000_000
-        out = simulate_impressions(np.full(n, c), np.full(n, s), PARAMS, *marginal, rng)
+        out = draw_impressions(np.full(n, c), np.full(n, s), PARAMS, *marginal, rng)
         rate = out["engaged"].mean()
         se = math.sqrt(p_closed * (1 - p_closed) / n)
         assert abs(rate - p_closed) <= 3 * se
@@ -197,7 +216,7 @@ class TestSimulateImpression:
     def test_action_count_consistency(self):
         _, marginal = default_pool()
         rng = np.random.default_rng(1)
-        out = simulate_impressions(np.zeros(5000), np.zeros(5000), PARAMS, *marginal, rng)
+        out = draw_impressions(np.zeros(5000), np.zeros(5000), PARAMS, *marginal, rng)
         assert np.all(out["action_count"] == out["shared"].astype(int) + out["liked"].astype(int))
         assert np.all(out["engaged"] == (out["action_count"] >= 1))
         assert np.all(out["dwell_observed"] >= out["dwell_attention"])
@@ -602,7 +621,7 @@ class TestLogistic:
         c = np.array([-1.0, -0.75, 0.0, 0.75, 1.0])  # eta = 1000 c, past |eta| = 745 at the ends
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = simulate_impressions(c, np.zeros(5), params, 0.0, 1.0, np.random.default_rng(0))
+            out = draw_impressions(c, np.zeros(5), params, 0.0, 1.0, np.random.default_rng(0))
         assert out["p_engage"].tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
 
 
@@ -652,6 +671,21 @@ class TestPolicyExperiment:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("policies", [POLICIES, ("random",)])
+    def test_marginals_are_computed_once_per_rank_chunk(self, monkeypatch, policies):
+        config, replications = SimConfig(participants=1, seed=23), 3 * _RANK_CHUNK + 2
+        expected = run_policy_experiment(config, policies, k=20, replications=replications)
+        marginal, shapes = sim_module.log_dwell_marginal, []
+
+        def counting(params, c, s):
+            shapes.append(np.shape(c))
+            return marginal(params, c, s)
+
+        monkeypatch.setattr(sim_module, "log_dwell_marginal", counting)
+        assert run_policy_experiment(config, policies, k=20, replications=replications) == expected
+        n = config.pool.size
+        assert shapes == [(_RANK_CHUNK, n)] * 3 + [(2, n)]
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy 'novelty'"):
@@ -753,9 +787,10 @@ class TestBatchedSimulatorMatchesPerStreamLoops:
         assert run_policy_experiment(config, policies, k, replications, threads) == expected
 
     def test_simulate_impressions_keeps_the_draw_order(self):
+        # _draw_variates fills the four rows in the order that one stream draws them
         _, marginal = default_pool()
         c, s = np.linspace(-2, 2, 50), np.linspace(1, -1, 50)
-        out = simulate_impressions(c, s, PARAMS, *marginal, np.random.default_rng(12))
+        out = draw_impressions(c, s, PARAMS, *marginal, np.random.default_rng(12))
         expected = per_stream_impressions(c, s, PARAMS, *marginal, np.random.default_rng(12))
         engaged, liked, dwell, _ = expected
         assert np.array_equal(out["engaged"], engaged)
@@ -768,7 +803,7 @@ class TestBatchedSimulatorMatchesPerStreamLoops:
         _, (loc, scale) = default_pool()
         rng = np.random.default_rng(14)
         c, s = 2 * rng.standard_normal((2, 250_000))
-        out = simulate_impressions(c, s, PARAMS, loc, scale, np.random.default_rng(15))
+        out = draw_impressions(c, s, PARAMS, loc, scale, np.random.default_rng(15))
         engaged, _, _, p_engage = per_stream_impressions(
             c, s, PARAMS, loc, scale, np.random.default_rng(15)
         )
@@ -783,9 +818,9 @@ class TestBatchedSimulatorMatchesPerStreamLoops:
         variates = np.stack([rng.standard_normal((3, 40)), rng.random((3, 40)),
                              rng.random((3, 40)), rng.standard_normal((3, 40))])
         loc, scale = np.array([[1.0], [0.5], [0.9]]), np.array([[0.8], [0.0], [1.3]])
-        block = _two_stage(c, s, params, loc, scale, *variates)
+        block = simulate_impressions(c, s, params, loc, scale, *variates)
         for r in range(3):
-            row = _two_stage(c[r], s[r], params, loc[r, 0], scale[r, 0], *variates[:, r])
+            row = simulate_impressions(c[r], s[r], params, loc[r, 0], scale[r, 0], *variates[:, r])
             for key, values in row.items():
                 assert np.array_equal(block[key][r], values), key
         no_dwell_term = params.engage_intercept + params.engage_credibility * c[1]

@@ -8,7 +8,8 @@ functions with keywords. Renaming or removing any of them, or a keyword
 parameter they pass, fails here, not only in the slower
 ``perfbench/test_smoke.py``. A traced function that the code no longer
 calls through its module attribute reads 0 s in every traced run; the
-policy experiment's quadrature is checked for that here too.
+policy experiment's quadrature and the simulators' two-stage evaluation are
+checked for that here too.
 """
 
 import ast
@@ -117,3 +118,22 @@ def test_policy_experiment_scores_through_the_traced_function(monkeypatch):
     monkeypatch.setattr(sim, "expected_engagement", counting)
     assert sim.run_policy_experiment(config, k=20, replications=replications) == expected
     assert rows and sum(rows) < 0.25 * replications * config.pool.size
+
+
+def test_simulators_evaluate_through_the_traced_function(monkeypatch):
+    # the tracer wraps the module attribute sim.simulate_impressions, so both batched
+    # simulators must evaluate their whole block through it, once per run
+    session_config = sim.SimConfig(participants=3, seed=31)
+    policy_config = sim.SimConfig(participants=1, seed=31)
+    session = sim.simulate_session(session_config)[0]
+    outcomes = sim.run_policy_experiment(policy_config, k=20, replications=5)
+    evaluate, blocks = sim.simulate_impressions, []
+
+    def counting(c, *args):
+        blocks.append(np.shape(c))
+        return evaluate(c, *args)
+
+    monkeypatch.setattr(sim, "simulate_impressions", counting)
+    assert sim.simulate_session(session_config)[0] == session
+    assert sim.run_policy_experiment(policy_config, k=20, replications=5) == outcomes
+    assert blocks == [(3, 120), (len(sim.POLICIES), 5, 20)]
