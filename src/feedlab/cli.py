@@ -304,9 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_rules(p):
-        p.add_argument("--rules.max-dwell", dest="rules_max_dwell", type=_positive, default=30.0)
-        p.add_argument("--rules.edge-trim", dest="rules_edge_trim", type=_positive_int, default=3)
-        p.add_argument("--rules.min-dwell", dest="rules_min_dwell", type=_positive, default=0.15)
+        r = ExclusionRules
+        p.add_argument("--rules.max-dwell", dest="rules_max_dwell", type=_positive,
+                       default=r.max_dwell)
+        p.add_argument("--rules.edge-trim", dest="rules_edge_trim", type=_positive_int,
+                       default=r.edge_trim)
+        p.add_argument("--rules.min-dwell", dest="rules_min_dwell", type=_positive,
+                       default=r.min_adjusted_dwell)
 
     p = sub.add_parser("preprocess", help="exclusions + movement-time adjustment")
     p.add_argument("--input", required=True, help="impressions.csv")

@@ -821,10 +821,10 @@ def aggregate_ratings(records: list[RatingRecord]) -> FeatureMatrix:
             f"aggregate_ratings: dropped {len(dropped)} post(s) with incomplete "
             f"feature coverage: {id_list(dropped)}"
         )
-    # sum each cell in sorted order so the mean is invariant to row order
+    # fsum is correctly rounded in any order, so the mean is invariant to row order
     values = np.array(
         [
-            [math.fsum(sorted(cells[p][f])) / len(cells[p][f]) for f in FEATURE_NAMES]
+            [math.fsum(cells[p][f]) / len(cells[p][f]) for f in FEATURE_NAMES]
             for p in kept
         ],
         dtype=float,

@@ -176,10 +176,10 @@ def _solve_sxx(tot, r0, r1):
     return (A2 * r0 - A * r1) / det, (N * r1 - A * r0) / det
 
 
-def _pooled_ols(tot):
-    N, A, A2, Y, AY, _ = tot
+def _pooled_ols(tot, slope_pinned):
+    N, _, _, Y, AY, _ = tot
     # no action variation: intercept-only
-    mu = (Y / N, 0.0) if N * A2 - A * A <= 0 else _solve_sxx(tot, Y, AY)
+    mu = (Y / N, 0.0) if slope_pinned else _solve_sxx(tot, Y, AY)
     return mu, max(_rss_at(mu, tot) / max(N - 2, 1), _VAR_FLOOR)
 
 
@@ -249,7 +249,7 @@ def fit_movement_model(impressions: Impressions) -> MovementModel:
         ll = -0.5 * (N * math.log(2 * math.pi * sigma2) + float(np.log(det).sum()) + quad)
         return m, S, ll
 
-    mu, sigma2 = _pooled_ols(tot)
+    mu, sigma2 = _pooled_ols(tot, slope_pinned)
     tau0 = max(0.1 * sigma2, 1e-6)
     tau2 = (tau0, 0.0 if slope_pinned else tau0)
     ll_prev = -np.inf

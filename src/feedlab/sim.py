@@ -623,14 +623,15 @@ def _replication_streams(seed: int, replications: int) -> list[np.random.SeedSeq
 # ---------------------------------------------------------------------------
 # Policy experiments
 
-# replications that run_policy_experiment ranks per _rank_rows call. The
-# bounds leave ~31 of 276 posts per pool to the quadrature, so a chunk's
-# buffers are small and larger chunks spread the calls' fixed cost: at 250
-# replications (k = 20, 2-vCPU Xeon, median of 9) chunks of 4, 8, 16, 32 and
-# 64 ran 38.8, 36.8, 34.9, 33.8 and 34.4 ms, and the whole block in one call
-# 34.1 ms, with a traced peak of 29 MB at 1000 replications. 16 keeps the
-# benchmark's peak RSS where chunks of 4 left it; 32 read 0.6 MB above.
-_RANK_CHUNK = 16
+# replications per pass of run_policy_experiment's loop, whose blocks bound its
+# memory. Tracemalloc peak and median time at 250 / 1000 replications (k = 20,
+# 2-vCPU Xeon); below 64, realize and _draw_variates ran slower between rankings:
+#   two passes, chunk 16: 2.43 / 9.14 MB, 33.6 / 131.7 ms (every replication drawn first)
+#   one pass, chunk 16:   0.77 / 1.13 MB, about 8% slower
+#   one pass, chunk 32:   1.26 / 1.62 MB, 33.5 / 133.2 ms
+#   one pass, chunk 64:   2.24 / 2.63 MB, 31.7 / 123.1 ms
+#   one pass, chunk 128:  4.14 / 4.52 MB, 31.3 / 123.0 ms
+_RANK_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -664,17 +665,16 @@ def run_policy_experiment(
     """Per policy: rank a fresh pool, simulate one user session over the top-k,
     and aggregate ecosystem metrics across seeded replications.
 
-    Each replication is one stream on its own spawned generator. It realizes
-    the pool and keeps its credibility and sensationalism as one row of a
-    (replications, pool) block; then, per policy in argument order, it draws
-    the ``random`` rows through :func:`rank_feed` (for that policy only) and
-    its four variate rows (:func:`_draw_variates`). After the loop, each chunk
-    of ``_RANK_CHUNK`` replications gets its :func:`log_dwell_marginal` in one
-    call, and :func:`_rank_rows` picks every other policy's rows of the chunk
-    into the same (policies, replications, k) block of pool rows; their
-    credibility and sensationalism are gathered once, and one
-    :func:`simulate_impressions` call evaluates the whole block. Every value
-    is bit-identical to ranking and simulating one replication at a time.
+    One pass runs the replications in chunks of ``_RANK_CHUNK``, each one
+    stream on its own spawned generator. A replication realizes its pool into
+    a row of the chunk's credibility and sensationalism blocks; then, per
+    policy in argument order, it draws the ``random`` rows through
+    :func:`rank_feed` (for that policy only) and its four variate rows
+    (:func:`_draw_variates`). The chunk gets its :func:`log_dwell_marginal`
+    in one call, :func:`_rank_rows` picks every other policy's rows into its
+    (policies, chunk, k) block, and one :func:`simulate_impressions` call
+    evaluates them. Only the per-replication metrics outlive the chunk.
+    Every value is bit-identical to one replication at a time.
     Each policy must be one of ``POLICIES``, named once, and k must be in
     1..pool size. ``threads`` is accepted and unused; it stays only because
     ``perfbench/workloads.py`` passes it.
@@ -689,37 +689,31 @@ def run_policy_experiment(
     if repeated:
         raise ValueError(f"policies named more than once: {repeated}")
     params = config.params
-    block = (len(policies), replications, k)
-    rows = np.empty(block, dtype=np.intp)
-    cred, sens = np.empty((replications, n)), np.empty((replications, n))
-    loc, scale = np.empty((replications, 1)), np.empty((replications, 1))
-    variates = np.empty((4, *block))
-
-    for r, seed_seq in enumerate(streams):
-        rng = np.random.default_rng(seed_seq)
-        pool = config.pool.realize(rng)
-        cred[r], sens[r] = pool.credibility, pool.sensationalism
-        for j, policy in enumerate(policies):
-            if policy == "random":
-                rows[j, r] = rank_feed(policy, pool, params, k, rng=rng)
-            _draw_variates(rng, *variates[:, j, r])
-    by_id = _id_order(_padded_ids("post_", n))
+    # (policies, replications, metric), each metric a mean over the k posts of a row
+    per_rep = np.empty((len(policies), replications, 4))
     for start in range(0, replications, _RANK_CHUNK):
-        chunk = slice(start, start + _RANK_CHUNK)
-        loc[chunk], scale[chunk] = log_dwell_marginal(params, cred[chunk], sens[chunk])
+        chunk = streams[start : start + _RANK_CHUNK]
+        rows = np.empty((len(policies), len(chunk), k), dtype=np.intp)
+        cred, sens = np.empty((2, len(chunk), n))
+        variates = np.empty((4, *rows.shape))
+        for r, seed_seq in enumerate(chunk):
+            rng = np.random.default_rng(seed_seq)
+            pool = config.pool.realize(rng)
+            cred[r], sens[r] = pool.credibility, pool.sensationalism
+            for j, policy in enumerate(policies):
+                if policy == "random":
+                    rows[j, r] = rank_feed(policy, pool, params, k, rng=rng)
+                _draw_variates(rng, *variates[:, j, r])
+        loc, scale = log_dwell_marginal(params, cred, sens)
+        by_id = _id_order(pool.post_ids)
         for j, policy in enumerate(policies):
             if policy != "random":
-                rows[j, chunk] = _rank_rows(
-                    policy, params, cred[chunk], sens[chunk], loc[chunk], scale[chunk], by_id, k
-                )
-    c = np.take_along_axis(cred[None], rows, axis=2)
-    s = np.take_along_axis(sens[None], rows, axis=2)
-    # the two-stage model needs only the top k rows: free the pool block first
-    del cred, sens
-    sim = simulate_impressions(c, s, params, loc, scale, *variates)
-    # (policies, replications, metric), each metric a mean over the k posts of a row
-    metrics = (c, s, sim["engaged"], sim["dwell_observed"])
-    per_rep = np.stack([m.mean(axis=2) for m in metrics], axis=2)
+                rows[j] = _rank_rows(policy, params, cred, sens, loc, scale, by_id, k)
+        c = np.take_along_axis(cred[None], rows, axis=2)
+        s = np.take_along_axis(sens[None], rows, axis=2)
+        sim = simulate_impressions(c, s, params, loc, scale, *variates)
+        for i, m in enumerate((c, s, sim["engaged"], sim["dwell_observed"])):
+            per_rep[:, start : start + len(chunk), i] = m.mean(axis=2)
 
     outcomes = []
     for policy, rows in zip(policies, per_rep):

@@ -11,7 +11,7 @@ import pytest
 import feedlab
 from feedlab import cli
 from feedlab.cli import main
-from feedlab.data import file_digest, load_impressions, write_json
+from feedlab.data import FEATURE_NAMES, file_digest, load_impressions, write_json
 from feedlab.features import load_scores
 from feedlab.regression import load_fit
 from feedlab.sim import POLICIES, GenerativeParams, SimConfig, SyntheticPool, config_to_dict
@@ -288,6 +288,16 @@ class TestPreprocessCommand:
         assert f"error: {path}: line " in err and "field larger than field limit" in err
         assert not out.exists()
 
+    def test_rejected_rows_past_20_are_counted(self, tmp_path, capsys):
+        path = tmp_path / "impressions.csv"
+        bad = "".join(f"p1,post_a,x{i},2.0,0,0\n" for i in range(23))
+        path.write_text(f"participant_id,post_id,position,dwell_raw,shared,liked\n{bad}")
+        assert run(["preprocess", "--input", path, "--output-dir", tmp_path / "out"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 21
+        assert all(line.startswith("warning: impressions line ") for line in lines[:20])
+        assert lines[20] == "warning: impressions: 3 more rejected rows"
+
     def test_position_outside_int64_is_a_row_error(self, tmp_path, capsys):
         # the row is reported and dropped; it used to end the run with exit 1
         path = tmp_path / "impressions.csv"
@@ -368,6 +378,17 @@ class TestPcaCommand:
         assert run(["pca", "--input", path, "--output-dir", out]) == 2
         err = capsys.readouterr().err
         assert f"error: {path}: line 3: field larger than field limit" in err
+        assert not out.exists()
+
+    def test_fewer_than_9_rated_posts_exit_2_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "ratings.csv"
+        rows = "".join(f"r1,post_{i},{f},{i}.5\n" for i in range(8) for f in FEATURE_NAMES)
+        path.write_text(f"rater_id,post_id,feature,value\n{rows}")
+        out = tmp_path / "out"
+        assert run(["pca", "--input", path, "--output-dir", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: need at least 9 fully rated posts for the component fit\n"
+        )
         assert not out.exists()
 
     def test_negative_top_k_exit_2_writes_nothing(self, tmp_path, capsys, sim_config_path):
@@ -495,6 +516,20 @@ class TestFitCommand:
         )
         assert code == 2
         assert f"need n > k for {fit} inference (n=3, k=6)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["dwell", "engage"])
+    def test_uncleaned_impressions_exit_2(self, tmp_path, capsys, model):
+        path = tmp_path / "impressions.csv"
+        path.write_text(
+            "participant_id,post_id,position,dwell_raw,shared,liked\np1,post_a,1,2.0,0,0\n"
+        )
+        out = tmp_path / "o"
+        args = ["fit", "--input", path, "--scores", tmp_path / "scores.csv", "--model", model]
+        assert run([*args, "--output-dir", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: fit needs cleaned impressions (run preprocess first)\n"
+        )
+        assert not out.exists()
 
     def test_library_parity(self, tmp_path, analysis_dirs):
         # the subcommand is a thin shell: library calls produce the identical fit
@@ -641,6 +676,13 @@ class TestExperimentAndRecover:
         assert code == 0
         report = json.loads((out / "recovery_report.json").read_text())
         assert "summary" in report and "stage2_dwell_bias_adjusted" in report["summary"]
+
+    def test_report_on_a_directory_without_fits_exit_2(self, tmp_path, capsys):
+        (tmp_path / "fit_dwell.txt").write_text("term\n")
+        assert run(["report", "--input", tmp_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no fit_*.json under {tmp_path}\n"
+        assert captured.out == ""
 
     def test_report_rejects_non_fit_file(self, tmp_path, sim_config_path, capsys):
         out = tmp_path / "rec"

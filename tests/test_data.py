@@ -758,6 +758,14 @@ class TestImpressionsTable:
         with pytest.raises(ValueError, match="sorted and distinct"):
             replace(table, post_vocab=table.post_vocab[::-1])
 
+    @pytest.mark.parametrize(
+        "column", ["participant_code", "post_code", "dwell_raw", "dwell_adjusted"]
+    )
+    def test_columns_of_different_lengths_rejected(self, column):
+        table = as_table([make_impression("p1", "a", i, 1.0, adjusted=1.0) for i in (1, 2)])
+        with pytest.raises(ValueError, match="impression columns differ in length"):
+            replace(table, **{column: getattr(table, column)[:1]})
+
     def test_equal_rows_with_different_vocabularies_compare_equal(self):
         rows = [make_impression("p2", "b", 1, 1.0), make_impression("p3", "a", 2, 2.0, 1)]
         extra = [make_impression("p1", "c", 1, 3.0), make_impression("p4", "0", 1, 4.0)]
@@ -845,6 +853,13 @@ class TestValidation:
         imps = as_table([make_impression("p1", "ghost", 1, 2.0)])
         violations = dataset_violations(tiny_posts, imps)
         assert any(v.kind == "dangling_post" for v in violations)
+
+    def test_duplicate_post(self, tiny_posts):
+        imps = self._feed("p1", 3, tiny_posts)
+        violations = dataset_violations([*tiny_posts, tiny_posts[1]], imps)
+        assert [(v.kind, v.message) for v in violations] == [
+            ("duplicate_post", f"duplicate post_id {tiny_posts[1].post_id!r}")
+        ]
 
     def test_duplicate_position(self, tiny_posts):
         imps = as_table([

@@ -423,6 +423,10 @@ class TestTopPosts:
     def test_k_zero(self):
         assert top_posts(self._scores([("a", 1.0)]), 0, 0) == []
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            top_posts(self._scores([("a", 1.0)]), 0, -1)
+
     def test_distinct_scores_full_sort_oracle(self):
         rng = np.random.default_rng(18)
         scores = self._scores(
@@ -466,6 +470,25 @@ class TestDwellCorrelations:
         assert set(by_pc) == {f"pc{j}" for j in range(1, 9)}
         for res in by_pc.values():
             assert -1.0 <= res.r <= 1.0 and 0.0 <= res.p <= 1.0
+
+    def test_feature_correlations_need_3_posts_with_dwell(self):
+        matrix = matrix_from(np.random.default_rng(21), n=12)
+        dwell = dict.fromkeys(matrix.post_ids[:2], 2.0) | {"not_rated": 3.0}
+        with pytest.raises(ValueError, match="need at least 3 posts with both"):
+            feature_dwell_correlations(matrix, dwell)
+
+    def test_no_scores_to_save(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        with pytest.raises(ValueError, match="no scores to save"):
+            save_scores(path, FeatureMatrix((), ("pc1", "pc2"), np.empty((0, 2))))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header", ["id,pc1", "post_id,pc2", "post_id,mean_dwell", "post_id"])
+    def test_load_rejects_a_header_that_is_not_scores(self, tmp_path, header):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"{header}\na{',1.0' * header.count(',')}\n")
+        with pytest.raises(DataFormatError, match=f"not a scores file \\(header '{header}'\\)"):
+            load_scores(path)
 
     def test_scores_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(20)

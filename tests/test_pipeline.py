@@ -130,6 +130,11 @@ class TestAdjustAndFloor:
         assert kept.post_id.tolist() == ["b", "c"]  # boundary 0.15 kept
         assert audit.removed["below_min_adjusted"] == 1
 
+    def test_floor_requires_adjusted_dwell(self):
+        imps = as_table([make_impression("p1", "a", 1, 1.0)])
+        with pytest.raises(PipelineOrderError, match="apply_floor requires adjusted"):
+            apply_floor(imps, ExclusionRules())
+
     def test_clean_input_zero_removals(self):
         imps = as_table([make_impression("p1", "a", 1, 1.0, 0, adjusted=1.0)])
         kept, audit = apply_floor(imps, ExclusionRules())

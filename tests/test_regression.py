@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import optimize, special
 
-from feedlab import sim
+from feedlab import regression, sim
 from feedlab.data import FeatureMatrix
 from feedlab.features import fit_feature_pca, project
 from feedlab.pipeline import run_pipeline
@@ -43,6 +44,15 @@ def separated_data():
     return np.column_stack([np.ones(6), x]), (x > 0).astype(float)
 
 
+def heavy_tailed_rare_event_data():
+    # 6 events in 80 rows on a Student-t (df 2) predictor: a full Newton step
+    # from the empirical log odds raises the deviance, so IRLS halves it
+    rng = np.random.default_rng(824)
+    x = rng.standard_t(2, 80)
+    y = (rng.random(80) < 1.0 / (1.0 + np.exp(2.5 + 0.5 * x))).astype(float)
+    return np.column_stack([np.ones(80), x]), y
+
+
 def scores_for(post_ids, cred=0.5, sens=-0.25):
     return FeatureMatrix(tuple(post_ids), ("pc1", "pc2"), [[cred, sens]] * len(post_ids))
 
@@ -55,6 +65,10 @@ class TestDesignSpec:
                 predictors=("credibility",),
                 interactions=(("engage", "credibility"),),
             )
+
+    def test_unknown_predictor(self):
+        with pytest.raises(ValueError, match="unknown predictor 'novelty'"):
+            DesignSpec(response="log_dwell", predictors=("engage", "novelty"))
 
     def test_unknown_response(self):
         with pytest.raises(ValueError, match="response"):
@@ -168,6 +182,27 @@ class TestBuildDesign:
         with pytest.raises(ValueError, match=r"pc1 and pc2 .*'mean_dwell'"):
             build_design(imps, scores, dwell_model_spec())
 
+    def test_no_rows_rejected(self):
+        imps = as_table([make_impression("p1", "a", 1, 3.0, adjusted=2.0)])[:0]
+        with pytest.raises(ValueError, match="no impressions in analysis sample"):
+            build_design(imps, scores_for(["a"]), dwell_model_spec())
+
+    def test_non_positive_dwell_rejected(self):
+        imps = as_table([
+            make_impression("p1", "a", 1, 3.0, adjusted=2.0),
+            make_impression("p1", "a", 2, 3.0, adjusted=0.0),
+        ])
+        with pytest.raises(ValueError, match="non-positive adjusted dwell 0.0 cannot be logged"):
+            build_design(imps, scores_for(["a"]), dwell_model_spec())
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_constant_log_dwell_cannot_be_z_scored(self, n):
+        imps = as_table([make_impression("p1", "a", i, 3.0, adjusted=2.0) for i in range(1, n + 1)])
+        # the dwell model has no dwell predictor, so it takes a constant dwell
+        build_design(imps, scores_for(["a"]), dwell_model_spec())
+        with pytest.raises(ValueError, match="log dwell is constant"):
+            build_design(imps, scores_for(["a"]), engagement_model_spec())
+
     def test_requires_adjusted_dwell(self):
         imps = as_table([make_impression("p1", "a", 1, 3.0)])
         with pytest.raises(ValueError, match="pipeline"):
@@ -272,6 +307,28 @@ class TestFitLogistic:
         dev_hat = float(2.0 * np.sum(np.logaddexp(0.0, eta_hat) - y * eta_hat))
         assert fit.metadata["deviance"] == pytest.approx(dev_hat, rel=1e-12)
 
+    def test_step_halving_reaches_the_mle(self):
+        # full Newton steps do not converge here; the halved fit meets the MLE
+        # that scipy's BFGS finds on the log-likelihood
+        X, y = heavy_tailed_rare_event_data()
+        fit = fit_logistic(X, y, ["intercept", "x"])
+        assert fit.metadata["converged"] and fit.warnings == ()
+
+        def nll(beta):
+            eta = X @ beta
+            return float(np.sum(np.logaddexp(0.0, eta) - y * eta)), X.T @ (special.expit(eta) - y)
+
+        mle = optimize.minimize(nll, np.zeros(2), jac=True, method="BFGS", options={"gtol": 1e-7})
+        assert mle.success
+        np.testing.assert_allclose([t.estimate for t in fit.terms], mle.x, rtol=1e-6)
+
+    def test_non_convergence_is_a_fit_warning(self, monkeypatch):
+        monkeypatch.setattr(regression, "IRLS_MAX_ITER", 1)
+        X, y = step_halving_data()
+        fit = fit_logistic(X, y, ["intercept", "x"])
+        assert fit.metadata["converged"] is False and fit.metadata["iterations"] == 1
+        assert fit.warnings == ("IRLS did not converge in 1 iterations",)
+
     def test_separation_warning(self):
         X, y = separated_data()
         fit = fit_logistic(X, y, ["intercept", "x"])
@@ -356,12 +413,13 @@ class TestFitLogisticMatchesLogaddexpOracle:
         [
             walkthrough_engagement_design,
             lambda: (*step_halving_data(), ("intercept", "x")),
+            lambda: (*heavy_tailed_rare_event_data(), ("intercept", "x")),
             lambda: (*separated_data(), ("intercept", "x")),
             large_eta_data,
             *(lambda n=n: logistic_rows(n)
               for n in (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1)),
         ],
-        ids=["walkthrough", "step_halving", "separation", "large_eta",
+        ids=["walkthrough", "step_halving", "heavy_tailed_halving", "separation", "large_eta",
              "n4095", "n4096", "n4097", "n8193"],
     )
     def test_agrees(self, data):

@@ -400,6 +400,12 @@ class TestRankFeed:
         with pytest.raises(ValueError, match="unknown policy"):
             rank_feed("novelty", pool, PARAMS, 3)
 
+    @pytest.mark.parametrize("k", [-1, 277])
+    def test_k_outside_the_pool_rejected(self, k):
+        pool, _ = default_pool()
+        with pytest.raises(ValueError, match=r"k must be in 0\.\.276"):
+            rank_feed("chronological", pool, PARAMS, k)
+
 
 class TestExpectedEngagementQuadrature:
     """The in-place quadrature against the same quadrature with scipy's expit."""
@@ -662,8 +668,8 @@ class TestPolicyExperiment:
             run_policy_experiment(cfg, (policy,), k=cfg.pool.size + 24, replications=2)
 
     def test_peak_memory_is_bounded(self):
-        # the (replications, pool) block is ranked in chunks: ranking the whole
-        # block in one call held ~29 MB here (its bounds and gathered candidates)
+        # one pass over chunks of replications holds one chunk's blocks: ranking
+        # all 1000 pools in one call held ~29 MB here (bounds and candidates)
         tracemalloc.start()
         try:
             run_policy_experiment(SimConfig(participants=1), k=20, replications=1000)
@@ -671,6 +677,20 @@ class TestPolicyExperiment:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    def test_peak_memory_does_not_grow_with_replications(self):
+        # only the (policies, replications, 4) metrics outlive a chunk: drawing
+        # every replication before ranking peaked at 9.1 MB at 1000 and 2.4 MB at 250
+        def peak(replications):
+            tracemalloc.start()
+            try:
+                run_policy_experiment(SimConfig(participants=1), k=20, replications=replications)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm the caches of the first call
+        assert peak(1000) <= 1.5 * peak(250)
 
     @pytest.mark.parametrize("policies", [POLICIES, ("random",)])
     def test_marginals_are_computed_once_per_rank_chunk(self, monkeypatch, policies):
@@ -686,6 +706,18 @@ class TestPolicyExperiment:
         assert run_policy_experiment(config, policies, k=20, replications=replications) == expected
         n = config.pool.size
         assert shapes == [(_RANK_CHUNK, n)] * 3 + [(2, n)]
+
+    def test_sessions_are_evaluated_once_per_chunk(self, monkeypatch):
+        evaluate, shapes = sim_module.simulate_impressions, []
+
+        def counting(c, *args):
+            shapes.append(np.shape(c))
+            return evaluate(c, *args)
+
+        monkeypatch.setattr(sim_module, "simulate_impressions", counting)
+        config = SimConfig(participants=1, seed=23)
+        run_policy_experiment(config, k=20, replications=2 * _RANK_CHUNK + 2)
+        assert shapes == [(len(POLICIES), _RANK_CHUNK, 20)] * 2 + [(len(POLICIES), 2, 20)]
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy 'novelty'"):
@@ -1027,6 +1059,24 @@ class TestConfigIO:
     def test_huge_int_rejected_in_code(self, build):
         # a config file's huge integer stops in from_fields; one built in code stops here
         with pytest.raises(ValueError, match="must be finite, got an integer too large for a float"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: GenerativeParams(dwell_noise_sd=-0.1), "noise SDs must be non-negative"),
+            (lambda: GenerativeParams(motor_sd=-0.1), "noise SDs must be non-negative"),
+            (lambda: GenerativeParams(like_given_engage=-0.1), "must be a probability"),
+            (lambda: GenerativeParams(like_given_engage=1.5), "must be a probability"),
+            (lambda: SimConfig(participants=-1), "participants must be >= 0"),
+            (lambda: SimConfig(1, news_per_feed=-1), "news_per_feed must be"),
+            (lambda: SimConfig(1, feed_length=20, news_per_feed=21), "news_per_feed must be"),
+        ],
+        ids=["dwell_noise_sd", "motor_sd", "like_below_0", "like_above_1", "participants",
+             "news_below_0", "news_above_feed"],
+    )
+    def test_out_of_range_value_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
             build()
 
     def test_policies_constant(self):
