@@ -530,7 +530,7 @@ def expected_engagement(
 
 def _top_k_engagement(params: GenerativeParams, c, s, loc, scale, k: int) -> np.ndarray:
     """Per pool of ``c``/``s``: :func:`expected_engagement` at each post that can
-    reach the pool's top k, and -inf at the others.
+    reach the pool's top k, and -inf at the others, which are never selected.
 
     A post is left out when its upper bound (:func:`_engagement_bounds`) is
     below the k-th largest lower bound in its pool: k posts then score more,
@@ -560,6 +560,30 @@ def _id_order(ids: Sequence[str]) -> np.ndarray:
     return np.argsort(np.array(ids), kind="stable")
 
 
+def _select_top_k(scores: np.ndarray, by_id: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``scores`` (one pool or a ``(pools, posts)`` block): the
+    positions of its k highest scores, best first, ties in ``by_id`` order and
+    NaN last, for k in 1..posts; the first k of a stable argsort of
+    ``-scores[..., by_id]``, mapped back through ``by_id``.
+
+    ``np.partition`` finds each row's k-th key. The keys up to it are kept;
+    in a row where they are more than k, only the first of the k-th key's
+    ties in id order stay (a ``cumsum`` over the tie mask), so every row
+    keeps exactly k, and only those k are sorted.
+    """
+    n = scores.shape[-1]
+    keys = -scores[..., by_id].reshape(-1, n)
+    kth = np.partition(keys, k - 1, axis=-1)[:, k - 1, None]
+    kept = (keys <= kth) | np.isnan(kth)  # a NaN k-th key follows every key
+    over = np.flatnonzero(np.count_nonzero(kept, axis=-1) > k)
+    tied = kept[over] & ((keys[over] == kth[over]) | np.isnan(keys[over]))
+    room = k - np.count_nonzero(kept[over] & ~tied, axis=-1, keepdims=True)
+    kept[over] &= ~tied | (np.cumsum(tied, axis=-1) <= room)
+    flat = np.flatnonzero(kept).reshape(-1, k)
+    order = np.argsort(keys.ravel()[flat], axis=-1, kind="stable")
+    return by_id[np.take_along_axis(flat, order, axis=-1) % n].reshape(*scores.shape[:-1], k)
+
+
 def _rank_rows(
     policy: str, params: GenerativeParams, c, s, loc, scale, by_id: np.ndarray, k: int
 ) -> np.ndarray:
@@ -569,7 +593,8 @@ def _rank_rows(
     ``chronological`` keeps the first k rows. ``loc``/``scale`` are each
     pool's log-dwell marginal, and ``by_id`` the posts' id order, in which
     score ties break. ``engage_opt`` scores only the posts that can reach the
-    top k (:func:`_top_k_engagement`); the others sort last and are never kept.
+    top k (:func:`_top_k_engagement`). :func:`_select_top_k` picks the top k
+    without sorting the rest of the pool.
     """
     if policy == "chronological":
         return np.tile(np.arange(k), (*np.shape(c)[:-1], 1))
@@ -577,7 +602,7 @@ def _rank_rows(
         scores = expected_dwell(params, c, s)
     else:
         scores = _top_k_engagement(params, c, s, loc, scale, k)
-    return by_id[np.argsort(-scores[..., by_id], axis=-1, kind="stable")[..., :k]]
+    return _select_top_k(scores, by_id, k)
 
 
 def rank_feed(
@@ -670,8 +695,9 @@ def run_policy_experiment(
     a row of the chunk's credibility and sensationalism blocks; then, per
     policy in argument order, it draws the ``random`` rows through
     :func:`rank_feed` (for that policy only) and its four variate rows
-    (:func:`_draw_variates`). The chunk gets its :func:`log_dwell_marginal`
-    in one call, :func:`_rank_rows` picks every other policy's rows into its
+    (:func:`_draw_variates`), one row of each of the chunk's four variate
+    blocks. The chunk gets its :func:`log_dwell_marginal` in one call,
+    :func:`_rank_rows` selects every other policy's top k into its
     (policies, chunk, k) block, and one :func:`simulate_impressions` call
     evaluates them. Only the per-replication metrics outlive the chunk.
     Every value is bit-identical to one replication at a time.
@@ -695,7 +721,7 @@ def run_policy_experiment(
         chunk = streams[start : start + _RANK_CHUNK]
         rows = np.empty((len(policies), len(chunk), k), dtype=np.intp)
         cred, sens = np.empty((2, len(chunk), n))
-        variates = np.empty((4, *rows.shape))
+        eps, u_engage, u_like, motor_eps = np.empty((4, *rows.shape))
         for r, seed_seq in enumerate(chunk):
             rng = np.random.default_rng(seed_seq)
             pool = config.pool.realize(rng)
@@ -703,7 +729,7 @@ def run_policy_experiment(
             for j, policy in enumerate(policies):
                 if policy == "random":
                     rows[j, r] = rank_feed(policy, pool, params, k, rng=rng)
-                _draw_variates(rng, *variates[:, j, r])
+                _draw_variates(rng, eps[j, r], u_engage[j, r], u_like[j, r], motor_eps[j, r])
         loc, scale = log_dwell_marginal(params, cred, sens)
         by_id = _id_order(pool.post_ids)
         for j, policy in enumerate(policies):
@@ -711,7 +737,7 @@ def run_policy_experiment(
                 rows[j] = _rank_rows(policy, params, cred, sens, loc, scale, by_id, k)
         c = np.take_along_axis(cred[None], rows, axis=2)
         s = np.take_along_axis(sens[None], rows, axis=2)
-        sim = simulate_impressions(c, s, params, loc, scale, *variates)
+        sim = simulate_impressions(c, s, params, loc, scale, eps, u_engage, u_like, motor_eps)
         for i, m in enumerate((c, s, sim["engaged"], sim["dwell_observed"])):
             per_rep[:, start : start + len(chunk), i] = m.mean(axis=2)
 

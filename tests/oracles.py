@@ -156,6 +156,13 @@ def comparison_sort_ranking(scores):
     return out
 
 
+def stable_argsort_top_k(scores, by_id, k):
+    """Per row of ``scores``: the positions of its k highest, best first, from a
+    stable argsort of every negated score in ``by_id`` order, so ties break by
+    id and NaN ranks last."""
+    return by_id[np.argsort(-scores[..., by_id], axis=-1, kind="stable")[..., :k]]
+
+
 def per_participant_ols(impressions):
     """Independent per-participant (intercept, slope) least squares.
 

@@ -30,7 +30,9 @@ from conftest import as_table, make_impression
 from oracles import grid_search_logistic_mle, logaddexp_irls, normal_equations_ols, q_residual_ols
 
 
-def step_halving_data():
+def wide_predictor_data():
+    # 200 rows on a predictor with SD 10: from the empirical log odds, IRLS
+    # converges in 10 full Newton steps and never halves one
     rng = np.random.default_rng(26)
     n = 200
     X = np.column_stack([np.ones(n), 10.0 * rng.standard_normal(n)])
@@ -45,8 +47,9 @@ def separated_data():
 
 
 def heavy_tailed_rare_event_data():
-    # 6 events in 80 rows on a Student-t (df 2) predictor: a full Newton step
-    # from the empirical log odds raises the deviance, so IRLS halves it
+    # 6 events in 80 rows on a Student-t (df 2) predictor: from the empirical
+    # log odds, the first full Newton step lowers the deviance and the second
+    # raises it, so IRLS halves that one
     rng = np.random.default_rng(824)
     x = rng.standard_t(2, 80)
     y = (rng.random(80) < 1.0 / (1.0 + np.exp(2.5 + 0.5 * x))).astype(float)
@@ -298,14 +301,37 @@ class TestFitLogistic:
         assert np.max(np.abs(X.T @ (y - p))) < 1e-6
 
     def test_deviance_non_increasing(self):
-        # step-halving accepts only non-increasing deviance; re-fit a hard
-        # case and confirm the recorded deviance is a true optimum value
-        X, y = step_halving_data()
+        # IRLS accepts only non-increasing deviance; on full Newton steps the
+        # recorded deviance is the logaddexp deviance at the estimates
+        X, y = wide_predictor_data()
         fit = fit_logistic(X, y, ["intercept", "x"])
         beta = np.array([t.estimate for t in fit.terms])
         eta_hat = X @ beta
         dev_hat = float(2.0 * np.sum(np.logaddexp(0.0, eta_hat) - y * eta_hat))
         assert fit.metadata["deviance"] == pytest.approx(dev_hat, rel=1e-12)
+
+    def test_deviance_non_increasing_when_halving(self):
+        # the second full Newton step from the empirical log odds raises the
+        # deviance; the halved fit still records the deviance at its estimates
+        X, y = heavy_tailed_rare_event_data()
+
+        def deviance(beta):
+            eta = X @ beta
+            return float(2.0 * np.sum(np.logaddexp(0.0, eta) - y * eta))
+
+        def full_newton_step(beta):
+            p = special.expit(X @ beta)
+            information = X.T @ ((p * (1.0 - p))[:, None] * X)
+            return beta + np.linalg.solve(information, X.T @ (y - p))
+
+        start = np.array([math.log(y.mean() / (1.0 - y.mean())), 0.0])
+        first = full_newton_step(start)
+        assert deviance(first) < deviance(start)
+        assert deviance(full_newton_step(first)) > deviance(first)
+        fit = fit_logistic(X, y, ["intercept", "x"])
+        beta = np.array([t.estimate for t in fit.terms])
+        assert fit.metadata["deviance"] == pytest.approx(deviance(beta), rel=1e-12)
+        assert fit.metadata["deviance"] < deviance(first)
 
     def test_step_halving_reaches_the_mle(self):
         # full Newton steps do not converge here; the halved fit meets the MLE
@@ -324,7 +350,7 @@ class TestFitLogistic:
 
     def test_non_convergence_is_a_fit_warning(self, monkeypatch):
         monkeypatch.setattr(regression, "IRLS_MAX_ITER", 1)
-        X, y = step_halving_data()
+        X, y = wide_predictor_data()
         fit = fit_logistic(X, y, ["intercept", "x"])
         assert fit.metadata["converged"] is False and fit.metadata["iterations"] == 1
         assert fit.warnings == ("IRLS did not converge in 1 iterations",)
@@ -412,7 +438,7 @@ class TestFitLogisticMatchesLogaddexpOracle:
         "data",
         [
             walkthrough_engagement_design,
-            lambda: (*step_halving_data(), ("intercept", "x")),
+            lambda: (*wide_predictor_data(), ("intercept", "x")),
             lambda: (*heavy_tailed_rare_event_data(), ("intercept", "x")),
             lambda: (*separated_data(), ("intercept", "x")),
             large_eta_data,

@@ -27,6 +27,7 @@ from feedlab.sim import (
     _engagement_bounds,
     _logit_terms,
     _node_sum,
+    _select_top_k,
     _top_k_engagement,
     align_scores_to_axes,
     config_to_dict,
@@ -48,6 +49,7 @@ from oracles import (
     per_participant_session,
     per_replication_policy_experiment,
     per_stream_impressions,
+    stable_argsort_top_k,
     three_call_pool,
 )
 from conftest import pool_scores
@@ -405,6 +407,40 @@ class TestRankFeed:
         pool, _ = default_pool()
         with pytest.raises(ValueError, match=r"k must be in 0\.\.276"):
             rank_feed("chronological", pool, PARAMS, k)
+
+
+class TestSelectTopK:
+    """The top-k selection gives the first k rows of a stable argsort of every
+    score in id order, ties and NaN included."""
+
+    @pytest.mark.parametrize("shape", [(1,), (17,), (4, 1), (6, 17), (3, 40)])
+    def test_matches_the_stable_argsort(self, shape):
+        rng = np.random.default_rng(37)
+        n = shape[-1]
+        for _ in range(30):
+            scores = rng.integers(0, 4, shape).astype(float)  # integer scores tie often
+            cells = rng.random(shape)
+            scores[cells < 0.1] = np.inf
+            scores[(0.1 <= cells) & (cells < 0.2)] = -np.inf
+            scores[(0.2 <= cells) & (cells < 0.3)] = np.nan
+            scores[(0.3 <= cells) & (cells < 0.35)] = -0.0
+            by_id = rng.permutation(n)
+            for k in range(1, n + 1):
+                rows = _select_top_k(scores, by_id, k)
+                assert rows.dtype.kind == "i" and rows.shape == (*shape[:-1], k)
+                assert np.array_equal(rows, stable_argsort_top_k(scores, by_id, k))
+
+    @pytest.mark.parametrize("value", [0.0, np.inf, -np.inf, np.nan])
+    def test_one_value_everywhere_ranks_by_id(self, value):
+        by_id = np.random.default_rng(38).permutation(9)
+        for k in (1, 4, 9):
+            rows = _select_top_k(np.full((3, 9), value), by_id, k)
+            assert np.array_equal(rows, np.tile(by_id[:k], (3, 1)))
+
+    def test_nan_ranks_below_minus_inf(self):
+        scores = np.array([np.nan, -np.inf, 2.0, np.nan, -np.inf])
+        rows = _select_top_k(scores, np.arange(5), 5)
+        assert np.array_equal(rows, [2, 1, 4, 0, 3])
 
 
 class TestExpectedEngagementQuadrature:

@@ -8,8 +8,8 @@ functions with keywords. Renaming or removing any of them, or a keyword
 parameter they pass, fails here, not only in the slower
 ``perfbench/test_smoke.py``. A traced function that the code no longer
 calls through its module attribute reads 0 s in every traced run; the
-policy experiment's quadrature and the simulators' two-stage evaluation are
-checked for that here too.
+policy experiment's quadrature, pool draws and ``random`` rankings and the
+simulators' two-stage evaluation are checked for that here too.
 """
 
 import ast
@@ -137,3 +137,25 @@ def test_simulators_evaluate_through_the_traced_function(monkeypatch):
     assert sim.simulate_session(session_config)[0] == session
     assert sim.run_policy_experiment(policy_config, k=20, replications=5) == outcomes
     assert blocks == [(3, 120), (len(sim.POLICIES), 5, 20)]
+
+
+def test_policy_experiment_draws_through_the_traced_functions(monkeypatch):
+    # the tracer wraps SyntheticPool.realize in the class __dict__ and the module
+    # attribute sim.rank_feed, and the benchmark's policy workload reads both
+    # spans: each replication realizes one pool and ranks it once for random
+    config, replications = sim.SimConfig(participants=1, seed=37), 70
+    outcomes = sim.run_policy_experiment(config, k=20, replications=replications)
+    realize, rank_feed, calls = sim.SyntheticPool.realize, sim.rank_feed, []
+
+    def counting_realize(pool, rng):
+        calls.append("realize")
+        return realize(pool, rng)
+
+    def counting_rank_feed(policy, *args, **kwargs):
+        calls.append(policy)
+        return rank_feed(policy, *args, **kwargs)
+
+    monkeypatch.setattr(sim.SyntheticPool, "realize", counting_realize)
+    monkeypatch.setattr(sim, "rank_feed", counting_rank_feed)
+    assert sim.run_policy_experiment(config, k=20, replications=replications) == outcomes
+    assert calls == ["realize", "random"] * replications
