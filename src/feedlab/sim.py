@@ -543,15 +543,15 @@ def _top_k_engagement(params: GenerativeParams, c, s, loc, scale, k: int) -> np.
     s = np.asarray(s, dtype=float)
     centre, half_width = _engagement_bounds(*_logit_terms(params, c, s, loc, scale))
     kth_lower = np.partition(centre - half_width, -k, axis=-1)[..., -k, None]
-    candidate = centre + half_width >= kth_lower
+    candidate = np.flatnonzero(centre + half_width >= kth_lower)
     scores = np.full(c.shape, -np.inf)
-    scores[candidate] = expected_engagement(
+    np.put(scores, candidate, expected_engagement(
         params,
-        c[candidate],
-        s[candidate],
-        np.broadcast_to(loc, c.shape)[candidate],
-        np.broadcast_to(scale, c.shape)[candidate],
-    )
+        c.ravel()[candidate],
+        s.ravel()[candidate],
+        np.broadcast_to(loc, c.shape).flat[candidate],
+        np.broadcast_to(scale, c.shape).flat[candidate],
+    ))
     return scores
 
 
@@ -566,20 +566,22 @@ def _select_top_k(scores: np.ndarray, by_id: np.ndarray, k: int) -> np.ndarray:
     NaN last, for k in 1..posts; the first k of a stable argsort of
     ``-scores[..., by_id]``, mapped back through ``by_id``.
 
-    ``np.partition`` finds each row's k-th key. The keys up to it are kept;
-    in a row where they are more than k, only the first of the k-th key's
-    ties in id order stay (a ``cumsum`` over the tie mask), so every row
-    keeps exactly k, and only those k are sorted.
+    ``np.partition`` finds each row's k-th key, and the keys up to it are
+    kept: at least k per row. Where ties of the k-th key keep more, only the
+    first of them in id order stay (a ``cumsum`` over the tie mask), so every
+    row keeps exactly k, and only those k are sorted.
     """
     n = scores.shape[-1]
     keys = -scores[..., by_id].reshape(-1, n)
     kth = np.partition(keys, k - 1, axis=-1)[:, k - 1, None]
     kept = (keys <= kth) | np.isnan(kth)  # a NaN k-th key follows every key
-    over = np.flatnonzero(np.count_nonzero(kept, axis=-1) > k)
-    tied = kept[over] & ((keys[over] == kth[over]) | np.isnan(keys[over]))
-    room = k - np.count_nonzero(kept[over] & ~tied, axis=-1, keepdims=True)
-    kept[over] &= ~tied | (np.cumsum(tied, axis=-1) <= room)
-    flat = np.flatnonzero(kept).reshape(-1, k)
+    flat = np.flatnonzero(kept)
+    if flat.size > k * len(keys):
+        tied = kept & ((keys == kth) | np.isnan(keys))
+        room = k - np.count_nonzero(kept & ~tied, axis=-1, keepdims=True)
+        kept &= ~tied | (np.cumsum(tied, axis=-1) <= room)
+        flat = np.flatnonzero(kept)
+    flat = flat.reshape(-1, k)
     order = np.argsort(keys.ravel()[flat], axis=-1, kind="stable")
     return by_id[np.take_along_axis(flat, order, axis=-1) % n].reshape(*scores.shape[:-1], k)
 
